@@ -1,11 +1,14 @@
 // Design-choice ablations for the discord substrate (DESIGN.md §4):
-// MASS (FFT) versus naive distance profiles, and DRAG phase-2 linear scan
-// versus the Orchard-ordered scan that powers MERLIN++.
+// MASS (FFT) versus naive distance profiles, DRAG phase-2 linear scan
+// versus the Orchard-ordered scan that powers MERLIN++, and MERLIN versus
+// the exact per-length sweep the detector runs (ExactDiscords).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -128,6 +131,32 @@ void BM_MerlinRestrictedRegion(benchmark::State& state) {
 }
 BENCHMARK(BM_MerlinRestrictedRegion);
 
+// The detector's stage-3 shape at growing region sizes n: a region of
+// three windows searched at lengths 4 .. one window (n/3, at most n/2 - 1)
+// every 4th length. discord::ExactDiscords is what the detector runs;
+// Merlin is the DRAG r-ladder it replaced. Registered side by side up to
+// n = 3000 to show there is no region size where the ladder wins.
+int64_t RegionMaxLength(int64_t n) { return std::min(n / 3, n / 2 - 1); }
+
+void BM_RegionMerlin(benchmark::State& state) {
+  const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Merlin(x, 4, RegionMaxLength(state.range(0)), 4));
+  }
+}
+BENCHMARK(BM_RegionMerlin)->Arg(120)->Arg(480)->Arg(960)->Arg(1500)
+    ->Arg(3000)->Unit(benchmark::kMillisecond);
+
+void BM_RegionExactDiscords(benchmark::State& state) {
+  const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ExactDiscords(x, 4, RegionMaxLength(state.range(0)), 4));
+  }
+}
+BENCHMARK(BM_RegionExactDiscords)->Arg(120)->Arg(480)->Arg(960)->Arg(1500)
+    ->Arg(3000)->Unit(benchmark::kMillisecond);
+
 // A noisier series (sigma 0.1) with the anomaly sliced out: with no true
 // discord present, nearest-neighbour distances bunch together, the range
 // ladder descends further, and DRAG's phases do real pruning work. This is
@@ -218,6 +247,26 @@ int RunJsonMode() {
     merlin_on = span.Stop();
   }
 
+  // Region sweep, Merlin vs ExactDiscords (the BM_Region* pair above):
+  // one timed call of each per region size.
+  std::vector<std::pair<std::string, double>> region_fields;
+  for (int64_t n : {120, 480, 960, 1500, 3000}) {
+    const std::vector<double> x = Workload(static_cast<size_t>(n));
+    const int64_t max_len = RegionMaxLength(n);
+    Timer merlin_timer;
+    auto merlin = Merlin(x, 4, max_len, 4);
+    const double merlin_s = merlin_timer.ElapsedSeconds();
+    Timer exact_timer;
+    auto exact = ExactDiscords(x, 4, max_len, 4);
+    const double exact_s = exact_timer.ElapsedSeconds();
+    TRIAD_CHECK(merlin.ok() && exact.ok());
+    TRIAD_CHECK(merlin->discords.size() == exact->discords.size());
+    const std::string key = "region_" + std::to_string(n);
+    region_fields.push_back({key + "_merlin_seconds", merlin_s});
+    region_fields.push_back({key + "_exact_seconds", exact_s});
+    region_fields.push_back({key + "_exact_speedup", merlin_s / exact_s});
+  }
+
   // STOMP matrix profile, f64-vs-f32 cohort (ARCHITECTURE.md §12): same
   // 8k series, same subsequence length; only the distance-row precision
   // tier changes. Both run under the plan cache so the FFT seed cost is
@@ -244,22 +293,23 @@ int RunJsonMode() {
     return static_cast<double>(
         metrics::Registry::Global().counter(name)->value());
   };
-  bench::WriteBenchJson(
-      "discord", wall.ElapsedSeconds(),
-      {{"mass_profile_plan_off_seconds", mass_off},
-       {"mass_profile_plan_on_seconds", mass_on},
-       {"mass_profile_speedup", mass_off / mass_on},
-       {"merlin_sweep_plan_off_seconds", merlin_off},
-       {"merlin_sweep_plan_on_seconds", merlin_on},
-       {"merlin_sweep_speedup", merlin_off / merlin_on},
-       {"precision_f32", 1.0},  // record carries an f32 cohort (§12)
-       {"stomp_f64_seconds", stomp_f64},
-       {"stomp_f32_seconds", stomp_f32},
-       {"stomp_f32_speedup", stomp_f64 / stomp_f32},
-       {"fft_plan_hits", counter("fft.plan_hits")},
-       {"fft_plan_misses", counter("fft.plan_misses")},
-       {"mass_spectrum_hits", counter("mass.spectrum_hits")},
-       {"mass_spectrum_misses", counter("mass.spectrum_misses")}});
+  std::vector<std::pair<std::string, double>> fields = {
+      {"mass_profile_plan_off_seconds", mass_off},
+      {"mass_profile_plan_on_seconds", mass_on},
+      {"mass_profile_speedup", mass_off / mass_on},
+      {"merlin_sweep_plan_off_seconds", merlin_off},
+      {"merlin_sweep_plan_on_seconds", merlin_on},
+      {"merlin_sweep_speedup", merlin_off / merlin_on},
+      {"precision_f32", 1.0},  // record carries an f32 cohort (§12)
+      {"stomp_f64_seconds", stomp_f64},
+      {"stomp_f32_seconds", stomp_f32},
+      {"stomp_f32_speedup", stomp_f64 / stomp_f32},
+      {"fft_plan_hits", counter("fft.plan_hits")},
+      {"fft_plan_misses", counter("fft.plan_misses")},
+      {"mass_spectrum_hits", counter("mass.spectrum_hits")},
+      {"mass_spectrum_misses", counter("mass.spectrum_misses")}};
+  fields.insert(fields.end(), region_fields.begin(), region_fields.end());
+  bench::WriteBenchJson("discord", wall.ElapsedSeconds(), fields);
   return 0;
 }
 

@@ -155,6 +155,21 @@ void ZNormDistRow(const double* dot, const double* mu, const double* sd,
   }
 }
 
+double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
+                  double inv_sd_row, const double* mu, const double* inv_sd,
+                  double* col_max, double drop, const double* tail,
+                  double add, const double* head) {
+  double row_max = -std::numeric_limits<double>::infinity();
+  for (int64_t k = 0; k < n; ++k) {
+    const double corr =
+        ((q[k] * inv_m - mu_row * mu[k]) * inv_sd[k]) * inv_sd_row;
+    row_max = corr > row_max ? corr : row_max;
+    col_max[k] = corr > col_max[k] ? corr : col_max[k];
+    q[k] = q[k] - drop * tail[k] + add * head[k];
+  }
+  return row_max + 0.0;
+}
+
 float DotF32(const float* a, const float* b, int64_t n) {
   float acc = 0.0f;
   for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
@@ -642,6 +657,51 @@ TRIAD_TARGET_AVX2 void ZNormDistRow(const double* dot, const double* mu,
   }
 }
 
+// Lane for lane the scalar chain: the max folds use vmaxpd(corr, acc),
+// which returns acc when corr is NaN — the scalar `corr > acc ? corr :
+// acc`. Lanes fold in a fixed order and the +0.0 of the scalar return
+// erases the only order-dependent bit (the sign of a zero maximum).
+TRIAD_TARGET_AVX2 double CorrRowMax(double* q, int64_t n, double inv_m,
+                                    double mu_row, double inv_sd_row,
+                                    const double* mu, const double* inv_sd,
+                                    double* col_max, double drop,
+                                    const double* tail, double add,
+                                    const double* head) {
+  const __m256d inv_mv = _mm256_set1_pd(inv_m);
+  const __m256d mu_rowv = _mm256_set1_pd(mu_row);
+  const __m256d inv_rowv = _mm256_set1_pd(inv_sd_row);
+  const __m256d dropv = _mm256_set1_pd(drop);
+  const __m256d addv = _mm256_set1_pd(add);
+  __m256d row_maxv = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  int64_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d qv = _mm256_loadu_pd(q + k);
+    const __m256d corr = _mm256_mul_pd(
+        _mm256_mul_pd(_mm256_sub_pd(_mm256_mul_pd(qv, inv_mv),
+                                    _mm256_mul_pd(mu_rowv,
+                                                  _mm256_loadu_pd(mu + k))),
+                      _mm256_loadu_pd(inv_sd + k)),
+        inv_rowv);
+    row_maxv = _mm256_max_pd(corr, row_maxv);
+    _mm256_storeu_pd(col_max + k,
+                     _mm256_max_pd(corr, _mm256_loadu_pd(col_max + k)));
+    const __m256d next = _mm256_add_pd(
+        _mm256_sub_pd(qv, _mm256_mul_pd(dropv, _mm256_loadu_pd(tail + k))),
+        _mm256_mul_pd(addv, _mm256_loadu_pd(head + k)));
+    _mm256_storeu_pd(q + k, next);
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, row_maxv);
+  double row_max = lanes[0];
+  for (int l = 1; l < 4; ++l) row_max = lanes[l] > row_max ? lanes[l] : row_max;
+  const double tail_max =
+      scalar::CorrRowMax(q + k, n - k, inv_m, mu_row, inv_sd_row, mu + k,
+                         inv_sd + k, col_max + k, drop, tail + k, add,
+                         head + k);
+  row_max = tail_max > row_max ? tail_max : row_max;
+  return row_max + 0.0;
+}
+
 // Folds an 8-lane float accumulator in a fixed order:
 // ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
 TRIAD_TARGET_AVX2 inline float HSum8(__m256 v) {
@@ -792,6 +852,9 @@ struct KernelTable {
                   const double*);
   void (*znorm)(const double*, const double*, const double*, double, double,
                 int64_t, double*, int64_t);
+  double (*corr_row_max)(double*, int64_t, double, double, double,
+                         const double*, const double*, double*, double,
+                         const double*, double, const double*);
   float (*dot_f32)(const float*, const float*, int64_t);
   void (*dot_pair_f32)(const float*, const float*, const float*, int64_t,
                        float*);
@@ -808,6 +871,7 @@ constexpr KernelTable kScalarTable = {
     scalar::CorrRowAccum,       scalar::DotPair,
     scalar::AddRelu,            scalar::AddReluMask,
     scalar::ReluMask,           scalar::SlidingDotUpdate,   scalar::ZNormDistRow,
+    scalar::CorrRowMax,
     scalar::DotF32,             scalar::DotPairF32,
     scalar::SlidingDotUpdateF32,                            scalar::ZNormDistRowF32,
 };
@@ -820,6 +884,7 @@ constexpr KernelTable kAvx2Table = {
     avx2::CorrRowAccum,      avx2::DotPair,
     avx2::AddRelu,           avx2::AddReluMask,
     avx2::ReluMask,          avx2::SlidingDotUpdate,  avx2::ZNormDistRow,
+    avx2::CorrRowMax,
     avx2::DotF32,            avx2::DotPairF32,
     avx2::SlidingDotUpdateF32,                        avx2::ZNormDistRowF32,
 };
@@ -1004,6 +1069,15 @@ void ZNormDistRow(const double* dot, const double* mu, const double* sd,
                   double mu_q, double sd_q, int64_t m, double* out,
                   int64_t n) {
   TableFor(ActiveLevel()).znorm(dot, mu, sd, mu_q, sd_q, m, out, n);
+}
+
+double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
+                  double inv_sd_row, const double* mu, const double* inv_sd,
+                  double* col_max, double drop, const double* tail,
+                  double add, const double* head) {
+  return TableFor(ActiveLevel())
+      .corr_row_max(q, n, inv_m, mu_row, inv_sd_row, mu, inv_sd, col_max,
+                    drop, tail, add, head);
 }
 
 float DotF32(const float* a, const float* b, int64_t n) {

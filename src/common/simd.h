@@ -18,10 +18,10 @@ namespace triad::simd {
 /// Determinism contract (see ARCHITECTURE.md §4):
 ///
 ///  * **Elementwise kernels** (Axpy, Add, Mul, Relu, SlidingDotUpdate,
-///    ZNormDistRow) perform the exact same IEEE operation sequence per
-///    element at every tier — vector lanes are just scalar lanes side by
-///    side, and FMA contraction is never used — so their output is
-///    **bit-identical** to the scalar reference.
+///    ZNormDistRow, CorrRowMax) perform the exact same IEEE operation
+///    sequence per element at every tier — vector lanes are just scalar
+///    lanes side by side, and FMA contraction is never used — so their
+///    output is **bit-identical** to the scalar reference.
 ///  * **Reduction kernels** (Dot, Sum) accumulate in double precision at
 ///    every tier; the vector tiers use a fixed-width lane split, so the
 ///    only divergence from the scalar reference is double-rounding of
@@ -254,6 +254,30 @@ void ReluMask(const float* x, const float* g, float* out, int64_t n);
 void ZNormDistRow(const double* dot, const double* mu, const double* sd,
                   double mu_q, double sd_q, int64_t m, double* out, int64_t n);
 
+/// \brief One row of the exact discord sweep (discord::ExactDiscords):
+/// ranks row i against its upper-triangle partners by Pearson correlation,
+/// then advances the diagonal-major dot row to row i+1.
+///
+/// Cell k pairs row i with column j = i+m+k; `q[k]` holds their sliding
+/// dot product, `mu[k]`/`inv_sd[k]` the column's mean and 1/stddev. Per
+/// cell, in this order:
+///
+///   corr       = ((q[k] * inv_m - mu_row * mu[k]) * inv_sd[k]) * inv_sd_row
+///   row max    = corr > row max ? corr : row max
+///   col_max[k] = corr > col_max[k] ? corr : col_max[k]
+///   q[k]       = q[k] - drop * tail[k] + add * head[k]
+///
+/// No sqrt or division per cell. A flat window carries NaN in its
+/// 1/stddev, so its correlations are NaN and never win a max (the `a > b ?
+/// a : b` rule keeps b, which is also vmaxpd's NaN rule). Returns the row
+/// maximum, seeded at -inf, with +0.0 added so a zero maximum has one sign
+/// at every tier. Elementwise with no FMA, so every tier is bit-identical
+/// to the scalar reference.
+double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
+                  double inv_sd_row, const double* mu, const double* inv_sd,
+                  double* col_max, double drop, const double* tail,
+                  double add, const double* head);
+
 // ---------------------------------------------------------------------------
 // Float32 inference kernels (the kF32 precision tier; ARCHITECTURE.md §12).
 // Dispatched on the same SIMD Level as the double kernels — the precision
@@ -317,6 +341,10 @@ void SlidingDotUpdate(double* qt, int64_t n, double drop, const double* tail,
                       double add, const double* head);
 void ZNormDistRow(const double* dot, const double* mu, const double* sd,
                   double mu_q, double sd_q, int64_t m, double* out, int64_t n);
+double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
+                  double inv_sd_row, const double* mu, const double* inv_sd,
+                  double* col_max, double drop, const double* tail,
+                  double add, const double* head);
 float DotF32(const float* a, const float* b, int64_t n);
 void DotPairF32(const float* a, const float* b0, const float* b1, int64_t n,
                 float* out2);

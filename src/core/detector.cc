@@ -146,6 +146,45 @@ MemoMetrics& MemoInstruments() {
   return m;
 }
 
+// Stage 3's search region around one selected window, shared by Detect and
+// DetectEvents: the window padded by merlin_padding_windows on each side
+// and clamped to the series, searched at lengths merlin_min_length ..
+// max_len, where max_len is at most half the region minus one (longer
+// lengths have no non-trivial match) and at most merlin_max_length_windows
+// windows.
+struct DiscordRegion {
+  int64_t begin = 0;
+  int64_t end = 0;
+  int64_t max_len = 0;
+
+  DiscordRegion(const TriadConfig& config, int64_t window_length, int64_t n,
+                int64_t w_start) {
+    const int64_t pad = static_cast<int64_t>(std::llround(
+        config.merlin_padding_windows * static_cast<double>(window_length)));
+    begin = std::max<int64_t>(0, w_start - pad);
+    end = std::min(n, w_start + window_length + pad);
+    max_len = std::min<int64_t>(
+        (end - begin) / 2 - 1,
+        static_cast<int64_t>(
+            std::llround(config.merlin_max_length_windows *
+                         static_cast<double>(window_length))));
+  }
+
+  bool Searchable(const TriadConfig& config) const {
+    return max_len >= config.merlin_min_length;
+  }
+
+  // Exact top discord per length (discord::ExactDiscords), with positions
+  // relative to `begin`.
+  Result<discord::MerlinResult> Search(const std::vector<double>& series,
+                                       const TriadConfig& config) const {
+    const std::vector<double> region(series.begin() + begin,
+                                     series.begin() + end);
+    return discord::ExactDiscords(region, config.merlin_min_length, max_len,
+                                  config.merlin_length_step);
+  }
+};
+
 }  // namespace
 
 uint64_t NextStreamUid() {
@@ -303,7 +342,7 @@ Result<DetectionResult> TriadDetector::Detect(
     return Status::InvalidArgument("test series shorter than one window");
   }
   // Cooperative deadline checkpoints (common/deadline.h): one per pipeline
-  // stage, plus one per MERLIN length inside the sweep (discord.cc). A pass
+  // stage, plus one per discord length inside the search (discord.cc). A pass
   // whose budget ran out fails with DeadlineExceeded at the next checkpoint
   // instead of finishing late — recoverable, like a sanitize rejection.
   TRIAD_RETURN_NOT_OK(CheckPassDeadline());
@@ -508,20 +547,14 @@ Result<DetectionResult> TriadDetector::Detect(
   result.selected_window = selected;
   result.selection_seconds = selection_span.Stop();
 
-  // ---- stage 3: MERLIN discord search around the selected window ----
+  // ---- stage 3: exact discord search around the selected window ----
   TRIAD_RETURN_NOT_OK(CheckPassDeadline());
   trace::TraceSpan discord_span("detector.discord");
   const int64_t w_start = result.window_starts[static_cast<size_t>(selected)];
-  const int64_t pad = static_cast<int64_t>(std::llround(
-      config_.merlin_padding_windows * static_cast<double>(window_length_)));
-  result.search_begin = std::max<int64_t>(0, w_start - pad);
-  result.search_end = std::min(n, w_start + window_length_ + pad);
-  const int64_t region_len = result.search_end - result.search_begin;
-  const int64_t max_len = std::min<int64_t>(
-      region_len / 2 - 1,
-      static_cast<int64_t>(std::llround(config_.merlin_max_length_windows *
-                                        static_cast<double>(window_length_))));
-  if (max_len >= config_.merlin_min_length) {
+  const DiscordRegion region(config_, window_length_, n, w_start);
+  result.search_begin = region.begin;
+  result.search_end = region.end;
+  if (region.Searchable(config_)) {
     // Changed-region tracking at region granularity: when the selected
     // window's global span matches a cached entry, the stream content of
     // the whole region is unchanged since that pass — no profile row in it
@@ -549,13 +582,7 @@ Result<DetectionResult> TriadDetector::Detect(
     }
     discord::MerlinResult fresh;
     if (cached == nullptr) {
-      const std::vector<double> region(
-          series.begin() + result.search_begin,
-          series.begin() + result.search_end);
-      auto merlin = discord::Merlin(region, config_.merlin_min_length,
-                                    max_len, config_.merlin_length_step);
-      TRIAD_RETURN_NOT_OK(merlin.status());
-      fresh = std::move(merlin).value();
+      TRIAD_ASSIGN_OR_RETURN(fresh, region.Search(series, config_));
       if (memo != nullptr) {
         if (memo->merlin.size() >= DetectMemo::kMerlinEntries) {
           auto oldest = std::min_element(
@@ -700,34 +727,22 @@ Result<DetectionResult> TriadDetector::DetectEvents(
   // Discord search around every selected window.
   trace::TraceSpan discord_span("detector.discord");
   std::vector<WindowVote> window_votes;
-  const int64_t pad = static_cast<int64_t>(std::llround(
-      config_.merlin_padding_windows * static_cast<double>(window_length_)));
   for (int64_t cand : selected) {
     const int64_t w_start =
         result.window_starts[static_cast<size_t>(cand)];
     window_votes.push_back(
         {w_start, window_length_, deviation_by_window[cand]});
-    const int64_t begin = std::max<int64_t>(0, w_start - pad);
-    const int64_t end = std::min(n, w_start + window_length_ + pad);
+    const DiscordRegion region(config_, window_length_, n, w_start);
     if (cand == result.selected_window) {
-      result.search_begin = begin;
-      result.search_end = end;
+      result.search_begin = region.begin;
+      result.search_end = region.end;
     }
-    const std::vector<double> region(series.begin() + begin,
-                                     series.begin() + end);
-    const int64_t region_len = end - begin;
-    const int64_t max_len = std::min<int64_t>(
-        region_len / 2 - 1,
-        static_cast<int64_t>(std::llround(
-            config_.merlin_max_length_windows *
-            static_cast<double>(window_length_))));
-    if (max_len < config_.merlin_min_length) continue;
+    if (!region.Searchable(config_)) continue;
     TRIAD_RETURN_NOT_OK(CheckPassDeadline());  // one checkpoint per region
-    auto merlin = discord::Merlin(region, config_.merlin_min_length, max_len,
-                                  config_.merlin_length_step);
-    TRIAD_RETURN_NOT_OK(merlin.status());
-    for (discord::Discord d : merlin.value().discords) {
-      d.position += begin;
+    TRIAD_ASSIGN_OR_RETURN(discord::MerlinResult found,
+                           region.Search(series, config_));
+    for (discord::Discord d : found.discords) {
+      d.position += region.begin;
       result.discords.push_back(d);
     }
   }

@@ -38,7 +38,7 @@ struct DetectionResult {
   std::vector<int64_t> candidate_windows;
   /// The single most suspicious window (index into window_starts).
   int64_t selected_window = -1;
-  /// Padded MERLIN search region, test coordinates (Fig. 7 numerator).
+  /// Padded discord search region, test coordinates (Fig. 7 numerator).
   int64_t search_begin = 0;
   int64_t search_end = 0;
   /// Variable-length discords found in the region, test coordinates.
@@ -120,8 +120,9 @@ struct DetectMemo {
   /// window start.
   std::unordered_map<int64_t, double> deviations;
 
-  /// One cached MERLIN run: the exact result of
-  /// Merlin(stream[begin, end), ...) with discords in region coordinates.
+  /// One cached region search: the exact result of
+  /// discord::ExactDiscords(stream[begin, end), ...) with discords in region
+  /// coordinates.
   struct MerlinEntry {
     int64_t begin = 0;  ///< global, inclusive
     int64_t end = 0;    ///< global, exclusive
@@ -158,7 +159,7 @@ uint64_t NextStreamUid();
 ///   auto result = detector.Detect(test);
 ///
 /// Threading: the inference hot paths — per-domain window encoding,
-/// pairwise-similarity scans, candidate deviation scoring, and the MERLIN
+/// pairwise-similarity scans, candidate deviation scoring, and the discord
 /// length sweep — fan out on DefaultPool() (sized by TRIAD_NUM_THREADS).
 /// Every decomposition uses fixed chunking and ordered reductions, so
 /// detections are bit-identical at any thread count; see ARCHITECTURE.md §3.

@@ -8,6 +8,7 @@
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "common/simd.h"
 #include "common/stats.h"
 #include "common/trace.h"
 #include "discord/mass.h"
@@ -506,6 +507,274 @@ Result<MerlinResult> RunMerlin(const std::vector<double>& series,
   return accum.result;
 }
 
+// ---- ExactDiscords: one exact matrix-profile sweep per length ----
+
+// Registered when a search starts, not on first increment, so exporters
+// report both counters (zero-valued when nothing happened) once the
+// detector has searched a region — the same reason mass.cc registers its
+// spectrum pair from the MassContext constructor.
+struct ExactCounters {
+  metrics::Counter* confirm_rows =
+      metrics::Registry::Global().counter("discord.confirm_rows");
+  metrics::Counter* empty_lengths =
+      metrics::Registry::Global().counter("discord.empty_lengths");
+};
+
+ExactCounters& ExactInstruments() {
+  static ExactCounters c;
+  return c;
+}
+
+// Region-wide inputs every length of one ExactDiscords call shares.
+struct SweepRegion {
+  explicit SweepRegion(const MassContext& series_mass) : mass(series_mass) {
+    const std::vector<double>& t = mass.series();
+    for (double v : t) center += v;
+    center /= static_cast<double>(t.size());
+    x.reserve(t.size() + 1);
+    prefix.assign(1, 0.0);
+    prefix_sq.assign(1, 0.0);
+    for (double v : t) {
+      const double xv = v - center;
+      x.push_back(xv);
+      x_max = std::max(x_max, std::abs(xv));
+      abs_sum += std::abs(xv);
+      prefix.push_back(prefix.back() + xv);
+      prefix_sq.push_back(prefix_sq.back() + xv * xv);
+    }
+    x.push_back(0.0);
+  }
+
+  const MassContext& mass;  // the region T; Stats(m) of the distances
+  double center = 0.0;      // c, the region mean
+  std::vector<double> x;    // fl(T - c), plus one zero pad (see SweepLength)
+  std::vector<double> prefix, prefix_sq;  // prefix sums of x and x^2
+  double x_max = 0.0;       // max |x|
+  double abs_sum = 0.0;     // sum |x|
+};
+
+// Exact NN distance of row i, unless it falls below `floor` (then any
+// value < floor is returned: the row cannot be the top). `t_upper` must
+// exceed the row's NN distance. Each pair first runs with the early-abandon
+// limit min(nn, t_upper): a pair whose exact distance is below the limit
+// returns a value below it (abandoned or not), so it is never skipped, and
+// is then recomputed with no limit, so nn only ever holds exact values.
+double ConfirmRow(const LengthContext& ctx, int64_t i, double t_upper,
+                  double floor, int64_t* ops) {
+  double nn = kInf;
+  for (int64_t j = 0; j < ctx.count; ++j) {
+    if (std::llabs(j - i) < ctx.m) continue;
+    const double limit = std::min(nn, t_upper);
+    if (ctx.Distance(i, j, limit, ops) < limit) {
+      nn = std::min(nn, ctx.Distance(i, j, kInf, ops));
+      if (nn < floor) break;
+    }
+  }
+  return nn;
+}
+
+struct ExactOutcome {
+  std::optional<Discord> discord;
+  int64_t ops = 0;
+};
+
+// Top discord of one length. Three steps, all O(count) memory:
+//
+// 1. Sweep. On the centred series x = fl(T - c), row i's dot row is kept
+//    by diagonal, q[k] = QT(i, i+k) for k >= m (the exclusion zone), and
+//    simd::CorrRowMax ranks the row's cells by
+//      rho~ = ((q[k]/m - nu_i nu_j) / sd_j) / sd_i,   nu = mu - c,
+//    with (mu, sd) = Stats(m), folding them into row and column maxima,
+//    then advances q to row i+1 in place. The seed row is a direct sum.
+//    Every row i gets a best correlation and b_i = 2m(1 - best).
+//
+// 2. Bound. Let D_ij be the direct distance (ZNormDistanceEarlyAbandon on
+//    T and Stats(m)) and D*_ij its exact-real value. With z = (T - mu)/sd,
+//      D*^2 = S_i + S_j - 2m rho*,   S_i = sum z_i^2,
+//      rho* = C_ij / (m sd_i sd_j),  C_ij = sum (T_a - mu_i)(T_b - mu_j).
+//    With exact window means mu' and variances sd'^2 (delta = mu' - mu):
+//      S_i / m - 1 = (sd'_i^2 - sd_i^2 + delta_i^2) / sd_i^2          (a)
+//      C_ij / m = QT(i,j)/m - nu_i nu_j - (nu_j delta_i + nu_i delta_j) (b)
+//    where QT is on x (exact centring). u = 2^-53, g_n = n u / (1 - n u),
+//    A = sum |x|, B = sum x^2, X = max |x|, V = max |nu|:
+//    * Stats(m) error, measured: the centred series has its own prefix-sum
+//      stats (mux, varx), accurate because x is small. Prefix sums are off
+//      by <= g_n A (g_n B for squares), so mux and varx are off from the
+//      exact stats of x by <= dmux = 2 g_n A/m + 2u|mux| and
+//      dvarx = 2 g_n B/m + 5u(varx + mux^2) + dmux(2|mux| + dmux);
+//      centring moved each sample by <= uX. Hence
+//        |delta_i| <= dmu_i = |mux - nu_i| + dmux + uX
+//                             + u(|nu_i| + |mux - nu_i|),
+//        |sd'_i^2 - sd_i^2| <= |varx - sd_i^2| + dvarx
+//                              + uX(2 sqrt(varx + dvarx) + uX)
+//                              + 2u(varx + sd_i^2),
+//      which bounds (a) by s_i. The differences measure the real error of
+//      Stats(m), so a series far from zero (where Stats(m) is least
+//      accurate) widens the bound only by that error.
+//    * Dot rows, |q| <= mX^2: the seed sum is off by <= m u mX^2, each of
+//      the R <= count row updates adds <= u X^2 (2m + 6), centring
+//      x = fl(T - c) adds <= 3u mX^2. So |q~ - QT|/m <= u X^2 (m + 3 +
+//      R (2 + 6/m)) = Eq.
+//    * Correlation step: q/m, nu_i nu_j and the difference add
+//      u(2X^2 + 3V^2); the mean term of (b) adds 2V max dmu; the two
+//      1/sd products add 8u |rho|. So
+//        |rho~ - rho*| <= G / (sd_i sd_j) + 8u(1 + s_max),
+//        G = Eq + 2u X^2 + 3u V^2 + 2V max dmu.
+//    * The direct formula's own rounding moves D^2 by
+//      <= u m (1 + s_max)(4m + 48).
+//    Summed, |D_ij^2 - b_ij| <= E_ij, and over the row's neighbours
+//      |NN_i^2 - b_i| <= E_i = 2 [m (s_i + s_max)
+//          + 2m (G inv_i inv_max + 8u (1 + s_max))
+//          + u m (1 + s_max)(4m + 48) + 4u (|b_i| + 2m)],
+//    inv = 1/sd, maxima over non-flat rows, the factor 2 absorbing
+//    second-order terms. The test runs on squared distances, where the
+//    bound applies directly; carrying it to distances with
+//    |sqrt a - sqrt b| <= sqrt |a - b| would only loosen it. Inputs that
+//    are badly conditioned for the sweep (near-flat windows, or an offset
+//    so large that Stats(m) itself is off by much of the variance) get a
+//    large E and re-score more rows; that costs time, never exactness.
+//
+// 3. Confirm. U_i = b_i + E_i bounds NN_i^2 from above. Rows are re-scored
+//    exactly (ConfirmRow) in descending U order, and the scan stops at the
+//    first U below the best confirmed distance squared (or below 1e-18:
+//    NN < 1e-9 never reports), so only rows that could reach or tie the
+//    top are re-scored. Ties go to the lowest position.
+//
+// Flat rows are never ranked: their NN is 0 or +inf, and a top below 1e-9
+// reports nothing. Flat columns carry NaN in inv and drop out of every max.
+// A non-flat row with no finite correlation has no finite NN.
+ExactOutcome SweepLength(const SweepRegion& region, int64_t m) {
+  const LengthContext ctx = MakeLengthContext(region.mass, m);
+  const int64_t count = ctx.count;
+  const int64_t n = region.mass.size();
+  const double dm = static_cast<double>(m);
+  const double u = std::numeric_limits<double>::epsilon() / 2.0;
+  const double g_n =
+      static_cast<double>(n) * u / (1.0 - static_cast<double>(n) * u);
+
+  std::vector<double> nu(static_cast<size_t>(count));
+  std::vector<double> inv(static_cast<size_t>(count));
+  std::vector<double> defect(static_cast<size_t>(count), 0.0);
+  double nu_max = 0.0, inv_max = 0.0, defect_max = 0.0, dmu_max = 0.0;
+  for (int64_t i = 0; i < count; ++i) {
+    const size_t si = static_cast<size_t>(i);
+    const double mu = ctx.MeanAt(i);
+    const double sd = ctx.StdAt(i);
+    nu[si] = mu - region.center;
+    if (sd < 1e-12) {
+      inv[si] = std::numeric_limits<double>::quiet_NaN();
+      continue;
+    }
+    inv[si] = 1.0 / sd;
+    // The window stats of x, with Stats(m)'s arithmetic.
+    const size_t end = static_cast<size_t>(i + m);
+    const double mux = (region.prefix[end] - region.prefix[si]) / dm;
+    const double varx = std::max(
+        0.0, (region.prefix_sq[end] - region.prefix_sq[si]) / dm - mux * mux);
+    const double dmux =
+        2.0 * g_n * region.abs_sum / dm + 2.0 * u * std::abs(mux);
+    const double dvarx = 2.0 * g_n * region.prefix_sq.back() / dm +
+                         5.0 * u * (varx + mux * mux) +
+                         dmux * (2.0 * std::abs(mux) + dmux);
+    const double x_u = u * region.x_max;
+    const double dmu = std::abs(mux - nu[si]) + dmux + x_u +
+                       u * (std::abs(nu[si]) + std::abs(mux - nu[si]));
+    const double dvar = std::abs(varx - sd * sd) + dvarx +
+                        x_u * (2.0 * std::sqrt(varx + dvarx) + x_u) +
+                        2.0 * u * (varx + sd * sd);
+    defect[si] = (dvar + dmu * dmu) * inv[si] * inv[si];
+    nu_max = std::max(nu_max, std::abs(nu[si]));
+    inv_max = std::max(inv_max, inv[si]);
+    defect_max = std::max(defect_max, defect[si]);
+    dmu_max = std::max(dmu_max, dmu);
+  }
+
+  // Step 1: the sweep. q[k] for k in [m, count) is row 0's seed; row i
+  // owns q[m .. count-1-i]. The update for row i+1 reads x[i+k+m], one past
+  // the series for the last cell, whose value is never used again — hence
+  // the pad.
+  const double* x = region.x.data();
+  std::vector<double> q(static_cast<size_t>(count), 0.0);
+  for (int64_t t = 0; t < m; ++t) {
+    const double xt = x[t];
+    for (int64_t k = m; k < count; ++k) {
+      q[static_cast<size_t>(k)] += xt * x[k + t];
+    }
+  }
+  std::vector<double> best(static_cast<size_t>(count), -kInf);
+  std::vector<double> col_max(static_cast<size_t>(count), -kInf);
+  const double inv_m = 1.0 / dm;
+  for (int64_t i = 0; i + m < count; ++i) {
+    const size_t si = static_cast<size_t>(i);
+    best[si] = simd::CorrRowMax(
+        q.data() + m, count - i - m, inv_m, nu[si], inv[si],
+        nu.data() + i + m, inv.data() + i + m, col_max.data() + i + m, x[i],
+        x + i + m, x[i + m], x + i + 2 * m);
+  }
+
+  // Step 2: the per-row upper bound U_i on NN_i^2 (reusing `best`); -inf
+  // marks rows that cannot report.
+  const double x2 = region.x_max * region.x_max;
+  const double eq = u * x2 *
+                    (dm + 3.0 + static_cast<double>(count) * (2.0 + 6.0 / dm));
+  const double g = eq + 2.0 * u * x2 + 3.0 * u * nu_max * nu_max +
+                   2.0 * nu_max * dmu_max;
+  const double rho_round = 8.0 * u * (1.0 + defect_max);
+  const double direct = u * dm * (1.0 + defect_max) * (4.0 * dm + 48.0);
+  std::vector<double>& upper = best;
+  for (int64_t i = 0; i < count; ++i) {
+    const size_t si = static_cast<size_t>(i);
+    const double corr = col_max[si] > best[si] ? col_max[si] : best[si];
+    if (std::isnan(inv[si]) || corr == -kInf) {
+      upper[si] = -kInf;
+      continue;
+    }
+    const double b = 2.0 * dm * (1.0 - corr);
+    const double e =
+        2.0 * (dm * (defect[si] + defect_max) +
+               2.0 * dm * (g * inv[si] * inv_max + rho_round) + direct +
+               4.0 * u * (std::abs(b) + 2.0 * dm));
+    // NaN only from overflow (inf - inf): then the row must be re-scored.
+    upper[si] = std::isnan(b + e) ? kInf : b + e;
+  }
+
+  // Step 3: confirm in descending U order.
+  constexpr double kMinDistance = 1e-9;
+  ExactOutcome out;
+  Discord top;
+  top.length = m;
+  top.distance = -kInf;
+  while (true) {
+    int64_t pick = -1;
+    double pick_upper = -kInf;
+    for (int64_t i = 0; i < count; ++i) {
+      if (upper[static_cast<size_t>(i)] > pick_upper) {
+        pick_upper = upper[static_cast<size_t>(i)];
+        pick = i;
+      }
+    }
+    if (pick < 0) break;
+    const double floor = std::max(top.distance, kMinDistance);
+    if (pick_upper < floor * floor * (1.0 - 4.0 * u)) break;
+    upper[static_cast<size_t>(pick)] = -kInf;
+    ExactInstruments().confirm_rows->Increment();
+    const double t_upper =
+        std::sqrt(std::max(pick_upper, 0.0)) * (1.0 + 1e-12) + 1e-300;
+    const double nn = ConfirmRow(ctx, pick, t_upper, floor, &out.ops);
+    if (!std::isfinite(nn) || nn < floor) continue;
+    if (nn > top.distance || pick < top.position) {
+      top.position = pick;
+      top.distance = nn;
+    }
+  }
+  if (top.position >= 0) {
+    out.discord = top;
+  } else {
+    ExactInstruments().empty_lengths->Increment();
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<Discord> BruteForceDiscord(const std::vector<double>& series,
@@ -559,6 +828,64 @@ Result<MerlinResult> MerlinPlusPlus(const std::vector<double>& series,
                                     int64_t length_step) {
   return RunMerlin(series, min_length, max_length, length_step,
                    Phase2::kOrchard);
+}
+
+Result<MerlinResult> ExactDiscords(const std::vector<double>& region,
+                                   int64_t min_length, int64_t max_length,
+                                   int64_t length_step) {
+  const int64_t n = static_cast<int64_t>(region.size());
+  if (min_length < 2 || min_length > max_length || length_step < 1) {
+    return Status::InvalidArgument("invalid discord length range");
+  }
+  if (2 * min_length > n) {
+    return Status::InvalidArgument("series too short for discord range");
+  }
+  ExactInstruments();
+  trace::TraceSpan sweep_span("discord.exact_sweep");
+  std::vector<int64_t> lengths;
+  for (int64_t m = min_length; m <= max_length; m += length_step) {
+    if (2 * m > n) break;  // longer lengths have no non-trivial match
+    lengths.push_back(m);
+  }
+  const MassContext mass(region);
+  const SweepRegion sweep(mass);
+
+  // Lengths fan out as in RunMerlin: one deadline checkpoint per length,
+  // outcomes folded in ascending-length order.
+  struct Accum {
+    MerlinResult result;
+    Status first_error = Status::OK();
+  };
+  Accum accum = ParallelMapReduce(
+      int64_t{0}, static_cast<int64_t>(lengths.size()), /*grain=*/1, Accum{},
+      [&](int64_t b, int64_t e) {
+        Accum local;
+        for (int64_t k = b; k < e; ++k) {
+          Status deadline = CheckPassDeadline();
+          if (!deadline.ok()) {
+            local.first_error = deadline;
+            break;
+          }
+          ExactOutcome one =
+              SweepLength(sweep, lengths[static_cast<size_t>(k)]);
+          if (one.discord.has_value()) {
+            local.result.discords.push_back(*one.discord);
+          }
+          local.result.stats.pointwise_distance_ops += one.ops;
+        }
+        return local;
+      },
+      [](Accum acc, Accum next) {
+        if (acc.first_error.ok()) acc.first_error = next.first_error;
+        acc.result.discords.insert(acc.result.discords.end(),
+                                   next.result.discords.begin(),
+                                   next.result.discords.end());
+        acc.result.stats.pointwise_distance_ops +=
+            next.result.stats.pointwise_distance_ops;
+        return acc;
+      });
+  if (!accum.first_error.ok()) return accum.first_error;
+  return accum.result;
 }
 
 Result<std::optional<Discord>> DiscordInRange(const MassContext& mass,

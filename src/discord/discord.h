@@ -9,8 +9,9 @@
 #include "discord/mass.h"
 
 /// \file
-/// Variable-length discord discovery: DRAG, MERLIN, MERLIN++ and the
-/// range-restricted re-search primitive.
+/// Variable-length discord discovery: DRAG, MERLIN, MERLIN++, the exact
+/// per-length matrix-profile sweep the detector runs (ExactDiscords) and
+/// the range-restricted re-search primitive.
 ///
 /// **MassContext reuse rules** (ARCHITECTURE.md §7/§8): every algorithm
 /// here prices its distance work against one MassContext per series —
@@ -96,6 +97,32 @@ Result<MerlinResult> Merlin(const std::vector<double>& series,
 Result<MerlinResult> MerlinPlusPlus(const std::vector<double>& series,
                                     int64_t min_length, int64_t max_length,
                                     int64_t length_step = 1);
+
+/// \brief Exact top discord at every length in [min_length, max_length]
+/// (every `length_step`-th), by a matrix-profile sweep per length — the
+/// detector's stage-3 search (ARCHITECTURE.md §7, "Search-layer reuse").
+///
+/// Same contract and validation as Merlin(): one Discord per length whose
+/// top nearest-neighbour (NN) distance is at least 1e-9, in ascending
+/// length order, bit-identical at any TRIAD_NUM_THREADS and SIMD tier.
+/// Per length the output is exact with one tie rule: the lowest start
+/// position among rows with the largest NN distance, reported with that
+/// distance. Distances are ZNormDistanceEarlyAbandon on Stats(m), the
+/// arithmetic DRAG uses, so they are bit-identical to Merlin's; Merlin
+/// breaks exact ties by its candidate order instead, so only tied
+/// positions can differ. Conventions are Merlin's: non-trivial pairs have
+/// |i - j| >= m; a flat window (stddev < 1e-12) is +inf from a non-flat
+/// one and 0 from another flat one; rows with no finite NN never qualify.
+///
+/// Each length sweeps the upper triangle of the matrix profile once, in
+/// O(n^2) time and O(n) memory, ranking rows by Pearson correlation
+/// (simd::CorrRowMax); the rows whose approximate NN distance could still
+/// reach the top under a derived rounding bound are then re-scored with
+/// the direct distance. `stats.pointwise_distance_ops` counts that
+/// re-scoring; the other DiscordStats fields stay 0.
+Result<MerlinResult> ExactDiscords(const std::vector<double>& region,
+                                   int64_t min_length, int64_t max_length,
+                                   int64_t length_step = 1);
 
 /// \brief Exact top discord of length m whose start position lies in
 /// [begin, end) — the changed-region re-search primitive

@@ -4,7 +4,8 @@
 // ±inf. The determinism contract under test:
 //
 //  * elementwise kernels (axpy/add/mul/relu, the STOMP sliding-dot update,
-//    the z-norm distance row) are BIT-IDENTICAL to the scalar reference;
+//    the z-norm distance row, the discord sweep's correlation row) are
+//    BIT-IDENTICAL to the scalar reference;
 //  * reduction kernels (dot/sum and the conv/gemm gradients built on them)
 //    accumulate in double at every tier and may diverge only by reordered
 //    double-rounding — asserted here as <= 4 ULP of the float32 result.
@@ -298,6 +299,86 @@ TEST(KernelEquivalenceTest, ZNormDistRowFlatQueryMatchesScalar) {
   EXPECT_EQ(ref[7], 0.0);                // flat query x flat window
   EXPECT_TRUE(std::isinf(ref[0]));       // flat query x structured window
   EXPECT_GT(ref[0], 0.0);
+}
+
+// CorrRowMax runs on NaN-poisoned 1/stddev (flat windows), infinite dot
+// products and denormal operands; the returned row max, the updated dot
+// row and the column maxima must all match the scalar tier bit for bit.
+TEST(KernelEquivalenceTest, CorrRowMaxBitIdenticalWithFlatsInfAndDenormals) {
+  constexpr double kDenormal = 4.9e-324;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed * 43);
+    for (int64_t n : kLengths) {
+      std::vector<double> q = RandomDoubles(n, &rng, 10.0);
+      std::vector<double> mu = RandomDoubles(n, &rng);
+      std::vector<double> inv_sd(static_cast<size_t>(n));
+      for (double& v : inv_sd) v = std::abs(rng.Normal(1.0, 0.5)) + 0.1;
+      std::vector<double> col_max = RandomDoubles(n, &rng);
+      const std::vector<double> tail = RandomDoubles(n, &rng);
+      std::vector<double> head = RandomDoubles(n, &rng);
+      inv_sd[0] = nan;  // flat column
+      if (n > 2) q[1] = inf;
+      if (n > 3) q[2] = -inf;
+      if (n > 4) mu[3] = kDenormal;
+      if (n > 5) head[4] = -kDenormal;
+      if (n > 6) col_max[5] = -inf;
+      if (n > 8) inv_sd[7] = nan;
+      const double mu_row = rng.Normal(0.0, 1.0);
+      const double inv_row = seed == 5 ? nan : 0.5 + rng.Uniform();
+      std::vector<double> q_ref = q, q_got = q;
+      std::vector<double> col_ref = col_max, col_got = col_max;
+      const double ref = simd::scalar::CorrRowMax(
+          q_ref.data(), n, 1.0 / 9.0, mu_row, inv_row, mu.data(),
+          inv_sd.data(), col_ref.data(), 0.75, tail.data(), -1.25,
+          head.data());
+      simd::ScopedForceLevel force(simd::HighestSupportedLevel());
+      const double got = simd::CorrRowMax(
+          q_got.data(), n, 1.0 / 9.0, mu_row, inv_row, mu.data(),
+          inv_sd.data(), col_got.data(), 0.75, tail.data(), -1.25,
+          head.data());
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(ref))
+          << "n=" << n << " seed=" << seed;
+      EXPECT_FALSE(std::isnan(ref));  // NaN cells never win a max
+      if (seed == 5) EXPECT_EQ(ref, -inf);  // flat row: nothing ranks
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t si = static_cast<size_t>(i);
+        ASSERT_EQ(std::bit_cast<uint64_t>(q_got[si]),
+                  std::bit_cast<uint64_t>(q_ref[si]))
+            << "n=" << n << " i=" << i << " seed=" << seed;
+        ASSERT_EQ(std::bit_cast<uint64_t>(col_got[si]),
+                  std::bit_cast<uint64_t>(col_ref[si]))
+            << "n=" << n << " i=" << i << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// A zero row maximum is +0.0 at both tiers, whatever mix of signed zeros
+// the lanes saw.
+TEST(KernelEquivalenceTest, CorrRowMaxZeroMaximumHasOneSign) {
+  for (int64_t n : kLengths) {
+    std::vector<double> q(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      q[static_cast<size_t>(i)] = i % 3 == 0 ? 0.0 : -0.0;
+    }
+    const std::vector<double> mu(static_cast<size_t>(n), 1.0);
+    const std::vector<double> inv_sd(static_cast<size_t>(n), 1.0);
+    const std::vector<double> zeros(static_cast<size_t>(n), 0.0);
+    for (simd::Level level :
+         {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
+      simd::ScopedForceLevel force(level);
+      std::vector<double> qq = q;
+      std::vector<double> col(static_cast<size_t>(n),
+                              -std::numeric_limits<double>::infinity());
+      const double got = simd::CorrRowMax(
+          qq.data(), n, 1.0, /*mu_row=*/0.0, 1.0, mu.data(), inv_sd.data(),
+          col.data(), 0.0, zeros.data(), 0.0, zeros.data());
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(0.0))
+          << "n=" << n << " level=" << simd::LevelName(level);
+    }
+  }
 }
 
 // ---------- fused kernels: per-element chains pinned to the primitives ----

@@ -12,12 +12,15 @@
 //    accepted for it;
 //  * queue depth never exceeds its configured bound;
 //  * dirty tenants end up degraded/rejecting with failed passes, while
-//    clean tenants keep scoring (no fleet-wide stall);
+//    clean tenants keep scoring (no fleet-wide stall), and a final
+//    single-threaded phase drives every dirty tenant to a rejected chunk
+//    within a bound set by the QoS options;
 //  * the admission ledger balances: submitted == accepted + degraded +
 //    rejected.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <memory>
@@ -168,6 +171,39 @@ TEST(ServeSoakTest, ConcurrentFleetStaysIsolatedBoundedAndLive) {
 
   EXPECT_FALSE(bound_violated.load());
   EXPECT_GT(drains.load(), 0u);
+
+  // Whether a dirty tenant was offered a chunk while on the rejecting rung
+  // during the concurrent phase depends on how far the drainer got before
+  // the producers finished, so the ladder is driven to a rejection here,
+  // deterministically: one-hop NaN chunks with a Drain after each. Once
+  // the buffer is full (at most `fill` chunks) every such chunk runs one
+  // failing pass; max(qos_window, qos_min_passes) of them put the tenant
+  // on the rejecting rung, which turns a chunk down within
+  // probation_interval more.
+  ASSERT_GE(options.probation_interval, 2);  // interval 1 admits every chunk
+  const core::StreamingTriad probe(detector.get());
+  const int64_t hop = probe.hop();
+  const int64_t fill = (probe.buffer_length() + hop - 1) / hop;
+  const int64_t max_chunks =
+      fill + std::max(options.qos_window, options.qos_min_passes) +
+      options.probation_interval;
+  const std::vector<double> nan_chunk(
+      static_cast<size_t>(hop), std::numeric_limits<double>::quiet_NaN());
+  for (auto& mine : logs) {
+    for (TenantLog& log : mine) {
+      if (!log.dirty) continue;
+      for (int64_t chunks = 1;; ++chunks) {
+        ASSERT_LE(chunks, max_chunks)
+            << "tenant " << log.id << " never reached the rejecting rung";
+        auto status = fleet.Ingest(log.id, nan_chunk);
+        ASSERT_TRUE(status.ok());
+        if (*status == IngestStatus::kRejected) break;
+        log.accepted.insert(log.accepted.end(), nan_chunk.begin(),
+                            nan_chunk.end());
+        ASSERT_TRUE(fleet.Drain().ok());
+      }
+    }
+  }
 
   const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.submitted, stats.accepted + stats.degraded + stats.rejected);
