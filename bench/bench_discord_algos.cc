@@ -1,7 +1,8 @@
 // Design-choice ablations for the discord substrate (DESIGN.md §4):
-// MASS (FFT) versus naive distance profiles, DRAG phase-2 linear scan
-// versus the Orchard-ordered scan that powers MERLIN++, and MERLIN versus
-// the exact per-length sweep the detector runs (ExactDiscords).
+// MASS (FFT) versus naive distance profiles, the detector's nearest-window
+// scan versus a MASS profile, DRAG phase-2 linear scan versus the
+// Orchard-ordered scan that powers MERLIN++, and MERLIN versus the exact
+// per-length sweep the detector runs (ExactDiscords).
 
 #include <benchmark/benchmark.h>
 
@@ -71,8 +72,45 @@ void BM_NaiveDistanceProfile(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
+// O(N·m) per profile: a scalar early-abandon loop over every window.
 BENCHMARK(BM_NaiveDistanceProfile)->Arg(1000)->Arg(2000)->Arg(4000)
-    ->Complexity(benchmark::oNSquared);
+    ->Complexity(benchmark::oN);
+
+// The detector's selection stage: one candidate window's nearest distance
+// to a training series of n points, at window length m. The MASS leg is
+// the path the detector took before NearestWindowIndex — a held context
+// (series spectrum and prefix sums cached) giving a full profile, then
+// its minimum; the scan leg is NearestWindowIndex::NearestDistance. The
+// query is a window of a different series, as a test window would be.
+std::vector<double> SelectionQuery(int64_t m) {
+  const std::vector<double> other = Workload(static_cast<size_t>(m), 7);
+  return other;
+}
+
+void BM_NearestWindowMass(benchmark::State& state) {
+  const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
+  const std::vector<double> query = SelectionQuery(state.range(1));
+  const MassContext train(x);
+  for (auto _ : state) {
+    const std::vector<double> profile = train.DistanceProfile(query);
+    benchmark::DoNotOptimize(*std::min_element(profile.begin(), profile.end()));
+  }
+}
+BENCHMARK(BM_NearestWindowMass)
+    ->ArgsProduct({{4096, 16384, 65536}, {40, 160, 400, 1000}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_NearestWindowScan(benchmark::State& state) {
+  const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
+  const std::vector<double> query = SelectionQuery(state.range(1));
+  const NearestWindowIndex train(x, state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(train.NearestDistance(query));
+  }
+}
+BENCHMARK(BM_NearestWindowScan)
+    ->ArgsProduct({{4096, 16384, 65536}, {40, 160, 400, 1000}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BruteForceDiscord(benchmark::State& state) {
   const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
@@ -267,6 +305,39 @@ int RunJsonMode() {
     region_fields.push_back({key + "_exact_speedup", merlin_s / exact_s});
   }
 
+  // Selection stage, MASS profile vs nearest-window scan (the
+  // BM_NearestWindow* pair above): mean seconds per call over a fixed
+  // iteration count that shrinks with n.
+  std::vector<std::pair<std::string, double>> nearest_fields;
+  for (int64_t n : {4096, 16384, 65536}) {
+    const std::vector<double> x = Workload(static_cast<size_t>(n));
+    const MassContext mass(x);
+    const int iters = static_cast<int>(std::max<int64_t>(4, 262144 / n));
+    for (int64_t m : {40, 160, 400, 1000}) {
+      const std::vector<double> q = SelectionQuery(m);
+      const NearestWindowIndex index(x, m);
+      benchmark::DoNotOptimize(mass.DistanceProfile(q));  // cache spectrum
+      double mass_min = 0.0, scan_min = 0.0;
+      Timer mass_timer;
+      for (int iter = 0; iter < iters; ++iter) {
+        const std::vector<double> profile = mass.DistanceProfile(q);
+        mass_min = *std::min_element(profile.begin(), profile.end());
+      }
+      const double mass_s = mass_timer.ElapsedSeconds() / iters;
+      Timer scan_timer;
+      for (int iter = 0; iter < iters; ++iter) {
+        scan_min = index.NearestDistance(q);
+      }
+      const double scan_s = scan_timer.ElapsedSeconds() / iters;
+      TRIAD_CHECK(std::abs(mass_min - scan_min) <= 1e-6 * scan_min);
+      const std::string key =
+          "nearest_" + std::to_string(n) + "_" + std::to_string(m);
+      nearest_fields.push_back({key + "_mass_seconds", mass_s});
+      nearest_fields.push_back({key + "_scan_seconds", scan_s});
+      nearest_fields.push_back({key + "_scan_speedup", mass_s / scan_s});
+    }
+  }
+
   // STOMP matrix profile, f64-vs-f32 cohort (ARCHITECTURE.md §12): same
   // 8k series, same subsequence length; only the distance-row precision
   // tier changes. Both run under the plan cache so the FFT seed cost is
@@ -309,6 +380,7 @@ int RunJsonMode() {
       {"mass_spectrum_hits", counter("mass.spectrum_hits")},
       {"mass_spectrum_misses", counter("mass.spectrum_misses")}};
   fields.insert(fields.end(), region_fields.begin(), region_fields.end());
+  fields.insert(fields.end(), nearest_fields.begin(), nearest_fields.end());
   bench::WriteBenchJson("discord", wall.ElapsedSeconds(), fields);
   return 0;
 }

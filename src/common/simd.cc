@@ -170,6 +170,18 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
   return row_max + 0.0;
 }
 
+double SlidingCorrMax(const double* q, int64_t m, const double* x,
+                      const double* inv_sd, int64_t n) {
+  double best = -std::numeric_limits<double>::infinity();
+  for (int64_t i = 0; i < n; ++i) {
+    double dot = 0.0;
+    for (int64_t k = 0; k < m; ++k) dot = dot + q[k] * x[i + k];
+    const double corr = dot * inv_sd[i];
+    best = corr > best ? corr : best;
+  }
+  return best + 0.0;
+}
+
 float DotF32(const float* a, const float* b, int64_t n) {
   float acc = 0.0f;
   for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
@@ -702,6 +714,54 @@ TRIAD_TARGET_AVX2 double CorrRowMax(double* q, int64_t n, double inv_m,
   return row_max + 0.0;
 }
 
+// Four windows per vector, each lane running the scalar dot chain (0.0
+// start, k ascending, mul then add). Blocks of four vectors keep four
+// independent add chains in flight; then single vectors, then the scalar
+// tail. Max folds and the final +0.0 follow CorrRowMax.
+TRIAD_TARGET_AVX2 double SlidingCorrMax(const double* q, int64_t m,
+                                        const double* x, const double* inv_sd,
+                                        int64_t n) {
+  __m256d best_v = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const double* xi = x + i;
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    for (int64_t k = 0; k < m; ++k) {
+      const __m256d qk = _mm256_broadcast_sd(q + k);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(qk, _mm256_loadu_pd(xi + k)));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(qk, _mm256_loadu_pd(xi + k + 4)));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(qk, _mm256_loadu_pd(xi + k + 8)));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(qk, _mm256_loadu_pd(xi + k + 12)));
+    }
+    best_v = _mm256_max_pd(_mm256_mul_pd(a0, _mm256_loadu_pd(inv_sd + i)),
+                           best_v);
+    best_v = _mm256_max_pd(_mm256_mul_pd(a1, _mm256_loadu_pd(inv_sd + i + 4)),
+                           best_v);
+    best_v = _mm256_max_pd(_mm256_mul_pd(a2, _mm256_loadu_pd(inv_sd + i + 8)),
+                           best_v);
+    best_v = _mm256_max_pd(
+        _mm256_mul_pd(a3, _mm256_loadu_pd(inv_sd + i + 12)), best_v);
+  }
+  for (; i + 4 <= n; i += 4) {
+    __m256d a = _mm256_setzero_pd();
+    for (int64_t k = 0; k < m; ++k) {
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_broadcast_sd(q + k),
+                                         _mm256_loadu_pd(x + i + k)));
+    }
+    best_v = _mm256_max_pd(_mm256_mul_pd(a, _mm256_loadu_pd(inv_sd + i)),
+                           best_v);
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, best_v);
+  double best = lanes[0];
+  for (int l = 1; l < 4; ++l) best = lanes[l] > best ? lanes[l] : best;
+  const double tail =
+      scalar::SlidingCorrMax(q, m, x + i, inv_sd + i, n - i);
+  best = tail > best ? tail : best;
+  return best + 0.0;
+}
+
 // Folds an 8-lane float accumulator in a fixed order:
 // ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
 TRIAD_TARGET_AVX2 inline float HSum8(__m256 v) {
@@ -855,6 +915,8 @@ struct KernelTable {
   double (*corr_row_max)(double*, int64_t, double, double, double,
                          const double*, const double*, double*, double,
                          const double*, double, const double*);
+  double (*sliding_corr_max)(const double*, int64_t, const double*,
+                             const double*, int64_t);
   float (*dot_f32)(const float*, const float*, int64_t);
   void (*dot_pair_f32)(const float*, const float*, const float*, int64_t,
                        float*);
@@ -871,7 +933,7 @@ constexpr KernelTable kScalarTable = {
     scalar::CorrRowAccum,       scalar::DotPair,
     scalar::AddRelu,            scalar::AddReluMask,
     scalar::ReluMask,           scalar::SlidingDotUpdate,   scalar::ZNormDistRow,
-    scalar::CorrRowMax,
+    scalar::CorrRowMax,         scalar::SlidingCorrMax,
     scalar::DotF32,             scalar::DotPairF32,
     scalar::SlidingDotUpdateF32,                            scalar::ZNormDistRowF32,
 };
@@ -884,7 +946,7 @@ constexpr KernelTable kAvx2Table = {
     avx2::CorrRowAccum,      avx2::DotPair,
     avx2::AddRelu,           avx2::AddReluMask,
     avx2::ReluMask,          avx2::SlidingDotUpdate,  avx2::ZNormDistRow,
-    avx2::CorrRowMax,
+    avx2::CorrRowMax,        avx2::SlidingCorrMax,
     avx2::DotF32,            avx2::DotPairF32,
     avx2::SlidingDotUpdateF32,                        avx2::ZNormDistRowF32,
 };
@@ -1078,6 +1140,11 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
   return TableFor(ActiveLevel())
       .corr_row_max(q, n, inv_m, mu_row, inv_sd_row, mu, inv_sd, col_max,
                     drop, tail, add, head);
+}
+
+double SlidingCorrMax(const double* q, int64_t m, const double* x,
+                      const double* inv_sd, int64_t n) {
+  return TableFor(ActiveLevel()).sliding_corr_max(q, m, x, inv_sd, n);
 }
 
 float DotF32(const float* a, const float* b, int64_t n) {

@@ -18,10 +18,10 @@ namespace triad::simd {
 /// Determinism contract (see ARCHITECTURE.md §4):
 ///
 ///  * **Elementwise kernels** (Axpy, Add, Mul, Relu, SlidingDotUpdate,
-///    ZNormDistRow, CorrRowMax) perform the exact same IEEE operation
-///    sequence per element at every tier — vector lanes are just scalar
-///    lanes side by side, and FMA contraction is never used — so their
-///    output is **bit-identical** to the scalar reference.
+///    ZNormDistRow, CorrRowMax, SlidingCorrMax) perform the exact same IEEE
+///    operation sequence per element at every tier — vector lanes are just
+///    scalar lanes side by side, and FMA contraction is never used — so
+///    their output is **bit-identical** to the scalar reference.
 ///  * **Reduction kernels** (Dot, Sum) accumulate in double precision at
 ///    every tier; the vector tiers use a fixed-width lane split, so the
 ///    only divergence from the scalar reference is double-rounding of
@@ -278,6 +278,22 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
                   double* col_max, double drop, const double* tail,
                   double add, const double* head);
 
+/// \brief Best scaled sliding dot of one query against every window of a
+/// series — the scan behind discord::NearestWindowIndex.
+///
+///   returns max over i in [0, n) of (sum_{k<m} q[k] * x[i+k]) * inv_sd[i]
+///
+/// `x` holds n + m - 1 values. Each window's dot starts at 0.0 and adds
+/// q[k] * x[i+k] with k ascending, product and sum rounded separately (no
+/// FMA); the vector tier runs the same chain for several windows side by
+/// side. A flat window carries NaN in `inv_sd`, so its entry is NaN and
+/// never wins the max (the `a > b ? a : b` rule keeps b, which is also
+/// vmaxpd's NaN rule); with no non-NaN entry the result is -inf. +0.0 is
+/// added to the result so a zero maximum has one sign at every tier.
+/// Elementwise, so every tier is bit-identical to the scalar reference.
+double SlidingCorrMax(const double* q, int64_t m, const double* x,
+                      const double* inv_sd, int64_t n);
+
 // ---------------------------------------------------------------------------
 // Float32 inference kernels (the kF32 precision tier; ARCHITECTURE.md §12).
 // Dispatched on the same SIMD Level as the double kernels — the precision
@@ -345,6 +361,8 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
                   double inv_sd_row, const double* mu, const double* inv_sd,
                   double* col_max, double drop, const double* tail,
                   double add, const double* head);
+double SlidingCorrMax(const double* q, int64_t m, const double* x,
+                      const double* inv_sd, int64_t n);
 float DotF32(const float* a, const float* b, int64_t n);
 void DotPairF32(const float* a, const float* b0, const float* b1, int64_t n,
                 float* out2);

@@ -241,6 +241,10 @@ Status TriadDetector::Fit(const std::vector<double>& train_series) {
   TRIAD_ASSIGN_OR_RETURN(
       data::Sanitized clean,
       data::SanitizeSeries(train_series, config_.sanitize));
+  // From here on the fitted state is replaced; a Fit that fails below
+  // leaves the detector unfitted rather than mixing a new window geometry
+  // with the previous model and index.
+  model_.reset();
   train_report_ = clean.report;
   train_series_ = std::move(clean.series);
   const int64_t n = static_cast<int64_t>(train_series_.size());
@@ -298,8 +302,9 @@ Status TriadDetector::Fit(const std::vector<double>& train_series) {
   auto stats = trainer.Fit(windows, period_, model_.get(), &rng);
   TRIAD_RETURN_NOT_OK(stats.status());
   train_stats_ = std::move(stats).value();
-  train_mass_ =
-      std::make_shared<const discord::MassContext>(train_series_);
+  // Built after training, so it is not alive while the trainer's graphs
+  // set the peak memory.
+  train_index_ = discord::NearestWindowIndex(train_series_, window_length_);
   return Status::OK();
 }
 
@@ -521,13 +526,8 @@ Result<DetectionResult> TriadDetector::Detect(
                 for (int64_t k = begin; k < end; ++k) {
                   const size_t c =
                       static_cast<size_t>(pending[static_cast<size_t>(k)]);
-                  // The fitted context amortizes the train-side FFT and
-                  // stats across every candidate scan (ARCHITECTURE.md §7).
-                  const std::vector<double> profile =
-                      train_mass_->DistanceProfile(
-                          windows[static_cast<size_t>(candidates[c])], prec);
-                  deviation[c] =
-                      *std::min_element(profile.begin(), profile.end());
+                  deviation[c] = train_index_.NearestDistance(
+                      windows[static_cast<size_t>(candidates[c])]);
                 }
               });
   if (memo != nullptr) {
@@ -630,6 +630,8 @@ Result<DetectionResult> TriadDetector::DetectEvents(
   if (n < window_length_) {
     return Status::InvalidArgument("test series shorter than one window");
   }
+  // Deadline checkpoints at the same stage boundaries as Detect.
+  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
   TRIAD_ASSIGN_OR_RETURN(
       data::Sanitized clean,
       data::SanitizeSeries(test_series, config_.sanitize));
@@ -655,7 +657,7 @@ Result<DetectionResult> TriadDetector::DetectEvents(
     windows.push_back(signal::ExtractWindow(series, s, window_length_));
   }
 
-  // Encode + per-domain similarity ranking; each domain nominates its
+  // Encode, then per-domain similarity ranking; each domain nominates its
   // `max_events` least-similar windows. Domain encoders run as independent
   // pool tasks; the nomination logic stays serial (it is cheap and mutates
   // the shared pool set).
@@ -669,6 +671,10 @@ Result<DetectionResult> TriadDetector::DetectEvents(
                       EncodeWindows(domains[static_cast<size_t>(di)], windows);
                 }
               });
+  result.encode_seconds = encode_span.Stop();
+  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
+
+  trace::TraceSpan tri_window_span("detector.tri_window");
   std::set<int64_t> pool;
   for (size_t di = 0; di < domains.size(); ++di) {
     std::vector<double> sim = MeanPairwiseSimilarity(reps[di], prec);
@@ -683,11 +689,12 @@ Result<DetectionResult> TriadDetector::DetectEvents(
     result.candidate_windows.push_back(order[0]);
     result.domain_similarity.push_back(std::move(sim));
   }
-  result.encode_seconds = encode_span.Stop();
+  result.tri_window_seconds = tri_window_span.Stop();
 
   // Rank the pool by deviation from the training data and greedily keep up
-  // to max_events non-overlapping windows. The per-candidate MASS profiles
-  // are independent, so they fan out across the pool.
+  // to max_events non-overlapping windows. The per-candidate scans are
+  // independent, so they fan out across the pool.
+  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
   trace::TraceSpan selection_span("detector.selection");
   const std::vector<int64_t> pooled(pool.begin(), pool.end());
   std::vector<std::pair<double, int64_t>> ranked(
@@ -696,11 +703,9 @@ Result<DetectionResult> TriadDetector::DetectEvents(
               [&](int64_t begin, int64_t end) {
                 for (int64_t c = begin; c < end; ++c) {
                   const int64_t cand = pooled[static_cast<size_t>(c)];
-                  const std::vector<double> profile =
-                      train_mass_->DistanceProfile(
-                          windows[static_cast<size_t>(cand)], prec);
                   ranked[static_cast<size_t>(c)] = {
-                      -*std::min_element(profile.begin(), profile.end()),
+                      -train_index_.NearestDistance(
+                          windows[static_cast<size_t>(cand)]),
                       cand};
                 }
               });
@@ -725,6 +730,7 @@ Result<DetectionResult> TriadDetector::DetectEvents(
   result.selection_seconds = selection_span.Stop();
 
   // Discord search around every selected window.
+  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
   trace::TraceSpan discord_span("detector.discord");
   std::vector<WindowVote> window_votes;
   for (int64_t cand : selected) {
@@ -780,6 +786,17 @@ template <typename T>
 bool ReadPod(std::istream& in, T* value) {
   in.read(reinterpret_cast<char*>(value), sizeof(T));
   return static_cast<bool>(in);
+}
+
+// Bytes between the read position and the end of the stream (0 when the
+// stream cannot seek); the read position is left where it was.
+uint64_t RemainingBytes(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (here < 0 || end < here) return 0;
+  return static_cast<uint64_t>(end - here);
 }
 
 void WriteConfig(std::ostream& out, const TriadConfig& c) {
@@ -924,15 +941,31 @@ Result<TriadDetector> TriadDetector::Load(const std::string& path) {
       detector.period_fallback_ = fallback != 0;
       detector.residual_disabled_ = residual_off != 0;
     }
-    if (!ReadPod(in, &train_size) || train_size > (1ull << 32)) {
+    if (!ReadPod(in, &train_size)) {
       return Status::InvalidArgument("corrupt checkpoint header");
+    }
+    // The header is untrusted even under a valid CRC: check the window
+    // geometry Detect relies on, and the sample count against the bytes
+    // actually present, before allocating or indexing anything.
+    if (train_size > RemainingBytes(in) / sizeof(double)) {
+      return Status::InvalidArgument(
+          "checkpoint training series exceeds its body");
+    }
+    if (detector.window_length_ < kMinWindowLength ||
+        detector.window_length_ > static_cast<int64_t>(train_size)) {
+      return Status::InvalidArgument(
+          "checkpoint window length out of range");
+    }
+    if (detector.stride_ < 1 || detector.stride_ > detector.window_length_) {
+      return Status::InvalidArgument(
+          "checkpoint stride outside [1, window length]");
     }
     detector.train_series_.resize(static_cast<size_t>(train_size));
     in.read(reinterpret_cast<char*>(detector.train_series_.data()),
             static_cast<std::streamsize>(train_size * sizeof(double)));
     if (!in) return Status::IoError("checkpoint truncated: " + path);
-    detector.train_mass_ =
-        std::make_shared<const discord::MassContext>(detector.train_series_);
+    detector.train_index_ = discord::NearestWindowIndex(
+        detector.train_series_, detector.window_length_);
 
     Rng rng(config.seed);
     detector.model_ = std::make_unique<TriadModel>(config, &rng);

@@ -237,11 +237,9 @@ class TriadDetector {
   std::unique_ptr<TriadModel> model_;
   TrainStats train_stats_;
   std::vector<double> train_series_;
-  /// MASS amortization context over train_series_, built by Fit/Load and
-  /// shared by every Detect's candidate-deviation scans (one series-side
-  /// FFT + prefix-sum pair per fitted detector instead of one per scanned
-  /// candidate). shared_ptr keeps it valid across the move out of Load.
-  std::shared_ptr<const discord::MassContext> train_mass_;
+  /// Nearest-window index over train_series_ at window_length_, built by
+  /// Fit and Load; every candidate's deviation is one scan of it.
+  discord::NearestWindowIndex train_index_;
   int64_t period_ = 0;
   int64_t window_length_ = 0;
   int64_t stride_ = 0;

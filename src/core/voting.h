@@ -36,10 +36,10 @@ struct VotingOptions {
 /// Ordering contract: callers pass nominated windows in **domain /
 /// nomination order**, not suspicion order — RunVoting must not infer
 /// priority from position. `score` carries the nominator's suspicion
-/// measure (the detector uses the MASS deviation from the training data;
-/// higher = more suspicious); the exception rule uses it to pick which
-/// window to trust. Windows with equal (or all-default) scores fall back
-/// to first-listed order.
+/// measure (the detector uses the nearest-window deviation from the
+/// training data; higher = more suspicious); the exception rule uses it
+/// to pick which window to trust. Windows with equal (or all-default)
+/// scores fall back to first-listed order.
 struct WindowVote {
   int64_t start = 0;
   int64_t length = 0;

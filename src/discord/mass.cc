@@ -302,55 +302,63 @@ void MassContext::DistanceProfileInto(const double* query, int64_t m,
                      q_mean, q_std, m, out, count);
 }
 
-void MassContext::DistanceProfileIntoF32(const double* query, int64_t m,
-                                         const RollingStatsF32& stats,
-                                         double* out) const {
-  const int64_t n = size();
+std::vector<double> MassContext::DistanceProfile(
+    const std::vector<double>& query) const {
+  const int64_t m = static_cast<int64_t>(query.size());
+  std::vector<double> profile(static_cast<size_t>(size() - m + 1));
+  const RollingStats stats = Stats(m);
+  DistanceProfileInto(query.data(), m, stats, profile.data());
+  return profile;
+}
+
+NearestWindowIndex::NearestWindowIndex(const std::vector<double>& series,
+                                       int64_t m)
+    : m_(m), centred_(series) {
+  const int64_t n = static_cast<int64_t>(series.size());
   TRIAD_CHECK(m >= 1 && m <= n);
-  const int64_t count = n - m + 1;
-  TRIAD_CHECK(static_cast<int64_t>(stats.mean.size()) == count);
+  double mean = 0.0;
+  for (double v : series) mean += v;
+  mean /= static_cast<double>(n);
+  for (double& v : centred_) v -= mean;
+  const RollingStats stats = ComputeRollingStats(centred_, m);
+  inv_sd_.resize(stats.stddev.size());
+  for (size_t i = 0; i < stats.stddev.size(); ++i) {
+    const bool flat = stats.stddev[i] < 1e-12;
+    has_flat_ = has_flat_ || flat;
+    inv_sd_[i] = flat ? std::numeric_limits<double>::quiet_NaN()
+                      : 1.0 / stats.stddev[i];
+  }
+}
+
+double NearestWindowIndex::NearestDistance(
+    const std::vector<double>& query) const {
+  TRIAD_CHECK(static_cast<int64_t>(query.size()) == m_);
+  // Scans run from pool workers; Counter increments are exact under
+  // concurrency.
   static metrics::Counter* profiles_counter =
       metrics::Registry::Global().counter("mass.profiles");
   profiles_counter->Increment();
 
-  // Query stats in double (two O(m) passes are noise next to the FFT),
-  // rounded once like StatsF32 — so both sides of the z-normalization see
-  // correctly-rounded single-precision stats.
+  const double dm = static_cast<double>(m_);
   double q_mean = 0.0;
-  for (int64_t j = 0; j < m; ++j) q_mean += query[j];
-  q_mean /= static_cast<double>(m);
+  for (double v : query) q_mean += v;
+  q_mean /= dm;
+  std::vector<double> q(query.size());
   double q_ss = 0.0;
-  for (int64_t j = 0; j < m; ++j) {
-    q_ss += (query[j] - q_mean) * (query[j] - q_mean);
+  for (size_t k = 0; k < query.size(); ++k) {
+    q[k] = query[k] - q_mean;
+    q_ss += q[k] * q[k];
   }
-  const double q_std = std::sqrt(q_ss / static_cast<double>(m));
+  const double q_std = std::sqrt(q_ss / dm);
+  const double inf = std::numeric_limits<double>::infinity();
+  if (q_std < 1e-12) return has_flat_ ? 0.0 : inf;
 
-  thread_local std::vector<float> dots_f32;
-  thread_local std::vector<float> row_f32;
-  dots_f32.resize(static_cast<size_t>(count));
-  row_f32.resize(static_cast<size_t>(count));
-  SlidingDotsIntoF32(query, m, dots_f32.data());
-
-  simd::ZNormDistRowF32(dots_f32.data(), stats.mean.data(),
-                        stats.stddev.data(), static_cast<float>(q_mean),
-                        static_cast<float>(q_std), m, row_f32.data(), count);
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = static_cast<double>(row_f32[static_cast<size_t>(i)]);
-  }
-}
-
-std::vector<double> MassContext::DistanceProfile(
-    const std::vector<double>& query, simd::Precision precision) const {
-  const int64_t m = static_cast<int64_t>(query.size());
-  std::vector<double> profile(static_cast<size_t>(size() - m + 1));
-  if (precision == simd::Precision::kF32) {
-    const RollingStatsF32 stats = StatsF32(m);
-    DistanceProfileIntoF32(query.data(), m, stats, profile.data());
-  } else {
-    const RollingStats stats = Stats(m);
-    DistanceProfileInto(query.data(), m, stats, profile.data());
-  }
-  return profile;
+  const double best =
+      simd::SlidingCorrMax(q.data(), m_, centred_.data(), inv_sd_.data(),
+                           static_cast<int64_t>(inv_sd_.size()));
+  if (best == -inf) return inf;  // every window is flat
+  const double corr = std::min(std::max(best / (dm * q_std), -1.0), 1.0);
+  return std::sqrt(std::max(0.0, 2.0 * dm * (1.0 - corr)));
 }
 
 std::vector<double> MassDistanceProfile(const std::vector<double>& series,

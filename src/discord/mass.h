@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/simd.h"
 #include "signal/fft.h"
 
 namespace triad::discord {
@@ -83,14 +82,9 @@ class MassContext {
   /// plan cache is disabled. Used for kF32 chunk seeding by Stomp as well.
   void SlidingDotsIntoF32(const double* query, int64_t m, float* dots) const;
 
-  /// MASS distance profile of `query` against every subsequence. At kF64
-  /// (the default) bit-identical to MassDistanceProfile(series, query); at
-  /// kF32 the distance row runs the float32 kernels against the float32
-  /// series spectrum and the result is widened back to double — same flat
-  /// guards, values within the §12 tolerance envelope of the kF64 row.
-  std::vector<double> DistanceProfile(
-      const std::vector<double>& query,
-      simd::Precision precision = simd::Precision::kF64) const;
+  /// MASS distance profile of `query` against every subsequence;
+  /// bit-identical to MassDistanceProfile(series, query).
+  std::vector<double> DistanceProfile(const std::vector<double>& query) const;
 
   /// Scratch-free variant for row loops: `stats` must come from Stats(m)
   /// (hoisted out of the loop by the caller), `out` must hold n-m+1
@@ -98,13 +92,6 @@ class MassContext {
   /// context's own series).
   void DistanceProfileInto(const double* query, int64_t m,
                            const RollingStats& stats, double* out) const;
-
-  /// The kF32 tier's row loop: the sliding dots are narrowed to float, the
-  /// dot->distance conversion runs simd::ZNormDistRowF32 against the
-  /// narrowed stats from StatsF32(m), and the distances are widened into
-  /// `out` (so consumers keep their double interfaces).
-  void DistanceProfileIntoF32(const double* query, int64_t m,
-                              const RollingStatsF32& stats, double* out) const;
 
  private:
   /// The forward FFT of the series zero-padded to `padded` (a power of
@@ -130,6 +117,42 @@ class MassContext {
   mutable std::unordered_map<
       size_t, std::shared_ptr<const std::vector<std::complex<float>>>>
       spectra_f32_;
+};
+
+/// \brief Nearest-window index over one series at one window length — the
+/// detector's selection stage (ARCHITECTURE.md §7).
+///
+/// Holds the series centred by its mean and 1/stddev of every length-m
+/// window (NaN for flat windows, stddev < 1e-12), the stddevs derived from
+/// prefix sums of the centred series. NearestDistance(q) is the minimum
+/// over all windows of the z-normalized Euclidean distance to q — the
+/// minimum of q's MASS distance profile — from one direct pass of
+/// simd::SlidingCorrMax over the centred data instead of an FFT
+/// convolution. Centring both sides is what keeps it accurate on offset
+/// series: the centred query sums to ~0, so the correlation needs no
+/// m·mean_q·mean_i subtraction, which is where MASS cancels
+/// catastrophically once the offset dwarfs the signal.
+///
+/// Flat conventions follow simd::ZNormDistRow: a flat query is at 0 when
+/// any window is flat and at +inf otherwise; a flat window never matches a
+/// non-flat query; a query with no finite match is at +inf.
+///
+/// Immutable after construction, so NearestDistance is safe to call
+/// concurrently. Each call counts one `mass.profiles`.
+class NearestWindowIndex {
+ public:
+  NearestWindowIndex() = default;
+  /// Indexes every length-m window of `series`; requires 1 <= m <= n.
+  NearestWindowIndex(const std::vector<double>& series, int64_t m);
+
+  /// Nearest-window z-normalized distance of `query` (m values).
+  double NearestDistance(const std::vector<double>& query) const;
+
+ private:
+  int64_t m_ = 0;
+  std::vector<double> centred_;  ///< series minus its mean
+  std::vector<double> inv_sd_;   ///< 1/stddev per window; NaN when flat
+  bool has_flat_ = false;
 };
 
 /// \brief MASS (Mueen's Algorithm for Similarity Search).

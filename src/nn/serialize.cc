@@ -59,15 +59,17 @@ Result<std::vector<Tensor>> ReadTensors(std::istream& in) {
       return Status::InvalidArgument("corrupt tensor header");
     }
     std::vector<int64_t> shape(ndim);
+    constexpr int64_t kMaxElements = 1ll << 30;
     int64_t size = 1;
     for (auto& d : shape) {
       if (!ReadPod(in, &d) || d < 0) {
         return Status::InvalidArgument("corrupt tensor shape");
       }
+      // Checked before multiplying, so a hostile shape cannot overflow.
+      if (d > 0 && size > kMaxElements / d) {
+        return Status::InvalidArgument("implausible tensor size");
+      }
       size *= d;
-    }
-    if (size > (1ll << 30)) {
-      return Status::InvalidArgument("implausible tensor size");
     }
     std::vector<float> data(static_cast<size_t>(size));
     in.read(reinterpret_cast<char*>(data.data()),

@@ -17,12 +17,13 @@ namespace triad::serve {
 /// models: the registry loads each v2 checkpoint once (core::
 /// TriadDetector::Load) and hands every tenant a shared_ptr to the same
 /// immutable detector. Sharing is safe by the detector's own contract — a
-/// fitted TriadDetector is const during Detect, and its MassContext /
-/// the process-global FFT plan cache are content-keyed by data the shared
-/// tenants have in common (the training series / the transform size), so
-/// no per-tenant state lives in the detector. Per-tenant mutable state
-/// (StreamingTriad buffer + DetectMemo) stays in the FleetServer's tenant
-/// entry and is never shared (see DetectMemo::BindStream).
+/// fitted TriadDetector is const during Detect, and its nearest-window
+/// index / the process-global FFT plan cache are built from data the
+/// shared tenants have in common (the training series / the transform
+/// size), so no per-tenant state lives in the detector. Per-tenant
+/// mutable state (StreamingTriad buffer + DetectMemo) stays in the
+/// FleetServer's tenant entry and is never shared (see
+/// DetectMemo::BindStream).
 ///
 /// Thread-safe: loads and lookups take an internal mutex; returned
 /// detectors are immutable and live as long as any tenant holds them.

@@ -461,6 +461,11 @@ TEST(DetectorTest, DetectEventsSingleMatchesProtocol) {
   ASSERT_GE(multi->selected_window, 0);
   // One window nominated -> search region is set around it.
   EXPECT_LT(multi->search_begin, multi->search_end);
+  // The similarity scan is timed as its own stage, as in Detect.
+  ASSERT_GT(multi->window_starts.size(), 1u);
+  EXPECT_GT(multi->tri_window_seconds, 0.0);
+  EXPECT_GT(multi->encode_seconds, 0.0);
+  EXPECT_GT(multi->selection_seconds, 0.0);
 }
 
 TEST(DetectorTest, DetectEventsFindsMultipleInjectedEvents) {

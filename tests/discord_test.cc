@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <unordered_map>
+#include <utility>
 
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "core/detector.h"
+#include "data/ucr_generator.h"
 #include "discord/discord.h"
 #include "discord/mass.h"
 #include "signal/windows.h"
@@ -95,6 +103,165 @@ TEST(MassTest, FlatQueryAgainstFlatWindowIsZero) {
   const std::vector<double> profile = MassDistanceProfile(series, query);
   EXPECT_EQ(profile[0], 0.0);               // flat vs flat: identical shape
   EXPECT_TRUE(std::isinf(profile[25]));     // flat vs structured: excluded
+}
+
+// ---------- nearest-window index (the detector's selection scan) ----------
+
+// Long-double direct oracle for NearestWindowIndex::NearestDistance: the
+// z-normalized Euclidean distance from `query` to every window, each side
+// normalized by its own two-pass mean and stddev, with the flat conventions
+// of simd::ZNormDistRow.
+double NearestDistanceOracle(const std::vector<double>& series,
+                             const std::vector<double>& query) {
+  using LD = long double;
+  const size_t m = query.size();
+  const auto znorm = [m](const double* w, std::vector<LD>* out) {
+    LD mean = 0;
+    for (size_t k = 0; k < m; ++k) mean += w[k];
+    mean /= static_cast<LD>(m);
+    LD ss = 0;
+    for (size_t k = 0; k < m; ++k) ss += (w[k] - mean) * (w[k] - mean);
+    const LD sd = std::sqrt(ss / static_cast<LD>(m));
+    if (sd < 1e-12L) return false;  // flat
+    out->resize(m);
+    for (size_t k = 0; k < m; ++k) (*out)[k] = (w[k] - mean) / sd;
+    return true;
+  };
+  std::vector<LD> qz, wz;
+  const bool q_ok = znorm(query.data(), &qz);
+  double best = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i + m <= series.size(); ++i) {
+    const bool w_ok = znorm(series.data() + i, &wz);
+    if (!q_ok || !w_ok) {
+      if (!q_ok && !w_ok) best = 0.0;
+      continue;
+    }
+    LD acc = 0;
+    for (size_t k = 0; k < m; ++k) acc += (qz[k] - wz[k]) * (qz[k] - wz[k]);
+    best = std::min(best, static_cast<double>(std::sqrt(acc)));
+  }
+  return best;
+}
+
+// A noisy periodic training series and a query that is not in it (a
+// frequency-doubled stretch), both shifted by `offset`.
+std::pair<std::vector<double>, std::vector<double>> OffsetTrainAndQuery(
+    double offset) {
+  std::vector<double> train = PlantedAnomalySeries(2048, 50.0, 0, 0, 41);
+  std::vector<double> query = PlantedAnomalySeries(64, 50.0, 20, 30, 43);
+  for (double& v : train) v += offset;
+  for (double& v : query) v += offset;
+  return {train, query};
+}
+
+TEST(NearestWindowIndexTest, MatchesLongDoubleOracleWhereMassDrifts) {
+  for (double offset : {0.0, 1e3, 1e6}) {
+    const auto [train, query] = OffsetTrainAndQuery(offset);
+    const double oracle = NearestDistanceOracle(train, query);
+    ASSERT_TRUE(std::isfinite(oracle));
+    ASSERT_GT(oracle, 1.0);  // well away from 0, so relative error is apt
+    const NearestWindowIndex index(train, 64);
+    EXPECT_NEAR(index.NearestDistance(query), oracle, 1e-9 * oracle)
+        << "offset " << offset;
+
+    // The FFT profile's minimum is what the detector used to take; its
+    // m·mean_q·mean_i subtraction cancels catastrophically on offset data.
+    const std::vector<double> profile = MassDistanceProfile(train, query);
+    const double mass_min = *std::min_element(profile.begin(), profile.end());
+    const double mass_error = std::abs(mass_min - oracle) / oracle;
+    if (offset == 0.0) {
+      EXPECT_LT(mass_error, 1e-9);
+    } else {
+      EXPECT_GT(mass_error, offset == 1e6 ? 1e-3 : 1e-9) << "offset " << offset;
+    }
+  }
+}
+
+TEST(NearestWindowIndexTest, FlatConventionsFollowZNormDistRow) {
+  // Training series with a flat stretch, then structure.
+  std::vector<double> with_flat(80, 2.5);
+  for (size_t i = 40; i < with_flat.size(); ++i) {
+    with_flat[i] = std::sin(0.7 * static_cast<double>(i)) + 2.5;
+  }
+  std::vector<double> structured(80);
+  for (size_t i = 0; i < structured.size(); ++i) {
+    structured[i] = std::sin(0.3 * static_cast<double>(i));
+  }
+  const std::vector<double> flat_query(10, -4.0);
+  const double inf = std::numeric_limits<double>::infinity();
+
+  const NearestWindowIndex flat_index(with_flat, 10);
+  EXPECT_EQ(flat_index.NearestDistance(flat_query), 0.0);
+  const NearestWindowIndex structured_index(structured, 10);
+  EXPECT_EQ(structured_index.NearestDistance(flat_query), inf);
+
+  // A flat window never matches a non-flat query: the nearest is the
+  // oracle's, taken over the structured windows only.
+  std::vector<double> query(10);
+  for (size_t k = 0; k < query.size(); ++k) {
+    query[k] = std::sin(0.7 * static_cast<double>(k)) +
+               0.3 * std::cos(1.3 * static_cast<double>(k));
+  }
+  const double oracle = NearestDistanceOracle(with_flat, query);
+  ASSERT_TRUE(std::isfinite(oracle));
+  ASSERT_GT(oracle, 0.1);
+  EXPECT_NEAR(flat_index.NearestDistance(query), oracle, 1e-9 * oracle);
+
+  // Against an all-flat series nothing matches.
+  const NearestWindowIndex all_flat(std::vector<double>(30, 7.0), 10);
+  EXPECT_EQ(all_flat.NearestDistance(query), inf);
+  EXPECT_EQ(all_flat.NearestDistance(flat_query), 0.0);
+}
+
+TEST(NearestWindowIndexTest, WindowAsLongAsTheSeries) {
+  Rng rng(47);
+  std::vector<double> series(33), other(33);
+  for (double& v : series) v = rng.Normal(5.0, 2.0);
+  for (double& v : other) v = rng.Normal();
+  const NearestWindowIndex index(series, 33);
+  EXPECT_NEAR(index.NearestDistance(series), 0.0, 1e-6);
+  const double oracle = NearestDistanceOracle(series, other);
+  EXPECT_NEAR(index.NearestDistance(other), oracle, 1e-9 * oracle);
+}
+
+// Selection fans candidates out over the pool; the deviations Detect
+// stores in its memo must not depend on the lane count.
+TEST(NearestWindowIndexTest, DetectDeviationsAreThreadInvariant) {
+  data::UcrGeneratorOptions gen;
+  gen.count = 1;
+  gen.seed = 29;
+  gen.min_period = 32;
+  gen.max_period = 32;
+  gen.min_train_periods = 14;
+  gen.max_train_periods = 14;
+  gen.min_test_periods = 10;
+  gen.max_test_periods = 10;
+  const data::UcrDataset ds = data::MakeUcrArchive(gen)[0];
+  core::TriadConfig config;
+  config.depth = 2;
+  config.hidden_dim = 8;
+  config.epochs = 2;
+  config.seed = 5;
+  config.merlin_length_step = 4;
+  core::TriadDetector detector(config);
+  ASSERT_TRUE(detector.Fit(ds.train).ok());
+
+  std::vector<std::unordered_map<int64_t, double>> deviations;
+  for (int64_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    ScopedDefaultPool scoped(&pool);
+    core::DetectMemo memo;
+    ASSERT_TRUE(detector.Detect(ds.test, &memo, /*global_start=*/0).ok());
+    ASSERT_FALSE(memo.deviations.empty());
+    deviations.push_back(memo.deviations);
+  }
+  ASSERT_EQ(deviations[0].size(), deviations[1].size());
+  for (const auto& [start, deviation] : deviations[0]) {
+    ASSERT_TRUE(deviations[1].count(start)) << start;
+    EXPECT_EQ(std::bit_cast<uint64_t>(deviations[1].at(start)),
+              std::bit_cast<uint64_t>(deviation))
+        << "window at " << start;
+  }
 }
 
 TEST(EarlyAbandonTest, ExactWhenNotAbandoned) {

@@ -9,17 +9,23 @@
 //   * mild and moderate cells are accepted (repaired or degraded);
 //   * clean input passes through bit-identically;
 //   * repairable mild corruption does not change the verdict — the
-//     detector still localizes the planted anomaly.
+//     detector still localizes the planted anomaly;
+//   * a CRC-valid checkpoint with hostile geometry or tensor shapes fails
+//     Load with InvalidArgument (ARCHITECTURE.md §10).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/status.h"
 #include "core/detector.h"
 #include "data/ucr_generator.h"
 #include "testing/fault_injection.h"
@@ -222,6 +228,142 @@ TEST_P(FaultInjectionTest, MildRepairPreservesTheVerdict) {
     EXPECT_TRUE(AnyFlagNear(repaired->predictions, ds.anomaly_begin,
                             ds.anomaly_end, margin));
   }
+}
+
+// ---------- hostile checkpoints: CRC-valid bodies with bad geometry ----------
+//
+// A checkpoint's CRC proves its bytes are the ones written, not that the
+// writer was this program. Each case rewrites one header field of a saved
+// checkpoint body and re-checksums it, so only the value is wrong; Load must
+// return InvalidArgument instead of handing Detect a geometry that aborts
+// (stride 0, a window shorter than the features need or longer than the
+// training series) or allocating what the body does not hold.
+
+constexpr char kCheckpointMagic[4] = {'T', 'R', 'D', 'T'};
+
+struct SavedCheckpoint {
+  std::string body;
+  uint32_t version = 0;
+  size_t geometry_at = 0;  ///< offset of period, window_length, stride
+  uint64_t train_count = 0;
+  std::vector<double> test;
+};
+
+template <typename T>
+void Poke(std::string* body, size_t at, T value) {
+  ASSERT_LE(at + sizeof(T), body->size());
+  std::memcpy(body->data() + at, &value, sizeof(T));
+}
+
+// The fixture's saved checkpoint body; empty if the set-up failed, so every
+// case that pokes or loads it fails instead of reading out of bounds.
+const SavedCheckpoint& Saved() {
+  static const SavedCheckpoint saved = [] {
+    SavedCheckpoint out;
+    const data::UcrDataset ds = FixtureDataset();
+    out.test = ds.test;
+    core::TriadDetector detector(FixtureConfig());
+    const std::string path = ::testing::TempDir() + "triad_geometry.ckpt";
+    EXPECT_TRUE(detector.Fit(ds.train).ok());
+    EXPECT_TRUE(detector.Save(path).ok());
+    auto body = io::ReadChecksummedFile(path, kCheckpointMagic, &out.version);
+    std::remove(path.c_str());
+    EXPECT_TRUE(body.ok()) << body.status().ToString();
+    if (!body.ok()) return out;
+    // The three int64 geometry fields sit together in the header; find them
+    // by value rather than hard-coding the config block's size. After them
+    // come the period confidence (double), two flag bytes and the
+    // training-series count.
+    const int64_t geometry[3] = {detector.period(), detector.window_length(),
+                                 detector.stride()};
+    const size_t at = body->find(std::string(
+        reinterpret_cast<const char*>(geometry), sizeof(geometry)));
+    EXPECT_NE(at, std::string::npos);
+    if (at == std::string::npos || at + 42 > body->size()) return out;
+    std::memcpy(&out.train_count, body->data() + at + 34, sizeof(uint64_t));
+    EXPECT_EQ(out.train_count, ds.train.size());
+    out.geometry_at = at;
+    out.body = *body;
+    return out;
+  }();
+  return saved;
+}
+
+size_t WindowLengthAt() { return Saved().geometry_at + 8; }
+size_t StrideAt() { return Saved().geometry_at + 16; }
+size_t TrainCountAt() { return Saved().geometry_at + 34; }
+
+Result<core::TriadDetector> LoadBody(const std::string& body) {
+  const std::string path = ::testing::TempDir() + "triad_hostile.ckpt";
+  EXPECT_TRUE(
+      io::WriteChecksummedFile(path, kCheckpointMagic, Saved().version, body)
+          .ok());
+  Result<core::TriadDetector> loaded = core::TriadDetector::Load(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+void ExpectRejected(const std::string& body) {
+  const Result<core::TriadDetector> loaded = LoadBody(body);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+}
+
+TEST(CheckpointGeometryTest, UntouchedBodyLoadsAndDetects) {
+  Result<core::TriadDetector> loaded = LoadBody(Saved().body);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->Detect(Saved().test).ok());
+}
+
+TEST(CheckpointGeometryTest, RejectsZeroStride) {
+  std::string body = Saved().body;
+  Poke<int64_t>(&body, StrideAt(), 0);
+  ExpectRejected(body);
+}
+
+TEST(CheckpointGeometryTest, RejectsStrideAboveWindowLength) {
+  std::string body = Saved().body;
+  int64_t window_length = 0;
+  std::memcpy(&window_length, body.data() + WindowLengthAt(), 8);
+  Poke<int64_t>(&body, StrideAt(), window_length + 1);
+  ExpectRejected(body);
+}
+
+TEST(CheckpointGeometryTest, RejectsWindowBelowFeatureMinimum) {
+  std::string body = Saved().body;
+  Poke<int64_t>(&body, WindowLengthAt(), 3);
+  Poke<int64_t>(&body, StrideAt(), 1);
+  ExpectRejected(body);
+}
+
+TEST(CheckpointGeometryTest, RejectsWindowLongerThanTrainingSeries) {
+  std::string body = Saved().body;
+  Poke<int64_t>(&body, WindowLengthAt(),
+                static_cast<int64_t>(Saved().train_count) + 1);
+  ExpectRejected(body);
+}
+
+TEST(CheckpointGeometryTest, RejectsTrainCountBeyondBody) {
+  for (uint64_t count : {Saved().train_count + (1u << 20), uint64_t{1} << 32}) {
+    std::string body = Saved().body;
+    Poke<uint64_t>(&body, TrainCountAt(), count);
+    ExpectRejected(body);
+  }
+}
+
+TEST(CheckpointGeometryTest, RejectsOverflowingTensorShape) {
+  std::string body = Saved().body;
+  // The weights follow the training series as a TRTN tensor stream:
+  // magic, u32 version, u64 count, then the first tensor's u32 rank and
+  // int64 dims. 2^40 x 2^40 elements overflows int64.
+  const size_t tensors_at = TrainCountAt() + 8 + Saved().train_count * 8;
+  ASSERT_EQ(body.compare(tensors_at, 4, "TRTN"), 0);
+  const size_t rank_at = tensors_at + 4 + 4 + 8;
+  Poke<uint32_t>(&body, rank_at, 2);
+  Poke<int64_t>(&body, rank_at + 4, int64_t{1} << 40);
+  Poke<int64_t>(&body, rank_at + 12, int64_t{1} << 40);
+  ExpectRejected(body);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 // ±inf. The determinism contract under test:
 //
 //  * elementwise kernels (axpy/add/mul/relu, the STOMP sliding-dot update,
-//    the z-norm distance row, the discord sweep's correlation row) are
-//    BIT-IDENTICAL to the scalar reference;
+//    the z-norm distance row, the discord sweep's correlation row, the
+//    selection scan's sliding correlation max) are BIT-IDENTICAL to the
+//    scalar reference;
 //  * reduction kernels (dot/sum and the conv/gemm gradients built on them)
 //    accumulate in double at every tier and may diverge only by reordered
 //    double-rounding — asserted here as <= 4 ULP of the float32 result.
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -378,6 +380,96 @@ TEST(KernelEquivalenceTest, CorrRowMaxZeroMaximumHasOneSign) {
       EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(0.0))
           << "n=" << n << " level=" << simd::LevelName(level);
     }
+  }
+}
+
+// SlidingCorrMax on both tiers; the results must be bit-identical.
+double SlidingCorrMaxOnTier(simd::Level level, const std::vector<double>& q,
+                            const std::vector<double>& x,
+                            const std::vector<double>& inv_sd) {
+  simd::ScopedForceLevel force(level);
+  return simd::SlidingCorrMax(q.data(), static_cast<int64_t>(q.size()),
+                              x.data(), inv_sd.data(),
+                              static_cast<int64_t>(inv_sd.size()));
+}
+
+void ExpectSlidingCorrMaxTiersAgree(const std::vector<double>& q,
+                                    const std::vector<double>& x,
+                                    const std::vector<double>& inv_sd,
+                                    const std::string& label) {
+  const double ref = simd::scalar::SlidingCorrMax(
+      q.data(), static_cast<int64_t>(q.size()), x.data(), inv_sd.data(),
+      static_cast<int64_t>(inv_sd.size()));
+  const double got =
+      SlidingCorrMaxOnTier(simd::HighestSupportedLevel(), q, x, inv_sd);
+  ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(ref))
+      << label << " m=" << q.size() << " windows=" << inv_sd.size();
+  EXPECT_FALSE(std::isnan(ref)) << label;  // NaN entries never win
+}
+
+// Window counts below, at and around the AVX2 tier's 4- and 16-window
+// blocks, at query lengths from 1 up, with NaN (flat) entries sprinkled in.
+TEST(KernelEquivalenceTest, SlidingCorrMaxBitIdenticalAcrossShapes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 61);
+    for (int64_t m : {1, 2, 3, 7, 16, 40, 65}) {
+      for (int64_t count : {1, 2, 3, 4, 5, 15, 16, 17, 19, 31, 32, 33, 100,
+                            257}) {
+        const std::vector<double> q = RandomDoubles(m, &rng);
+        const std::vector<double> x = RandomDoubles(count + m - 1, &rng, 3.0);
+        std::vector<double> inv_sd(static_cast<size_t>(count));
+        for (double& v : inv_sd) v = 0.1 + rng.Uniform();
+        if (seed >= 3) {
+          for (int64_t i = 0; i < count; i += 3) {
+            inv_sd[static_cast<size_t>(i)] = nan;
+          }
+        }
+        ExpectSlidingCorrMaxTiersAgree(q, x, inv_sd, "seed " +
+                                                         std::to_string(seed));
+      }
+    }
+  }
+}
+
+// Every window flat: nothing ranks, so the result is -inf at both tiers.
+TEST(KernelEquivalenceTest, SlidingCorrMaxAllNaNIsNegativeInfinity) {
+  Rng rng(67);
+  for (int64_t count : {1, 3, 4, 16, 21, 64}) {
+    const std::vector<double> q = RandomDoubles(9, &rng);
+    const std::vector<double> x = RandomDoubles(count + 8, &rng);
+    const std::vector<double> inv_sd(static_cast<size_t>(count),
+                                     std::numeric_limits<double>::quiet_NaN());
+    for (simd::Level level :
+         {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
+      EXPECT_EQ(SlidingCorrMaxOnTier(level, q, x, inv_sd),
+                -std::numeric_limits<double>::infinity())
+          << "count=" << count << " level=" << simd::LevelName(level);
+    }
+  }
+}
+
+// Large offsets (the data the detector centres away) and denormal operands
+// go through the same per-lane chain at both tiers.
+TEST(KernelEquivalenceTest, SlidingCorrMaxBitIdenticalOnOffsetsAndDenormals) {
+  constexpr double kDenormal = 4.9e-324;
+  Rng rng(71);
+  for (int64_t count : {1, 5, 16, 17, 50, 130}) {
+    const int64_t m = 24;
+    std::vector<double> q = RandomDoubles(m, &rng);
+    std::vector<double> x = RandomDoubles(count + m - 1, &rng);
+    std::vector<double> inv_sd(static_cast<size_t>(count));
+    for (double& v : inv_sd) v = 0.5 + rng.Uniform();
+    std::vector<double> offset = x;
+    for (double& v : offset) v += 1e6;
+    ExpectSlidingCorrMaxTiersAgree(q, offset, inv_sd, "1e6 offset");
+
+    std::vector<double> tiny_q = q, tiny_x = x;
+    for (double& v : tiny_q) v *= 1e-160;
+    for (double& v : tiny_x) v *= 1e-160;  // products underflow to denormals
+    tiny_q[0] = kDenormal;
+    tiny_x[0] = -kDenormal;
+    ExpectSlidingCorrMaxTiersAgree(tiny_q, tiny_x, inv_sd, "denormals");
   }
 }
 

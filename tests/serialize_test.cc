@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -50,6 +51,24 @@ TEST(SerializeTest, RejectsTruncatedStream) {
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_FALSE(ReadTensors(truncated).ok());
+}
+
+// A shape whose element count overflows int64 is rejected before the
+// multiply that would overflow (signed overflow is undefined behaviour).
+TEST(SerializeTest, RejectsOverflowingShape) {
+  std::stringstream buffer;
+  buffer.write("TRTN", 4);
+  const uint32_t version = 1, rank = 3;
+  const uint64_t count = 1;
+  const int64_t dims[3] = {int64_t{1} << 31, int64_t{1} << 31,
+                           int64_t{1} << 31};
+  buffer.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  buffer.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  buffer.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  buffer.write(reinterpret_cast<const char*>(dims), sizeof(dims));
+  auto loaded = ReadTensors(buffer);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SerializeTest, FileRoundTrip) {
