@@ -21,7 +21,6 @@
 #include "discord/discord.h"
 #include "discord/mass.h"
 #include "discord/stomp.h"
-#include "signal/fft_plan.h"
 
 namespace triad::discord {
 namespace {
@@ -130,19 +129,6 @@ void BM_StompMatrixProfile(benchmark::State& state) {
 BENCHMARK(BM_StompMatrixProfile)->Arg(1000)->Arg(2000)->Arg(4000)
     ->Complexity(benchmark::oNSquared);
 
-// Same workload on the float32 inference tier (ARCHITECTURE.md §12): the
-// distance rows run ZNormDistRowF32/SlidingDotUpdateF32 at twice the SIMD
-// lane width; the FFT seeds stay double.
-void BM_StompMatrixProfileF32(benchmark::State& state) {
-  const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Stomp(x, 50, simd::Precision::kF32));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_StompMatrixProfileF32)->Arg(1000)->Arg(2000)->Arg(4000)
-    ->Complexity(benchmark::oNSquared);
-
 void BM_Merlin(benchmark::State& state) {
   const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -220,70 +206,17 @@ void BM_MerlinNoisySweep(benchmark::State& state) {
 }
 BENCHMARK(BM_MerlinNoisySweep)->Unit(benchmark::kMillisecond);
 
-// --json mode: the plan-cache A/B experiment (ARCHITECTURE.md §7) as a
-// machine-readable record. Each workload runs once with TRIAD_FFT_PLAN
-// forced off (the reference from-scratch FFT/MASS paths) and once with the
-// plan cache on, under the observability layer, and the off/on wall times,
-// speedups, and cache hit/miss counters land in BENCH_discord.json
-// (schema triad-observability-v1; see bench/README.md). Fixed iteration
-// counts keep the record cheap and the workload identical across runs.
+// --json mode: the region sweep (Merlin vs ExactDiscords) and the
+// selection-stage comparison (MASS profile vs nearest-window scan) as a
+// machine-readable record, with the FFT plan and spectrum cache counters,
+// in BENCH_discord.json (schema triad-observability-v1; see
+// bench/README.md). Fixed iteration counts keep the record cheap and the
+// workload identical across runs.
 int RunJsonMode() {
   metrics::ScopedEnable enable(true);
   metrics::Registry::Global().ResetAll();
   trace::TraceBuffer::Global().Clear();
   Timer wall;
-
-  const std::vector<double> x8k = Workload(8000);
-  const std::vector<double> query(x8k.begin(), x8k.begin() + 100);
-  const std::vector<double> x4k = NoisySweepSeries();
-  constexpr int kMassIters = 100;
-  constexpr int kMerlinIters = 1;
-
-  // MASS distance profiles against a fixed 8k series: with the cache off
-  // every call re-plans and re-transforms the series; with it on the plan
-  // tables and the series spectrum are built once and reused.
-  double mass_off, mass_on;
-  {
-    signal::ScopedPlanCache plan(false);
-    trace::TraceSpan span("bench.mass_profile_plan_off");
-    for (int iter = 0; iter < kMassIters; ++iter) {
-      benchmark::DoNotOptimize(MassDistanceProfile(x8k, query));
-    }
-    mass_off = span.Stop();
-  }
-  {
-    signal::ScopedPlanCache plan(true);
-    trace::TraceSpan span("bench.mass_profile_plan_on");
-    for (int iter = 0; iter < kMassIters; ++iter) {
-      benchmark::DoNotOptimize(MassDistanceProfile(x8k, query));
-    }
-    mass_on = span.Stop();
-  }
-
-  // The MERLIN length sweep (the detector's discord workload): every
-  // length's profiles hit the same per-series spectrum and the same
-  // per-padded-size plans.
-  double merlin_off, merlin_on;
-  {
-    signal::ScopedPlanCache plan(false);
-    trace::TraceSpan span("bench.merlin_sweep_plan_off");
-    for (int iter = 0; iter < kMerlinIters; ++iter) {
-      auto result = Merlin(x4k, 40, 60, 5);
-      TRIAD_CHECK(result.ok());
-      benchmark::DoNotOptimize(result->discords);
-    }
-    merlin_off = span.Stop();
-  }
-  {
-    signal::ScopedPlanCache plan(true);
-    trace::TraceSpan span("bench.merlin_sweep_plan_on");
-    for (int iter = 0; iter < kMerlinIters; ++iter) {
-      auto result = Merlin(x4k, 40, 60, 5);
-      TRIAD_CHECK(result.ok());
-      benchmark::DoNotOptimize(result->discords);
-    }
-    merlin_on = span.Stop();
-  }
 
   // Region sweep, Merlin vs ExactDiscords (the BM_Region* pair above):
   // one timed call of each per region size.
@@ -338,43 +271,11 @@ int RunJsonMode() {
     }
   }
 
-  // STOMP matrix profile, f64-vs-f32 cohort (ARCHITECTURE.md §12): same
-  // 8k series, same subsequence length; only the distance-row precision
-  // tier changes. Both run under the plan cache so the FFT seed cost is
-  // identical and the delta isolates the row kernels.
-  double stomp_f64, stomp_f32;
-  {
-    signal::ScopedPlanCache plan(true);
-    trace::TraceSpan span("bench.stomp_f64");
-    auto result = Stomp(x8k, 50, simd::Precision::kF64);
-    TRIAD_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->distances);
-    stomp_f64 = span.Stop();
-  }
-  {
-    signal::ScopedPlanCache plan(true);
-    trace::TraceSpan span("bench.stomp_f32");
-    auto result = Stomp(x8k, 50, simd::Precision::kF32);
-    TRIAD_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->distances);
-    stomp_f32 = span.Stop();
-  }
-
   const auto counter = [](const char* name) {
     return static_cast<double>(
         metrics::Registry::Global().counter(name)->value());
   };
   std::vector<std::pair<std::string, double>> fields = {
-      {"mass_profile_plan_off_seconds", mass_off},
-      {"mass_profile_plan_on_seconds", mass_on},
-      {"mass_profile_speedup", mass_off / mass_on},
-      {"merlin_sweep_plan_off_seconds", merlin_off},
-      {"merlin_sweep_plan_on_seconds", merlin_on},
-      {"merlin_sweep_speedup", merlin_off / merlin_on},
-      {"precision_f32", 1.0},  // record carries an f32 cohort (§12)
-      {"stomp_f64_seconds", stomp_f64},
-      {"stomp_f32_seconds", stomp_f32},
-      {"stomp_f32_speedup", stomp_f64 / stomp_f32},
       {"fft_plan_hits", counter("fft.plan_hits")},
       {"fft_plan_misses", counter("fft.plan_misses")},
       {"mass_spectrum_hits", counter("mass.spectrum_hits")},

@@ -209,64 +209,6 @@ void BM_ZNormDistRow(benchmark::State& state) {
 }
 BENCHMARK(BM_ZNormDistRow)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// ---------- float32 inference tier (ARCHITECTURE.md §12) ----------
-// A/B comparators for the f64 kernels above: same shapes, same access
-// pattern, single-precision lanes. Acceptance target (ISSUE): >= 1.5x over
-// the f64 AVX2 rows on DotF32 / ZNormDistRowF32.
-
-void BM_DotF32(benchmark::State& state) {
-  simd::Level level;
-  if (!SetLevelOrSkip(state, &level)) return;
-  const int64_t n = state.range(1);
-  const std::vector<float> a = RandomFloats(n, 1);
-  const std::vector<float> b = RandomFloats(n, 2);
-  simd::ScopedForceLevel force(level);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::DotF32(a.data(), b.data(), n));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DotF32)
-    ->ArgsProduct({{0, 1}, {160, 4096}})
-    ->Unit(benchmark::kNanosecond);
-
-void BM_SlidingDotUpdateF32(benchmark::State& state) {
-  simd::Level level;
-  if (!SetLevelOrSkip(state, &level)) return;
-  const int64_t n = 16384 - 64 + 1;
-  const std::vector<float> series = RandomFloats(16384, 12);
-  std::vector<float> qt = RandomFloats(n, 13);
-  simd::ScopedForceLevel force(level);
-  for (auto _ : state) {
-    simd::SlidingDotUpdateF32(qt.data(), n, series[0], series.data(),
-                              series[64], series.data() + 64);
-    benchmark::DoNotOptimize(qt.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_SlidingDotUpdateF32)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ZNormDistRowF32(benchmark::State& state) {
-  simd::Level level;
-  if (!SetLevelOrSkip(state, &level)) return;
-  const int64_t n = 16384 - 64 + 1, m = 64;
-  const std::vector<float> dot = RandomFloats(n, 14);
-  const std::vector<float> mu = RandomFloats(n, 15);
-  const std::vector<float> sd(static_cast<size_t>(n), 1.25f);
-  std::vector<float> out(static_cast<size_t>(n));
-  simd::ScopedForceLevel force(level);
-  for (auto _ : state) {
-    simd::ZNormDistRowF32(dot.data(), mu.data(), sd.data(), 0.1f, 0.9f, m,
-                          out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ZNormDistRowF32)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
 // End to end: full train + detect on a generated dataset, per tier. This
 // is the number bench/README.md records as the kernel layer's bottom-line
 // effect (training is conv/matmul bound; detection adds the similarity
@@ -356,54 +298,6 @@ int RunJsonMode() {
     }
   }
 
-  // f64-vs-f32 A/B cohorts (ARCHITECTURE.md §12). Same shapes as the
-  // spans above, timed directly so the record carries both tiers' seconds
-  // plus the derived speedup the ISSUE gate (>= 1.5x) reads.
-  double dot_f64_seconds, dot_f32_seconds;
-  {
-    const int64_t n = 4096;
-    const int kIters = 20000;
-    const std::vector<float> a = RandomFloats(n, 1);
-    const std::vector<float> b = RandomFloats(n, 2);
-    Timer t64;
-    for (int iter = 0; iter < kIters; ++iter) {
-      benchmark::DoNotOptimize(simd::Dot(a.data(), b.data(), n));
-    }
-    dot_f64_seconds = t64.ElapsedSeconds();
-    Timer t32;
-    for (int iter = 0; iter < kIters; ++iter) {
-      benchmark::DoNotOptimize(simd::DotF32(a.data(), b.data(), n));
-    }
-    dot_f32_seconds = t32.ElapsedSeconds();
-  }
-  double znorm_f64_seconds, znorm_f32_seconds;
-  {
-    const int64_t n = 16384 - 64 + 1, m = 64;
-    const int kIters = 1000;
-    const std::vector<double> dot64 = RandomDoubles(n, 14);
-    const std::vector<double> mu64 = RandomDoubles(n, 15);
-    const std::vector<double> sd64(static_cast<size_t>(n), 1.25);
-    std::vector<double> out64(static_cast<size_t>(n));
-    Timer t64;
-    for (int iter = 0; iter < kIters; ++iter) {
-      simd::ZNormDistRow(dot64.data(), mu64.data(), sd64.data(), 0.1, 0.9, m,
-                         out64.data(), n);
-      benchmark::DoNotOptimize(out64.data());
-    }
-    znorm_f64_seconds = t64.ElapsedSeconds();
-    const std::vector<float> dot32 = RandomFloats(n, 14);
-    const std::vector<float> mu32 = RandomFloats(n, 15);
-    const std::vector<float> sd32(static_cast<size_t>(n), 1.25f);
-    std::vector<float> out32(static_cast<size_t>(n));
-    Timer t32;
-    for (int iter = 0; iter < kIters; ++iter) {
-      simd::ZNormDistRowF32(dot32.data(), mu32.data(), sd32.data(), 0.1f,
-                            0.9f, m, out32.data(), n);
-      benchmark::DoNotOptimize(out32.data());
-    }
-    znorm_f32_seconds = t32.ElapsedSeconds();
-  }
-
   // End-to-end pipeline pass (same workload as BM_TrainDetectEndToEnd);
   // this populates the detector/trainer/merlin spans and the mass/stomp/
   // parallel instruments.
@@ -437,16 +331,8 @@ int RunJsonMode() {
     train_detect_seconds = span.Stop();
   }
 
-  WriteBenchJson(
-      "kernels", wall.ElapsedSeconds(),
-      {{"train_detect_seconds", train_detect_seconds},
-       {"precision_f32", 1.0},  // record carries an f32 cohort (§12)
-       {"dot_f64_seconds", dot_f64_seconds},
-       {"dot_f32_seconds", dot_f32_seconds},
-       {"dot_f32_speedup", dot_f64_seconds / dot_f32_seconds},
-       {"znorm_dist_row_f64_seconds", znorm_f64_seconds},
-       {"znorm_dist_row_f32_seconds", znorm_f32_seconds},
-       {"znorm_dist_row_f32_speedup", znorm_f64_seconds / znorm_f32_seconds}});
+  WriteBenchJson("kernels", wall.ElapsedSeconds(),
+                 {{"train_detect_seconds", train_detect_seconds}});
   return 0;
 }
 

@@ -23,7 +23,6 @@
 #include "common/env.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "core/streaming.h"
 #include "serve/fleet_server.h"
@@ -220,58 +219,6 @@ int RunJsonMode() {
     TRIAD_CHECK_EQ(snap->failed_passes, standalone.failed_passes());
   }
 
-  // ---- f32 precision cohort (ARCHITECTURE.md §12) ----
-  // The same fleet workload served on the float32 inference tier
-  // (FleetOptions::precision = kF32). Two numbers matter: the
-  // tenant-passes/sec delta against the f64 cohort above, and the verdict
-  // gate — every tenant's alarm timeline must MATCH the f64 cohort's
-  // exactly (the §12 contract at fleet scale: precision changes scores,
-  // never verdicts).
-  FleetOptions f32_options;
-  f32_options.precision = simd::PrecisionRequest::kF32;
-  FleetServer f32_fleet(f32_options);
-  std::vector<int64_t> f32_ids;
-  for (int64_t t = 0; t < tenants; ++t) {
-    auto model = registry.Get("fleet-model");
-    TRIAD_CHECK(model.ok());
-    auto id = f32_fleet.AddTenant(*model);
-    TRIAD_CHECK(id.ok());
-    f32_ids.push_back(*id);
-  }
-  Timer f32_timer;
-  offset = 0;
-  remaining = true;
-  while (remaining) {
-    remaining = false;
-    for (int64_t t = 0; t < tenants; ++t) {
-      const auto& feed = feeds[static_cast<size_t>(t)];
-      if (offset >= feed.size()) continue;
-      const size_t hi = std::min(feed.size(), offset + chunk);
-      auto status = f32_fleet.Ingest(
-          f32_ids[static_cast<size_t>(t)],
-          std::vector<double>(feed.begin() + static_cast<long>(offset),
-                              feed.begin() + static_cast<long>(hi)));
-      TRIAD_CHECK(status.ok());
-      remaining = true;
-    }
-    offset += chunk;
-    TRIAD_CHECK(f32_fleet.Drain().ok());
-  }
-  TRIAD_CHECK(f32_fleet.Drain().ok());
-  const double serve_f32_seconds = f32_timer.ElapsedSeconds();
-  double f32_total_passes = 0.0;
-  for (int64_t t = 0; t < tenants; ++t) {
-    auto f64_snap = fleet.Tenant(ids[static_cast<size_t>(t)]);
-    auto f32_snap = f32_fleet.Tenant(f32_ids[static_cast<size_t>(t)]);
-    TRIAD_CHECK(f64_snap.ok());
-    TRIAD_CHECK(f32_snap.ok());
-    TRIAD_CHECK_MSG(f32_snap->alarms == f64_snap->alarms,
-                    "f32 tenant " << f32_ids[static_cast<size_t>(t)]
-                                  << " verdicts diverged from f64 cohort");
-    f32_total_passes +=
-        static_cast<double>(f32_snap->passes + f32_snap->failed_passes);
-  }
-
   // ---- crash-recovery phase (ARCHITECTURE.md §10) ----
   // A durable cohort served with WAL + snapshots, two injected transient
   // faults (exercising the retry counter), then killed mid-stream with one
@@ -388,13 +335,6 @@ int RunJsonMode() {
       {"single_core_groups", static_cast<double>(stats.single_core_groups)},
       {"multi_core_groups", static_cast<double>(stats.multi_core_groups)},
       {"verified_tenants", static_cast<double>(tenants)},
-      // f32 precision cohort (ARCHITECTURE.md §12): same workload on the
-      // float32 inference tier, alarm timelines checked equal to the f64
-      // cohort tenant-by-tenant before these numbers are recorded.
-      {"precision_f32", 1.0},
-      {"serve_f32_seconds", serve_f32_seconds},
-      {"tenant_passes_per_sec_f32", f32_total_passes / serve_f32_seconds},
-      {"serve_f32_speedup", serve_seconds / serve_f32_seconds},
       // Crash-recovery phase (ARCHITECTURE.md §10). The registry dump in
       // this record carries the matching instruments (the
       // serve.recovery_seconds histogram, serve.quarantined_tenants,

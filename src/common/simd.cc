@@ -182,54 +182,6 @@ double SlidingCorrMax(const double* q, int64_t m, const double* x,
   return best + 0.0;
 }
 
-float DotF32(const float* a, const float* b, int64_t n) {
-  float acc = 0.0f;
-  for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-void DotPairF32(const float* a, const float* b0, const float* b1, int64_t n,
-                float* out2) {
-  out2[0] = DotF32(a, b0, n);
-  out2[1] = DotF32(a, b1, n);
-}
-
-void SlidingDotUpdateF32(float* qt, int64_t n, float drop, const float* tail,
-                         float add, const float* head) {
-  for (int64_t j = n - 1; j >= 1; --j) {
-    qt[j] = qt[j - 1] - drop * tail[j - 1] + add * head[j - 1];
-  }
-}
-
-void ZNormDistRowF32(const float* dot, const float* mu, const float* sd,
-                     float mu_q, float sd_q, int64_t m, float* out,
-                     int64_t n) {
-  // Structural mirror of the double kernel above, in IEEE single: the same
-  // flat guards at the same threshold (1e-12 is exactly representable as a
-  // float), the same clamp, the same correctly rounded div and sqrt.
-  const float fm = static_cast<float>(m);
-  const float flat_dist = std::numeric_limits<float>::infinity();
-  const float flat_eps = 1e-12f;
-  const float two_m = 2.0f * fm;
-  if (sd_q < flat_eps) {  // flat query: distance depends only on window
-    for (int64_t j = 0; j < n; ++j) {
-      out[j] = sd[j] < flat_eps ? 0.0f : flat_dist;
-    }
-    return;
-  }
-  const float c1 = fm * mu_q;
-  const float c2 = fm * sd_q;
-  for (int64_t j = 0; j < n; ++j) {
-    if (sd[j] < flat_eps) {
-      out[j] = flat_dist;
-      continue;
-    }
-    const float corr = (dot[j] - c1 * mu[j]) / (c2 * sd[j]);
-    const float clamped = std::min(std::max(corr, -1.0f), 1.0f);
-    out[j] = std::sqrt(std::max(0.0f, two_m * (1.0f - clamped)));
-  }
-}
-
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -762,123 +714,6 @@ TRIAD_TARGET_AVX2 double SlidingCorrMax(const double* q, int64_t m,
   return best + 0.0;
 }
 
-// Folds an 8-lane float accumulator in a fixed order:
-// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-TRIAD_TARGET_AVX2 inline float HSum8(__m256 v) {
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, v);
-  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-}
-
-// Single-precision accumulation — the whole point of the f32 tier is the
-// 8-wide lanes with no converts. FMA is allowed (reduction kernel): the
-// divergence from the scalar f32 chain is reordered single rounding,
-// bounded by the equivalence test's O(n·eps) envelope vs the double
-// reference. The even/odd block split is fixed, so results are bit-stable
-// run-to-run at this tier.
-TRIAD_TARGET_AVX2 float DotF32(const float* a, const float* b, int64_t n) {
-  __m256 acc_even = _mm256_setzero_ps();
-  __m256 acc_odd = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc_even = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                               acc_even);
-    acc_odd = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                              _mm256_loadu_ps(b + i + 8), acc_odd);
-  }
-  float acc = HSum8(acc_even) + HSum8(acc_odd);
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-// Per-output the chain is exactly DotF32's at this tier (same block split,
-// same fold, same scalar tail); the fusion only shares the `a` loads.
-TRIAD_TARGET_AVX2 void DotPairF32(const float* a, const float* b0,
-                                  const float* b1, int64_t n, float* out2) {
-  __m256 acc0_even = _mm256_setzero_ps();
-  __m256 acc0_odd = _mm256_setzero_ps();
-  __m256 acc1_even = _mm256_setzero_ps();
-  __m256 acc1_odd = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 a_even = _mm256_loadu_ps(a + i);
-    const __m256 a_odd = _mm256_loadu_ps(a + i + 8);
-    acc0_even = _mm256_fmadd_ps(a_even, _mm256_loadu_ps(b0 + i), acc0_even);
-    acc0_odd = _mm256_fmadd_ps(a_odd, _mm256_loadu_ps(b0 + i + 8), acc0_odd);
-    acc1_even = _mm256_fmadd_ps(a_even, _mm256_loadu_ps(b1 + i), acc1_even);
-    acc1_odd = _mm256_fmadd_ps(a_odd, _mm256_loadu_ps(b1 + i + 8), acc1_odd);
-  }
-  float acc0 = HSum8(acc0_even) + HSum8(acc0_odd);
-  float acc1 = HSum8(acc1_even) + HSum8(acc1_odd);
-  for (int64_t j = i; j < n; ++j) acc0 += a[j] * b0[j];
-  for (int64_t j = i; j < n; ++j) acc1 += a[j] * b1[j];
-  out2[0] = acc0;
-  out2[1] = acc1;
-}
-
-TRIAD_TARGET_AVX2 void SlidingDotUpdateF32(float* qt, int64_t n, float drop,
-                                           const float* tail, float add,
-                                           const float* head) {
-  const __m256 dropv = _mm256_set1_ps(drop);
-  const __m256 addv = _mm256_set1_ps(add);
-  int64_t j = n - 1;
-  // Blocks walk top-down writing qt[j-7..j] from qt[j-8..j-1]; the in-block
-  // overlap is safe (loads complete before the store) and later blocks only
-  // read indices no block has written yet. Separate mul/sub/mul/add per
-  // lane — no FMA — keeps every tier bit-identical to the scalar loop.
-  for (; j - 7 >= 1; j -= 8) {
-    const __m256 prev = _mm256_loadu_ps(qt + j - 8);
-    const __m256 t = _mm256_loadu_ps(tail + j - 8);
-    const __m256 h = _mm256_loadu_ps(head + j - 8);
-    const __m256 res = _mm256_add_ps(
-        _mm256_sub_ps(prev, _mm256_mul_ps(dropv, t)), _mm256_mul_ps(addv, h));
-    _mm256_storeu_ps(qt + j - 7, res);
-  }
-  for (; j >= 1; --j) {
-    qt[j] = qt[j - 1] - drop * tail[j - 1] + add * head[j - 1];
-  }
-}
-
-TRIAD_TARGET_AVX2 void ZNormDistRowF32(const float* dot, const float* mu,
-                                       const float* sd, float mu_q, float sd_q,
-                                       int64_t m, float* out, int64_t n) {
-  const float fm = static_cast<float>(m);
-  if (sd_q < 1e-12f) {
-    scalar::ZNormDistRowF32(dot, mu, sd, mu_q, sd_q, m, out, n);
-    return;
-  }
-  const __m256 c1 = _mm256_set1_ps(fm * mu_q);
-  const __m256 c2 = _mm256_set1_ps(fm * sd_q);
-  const __m256 two_m = _mm256_set1_ps(2.0f * fm);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 neg_one = _mm256_set1_ps(-1.0f);
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 flat_eps = _mm256_set1_ps(1e-12f);
-  // Flat windows get +inf, matching the scalar f32 kernel bit-for-bit.
-  const __m256 flat_dist_v =
-      _mm256_set1_ps(std::numeric_limits<float>::infinity());
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 sdv = _mm256_loadu_ps(sd + j);
-    const __m256 muv = _mm256_loadu_ps(mu + j);
-    const __m256 dotv = _mm256_loadu_ps(dot + j);
-    const __m256 corr = _mm256_div_ps(
-        _mm256_sub_ps(dotv, _mm256_mul_ps(c1, muv)), _mm256_mul_ps(c2, sdv));
-    // clamp(corr, -1, 1): vmaxps/vminps return the second operand on NaN,
-    // but NaN can only arise in flat lanes, which the blend overwrites.
-    const __m256 clamped = _mm256_min_ps(_mm256_max_ps(corr, neg_one), one);
-    const __m256 dist = _mm256_sqrt_ps(
-        _mm256_max_ps(zero, _mm256_mul_ps(two_m, _mm256_sub_ps(one, clamped))));
-    const __m256 flat = _mm256_cmp_ps(sdv, flat_eps, _CMP_LT_OQ);
-    _mm256_storeu_ps(out + j, _mm256_blendv_ps(dist, flat_dist_v, flat));
-  }
-  if (j < n) {
-    scalar::ZNormDistRowF32(dot + j, mu + j, sd + j, mu_q, sd_q, m, out + j,
-                            n - j);
-  }
-}
-
 #undef TRIAD_TARGET_AVX2
 
 }  // namespace avx2
@@ -917,13 +752,6 @@ struct KernelTable {
                          const double*, double, const double*);
   double (*sliding_corr_max)(const double*, int64_t, const double*,
                              const double*, int64_t);
-  float (*dot_f32)(const float*, const float*, int64_t);
-  void (*dot_pair_f32)(const float*, const float*, const float*, int64_t,
-                       float*);
-  void (*sliding_f32)(float*, int64_t, float, const float*, float,
-                      const float*);
-  void (*znorm_f32)(const float*, const float*, const float*, float, float,
-                    int64_t, float*, int64_t);
 };
 
 constexpr KernelTable kScalarTable = {
@@ -934,8 +762,6 @@ constexpr KernelTable kScalarTable = {
     scalar::AddRelu,            scalar::AddReluMask,
     scalar::ReluMask,           scalar::SlidingDotUpdate,   scalar::ZNormDistRow,
     scalar::CorrRowMax,         scalar::SlidingCorrMax,
-    scalar::DotF32,             scalar::DotPairF32,
-    scalar::SlidingDotUpdateF32,                            scalar::ZNormDistRowF32,
 };
 
 #if TRIAD_SIMD_HAVE_AVX2
@@ -947,8 +773,6 @@ constexpr KernelTable kAvx2Table = {
     avx2::AddRelu,           avx2::AddReluMask,
     avx2::ReluMask,          avx2::SlidingDotUpdate,  avx2::ZNormDistRow,
     avx2::CorrRowMax,        avx2::SlidingCorrMax,
-    avx2::DotF32,            avx2::DotPairF32,
-    avx2::SlidingDotUpdateF32,                        avx2::ZNormDistRowF32,
 };
 #endif
 
@@ -965,26 +789,12 @@ const KernelTable& TableFor(Level level) {
 // ScopedDefaultPool override in parallel.cc).
 int g_forced_level = -1;
 
-// -1 = no ScopedForcePrecision active on this thread. Thread-local, unlike
-// g_forced_level: fleet drains pin per-tenant precision concurrently on
-// pool lanes, and a tenant's override must never leak into another
-// tenant's pass running on a sibling lane.
-thread_local int g_forced_precision = -1;
-
 Level EnvConfiguredLevel() {
   const std::string mode = GetEnvString("TRIAD_SIMD", "auto");
   if (mode == "off" || mode == "scalar" || mode == "0") return Level::kScalar;
   const Level best = HighestSupportedLevel();
   if (mode == "avx2") return best;  // best is kAvx2 whenever the CPU has it
   return best;                      // "auto" / unrecognized
-}
-
-Precision EnvConfiguredPrecision() {
-  const std::string mode = GetEnvString("TRIAD_PRECISION", "f64");
-  if (mode == "f32" || mode == "float32" || mode == "single") {
-    return Precision::kF32;
-  }
-  return Precision::kF64;  // "f64" / "auto" / unset / unrecognized
 }
 
 }  // namespace
@@ -1021,45 +831,6 @@ ScopedForceLevel::ScopedForceLevel(Level level) : previous_(g_forced_level) {
 }
 
 ScopedForceLevel::~ScopedForceLevel() { g_forced_level = previous_; }
-
-const char* PrecisionName(Precision precision) {
-  switch (precision) {
-    case Precision::kF64:
-      return "f64";
-    case Precision::kF32:
-      return "f32";
-  }
-  return "unknown";
-}
-
-Precision ActivePrecision() {
-  static const Precision env_precision = EnvConfiguredPrecision();
-  if (g_forced_precision >= 0) {
-    return static_cast<Precision>(g_forced_precision);
-  }
-  return env_precision;
-}
-
-Precision ResolvePrecision(PrecisionRequest request) {
-  switch (request) {
-    case PrecisionRequest::kF64:
-      return Precision::kF64;
-    case PrecisionRequest::kF32:
-      return Precision::kF32;
-    case PrecisionRequest::kAuto:
-      break;
-  }
-  return ActivePrecision();
-}
-
-ScopedForcePrecision::ScopedForcePrecision(Precision precision)
-    : previous_(g_forced_precision) {
-  g_forced_precision = static_cast<int>(precision);
-}
-
-ScopedForcePrecision::~ScopedForcePrecision() {
-  g_forced_precision = previous_;
-}
 
 double Dot(const float* a, const float* b, int64_t n) {
   return TableFor(ActiveLevel()).dot(a, b, n);
@@ -1145,26 +916,6 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
 double SlidingCorrMax(const double* q, int64_t m, const double* x,
                       const double* inv_sd, int64_t n) {
   return TableFor(ActiveLevel()).sliding_corr_max(q, m, x, inv_sd, n);
-}
-
-float DotF32(const float* a, const float* b, int64_t n) {
-  return TableFor(ActiveLevel()).dot_f32(a, b, n);
-}
-
-void DotPairF32(const float* a, const float* b0, const float* b1, int64_t n,
-                float* out2) {
-  TableFor(ActiveLevel()).dot_pair_f32(a, b0, b1, n, out2);
-}
-
-void SlidingDotUpdateF32(float* qt, int64_t n, float drop, const float* tail,
-                         float add, const float* head) {
-  TableFor(ActiveLevel()).sliding_f32(qt, n, drop, tail, add, head);
-}
-
-void ZNormDistRowF32(const float* dot, const float* mu, const float* sd,
-                     float mu_q, float sd_q, int64_t m, float* out,
-                     int64_t n) {
-  TableFor(ActiveLevel()).znorm_f32(dot, mu, sd, mu_q, sd_q, m, out, n);
 }
 
 }  // namespace triad::simd

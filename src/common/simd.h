@@ -61,76 +61,6 @@ class ScopedForceLevel {
   int previous_;  // -1 = no override was active
 };
 
-/// \brief Numeric precision tiers for the inference-only kernels
-/// (ARCHITECTURE.md §12).
-///
-/// Orthogonal to the instruction-set Level: the precision tier decides
-/// whether the distance-profile consumers (MASS/STOMP rows, the detector
-/// similarity scan) run the double kernels or the float32 variants below,
-/// which double the lane width on AVX2 (8 float lanes vs 4 double lanes)
-/// and halve the memory traffic. Training (src/nn, the trainer) never
-/// consults the precision tier — model quality stays in double.
-///
-/// Accuracy contract (gated by tests/kernel_equivalence_test.cc and the
-/// f32 leg of tests/detector_golden_test.cc):
-///
-///  * **Elementwise f32 kernels** (SlidingDotUpdateF32, ZNormDistRowF32)
-///    perform the same IEEE-single operation sequence per element at every
-///    SIMD tier (correctly rounded div/sqrt, no FMA), so they are
-///    **bit-identical** between the scalar and AVX2 tiers.
-///  * **Reduction f32 kernels** (DotF32, DotPairF32) accumulate in single
-///    precision (that is the speed win) with a fixed lane split; scalar
-///    and AVX2 differ by reordered single rounding, bounded against the
-///    double reference by an O(n·eps_f32) relative envelope.
-///  * Verdict preservation: the fixed-seed golden pipeline produces the
-///    identical alarm timeline and discord selections at both precision
-///    tiers; only the trailing digits of distances/votes move.
-enum class Precision : int {
-  kF64 = 0,  ///< double kernels everywhere (the default and the reference)
-  kF32 = 1,  ///< float32 inference kernels behind the same SIMD dispatch
-};
-
-/// \brief A per-tenant/per-call precision request that can defer to the
-/// process environment: kAuto resolves to ActivePrecision() (the
-/// TRIAD_PRECISION env knob), the explicit values pin the tier.
-enum class PrecisionRequest : int {
-  kAuto = 0,
-  kF64 = 1,
-  kF32 = 2,
-};
-
-/// Name for logs/benchmark labels ("f64", "f32").
-const char* PrecisionName(Precision precision);
-
-/// The process-default precision tier: decided once from the
-/// `TRIAD_PRECISION` environment variable (`f32`/`float32`/`single` select
-/// kF32, anything else — including unset and `f64` — selects kF64), then
-/// cached; ScopedForcePrecision overrides it on the *current thread*.
-Precision ActivePrecision();
-
-/// Resolves a request against the environment default: kAuto returns
-/// ActivePrecision(), explicit requests return themselves.
-Precision ResolvePrecision(PrecisionRequest request);
-
-/// \brief RAII override of ActivePrecision() for tests, benches and
-/// per-tenant serving. Unlike ScopedForceLevel the override is
-/// **thread-local**: fleet drains run tenants concurrently on pool lanes,
-/// and each tenant pins its own tier around its Detect call without racing
-/// the others. Consumers resolve the tier once at entry on the calling
-/// thread and pass the resolved value into any parallel region (pool
-/// workers never read the ambient override).
-class ScopedForcePrecision {
- public:
-  explicit ScopedForcePrecision(Precision precision);
-  ~ScopedForcePrecision();
-
-  ScopedForcePrecision(const ScopedForcePrecision&) = delete;
-  ScopedForcePrecision& operator=(const ScopedForcePrecision&) = delete;
-
- private:
-  int previous_;  // -1 = no override was active on this thread
-};
-
 // ---------------------------------------------------------------------------
 // Reduction kernels (double accumulation; ≤ a few ULP across tiers).
 // ---------------------------------------------------------------------------
@@ -295,40 +225,6 @@ double SlidingCorrMax(const double* q, int64_t m, const double* x,
                       const double* inv_sd, int64_t n);
 
 // ---------------------------------------------------------------------------
-// Float32 inference kernels (the kF32 precision tier; ARCHITECTURE.md §12).
-// Dispatched on the same SIMD Level as the double kernels — the precision
-// tier only decides whether consumers call these instead of the double
-// variants. Training code must never reach them.
-// ---------------------------------------------------------------------------
-
-/// sum_i a[i] * b[i] accumulated in **single** precision (fixed lane split
-/// on AVX2, FMA allowed — it is a reduction). Scalar and vector tiers may
-/// differ by reordered single rounding; both stay within an O(n·eps_f32)
-/// relative envelope of the double reference (gated in
-/// kernel_equivalence_test.cc).
-float DotF32(const float* a, const float* b, int64_t n);
-
-/// Two single-precision dot products sharing the left operand; each output
-/// is bit-identical to the corresponding DotF32 call at the same tier (the
-/// fusion only shares the `a` loads).
-void DotPairF32(const float* a, const float* b0, const float* b1, int64_t n,
-                float* out2);
-
-/// Float32 SlidingDotUpdate: for j = n-1 down to 1,
-///   qt[j] = qt[j-1] - drop * tail[j-1] + add * head[j-1]
-/// with a separate single round of each product and add (no FMA), so every
-/// SIMD tier is bit-identical to the scalar reference. qt[0] untouched.
-void SlidingDotUpdateF32(float* qt, int64_t n, float drop, const float* tail,
-                         float add, const float* head);
-
-/// Float32 ZNormDistRow with the exact structure of the double kernel
-/// (same flat guards at the same 1e-12 threshold, which is exactly
-/// representable in single precision; correctly rounded IEEE div/sqrt), so
-/// vector tiers are bit-identical to the scalar f32 reference.
-void ZNormDistRowF32(const float* dot, const float* mu, const float* sd,
-                     float mu_q, float sd_q, int64_t m, float* out, int64_t n);
-
-// ---------------------------------------------------------------------------
 // Scalar reference implementations, exported for the equivalence tests and
 // as the dispatch targets of the kScalar tier.
 // ---------------------------------------------------------------------------
@@ -363,13 +259,6 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
                   double add, const double* head);
 double SlidingCorrMax(const double* q, int64_t m, const double* x,
                       const double* inv_sd, int64_t n);
-float DotF32(const float* a, const float* b, int64_t n);
-void DotPairF32(const float* a, const float* b0, const float* b1, int64_t n,
-                float* out2);
-void SlidingDotUpdateF32(float* qt, int64_t n, float drop, const float* tail,
-                         float add, const float* head);
-void ZNormDistRowF32(const float* dot, const float* mu, const float* sd,
-                     float mu_q, float sd_q, int64_t m, float* out, int64_t n);
 }  // namespace scalar
 
 }  // namespace triad::simd

@@ -86,13 +86,8 @@ constexpr int64_t kSimilarityGrain = 16;
 // Mean pairwise dot product of each window's unit representation against
 // every other window (Fig. 11; lower = more deviant). Each row writes only
 // its own slot, so rows fan out across the pool deterministically.
-// `precision` is resolved by the caller on its own thread (the tier
-// override is thread-local; pool lanes must not re-resolve it): at kF32
-// the representations are already float, so the scan runs simd::DotF32
-// directly on them — each pair's dot is single-precision, the per-row sum
-// over pairs stays double in the same j order as the kF64 scan.
 std::vector<double> MeanPairwiseSimilarity(
-    const std::vector<std::vector<float>>& reps, simd::Precision precision) {
+    const std::vector<std::vector<float>>& reps) {
   const int64_t M = static_cast<int64_t>(reps.size());
   std::vector<double> sim(static_cast<size_t>(M), 0.0);
   ParallelFor(0, M, kSimilarityGrain, [&](int64_t begin, int64_t end) {
@@ -102,12 +97,7 @@ std::vector<double> MeanPairwiseSimilarity(
       for (int64_t j = 0; j < M; ++j) {
         if (i == j) continue;
         const auto& b = reps[static_cast<size_t>(j)];
-        total += precision == simd::Precision::kF32
-                     ? static_cast<double>(simd::DotF32(
-                           a.data(), b.data(),
-                           static_cast<int64_t>(a.size())))
-                     : simd::Dot(a.data(), b.data(),
-                                 static_cast<int64_t>(a.size()));
+        total += simd::Dot(a.data(), b.data(), static_cast<int64_t>(a.size()));
       }
       sim[static_cast<size_t>(i)] =
           M > 1 ? total / static_cast<double>(M - 1) : 0.0;
@@ -374,11 +364,6 @@ Result<DetectionResult> TriadDetector::Detect(
   }
   if (memo != nullptr) memo->EvictBefore(global_start);
 
-  // Inference precision tier, resolved ONCE on the caller's thread (the
-  // ScopedForcePrecision override is thread-local; pool lanes spawned below
-  // must inherit this resolved value, never re-read the override).
-  const simd::Precision prec = simd::ActivePrecision();
-
   std::vector<std::vector<double>> windows;
   windows.reserve(static_cast<size_t>(M));
   for (int64_t s : result.window_starts) {
@@ -449,7 +434,7 @@ Result<DetectionResult> TriadDetector::Detect(
   for (size_t di = 0; di < domains.size(); ++di) {
     std::vector<double> sim;
     if (memo == nullptr) {
-      sim = MeanPairwiseSimilarity(reps[di], prec);
+      sim = MeanPairwiseSimilarity(reps[di]);
     } else {
       // Same per-row sums in the same j order as MeanPairwiseSimilarity,
       // with each pairwise dot served from the memo when cached.
@@ -469,14 +454,8 @@ Result<DetectionResult> TriadDetector::Detect(
           auto it = dots.find(key);
           if (it == dots.end()) {
             const auto& b = reps[di][static_cast<size_t>(j)];
-            // The memo stores the widened kF32 dot when that tier is
-            // active, so memoized and plain passes sum identical values.
             const double dot =
-                prec == simd::Precision::kF32
-                    ? static_cast<double>(simd::DotF32(
-                          a.data(), b.data(), static_cast<int64_t>(a.size())))
-                    : simd::Dot(a.data(), b.data(),
-                                static_cast<int64_t>(a.size()));
+                simd::Dot(a.data(), b.data(), static_cast<int64_t>(a.size()));
             it = dots.emplace(key, dot).first;
             ++misses;
           } else {
@@ -637,10 +616,6 @@ Result<DetectionResult> TriadDetector::DetectEvents(
       data::SanitizeSeries(test_series, config_.sanitize));
   const std::vector<double>& series = clean.series;
 
-  // Inference precision tier, resolved once on the caller's thread (see
-  // the note in Detect; the override is thread-local).
-  const simd::Precision prec = simd::ActivePrecision();
-
   DetectionResult result;
   result.sanitize_report = std::move(clean.report);
   result.period_fallback = period_fallback_;
@@ -677,10 +652,12 @@ Result<DetectionResult> TriadDetector::DetectEvents(
   trace::TraceSpan tri_window_span("detector.tri_window");
   std::set<int64_t> pool;
   for (size_t di = 0; di < domains.size(); ++di) {
-    std::vector<double> sim = MeanPairwiseSimilarity(reps[di], prec);
+    std::vector<double> sim = MeanPairwiseSimilarity(reps[di]);
     std::vector<int64_t> order(static_cast<size_t>(M));
     for (int64_t i = 0; i < M; ++i) order[static_cast<size_t>(i)] = i;
-    std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    // Stable: equal similarities keep index order, so order[0] is
+    // ArgMin(sim), the window Detect nominates.
+    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
       return sim[static_cast<size_t>(a)] < sim[static_cast<size_t>(b)];
     });
     for (int64_t z = 0; z < std::min(max_events, M); ++z) {

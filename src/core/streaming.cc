@@ -45,8 +45,8 @@ StreamingMetrics& Instruments() {
 }
 
 // TRIAD_STREAMING_INCREMENTAL vetoes StreamingOptions::incremental, same
-// spelling as TRIAD_SIMD / TRIAD_FFT_PLAN: off/0/false/no force the full
-// recompute path. Read once per process.
+// spelling as TRIAD_METRICS / TRIAD_NN_BATCHED: off/0/false/no force the
+// full recompute path. Read once per process.
 bool IncrementalEnabledFromEnv() {
   static const bool enabled = [] {
     const std::string v = GetEnvString("TRIAD_STREAMING_INCREMENTAL", "on");
@@ -107,9 +107,6 @@ StreamingTriad::StreamingTriad(const TriadDetector* detector,
                                StreamingOptions options)
     : detector_(detector),
       incremental_(options.incremental && IncrementalEnabledFromEnv()),
-      // Resolved once, on the constructing thread: a kAuto stream pins the
-      // tier in effect at construction and never re-reads the environment.
-      precision_(simd::ResolvePrecision(options.precision)),
       // Ring capacity set below once buffer_length_ is known.
       ring_(1),
       stream_uid_(NextStreamUid()) {
@@ -183,10 +180,6 @@ Result<std::vector<AlarmEvent>> StreamingTriad::Append(
     // stream would serve stale content under aliasing global keys.
     if (incremental_) memo_.BindStream(stream_uid_);
     Timer pass_timer;
-    // The pass runs under this stream's resolved tier: the thread-local
-    // override covers exactly this Detect call (Detect re-resolves once at
-    // entry on this thread and threads the value through its pool fan-outs).
-    simd::ScopedForcePrecision pass_precision(precision_);
     Result<DetectionResult> pass =
         incremental_
             ? detector_->Detect(buffer_, &memo_, buffer_global_start_)

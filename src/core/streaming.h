@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.h"
 #include "common/status.h"
 #include "core/detector.h"
 
@@ -59,12 +58,6 @@ struct StreamingOptions {
   /// incremental path only substitutes cached results of the identical
   /// computations (enforced by tests/streaming_test.cc on both SIMD tiers).
   bool incremental = true;
-  /// Inference precision tier for this stream's Detect passes
-  /// (ARCHITECTURE.md §12). kAuto (the default) resolves the process-wide
-  /// TRIAD_PRECISION tier once at StreamingTriad construction; kF64/kF32
-  /// pin the stream to a tier regardless of the environment. Training is
-  /// unaffected — the knob only reaches the inference kernels.
-  simd::PrecisionRequest precision = simd::PrecisionRequest::kAuto;
 };
 
 /// \brief O(1)-per-point rolling statistics over the last `capacity` stream
@@ -187,8 +180,6 @@ class StreamingTriad {
   int64_t hop() const { return hop_; }
   /// True when cross-pass memoization is active (options AND environment).
   bool incremental() const { return incremental_; }
-  /// The resolved inference precision tier (fixed at construction).
-  simd::Precision precision() const { return precision_; }
   /// Process-unique id of this stream; the DetectMemo is bound to it so a
   /// memo can never be (mis)used for another stream whose global keys
   /// alias this one's (see DetectMemo::BindStream, ARCHITECTURE.md §9).
@@ -215,7 +206,6 @@ class StreamingTriad {
   int64_t buffer_length_;
   int64_t hop_;
   bool incremental_;
-  simd::Precision precision_;  ///< resolved once at construction
   std::vector<double> buffer_;      ///< most recent <= buffer_length_ points
   int64_t buffer_global_start_ = 0; ///< global index of buffer_[0]
   int64_t since_last_pass_ = 0;

@@ -100,19 +100,6 @@ RollingStats MassContext::Stats(int64_t m) const {
   return DeriveStats(prefix_, prefix_sq_, size(), m);
 }
 
-RollingStatsF32 MassContext::StatsF32(int64_t m) const {
-  // Exact double derivation, rounded once — never accumulated in single.
-  const RollingStats stats = Stats(m);
-  RollingStatsF32 out;
-  out.mean.resize(stats.mean.size());
-  out.stddev.resize(stats.stddev.size());
-  for (size_t i = 0; i < stats.mean.size(); ++i) {
-    out.mean[i] = static_cast<float>(stats.mean[i]);
-    out.stddev[i] = static_cast<float>(stats.stddev[i]);
-  }
-  return out;
-}
-
 std::shared_ptr<const std::vector<Complex>> MassContext::SpectrumFor(
     size_t padded) const {
   metrics::Counter* hits_counter = SpectrumInstruments().hits;
@@ -125,10 +112,10 @@ std::shared_ptr<const std::vector<Complex>> MassContext::SpectrumFor(
     return it->second;
   }
   misses_counter->Increment();
-  // Identical construction to the series side of the reference FftConvolve:
-  // zero-pad, forward transform (the planned transform is bit-identical to
-  // the unplanned one). Built under the lock so concurrent first touches
-  // of one padded size never duplicate the work.
+  // Identical construction to the series side of the reference FFT
+  // convolution in tests/fft_plan_test.cc: zero-pad, forward transform.
+  // Built under the lock so concurrent first touches of one padded size
+  // never duplicate the work.
   auto spec = std::make_shared<std::vector<Complex>>(padded, Complex(0, 0));
   for (size_t i = 0; i < series_.size(); ++i) {
     (*spec)[i] = Complex(series_[i], 0);
@@ -138,64 +125,11 @@ std::shared_ptr<const std::vector<Complex>> MassContext::SpectrumFor(
   return spec;
 }
 
-std::shared_ptr<const std::vector<std::complex<float>>>
-MassContext::SpectrumForF32(size_t padded) const {
-  metrics::Counter* hits_counter = SpectrumInstruments().hits;
-  metrics::Counter* misses_counter = SpectrumInstruments().misses;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = spectra_f32_.find(padded);
-  if (it != spectra_f32_.end()) {
-    hits_counter->Increment();
-    return it->second;
-  }
-  misses_counter->Increment();
-  // The double forward transform is computed transiently and narrowed once;
-  // only the complex<float> spectrum is retained, so f32-only workloads pay
-  // half the spectrum-cache memory of the double tier. If the double
-  // spectrum is already cached (mixed-tier workloads) it is narrowed in
-  // place instead of recomputed.
-  std::vector<Complex> scratch;
-  const std::vector<Complex>* source = nullptr;
-  auto dit = spectra_.find(padded);
-  if (dit != spectra_.end()) {
-    source = dit->second.get();
-  } else {
-    scratch.assign(padded, Complex(0, 0));
-    for (size_t i = 0; i < series_.size(); ++i) {
-      scratch[i] = Complex(series_[i], 0);
-    }
-    signal::GetFftPlan(padded)->Forward(&scratch);
-    source = &scratch;
-  }
-  auto spec = std::make_shared<std::vector<std::complex<float>>>(padded);
-  for (size_t i = 0; i < padded; ++i) {
-    (*spec)[i] = std::complex<float>(static_cast<float>((*source)[i].real()),
-                                     static_cast<float>((*source)[i].imag()));
-  }
-  spectra_f32_[padded] = spec;
-  return spec;
-}
-
 void MassContext::SlidingDotsInto(const double* query, int64_t m,
                                   double* dots) const {
   const int64_t n = size();
   TRIAD_CHECK(m >= 1 && m <= n);
   const int64_t count = n - m + 1;
-
-  if (!signal::PlanCacheEnabled()) {
-    // Escape hatch: the from-scratch reference formulation (reversed query,
-    // full two-sided FftConvolve), bit-identical by the plan contract.
-    std::vector<double> reversed(static_cast<size_t>(m));
-    for (int64_t j = 0; j < m; ++j) {
-      reversed[static_cast<size_t>(j)] = query[m - 1 - j];
-    }
-    const std::vector<double> conv = signal::FftConvolve(series_, reversed);
-    for (int64_t i = 0; i < count; ++i) {
-      dots[i] = conv[static_cast<size_t>(m - 1 + i)];
-    }
-    return;
-  }
 
   const size_t padded = signal::NextPowerOfTwo(series_.size() +
                                                static_cast<size_t>(m) - 1);
@@ -211,62 +145,13 @@ void MassContext::SlidingDotsInto(const double* query, int64_t m,
     fb[static_cast<size_t>(j)] = Complex(query[m - 1 - j], 0);
   }
   plan->Forward(&fb);
-  // Same operand order as the reference FftConvolve (series spectrum on
+  // Same operand order as the reference convolution (series spectrum on
   // the left), so the products are bit-identical.
   for (size_t i = 0; i < padded; ++i) fb[i] = (*series_spec)[i] * fb[i];
   plan->InverseUnnormalized(&fb);
   const double inv = 1.0 / static_cast<double>(padded);
   for (int64_t i = 0; i < count; ++i) {
     dots[i] = fb[static_cast<size_t>(m - 1 + i)].real() * inv;
-  }
-}
-
-void MassContext::SlidingDotsIntoF32(const double* query, int64_t m,
-                                     float* dots) const {
-  const int64_t n = size();
-  TRIAD_CHECK(m >= 1 && m <= n);
-  const int64_t count = n - m + 1;
-
-  if (!signal::PlanCacheEnabled()) {
-    // Escape hatch: narrow the double reference convolution. The f32
-    // accuracy contract is an envelope vs the double row, not bit-identity,
-    // so the plan-off path only has to land inside the same envelope.
-    std::vector<double> reversed(static_cast<size_t>(m));
-    for (int64_t j = 0; j < m; ++j) {
-      reversed[static_cast<size_t>(j)] = query[m - 1 - j];
-    }
-    const std::vector<double> conv = signal::FftConvolve(series_, reversed);
-    for (int64_t i = 0; i < count; ++i) {
-      dots[i] = static_cast<float>(conv[static_cast<size_t>(m - 1 + i)]);
-    }
-    return;
-  }
-
-  const size_t padded = signal::NextPowerOfTwo(series_.size() +
-                                               static_cast<size_t>(m) - 1);
-  const std::shared_ptr<const signal::FftPlan> plan =
-      signal::GetFftPlan(padded);
-  const std::shared_ptr<const std::vector<std::complex<float>>> series_spec =
-      SpectrumForF32(padded);
-
-  // Query-side transform stays double (it is O(padded log padded) either
-  // way and dominates nothing); the series spectrum is the f32 one, widened
-  // at multiply time with the same operand order as the double path.
-  thread_local std::vector<Complex> fb;
-  fb.assign(padded, Complex(0, 0));
-  for (int64_t j = 0; j < m; ++j) {
-    fb[static_cast<size_t>(j)] = Complex(query[m - 1 - j], 0);
-  }
-  plan->Forward(&fb);
-  for (size_t i = 0; i < padded; ++i) {
-    const Complex widened(static_cast<double>((*series_spec)[i].real()),
-                          static_cast<double>((*series_spec)[i].imag()));
-    fb[i] = widened * fb[i];
-  }
-  plan->InverseUnnormalized(&fb);
-  const double inv = 1.0 / static_cast<double>(padded);
-  for (int64_t i = 0; i < count; ++i) {
-    dots[i] = static_cast<float>(fb[static_cast<size_t>(m - 1 + i)].real() * inv);
   }
 }
 

@@ -1,7 +1,6 @@
 #ifndef TRIAD_DISCORD_MASS_H_
 #define TRIAD_DISCORD_MASS_H_
 
-#include <complex>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -23,15 +22,6 @@ struct RollingStats {
 RollingStats ComputeRollingStats(const std::vector<double>& series,
                                  int64_t m);
 
-/// \brief Float32 view of the rolling stats for the kF32 precision tier:
-/// each entry is the exact double stat rounded once to single precision
-/// (never accumulated in single), so the narrowed stats carry the full
-/// accuracy of the prefix-sum derivation.
-struct RollingStatsF32 {
-  std::vector<float> mean;
-  std::vector<float> stddev;
-};
-
 /// \brief Amortization context for repeated MASS queries against one series
 /// (see ARCHITECTURE.md §7).
 ///
@@ -46,9 +36,8 @@ struct RollingStatsF32 {
 /// **Bit-identity contract:** every accessor reproduces the exact
 /// arithmetic of the one-shot functions — Stats(m) equals
 /// ComputeRollingStats(series, m), DistanceProfile(q) equals
-/// MassDistanceProfile(series, q) — bit for bit, with the plan cache on or
-/// off. The cache stores results of the same operations, never a
-/// reformulation.
+/// MassDistanceProfile(series, q) — bit for bit. The cache stores results
+/// of the same operations, never a reformulation.
 ///
 /// Thread-safety: const methods are safe to call concurrently from pool
 /// workers (the spectrum cache takes an internal mutex on first touch per
@@ -66,21 +55,10 @@ class MassContext {
   /// Rolling stats for length m, derived from the shared prefix sums.
   RollingStats Stats(int64_t m) const;
 
-  /// Stats(m) rounded once to single precision, for the kF32 tier's
-  /// distance rows.
-  RollingStatsF32 StatsF32(int64_t m) const;
-
   /// Sliding dot products dots[i] = sum_j series[i+j] * query[j] for
   /// i in [0, n-m]; `dots` must hold n-m+1 entries. One query-side FFT
-  /// against the cached series spectrum (or the reference FftConvolve when
-  /// the plan cache is disabled).
+  /// against the cached series spectrum.
   void SlidingDotsInto(const double* query, int64_t m, double* dots) const;
-
-  /// Sliding dots for the kF32 tier: query-side FFT in double against the
-  /// float32 series spectrum (widened at multiply time), results narrowed
-  /// to float. Falls back to narrowing the reference FftConvolve when the
-  /// plan cache is disabled. Used for kF32 chunk seeding by Stomp as well.
-  void SlidingDotsIntoF32(const double* query, int64_t m, float* dots) const;
 
   /// MASS distance profile of `query` against every subsequence;
   /// bit-identical to MassDistanceProfile(series, query).
@@ -99,13 +77,6 @@ class MassContext {
   std::shared_ptr<const std::vector<signal::Complex>> SpectrumFor(
       size_t padded) const;
 
-  /// Float32 series spectrum for the kF32 tier: the double forward FFT
-  /// rounded once to complex<float> and cached per padded size (half the
-  /// memory of the double spectrum; the double transform itself is not
-  /// retained when only the f32 tier queries this context).
-  std::shared_ptr<const std::vector<std::complex<float>>> SpectrumForF32(
-      size_t padded) const;
-
   std::vector<double> series_;
   std::vector<double> prefix_;     ///< prefix sums, n+1 entries
   std::vector<double> prefix_sq_;  ///< prefix sums of squares, n+1 entries
@@ -114,9 +85,6 @@ class MassContext {
   mutable std::unordered_map<size_t,
                              std::shared_ptr<const std::vector<signal::Complex>>>
       spectra_;
-  mutable std::unordered_map<
-      size_t, std::shared_ptr<const std::vector<std::complex<float>>>>
-      spectra_f32_;
 };
 
 /// \brief Nearest-window index over one series at one window length — the

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.h"
 #include "common/status.h"
 
 namespace triad::discord {
@@ -21,16 +20,7 @@ struct MatrixProfile {
 /// profile in O(n^2) with O(1) sliding dot-product updates — the classical
 /// fast path the matrix-profile family builds on, and the reference the
 /// discord algorithms are validated against.
-///
-/// `precision` selects the distance-row arithmetic (default: the
-/// process-wide tier from TRIAD_PRECISION / ScopedForcePrecision, resolved
-/// at the call site). At kF32 the chunk loop runs the 8-lane float kernels
-/// over a narrowed series copy and widens the winning distances back into
-/// the double profile; neighbour indices may differ from the kF64 profile
-/// only where two candidates are within the §12 tolerance envelope of each
-/// other.
-Result<MatrixProfile> Stomp(const std::vector<double>& series, int64_t m,
-                            simd::Precision precision = simd::ActivePrecision());
+Result<MatrixProfile> Stomp(const std::vector<double>& series, int64_t m);
 
 /// Top-k discords from a matrix profile, mutually separated by at least one
 /// subsequence length (standard exclusion).
@@ -66,14 +56,7 @@ std::vector<int64_t> TopDiscordsFromProfile(const MatrixProfile& profile,
 class StompStream {
  public:
   /// `m` is the subsequence length; m >= 2 is a programming-error check.
-  /// `precision` is captured at construction (default: the process-wide
-  /// tier at construction time) and fixed for the stream's lifetime — a
-  /// stream never mixes tiers mid-chain. At kF32 the appended series,
-  /// rolling stats, and dot-product row are additionally stored as float32
-  /// and every per-point kernel sweep runs the 8-lane float variants; the
-  /// maintained profile stays double (widened winners).
-  explicit StompStream(int64_t m,
-                       simd::Precision precision = simd::ActivePrecision());
+  explicit StompStream(int64_t m);
 
   /// \brief What one Append changed, for changed-region re-search.
   ///
@@ -103,29 +86,18 @@ class StompStream {
   int64_t count() const {
     return static_cast<int64_t>(profile_.distances.size());
   }
-  simd::Precision precision() const { return precision_; }
 
  private:
   void PushPoint(double value, AppendResult* result);
-  void PushPointF32(double value, int64_t i, int64_t new_count);
 
   int64_t m_;
-  simd::Precision precision_;
   std::vector<double> series_;
   std::vector<double> prefix_;     ///< prefix sums, series size + 1
   std::vector<double> prefix_sq_;  ///< prefix sums of squares
-  std::vector<double> mean_;       ///< rolling stats per row (kF64 tier)
+  std::vector<double> mean_;       ///< rolling stats per row
   std::vector<double> stddev_;
-  std::vector<double> qt_;    ///< sliding dots of the latest row (kF64)
-  std::vector<double> dist_;  ///< scratch distance row (kF64)
-  // kF32 tier state: the series/stats/dot-row mirrors the double members
-  // above, stored as float32 (prefix sums stay double so the stats keep the
-  // exact-derivation-rounded-once contract; the profile stays double).
-  std::vector<float> series_f32_;
-  std::vector<float> mean_f32_;
-  std::vector<float> stddev_f32_;
-  std::vector<float> qt_f32_;
-  std::vector<float> dist_f32_;
+  std::vector<double> qt_;    ///< sliding dots of the latest row
+  std::vector<double> dist_;  ///< scratch distance row
   MatrixProfile profile_;
   std::vector<uint64_t> touched_;  ///< per-row stamp of the last Append that
                                    ///< relaxed it (distinct-count bookkeeping)

@@ -336,13 +336,6 @@ Result<int64_t> FleetServer::AddTenant(
         "AddTenant: a durable fleet needs TenantOptions::model_key so "
         "Recover can re-resolve the detector");
   }
-  // Fleet-default precision tier: a tenant that did not pin its own tier
-  // (kAuto) inherits the fleet's request; an explicit per-tenant kF64/kF32
-  // wins. StreamingTriad resolves whatever lands here exactly once at
-  // construction.
-  if (options.streaming.precision == simd::PrecisionRequest::kAuto) {
-    options.streaming.precision = options_.precision;
-  }
   auto tenant =
       std::make_shared<TenantState>(std::move(detector), options.streaming);
   tenant->model_key = options.model_key;
@@ -875,12 +868,6 @@ Result<RecoveryReport> FleetServer::Recover(ModelRegistry* registry) {
     streaming.buffer_length = entry.buffer_length;
     streaming.hop = entry.hop;
     streaming.incremental = entry.incremental;
-    // Precision is deliberately NOT in the manifest (ARCHITECTURE.md §12):
-    // a recovered tenant re-resolves the fleet default plus environment at
-    // Recover time, so a per-tenant explicit tier does not survive a
-    // restart. Alarm timelines are unaffected either way — verdict
-    // preservation across tiers is exactly the golden-test contract.
-    streaming.precision = options_.precision;
     auto tenant = std::make_shared<TenantState>(std::move(model).value(),
                                                 streaming);
     tenant->id = entry.id;

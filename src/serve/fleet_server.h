@@ -115,14 +115,6 @@ struct FleetOptions {
   /// First retry's backoff; doubles per retry, capped at 100ms.
   double retry_backoff_seconds = 0.001;
 
-  /// Fleet-wide default inference precision tier (ARCHITECTURE.md §12).
-  /// Applied at AddTenant to every tenant whose own
-  /// TenantOptions::streaming.precision is kAuto; a tenant's explicit
-  /// kF64/kF32 always wins over this default. kAuto here defers to the
-  /// process-wide TRIAD_PRECISION tier. Not persisted: recovered tenants
-  /// re-resolve against this option and the environment at Recover time.
-  simd::PrecisionRequest precision = simd::PrecisionRequest::kAuto;
-
   /// Registers a `serve.tenant.<id>.pass_seconds` histogram per tenant,
   /// evicted from the exporters when the tenant is removed. Off by default:
   /// per-tenant series make export cardinality grow with the tenant count

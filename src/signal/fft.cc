@@ -1,108 +1,20 @@
 #include "signal/fft.h"
 
-#include <cmath>
-
-#include "common/check.h"
 #include "signal/fft_plan.h"
 
 namespace triad::signal {
 namespace {
 
-constexpr double kPi = 3.14159265358979323846;
-
-bool IsPowerOfTwo(size_t n) { return n != 0 && (n & (n - 1)) == 0; }
-
-// In-place iterative radix-2 Cooley-Tukey. `sign` is -1 for forward,
-// +1 for inverse (without the 1/N normalization).
-void FftRadix2InPlace(std::vector<Complex>* data, int sign) {
-  const size_t n = data->size();
-  if (n <= 1) return;
-  TRIAD_CHECK(IsPowerOfTwo(n));
-  auto& a = *data;
-
-  // Bit reversal permutation.
-  for (size_t i = 1, j = 0; i < n; ++i) {
-    size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const double angle = sign * 2.0 * kPi / static_cast<double>(len);
-    const Complex wlen(std::cos(angle), std::sin(angle));
-    for (size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (size_t j = 0; j < len / 2; ++j) {
-        const Complex u = a[i + j];
-        const Complex v = a[i + j + len / 2] * w;
-        a[i + j] = u + v;
-        a[i + j + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-}
-
-// Bluestein chirp-z: exact DFT for arbitrary N via a power-of-two
-// circular convolution.
-std::vector<Complex> FftBluestein(const std::vector<Complex>& input,
-                                  int sign) {
-  const size_t n = input.size();
-  const size_t m = NextPowerOfTwo(2 * n - 1);
-
-  // Chirp factors w_k = exp(sign * i * pi * k^2 / n).
-  std::vector<Complex> chirp(n);
-  for (size_t k = 0; k < n; ++k) {
-    // k^2 mod 2n keeps the argument small for long inputs.
-    const uintmax_t k2 = (static_cast<uintmax_t>(k) * k) % (2 * n);
-    const double angle = sign * kPi * static_cast<double>(k2) /
-                         static_cast<double>(n);
-    chirp[k] = Complex(std::cos(angle), std::sin(angle));
-  }
-
-  std::vector<Complex> a(m, Complex(0, 0));
-  for (size_t k = 0; k < n; ++k) a[k] = input[k] * chirp[k];
-
-  std::vector<Complex> b(m, Complex(0, 0));
-  b[0] = std::conj(chirp[0]);
-  for (size_t k = 1; k < n; ++k) {
-    b[k] = std::conj(chirp[k]);
-    b[m - k] = b[k];
-  }
-
-  FftRadix2InPlace(&a, -1);
-  FftRadix2InPlace(&b, -1);
-  for (size_t i = 0; i < m; ++i) a[i] *= b[i];
-  FftRadix2InPlace(&a, +1);
-  const double inv_m = 1.0 / static_cast<double>(m);
-
-  std::vector<Complex> out(n);
-  for (size_t k = 0; k < n; ++k) out[k] = a[k] * inv_m * chirp[k];
-  return out;
-}
-
-// From-scratch reference transform. The planned path (signal/fft_plan.h)
-// performs the exact same operation sequence with the size-dependent
-// tables precomputed; TRIAD_FFT_PLAN=off forces this path everywhere.
 std::vector<Complex> Transform(const std::vector<Complex>& input, int sign) {
   if (input.empty()) return {};
-  if (PlanCacheEnabled()) {
-    std::vector<Complex> data = input;
-    const std::shared_ptr<const FftPlan> plan = GetFftPlan(input.size());
-    if (sign < 0) {
-      plan->Forward(&data);
-    } else {
-      plan->InverseUnnormalized(&data);
-    }
-    return data;
+  std::vector<Complex> data = input;
+  const std::shared_ptr<const FftPlan> plan = GetFftPlan(input.size());
+  if (sign < 0) {
+    plan->Forward(&data);
+  } else {
+    plan->InverseUnnormalized(&data);
   }
-  if (IsPowerOfTwo(input.size())) {
-    std::vector<Complex> data = input;
-    FftRadix2InPlace(&data, sign);
-    return data;
-  }
-  return FftBluestein(input, sign);
+  return data;
 }
 
 }  // namespace
@@ -134,46 +46,6 @@ std::vector<double> InverseRealFft(const std::vector<Complex>& spectrum) {
   std::vector<Complex> time = InverseFft(spectrum);
   std::vector<double> out(time.size());
   for (size_t i = 0; i < time.size(); ++i) out[i] = time[i].real();
-  return out;
-}
-
-std::vector<double> FftConvolve(const std::vector<double>& a,
-                                const std::vector<double>& b) {
-  TRIAD_CHECK(!a.empty() && !b.empty());
-  const size_t out_len = a.size() + b.size() - 1;
-  const size_t m = NextPowerOfTwo(out_len);
-  if (PlanCacheEnabled()) {
-    // Planned path: cached tables plus per-worker scratch. The scratch is
-    // thread_local because FftConvolve runs concurrently on pool workers
-    // (MASS scans, STOMP chunk seeds); assign() reuses capacity, so steady
-    // state performs no allocation.
-    const std::shared_ptr<const FftPlan> plan = GetFftPlan(m);
-    thread_local std::vector<Complex> fa;
-    thread_local std::vector<Complex> fb;
-    fa.assign(m, Complex(0, 0));
-    fb.assign(m, Complex(0, 0));
-    for (size_t i = 0; i < a.size(); ++i) fa[i] = Complex(a[i], 0);
-    for (size_t i = 0; i < b.size(); ++i) fb[i] = Complex(b[i], 0);
-    plan->Forward(&fa);
-    plan->Forward(&fb);
-    for (size_t i = 0; i < m; ++i) fa[i] *= fb[i];
-    plan->InverseUnnormalized(&fa);
-    std::vector<double> out(out_len);
-    const double inv = 1.0 / static_cast<double>(m);
-    for (size_t i = 0; i < out_len; ++i) out[i] = fa[i].real() * inv;
-    return out;
-  }
-  std::vector<Complex> fa(m, Complex(0, 0));
-  std::vector<Complex> fb(m, Complex(0, 0));
-  for (size_t i = 0; i < a.size(); ++i) fa[i] = Complex(a[i], 0);
-  for (size_t i = 0; i < b.size(); ++i) fb[i] = Complex(b[i], 0);
-  FftRadix2InPlace(&fa, -1);
-  FftRadix2InPlace(&fb, -1);
-  for (size_t i = 0; i < m; ++i) fa[i] *= fb[i];
-  FftRadix2InPlace(&fa, +1);
-  std::vector<double> out(out_len);
-  const double inv = 1.0 / static_cast<double>(m);
-  for (size_t i = 0; i < out_len; ++i) out[i] = fa[i].real() * inv;
   return out;
 }
 

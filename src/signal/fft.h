@@ -23,11 +23,6 @@ std::vector<Complex> RealFft(const std::vector<double>& input);
 /// Real part of the inverse DFT (for spectra of real signals).
 std::vector<double> InverseRealFft(const std::vector<Complex>& spectrum);
 
-/// Linear convolution of two real sequences via FFT,
-/// output length a.size() + b.size() - 1.
-std::vector<double> FftConvolve(const std::vector<double>& a,
-                                const std::vector<double>& b);
-
 /// Smallest power of two >= n (n >= 1).
 size_t NextPowerOfTwo(size_t n);
 

@@ -1,12 +1,10 @@
 #include "signal/fft_plan.h"
 
-#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 
 namespace triad::signal {
@@ -16,30 +14,7 @@ constexpr double kPi = 3.14159265358979323846;
 
 bool IsPowerOfTwo(size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-bool EnabledFromEnv() {
-  const std::string v = GetEnvString("TRIAD_FFT_PLAN", "on");
-  return !(v == "off" || v == "0" || v == "false" || v == "no");
-}
-
-// -1 = follow the environment; 0/1 = ScopedPlanCache override.
-std::atomic<int> g_override{-1};
-
 }  // namespace
-
-bool PlanCacheEnabled() {
-  static const bool from_env = EnabledFromEnv();
-  const int o = g_override.load(std::memory_order_relaxed);
-  return o < 0 ? from_env : o != 0;
-}
-
-ScopedPlanCache::ScopedPlanCache(bool enabled)
-    : previous_(g_override.load(std::memory_order_relaxed)) {
-  g_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-ScopedPlanCache::~ScopedPlanCache() {
-  g_override.store(previous_, std::memory_order_relaxed);
-}
 
 FftPlan::FftPlan(size_t n) : n_(n) {
   TRIAD_CHECK(n >= 1);

@@ -20,15 +20,15 @@ namespace triad::signal {
 /// convolution kernel (`b`-spectrum), again per direction.
 ///
 /// **Bit-identity contract:** a planned transform performs the *exact same
-/// IEEE operation sequence* as the unplanned reference in fft.cc. The
-/// cached twiddles are produced by the same incremental `w *= wlen`
-/// recurrence the reference runs inside its butterfly loop (per stage,
-/// restarting from (1, 0)), the cached chirp/b-spectrum come from the same
-/// construction, and the butterfly/multiply/scale arithmetic is unchanged —
-/// so outputs are bit-for-bit equal with the cache on or off (enforced by
-/// tests/fft_plan_test.cc and the TRIAD_FFT_PLAN=off CI leg). Forward and
-/// inverse twiddles are tabulated independently (never derived by
-/// conjugation) so no libm symmetry assumption is needed.
+/// IEEE operation sequence* as a from-scratch radix-2 / Bluestein
+/// transform (the oracle in tests/fft_plan_test.cc). The cached twiddles
+/// are produced by the same incremental `w *= wlen` recurrence the
+/// from-scratch butterfly loop runs (per stage, restarting from (1, 0)),
+/// the cached chirp/b-spectrum come from the same construction, and the
+/// butterfly/multiply/scale arithmetic is unchanged — so outputs are
+/// bit-for-bit equal to the oracle's. Forward and inverse twiddles are
+/// tabulated independently (never derived by conjugation) so no libm
+/// symmetry assumption is needed.
 ///
 /// Plans are immutable after construction and safe to share across
 /// threads; per-call scratch lives in thread-local buffers.
@@ -41,8 +41,8 @@ class FftPlan {
   /// Forward DFT, in place. data->size() must equal size().
   void Forward(std::vector<Complex>* data) const;
 
-  /// Inverse DFT *without* the 1/N normalization (the caller scales),
-  /// matching the reference Transform(input, +1). In place.
+  /// Inverse DFT *without* the 1/N normalization (the caller scales). In
+  /// place.
   void InverseUnnormalized(std::vector<Complex>* data) const;
 
  private:
@@ -76,29 +76,6 @@ class FftPlan {
 /// as long as any caller holds the shared_ptr. Hit/miss counts are exported
 /// as the `fft.plan_hits` / `fft.plan_misses` registry counters.
 std::shared_ptr<const FftPlan> GetFftPlan(size_t n);
-
-/// True when the transform entry points in fft.h route through cached
-/// plans (and discord::MassContext reuses cached series spectra). Reads
-/// TRIAD_FFT_PLAN once — `off` / `0` / `false` / `no` disable the cache
-/// and force the from-scratch reference path, mirroring TRIAD_SIMD=off.
-/// Because planned and unplanned transforms are bit-identical, this is a
-/// debugging/verification switch, never a behaviour knob.
-bool PlanCacheEnabled();
-
-/// \brief RAII enable/disable override for tests and benches (same
-/// discipline as simd::ScopedForceLevel: overrides nest, install and
-/// remove from a single thread only).
-class ScopedPlanCache {
- public:
-  explicit ScopedPlanCache(bool enabled);
-  ~ScopedPlanCache();
-
-  ScopedPlanCache(const ScopedPlanCache&) = delete;
-  ScopedPlanCache& operator=(const ScopedPlanCache&) = delete;
-
- private:
-  int previous_;  // -1 = no override was active
-};
 
 }  // namespace triad::signal
 

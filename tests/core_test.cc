@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/stats.h"
@@ -466,6 +467,65 @@ TEST(DetectorTest, DetectEventsSingleMatchesProtocol) {
   EXPECT_GT(multi->tri_window_seconds, 0.0);
   EXPECT_GT(multi->encode_seconds, 0.0);
   EXPECT_GT(multi->selection_seconds, 0.0);
+}
+
+// Detect nominates ArgMin(sim) per domain, the lowest index among equal
+// minima; DetectEvents(x, 1) must nominate the same windows and so return
+// the same result, field by field.
+void ExpectSingleEventMatchesDetect(const TriadDetector& detector,
+                                    const std::vector<double>& test) {
+  auto single = detector.Detect(test);
+  auto events = detector.DetectEvents(test, 1);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_EQ(events->predictions, single->predictions);
+  EXPECT_EQ(events->votes, single->votes);
+  EXPECT_EQ(events->vote_threshold, single->vote_threshold);
+  EXPECT_EQ(events->exception_applied, single->exception_applied);
+  EXPECT_EQ(events->candidate_windows, single->candidate_windows);
+  EXPECT_EQ(events->selected_window, single->selected_window);
+  EXPECT_EQ(events->search_begin, single->search_begin);
+  EXPECT_EQ(events->search_end, single->search_end);
+  ASSERT_EQ(events->discords.size(), single->discords.size());
+  for (size_t i = 0; i < single->discords.size(); ++i) {
+    EXPECT_EQ(events->discords[i].position, single->discords[i].position);
+    EXPECT_EQ(events->discords[i].length, single->discords[i].length);
+    EXPECT_EQ(events->discords[i].distance, single->discords[i].distance);
+  }
+  EXPECT_EQ(events->domain_similarity, single->domain_similarity);
+}
+
+// True when two windows share some domain's lowest similarity.
+bool HasTiedMinimum(const DetectionResult& r) {
+  for (const std::vector<double>& sim : r.domain_similarity) {
+    const double lowest = *std::min_element(sim.begin(), sim.end());
+    if (std::count(sim.begin(), sim.end(), lowest) > 1) return true;
+  }
+  return false;
+}
+
+TEST(DetectorTest, DetectEventsSingleEqualsDetect) {
+  {
+    SCOPED_TRACE("SmallDataset");
+    const data::UcrDataset ds = SmallDataset(33);
+    TriadDetector detector(TinyConfig());
+    ASSERT_TRUE(detector.Fit(ds.train).ok());
+    ExpectSingleEventMatchesDetect(detector, ds.test);
+  }
+  {
+    // A noise-free sine repeats its windows exactly, so equal similarities
+    // decide the nomination.
+    SCOPED_TRACE("period-20 sine");
+    TriadConfig config = TinyConfig();
+    config.epochs = 2;
+    TriadDetector detector(config);
+    ASSERT_TRUE(detector.Fit(Sine(800, 20.0)).ok());
+    const std::vector<double> test = Sine(600, 20.0);
+    auto single = detector.Detect(test);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ASSERT_TRUE(HasTiedMinimum(*single));
+    ExpectSingleEventMatchesDetect(detector, test);
+  }
 }
 
 TEST(DetectorTest, DetectEventsFindsMultipleInjectedEvents) {

@@ -168,8 +168,11 @@ void ExpectClose(double got, double want, double tol, const std::string& what) {
       << want;
 }
 
+// Doubles carry a tolerance for cross-platform libm ULP noise.
+constexpr double kGoldenTol = 1e-9;
+
 void ExpectMatchesGolden(const GoldenTrace& got, const GoldenTrace& golden,
-                         const std::string& tier, double tol = 1e-9) {
+                         const std::string& tier) {
   SCOPED_TRACE("tier=" + tier);
   // Integer-valued outcomes are exact.
   EXPECT_EQ(got.window_length, golden.window_length);
@@ -182,19 +185,16 @@ void ExpectMatchesGolden(const GoldenTrace& got, const GoldenTrace& golden,
   EXPECT_EQ(got.discord_positions, golden.discord_positions);
   EXPECT_EQ(got.discord_lengths, golden.discord_lengths);
   EXPECT_EQ(got.predictions, golden.predictions);
-  // Doubles carry a tolerance: tight (1e-9, cross-platform libm ULP noise)
-  // for the f64 tiers; relaxed for the f32 inference tier, whose contract
-  // is exact integer verdicts plus O(eps_f32)-accurate scores (§12).
-  ExpectClose(got.vote_threshold, golden.vote_threshold, tol,
+  ExpectClose(got.vote_threshold, golden.vote_threshold, kGoldenTol,
               "vote_threshold");
   ASSERT_EQ(got.discord_distances.size(), golden.discord_distances.size());
   for (size_t i = 0; i < golden.discord_distances.size(); ++i) {
-    ExpectClose(got.discord_distances[i], golden.discord_distances[i], tol,
-                "discord_distance[" + std::to_string(i) + "]");
+    ExpectClose(got.discord_distances[i], golden.discord_distances[i],
+                kGoldenTol, "discord_distance[" + std::to_string(i) + "]");
   }
   ASSERT_EQ(got.votes.size(), golden.votes.size());
   for (size_t i = 0; i < golden.votes.size(); ++i) {
-    ExpectClose(got.votes[i], golden.votes[i], tol,
+    ExpectClose(got.votes[i], golden.votes[i], kGoldenTol,
                 "votes[" + std::to_string(i) + "]");
   }
 }
@@ -256,33 +256,6 @@ TEST(DetectorGoldenTest, TraceMatchesGoldenOnEveryTier) {
   const simd::Level best = simd::HighestSupportedLevel();
   if (best != simd::Level::kScalar) {
     ExpectMatchesGolden(RunPipeline(best), golden, simd::LevelName(best));
-  }
-}
-
-// Verdict preservation for the float32 inference tier (ARCHITECTURE.md
-// §12): the SAME golden file written by the f64 scalar tier must be
-// reproduced under ScopedForcePrecision(kF32) on every SIMD tier — every
-// integer outcome (selected window, candidate set, discord positions and
-// lengths, the full 0/1 prediction vector) exactly, and every score within
-// the relaxed f32 envelope. Training always runs in double (§12), so the
-// model feeding the f32 detect path is bit-identical to the f64 run's.
-TEST(DetectorGoldenTest, F32TierPreservesVerdictsAgainstGolden) {
-  if (GetEnvInt("TRIAD_UPDATE_GOLDEN", 0) != 0) {
-    GTEST_SKIP() << "golden regeneration runs in the f64 test";
-  }
-  GoldenTrace golden;
-  ASSERT_TRUE(ReadGolden(&golden))
-      << "missing/corrupt " << GoldenPath()
-      << " — regenerate with TRIAD_UPDATE_GOLDEN=1";
-
-  simd::ScopedForcePrecision force_f32(simd::Precision::kF32);
-  constexpr double kF32Tol = 1e-3;
-  ExpectMatchesGolden(RunPipeline(simd::Level::kScalar), golden, "scalar/f32",
-                      kF32Tol);
-  const simd::Level best = simd::HighestSupportedLevel();
-  if (best != simd::Level::kScalar) {
-    ExpectMatchesGolden(RunPipeline(best), golden,
-                        std::string(simd::LevelName(best)) + "/f32", kF32Tol);
   }
 }
 

@@ -106,22 +106,6 @@ TEST(FftTest, RealFftConjugateSymmetry) {
   }
 }
 
-TEST(FftTest, ConvolutionMatchesNaive) {
-  Rng rng(11);
-  std::vector<double> a(23), b(9);
-  for (auto& v : a) v = rng.Normal();
-  for (auto& v : b) v = rng.Normal();
-  const std::vector<double> fast = FftConvolve(a, b);
-  ASSERT_EQ(fast.size(), a.size() + b.size() - 1);
-  for (size_t i = 0; i < fast.size(); ++i) {
-    double acc = 0.0;
-    for (size_t j = 0; j < b.size(); ++j) {
-      if (i >= j && i - j < a.size()) acc += a[i - j] * b[j];
-    }
-    EXPECT_NEAR(fast[i], acc, 1e-9);
-  }
-}
-
 TEST(FftTest, NextPowerOfTwo) {
   EXPECT_EQ(NextPowerOfTwo(1), 1u);
   EXPECT_EQ(NextPowerOfTwo(2), 2u);

@@ -751,258 +751,6 @@ TEST(KernelEquivalenceTest, Conv1dWeightAndBiasGradWithin4Ulp) {
   }
 }
 
-// ---------- float32 precision tier (ARCHITECTURE.md §12) ----------
-//
-// The f32 inference kernels carry a two-part contract:
-//  * elementwise f32 kernels (SlidingDotUpdateF32, ZNormDistRowF32) are
-//    BIT-IDENTICAL across SIMD tiers (correctly rounded per-lane ops, no
-//    FMA contraction, flat guards on an exactly representable threshold);
-//  * f32 reductions (DotF32, DotPairF32) accumulate in single precision
-//    and are gated against the double reference by an O(n·eps_f32)
-//    relative-error envelope — the value-level bound ARCHITECTURE.md §12
-//    documents, tested over denormal/±inf/flat-window edges.
-
-TEST(PrecisionDispatchTest, ScopedForcePrecisionOverridesAndRestores) {
-  const simd::Precision ambient = simd::ActivePrecision();
-  {
-    simd::ScopedForcePrecision force(simd::Precision::kF32);
-    EXPECT_EQ(simd::ActivePrecision(), simd::Precision::kF32);
-    {
-      simd::ScopedForcePrecision inner(simd::Precision::kF64);
-      EXPECT_EQ(simd::ActivePrecision(), simd::Precision::kF64);
-    }
-    EXPECT_EQ(simd::ActivePrecision(), simd::Precision::kF32);
-  }
-  EXPECT_EQ(simd::ActivePrecision(), ambient);
-}
-
-TEST(PrecisionDispatchTest, PrecisionNamesAreStable) {
-  EXPECT_STREQ(simd::PrecisionName(simd::Precision::kF64), "f64");
-  EXPECT_STREQ(simd::PrecisionName(simd::Precision::kF32), "f32");
-}
-
-TEST(PrecisionDispatchTest, ResolveHonorsExplicitRequestOverAuto) {
-  simd::ScopedForcePrecision force(simd::Precision::kF64);
-  EXPECT_EQ(simd::ResolvePrecision(simd::PrecisionRequest::kAuto),
-            simd::Precision::kF64);
-  EXPECT_EQ(simd::ResolvePrecision(simd::PrecisionRequest::kF32),
-            simd::Precision::kF32);
-  EXPECT_EQ(simd::ResolvePrecision(simd::PrecisionRequest::kF64),
-            simd::Precision::kF64);
-  simd::ScopedForcePrecision inner(simd::Precision::kF32);
-  EXPECT_EQ(simd::ResolvePrecision(simd::PrecisionRequest::kAuto),
-            simd::Precision::kF32);
-}
-
-// Sequential single-precision accumulation of n products loses at most
-// ~n·eps_f32 of the magnitude sum Σ|a_i·b_i| (the classic forward error
-// bound); the AVX2 even/odd split only reorders the same additions. The
-// factor-2 slack and the +8 keep tiny n and the lane fold inside the gate
-// without ever letting a double-accumulated path sneak through (double
-// accumulation would pass trivially — the gate is an upper bound, the
-// speedup claim is what keeps the implementation honest).
-double DotF32Tolerance(const std::vector<float>& a,
-                       const std::vector<float>& b) {
-  double mag = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    mag += std::abs(static_cast<double>(a[i]) * static_cast<double>(b[i]));
-  }
-  return 2.0 * static_cast<double>(a.size() + 8) * 6e-8 * mag + 1e-30;
-}
-
-TEST(PrecisionKernelTest, DotF32WithinEnvelopeOfDoubleReferenceBothTiers) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed * 41);
-    for (int64_t n : kLengths) {
-      const std::vector<float> a = RandomFloats(n, &rng, true);
-      const std::vector<float> b = RandomFloats(n, &rng, true);
-      double ref = 0.0;  // exact-order double reference
-      for (int64_t i = 0; i < n; ++i) {
-        ref += static_cast<double>(a[static_cast<size_t>(i)]) *
-               static_cast<double>(b[static_cast<size_t>(i)]);
-      }
-      const double tol = DotF32Tolerance(a, b);
-      for (const simd::Level level :
-           {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
-        simd::ScopedForceLevel force(level);
-        const float got = simd::DotF32(a.data(), b.data(), n);
-        EXPECT_NEAR(static_cast<double>(got), ref, tol)
-            << simd::LevelName(level) << " n=" << n << " seed=" << seed;
-      }
-    }
-  }
-}
-
-TEST(PrecisionKernelTest, DotF32PropagatesInfinity) {
-  Rng rng(77);
-  std::vector<float> a = RandomFloats(65, &rng, false);
-  std::vector<float> b = RandomFloats(65, &rng, false);
-  a[3] = kInf;
-  b[3] = 2.0f;
-  for (const simd::Level level :
-       {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
-    simd::ScopedForceLevel force(level);
-    EXPECT_EQ(simd::DotF32(a.data(), b.data(), 65), kInf)
-        << simd::LevelName(level);
-  }
-}
-
-// DotPairF32's fusion only shares the a-side loads: each output must be
-// bit-identical to a standalone DotF32 at the same tier.
-TEST(PrecisionKernelTest, DotPairF32MatchesTwoDotF32s) {
-  Rng rng(42);
-  for (int64_t n : kLengths) {
-    const std::vector<float> a = RandomFloats(n, &rng, true);
-    const std::vector<float> b0 = RandomFloats(n, &rng, true);
-    const std::vector<float> b1 = RandomFloats(n, &rng, true);
-    for (const simd::Level level :
-         {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
-      simd::ScopedForceLevel force(level);
-      float pair[2];
-      simd::DotPairF32(a.data(), b0.data(), b1.data(), n, pair);
-      ASSERT_EQ(std::bit_cast<uint32_t>(pair[0]),
-                std::bit_cast<uint32_t>(simd::DotF32(a.data(), b0.data(), n)))
-          << simd::LevelName(level) << " n=" << n;
-      ASSERT_EQ(std::bit_cast<uint32_t>(pair[1]),
-                std::bit_cast<uint32_t>(simd::DotF32(a.data(), b1.data(), n)))
-          << simd::LevelName(level) << " n=" << n;
-    }
-  }
-}
-
-TEST(PrecisionKernelTest, SlidingDotUpdateF32BitIdenticalAcrossTiers) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed * 43);
-    for (int64_t n : kLengths) {
-      const std::vector<float> tail = RandomFloats(n, &rng, true);
-      const std::vector<float> head = RandomFloats(n, &rng, true);
-      const float drop = static_cast<float>(rng.Normal(0.0, 1.0));
-      const float add = static_cast<float>(rng.Normal(0.0, 1.0));
-      std::vector<float> qt_ref = RandomFloats(n, &rng, true);
-      for (size_t i = 0; i < qt_ref.size(); ++i) qt_ref[i] *= 10.0f;
-      std::vector<float> qt_got = qt_ref;
-      simd::scalar::SlidingDotUpdateF32(qt_ref.data(), n, drop, tail.data(),
-                                        add, head.data());
-      simd::ScopedForceLevel force(simd::HighestSupportedLevel());
-      simd::SlidingDotUpdateF32(qt_got.data(), n, drop, tail.data(), add,
-                                head.data());
-      for (int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(qt_got[static_cast<size_t>(i)]),
-                  std::bit_cast<uint32_t>(qt_ref[static_cast<size_t>(i)]))
-            << "n=" << n << " i=" << i << " seed=" << seed;
-      }
-    }
-  }
-}
-
-TEST(PrecisionKernelTest, ZNormDistRowF32BitIdenticalWithFlatGuards) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed * 47);
-    for (int64_t n : kLengths) {
-      const int64_t m = 8 + static_cast<int64_t>(seed);
-      const std::vector<float> dot = RandomFloats(n, &rng, true);
-      const std::vector<float> mu = RandomFloats(n, &rng, true);
-      std::vector<float> sd(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) {
-        sd[static_cast<size_t>(i)] =
-            std::abs(static_cast<float>(rng.Normal(1.0, 0.5))) + 1e-3f;
-      }
-      // Flat windows (exact zero and a denormal below the 1e-12f guard)
-      // must hit the infinite-distance branch in both tiers.
-      sd[0] = 0.0f;
-      if (n > 5) sd[5] = kDenorm;
-      std::vector<float> ref(static_cast<size_t>(n)),
-          got(static_cast<size_t>(n));
-      simd::scalar::ZNormDistRowF32(dot.data(), mu.data(), sd.data(), 0.25f,
-                                    1.5f, m, ref.data(), n);
-      simd::ScopedForceLevel force(simd::HighestSupportedLevel());
-      simd::ZNormDistRowF32(dot.data(), mu.data(), sd.data(), 0.25f, 1.5f, m,
-                            got.data(), n);
-      for (int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(got[static_cast<size_t>(i)]),
-                  std::bit_cast<uint32_t>(ref[static_cast<size_t>(i)]))
-            << "n=" << n << " i=" << i << " seed=" << seed;
-      }
-      EXPECT_TRUE(std::isinf(ref[0]));  // flat window: marked incomparable
-      EXPECT_GT(ref[0], 0.0f);
-      if (n > 5) {
-        EXPECT_TRUE(std::isinf(ref[5]));  // denormal stddev is flat too
-      }
-    }
-  }
-}
-
-TEST(PrecisionKernelTest, ZNormDistRowF32FlatQueryMatchesScalar) {
-  Rng rng(101);
-  const int64_t n = 133, m = 16;
-  const std::vector<float> dot = RandomFloats(n, &rng, true);
-  const std::vector<float> mu = RandomFloats(n, &rng, true);
-  std::vector<float> sd(static_cast<size_t>(n), 1.0f);
-  sd[7] = 0.0f;  // flat query x flat window -> exactly 0
-  std::vector<float> ref(static_cast<size_t>(n)), got(static_cast<size_t>(n));
-  simd::scalar::ZNormDistRowF32(dot.data(), mu.data(), sd.data(), 0.5f,
-                                /*sd_q=*/0.0f, m, ref.data(), n);
-  simd::ScopedForceLevel force(simd::HighestSupportedLevel());
-  simd::ZNormDistRowF32(dot.data(), mu.data(), sd.data(), 0.5f, 0.0f, m,
-                        got.data(), n);
-  for (int64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(std::bit_cast<uint32_t>(got[static_cast<size_t>(i)]),
-              std::bit_cast<uint32_t>(ref[static_cast<size_t>(i)]));
-  }
-  EXPECT_EQ(ref[7], 0.0f);          // flat query x flat window
-  EXPECT_TRUE(std::isinf(ref[0]));  // flat query x structured window
-  EXPECT_GT(ref[0], 0.0f);
-}
-
-// Value-level accuracy of the f32 distance row against the double kernel
-// on identical (narrowed-then-widened) inputs. The row is elementwise with
-// a handful of correctly rounded single-precision ops, so squared
-// distances agree to O(m·eps_f32); comparing d² sidesteps the sqrt's
-// error amplification near d = 0. Flat guards must agree EXACTLY (same
-// ±inf/0 placement) — that is what keeps verdicts tier-independent.
-TEST(PrecisionKernelTest, ZNormDistRowF32SquaredDistanceNearDoubleKernel) {
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
-    Rng rng(seed * 53);
-    const int64_t n = 1000, m = 64;
-    std::vector<float> dot32(static_cast<size_t>(n)),
-        mu32(static_cast<size_t>(n)), sd32(static_cast<size_t>(n));
-    std::vector<double> dot64(static_cast<size_t>(n)),
-        mu64(static_cast<size_t>(n)), sd64(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      // dot scaled like a real QT row: O(m) magnitude.
-      dot32[static_cast<size_t>(i)] =
-          static_cast<float>(rng.Normal(0.0, 8.0));
-      mu32[static_cast<size_t>(i)] = static_cast<float>(rng.Normal(0.0, 1.0));
-      sd32[static_cast<size_t>(i)] =
-          std::abs(static_cast<float>(rng.Normal(1.0, 0.25))) + 0.05f;
-      dot64[static_cast<size_t>(i)] =
-          static_cast<double>(dot32[static_cast<size_t>(i)]);
-      mu64[static_cast<size_t>(i)] =
-          static_cast<double>(mu32[static_cast<size_t>(i)]);
-      sd64[static_cast<size_t>(i)] =
-          static_cast<double>(sd32[static_cast<size_t>(i)]);
-    }
-    sd32[0] = 0.0f;  // the guards must land identically in both kernels
-    sd64[0] = 0.0;
-    std::vector<float> d32(static_cast<size_t>(n));
-    std::vector<double> d64(static_cast<size_t>(n));
-    simd::ZNormDistRowF32(dot32.data(), mu32.data(), sd32.data(), 0.25f, 1.5f,
-                          m, d32.data(), n);
-    simd::ZNormDistRow(dot64.data(), mu64.data(), sd64.data(), 0.25, 1.5, m,
-                       d64.data(), n);
-    for (int64_t i = 0; i < n; ++i) {
-      const double a = static_cast<double>(d32[static_cast<size_t>(i)]);
-      const double b = d64[static_cast<size_t>(i)];
-      if (std::isinf(b)) {
-        EXPECT_TRUE(std::isinf(a)) << "i=" << i << " seed=" << seed;
-        continue;
-      }
-      EXPECT_NEAR(a * a, b * b, 2.0 * static_cast<double>(m) * 1e-5)
-          << "i=" << i << " seed=" << seed;
-    }
-  }
-}
-
 // On a host without a vector tier every comparison above collapses to
 // scalar-vs-scalar; record that fact so CI logs show what was covered.
 TEST(KernelEquivalenceTest, ReportsCoveredTier) {

@@ -26,9 +26,6 @@ std::vector<double> PlantedSeries(size_t n, double period, size_t anomaly_at,
 }
 
 TEST(StompTest, MatchesNaiveMatrixProfile) {
-  // Pinned to kF64: this compares against the double naive reference at a
-  // double tolerance, regardless of the process TRIAD_PRECISION tier.
-  simd::ScopedForcePrecision force_f64(simd::Precision::kF64);
   const std::vector<double> x = PlantedSeries(250, 25, 120, 25, 1);
   const int64_t m = 20;
   auto stomp = Stomp(x, m);
@@ -41,7 +38,6 @@ TEST(StompTest, MatchesNaiveMatrixProfile) {
 }
 
 TEST(StompTest, NeighbourIndicesAreValidAndNonTrivial) {
-  simd::ScopedForcePrecision force_f64(simd::Precision::kF64);
   const std::vector<double> x = PlantedSeries(300, 30, 150, 30, 2);
   const int64_t m = 25;
   auto stomp = Stomp(x, m);
@@ -82,49 +78,6 @@ TEST(StompTest, TopKDiscordsAreMutuallyExclusive) {
   }
 }
 
-// ---------- float32 precision tier (ARCHITECTURE.md §12) ----------
-
-// The kF32 profile must sit inside the documented tolerance envelope of
-// the kF64 profile, and the verdict-level artifact (the top discord) must
-// be preserved. The 1e-3 absolute bound is generous relative to the
-// O(m·eps_f32) error of one distance row — the point is catching a wrong
-// kernel (or a double code path silently taken), not measuring ULPs; the
-// kernel-level ULP gates live in kernel_equivalence_test.cc.
-TEST(StompTest, F32ProfileMatchesF64WithinEnvelope) {
-  const std::vector<double> x = PlantedSeries(400, 25, 200, 25, 3);
-  const int64_t m = 25;
-  auto f64 = Stomp(x, m, simd::Precision::kF64);
-  auto f32 = Stomp(x, m, simd::Precision::kF32);
-  ASSERT_TRUE(f64.ok());
-  ASSERT_TRUE(f32.ok());
-  ASSERT_EQ(f32->distances.size(), f64->distances.size());
-  for (size_t i = 0; i < f64->distances.size(); ++i) {
-    EXPECT_NEAR(f32->distances[i], f64->distances[i], 1e-3) << i;
-  }
-  const auto top64 = TopDiscordsFromProfile(*f64, m, 1);
-  const auto top32 = TopDiscordsFromProfile(*f32, m, 1);
-  ASSERT_EQ(top64.size(), top32.size());
-  if (!top64.empty()) {
-    EXPECT_EQ(top64[0], top32[0]);
-  }
-}
-
-// Explicit-precision Stomp ignores the process tier: forcing the opposite
-// tier around the call must not change a single bit of the result.
-TEST(StompTest, ExplicitPrecisionWinsOverProcessTier) {
-  const std::vector<double> x = PlantedSeries(260, 25, 130, 25, 6);
-  const int64_t m = 20;
-  auto f64_plain = Stomp(x, m, simd::Precision::kF64);
-  ASSERT_TRUE(f64_plain.ok());
-  simd::ScopedForcePrecision force_f32(simd::Precision::kF32);
-  auto f64_under_f32 = Stomp(x, m, simd::Precision::kF64);
-  ASSERT_TRUE(f64_under_f32.ok());
-  for (size_t i = 0; i < f64_plain->distances.size(); ++i) {
-    EXPECT_EQ(f64_plain->distances[i], f64_under_f32->distances[i]) << i;
-    EXPECT_EQ(f64_plain->indices[i], f64_under_f32->indices[i]) << i;
-  }
-}
-
 TEST(StompTest, RejectsDegenerateInputs) {
   std::vector<double> x(30, 1.0);
   EXPECT_FALSE(Stomp(x, 1).ok());
@@ -137,7 +90,6 @@ TEST(StompTest, RejectsDegenerateInputs) {
 // while batch Stomp re-seeds every chunk via FFT — same values up to fp
 // association, hence tolerance, not bitwise (see the header contract).
 TEST(StompStreamTest, MatchesBatchStompWithinTolerance) {
-  simd::ScopedForcePrecision force_f64(simd::Precision::kF64);
   const std::vector<double> x = PlantedSeries(400, 25, 210, 25, 3);
   const int64_t m = 20;
   auto batch = Stomp(x, m);
@@ -187,62 +139,6 @@ TEST(StompStreamTest, ChunkedAppendsAreBitwiseOneShot) {
                 one_shot.profile().indices[static_cast<size_t>(i)])
           << "seed=" << seed << " i=" << i;
     }
-  }
-}
-
-// A kF32 stream against the kF32 batch profile: same envelope contract as
-// the kF64 pair above (one unbroken chain vs per-chunk FFT re-seeds, now
-// both in single precision).
-TEST(StompStreamTest, F32StreamMatchesF32BatchWithinTolerance) {
-  const std::vector<double> x = PlantedSeries(400, 25, 210, 25, 3);
-  const int64_t m = 20;
-  auto batch = Stomp(x, m, simd::Precision::kF32);
-  ASSERT_TRUE(batch.ok());
-
-  StompStream stream(m, simd::Precision::kF32);
-  EXPECT_EQ(stream.precision(), simd::Precision::kF32);
-  stream.Append(x);
-  ASSERT_EQ(stream.count(), static_cast<int64_t>(batch->distances.size()));
-  for (int64_t i = 0; i < stream.count(); ++i) {
-    EXPECT_NEAR(stream.profile().distances[static_cast<size_t>(i)],
-                batch->distances[static_cast<size_t>(i)], 1e-3)
-        << i;
-  }
-  const auto top_batch = TopDiscordsFromProfile(*batch, m, 1);
-  const auto top_stream = TopDiscordsFromProfile(stream.profile(), m, 1);
-  ASSERT_EQ(top_batch.size(), top_stream.size());
-  if (!top_batch.empty()) {
-    EXPECT_EQ(top_batch[0], top_stream[0]);
-  }
-}
-
-// Chunking invariance holds per tier: the kF32 chain is the same sequence
-// of float operations no matter how Appends are partitioned.
-TEST(StompStreamTest, F32ChunkedAppendsAreBitwiseOneShot) {
-  const std::vector<double> x = PlantedSeries(300, 30, 140, 30, 4);
-  const int64_t m = 16;
-  StompStream one_shot(m, simd::Precision::kF32);
-  one_shot.Append(x);
-
-  StompStream chunked(m, simd::Precision::kF32);
-  size_t off = 0;
-  Rng rng(9);
-  while (off < x.size()) {
-    const size_t len = std::min<size_t>(
-        x.size() - off, static_cast<size_t>(rng.UniformInt(1, 41)));
-    chunked.Append(std::vector<double>(
-        x.begin() + static_cast<long>(off),
-        x.begin() + static_cast<long>(off + len)));
-    off += len;
-  }
-  ASSERT_EQ(chunked.count(), one_shot.count());
-  for (int64_t i = 0; i < chunked.count(); ++i) {
-    EXPECT_EQ(chunked.profile().distances[static_cast<size_t>(i)],
-              one_shot.profile().distances[static_cast<size_t>(i)])
-        << i;
-    EXPECT_EQ(chunked.profile().indices[static_cast<size_t>(i)],
-              one_shot.profile().indices[static_cast<size_t>(i)])
-        << i;
   }
 }
 
