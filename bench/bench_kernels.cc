@@ -9,6 +9,10 @@
 // Example on an AVX2 host: BM_Dot 4096 floats 3.3x, BM_Conv1dForward
 // encoder shape 3.0x, BM_ZNormDistRow 2.6x (CPU time, single lane).
 //
+// The nn kernels fan their rows across the default pool; their benches pin
+// a 1-lane pool so the tier comparison stays single lane at any
+// TRIAD_NUM_THREADS.
+//
 // Determinism note: these benches measure speed only — the equivalence
 // guarantees (bit-identity for elementwise kernels, <= 4 ULP for
 // reductions) are asserted in tests/kernel_equivalence_test.cc.
@@ -22,6 +26,7 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/timer.h"
@@ -121,10 +126,12 @@ void BM_Conv1dForward(benchmark::State& state) {
   const std::vector<float> w = RandomFloats(Cout * Cin * K, 7);
   std::vector<float> out(static_cast<size_t>(B * Cout * Lout));
   simd::ScopedForceLevel force(level);
+  ThreadPool one_lane(1);
+  ScopedDefaultPool scoped(&one_lane);
   for (auto _ : state) {
-    std::fill(out.begin(), out.end(), 0.0f);
-    nn::kernels::Conv1dForward(xpad.data(), w.data(), out.data(), B, Cin,
-                               Cout, K, Lpad, Lout, dilation);
+    nn::kernels::Conv1dForward(xpad.data(), w.data(), /*bias=*/nullptr,
+                               out.data(), B, Cin, Cout, K, Lpad, Lout,
+                               dilation);
     benchmark::DoNotOptimize(out.data());
   }
   // MACs per conv: B * Cout * Cin * K * Lout.
@@ -142,6 +149,8 @@ void BM_Conv1dBackwardWeight(benchmark::State& state) {
   const std::vector<float> g = RandomFloats(B * Cout * Lout, 9);
   std::vector<float> gw(static_cast<size_t>(Cout * Cin * K));
   simd::ScopedForceLevel force(level);
+  ThreadPool one_lane(1);
+  ScopedDefaultPool scoped(&one_lane);
   for (auto _ : state) {
     std::fill(gw.begin(), gw.end(), 0.0f);
     nn::kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw.data(), B,
@@ -164,6 +173,8 @@ void BM_GemmTransB(benchmark::State& state) {
   const std::vector<float> b = RandomFloats(k * n, 11);
   std::vector<float> c(static_cast<size_t>(m * k));
   simd::ScopedForceLevel force(level);
+  ThreadPool one_lane(1);
+  ScopedDefaultPool scoped(&one_lane);
   for (auto _ : state) {
     std::fill(c.begin(), c.end(), 0.0f);
     nn::kernels::GemmTransB(a.data(), b.data(), c.data(), m, n, k);
@@ -278,9 +289,9 @@ int RunJsonMode() {
     const std::vector<float> w = RandomFloats(Cout * Cin * K, 7);
     std::vector<float> out(static_cast<size_t>(B * Cout * Lout));
     for (int iter = 0; iter < 50; ++iter) {
-      std::fill(out.begin(), out.end(), 0.0f);
-      nn::kernels::Conv1dForward(xpad.data(), w.data(), out.data(), B, Cin,
-                                 Cout, K, Lpad, Lout, dilation);
+      nn::kernels::Conv1dForward(xpad.data(), w.data(), /*bias=*/nullptr,
+                                 out.data(), B, Cin, Cout, K, Lpad, Lout,
+                                 dilation);
       benchmark::DoNotOptimize(out.data());
     }
   }

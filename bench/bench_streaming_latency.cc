@@ -1,7 +1,5 @@
 // Streaming hot-path latency (ARCHITECTURE.md §8): ms per appended chunk
-// with the incremental memo on versus full recompute, plus the
-// matrix-profile maintenance primitives (StompStream vs batch Stomp,
-// DiscordInRange vs a full MERLIN re-search). The --json mode emits
+// with the incremental memo on versus full recompute. The --json mode emits
 // BENCH_streaming.json (schema triad-observability-v1; see bench/README.md).
 
 #include <benchmark/benchmark.h>
@@ -18,9 +16,6 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/streaming.h"
-#include "discord/discord.h"
-#include "discord/mass.h"
-#include "discord/stomp.h"
 
 namespace triad::core {
 namespace {
@@ -93,66 +88,6 @@ BENCHMARK(BM_StreamingAppend)
     ->Args({1, 256})
     ->Args({0, 1024})
     ->Args({1, 1024})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_StompStreamAppend(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const std::vector<double> feed =
-      StreamWorkload(static_cast<size_t>(n), 50.0, 11);
-  for (auto _ : state) {
-    discord::StompStream stream(50);
-    for (size_t off = 0; off < feed.size(); off += 256) {
-      const size_t hi = std::min(feed.size(), off + 256);
-      benchmark::DoNotOptimize(stream.Append(std::vector<double>(
-          feed.begin() + static_cast<long>(off),
-          feed.begin() + static_cast<long>(hi))));
-    }
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_StompStreamAppend)->Arg(2000)->Arg(4000)->Arg(8000)
-    ->Complexity(benchmark::oNSquared);
-
-// The recompute strawman StompStream replaces: a fresh batch Stomp per
-// appended chunk.
-void BM_StompRecomputePerChunk(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const std::vector<double> feed =
-      StreamWorkload(static_cast<size_t>(n), 50.0, 11);
-  for (auto _ : state) {
-    std::vector<double> held;
-    for (size_t off = 0; off < feed.size(); off += 256) {
-      const size_t hi = std::min(feed.size(), off + 256);
-      held.insert(held.end(), feed.begin() + static_cast<long>(off),
-                  feed.begin() + static_cast<long>(hi));
-      if (static_cast<int64_t>(held.size()) >= 100) {
-        benchmark::DoNotOptimize(discord::Stomp(held, 50));
-      }
-    }
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_StompRecomputePerChunk)->Arg(2000)->Arg(4000);
-
-void BM_DiscordInRangeVsFullSearch(benchmark::State& state) {
-  const bool ranged = state.range(0) != 0;
-  const std::vector<double> x = StreamWorkload(8000, 50.0, 13);
-  const discord::MassContext mass(x);
-  for (auto _ : state) {
-    if (ranged) {
-      // The changed-region case: ~3 windows of profile rows moved.
-      auto d = discord::DiscordInRange(mass, 50, 4000, 4150);
-      TRIAD_CHECK(d.ok());
-      benchmark::DoNotOptimize(d->has_value());
-    } else {
-      auto d = discord::DiscordInRange(mass, 50, 0,
-                                       static_cast<int64_t>(x.size()));
-      TRIAD_CHECK(d.ok());
-      benchmark::DoNotOptimize(d->has_value());
-    }
-  }
-}
-BENCHMARK(BM_DiscordInRangeVsFullSearch)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // ---- --json mode: the incremental-vs-recompute A/B record ----

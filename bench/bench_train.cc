@@ -1,10 +1,10 @@
-// Training-loop throughput for the window-major batched execution path
-// (ARCHITECTURE.md §11). The --json mode runs the SAME training job twice —
-// TRIAD_NN_BATCHED effectively on and off — verifies the two loss
-// trajectories are bit-identical (the batched kernels preserve per-element
-// accumulation order), and emits BENCH_train.json with both timings and
-// the speedup. Sized by TRIAD_BENCH_TRAIN_{WINDOWS,LEN,EPOCHS,DEPTH,HIDDEN}
-// for archive-scale runs.
+// Training-loop throughput and thread scaling (ARCHITECTURE.md §11). The
+// --json mode trains the SAME job twice — on a 1-lane pool and on the
+// default pool — aborts unless the two loss trajectories are bit-identical
+// (every nn kernel keeps a fixed per-element accumulation order at any lane
+// count), and emits BENCH_train.json with both walls, each leg's per-phase
+// breakdown, the lane count and the speedup. Sized by
+// TRIAD_BENCH_TRAIN_{WINDOWS,LEN,EPOCHS,DEPTH,HIDDEN} for archive-scale runs.
 
 #include <benchmark/benchmark.h>
 
@@ -17,13 +17,13 @@
 #include "common/check.h"
 #include "common/env.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/config.h"
 #include "core/model.h"
 #include "core/trainer.h"
-#include "nn/ops.h"
 
 namespace triad::core {
 namespace {
@@ -59,9 +59,7 @@ TriadConfig BenchConfig(int64_t epochs) {
 }
 
 TrainStats FitOnce(const TriadConfig& config,
-                   const std::vector<std::vector<double>>& windows,
-                   bool batched) {
-  nn::ScopedBatchedExecution mode(batched);
+                   const std::vector<std::vector<double>>& windows) {
   Rng rng(config.seed);
   TriadModel model(config, &rng);
   TriadTrainer trainer(config);
@@ -72,31 +70,55 @@ TrainStats FitOnce(const TriadConfig& config,
 
 // ---- google-benchmark microbenches ----
 
-// One full training epoch, batched kernels vs the legacy per-window path.
+// One full training epoch on the default pool.
 void BM_TrainEpoch(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
   const auto windows = TrainWindows(16, 256, 11);
   const TriadConfig config = BenchConfig(/*epochs=*/1);
   for (auto _ : state) {
-    TrainStats stats = FitOnce(config, windows, batched);
+    TrainStats stats = FitOnce(config, windows);
     benchmark::DoNotOptimize(stats.epoch_train_loss);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(windows.size()));
-  state.SetLabel(batched ? "batched" : "legacy");
 }
-BENCHMARK(BM_TrainEpoch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrainEpoch)->Unit(benchmark::kMillisecond);
 
-// ---- --json mode: the batched-vs-legacy A/B record ----
+// ---- --json mode: the 1-lane vs default-pool record ----
 
 // Sums the durations of every retained span named `name` — the per-phase
-// breakdown each A/B leg reports (the buffer is cleared between legs).
-double SpanTotal(const char* name) {
+// breakdown each leg reports (the buffer is cleared before each leg).
+double SpanTotal(const std::string& name) {
   double total = 0.0;
   for (const auto& span : trace::TraceBuffer::Global().Snapshot()) {
-    if (std::string(span.name) == name) total += span.duration_seconds;
+    if (span.name == name) total += span.duration_seconds;
   }
   return total;
+}
+
+struct Leg {
+  TrainStats stats;
+  double seconds = 0.0;
+};
+
+// One timed training run on the current default pool. Appends the leg's
+// wall and its trainer.cc phase spans to `extras` under `name`; forward
+// includes the nested features time.
+Leg TimedFit(const TriadConfig& config,
+             const std::vector<std::vector<double>>& windows,
+             const std::string& name,
+             std::vector<std::pair<std::string, double>>* extras) {
+  trace::TraceBuffer::Global().Clear();
+  Leg leg;
+  Timer timer;
+  leg.stats = FitOnce(config, windows);
+  leg.seconds = timer.ElapsedSeconds();
+  extras->emplace_back(name + "_seconds", leg.seconds);
+  for (const std::string phase :
+       {"forward", "backward", "features", "augment", "step"}) {
+    extras->emplace_back(name + "_" + phase + "_seconds",
+                         SpanTotal("trainer." + phase));
+  }
+  return leg;
 }
 
 int RunJsonMode() {
@@ -108,71 +130,51 @@ int RunJsonMode() {
   const auto windows =
       TrainWindows(n_windows, static_cast<size_t>(len), 11);
   const TriadConfig config = BenchConfig(epochs);
+  ThreadPool one_lane(1);
+  const int64_t lanes = DefaultPool()->num_threads();
 
-  // Untimed warm-up trains both paths once (thread pool spin-up, page
-  // faults) so the A/B compares steady-state kernels, not first-touch.
-  FitOnce(config, windows, false);
-  FitOnce(config, windows, true);
-
-  trace::TraceBuffer::Global().Clear();
-  Timer legacy_timer;
-  const TrainStats legacy = FitOnce(config, windows, false);
-  const double legacy_seconds = legacy_timer.ElapsedSeconds();
-  const double legacy_forward = SpanTotal("trainer.forward");
-  const double legacy_backward = SpanTotal("trainer.backward");
-  const double legacy_features = SpanTotal("trainer.features");
-  const double legacy_augment = SpanTotal("trainer.augment");
-  const double legacy_step = SpanTotal("trainer.step");
-
-  trace::TraceBuffer::Global().Clear();
-  Timer batched_timer;
-  const TrainStats batched = FitOnce(config, windows, true);
-  const double batched_seconds = batched_timer.ElapsedSeconds();
-  const double batched_forward = SpanTotal("trainer.forward");
-  const double batched_backward = SpanTotal("trainer.backward");
-  const double batched_features = SpanTotal("trainer.features");
-  const double batched_augment = SpanTotal("trainer.augment");
-  const double batched_step = SpanTotal("trainer.step");
-
-  // Acceptance gate: the speedup is only reportable if the two runs did
-  // bit-identical work (ARCHITECTURE.md §11).
-  TRIAD_CHECK_EQ(legacy.epoch_train_loss.size(),
-                 batched.epoch_train_loss.size());
-  for (size_t e = 0; e < legacy.epoch_train_loss.size(); ++e) {
-    TRIAD_CHECK_MSG(legacy.epoch_train_loss[e] == batched.epoch_train_loss[e],
-                    "batched/legacy loss diverged at epoch " << e);
+  // Untimed warm-up trains on both pools once (pool spin-up, page faults)
+  // so the legs compare steady-state kernels, not first-touch.
+  {
+    ScopedDefaultPool scoped(&one_lane);
+    FitOnce(config, windows);
   }
+  FitOnce(config, windows);
 
-  const double total_windows =
-      static_cast<double>(n_windows) * static_cast<double>(epochs);
-  const std::vector<std::pair<std::string, double>> extras = {
+  std::vector<std::pair<std::string, double>> extras = {
       {"train_windows", static_cast<double>(n_windows)},
       {"window_len", static_cast<double>(len)},
       {"epochs", static_cast<double>(epochs)},
       {"depth", static_cast<double>(config.depth)},
       {"hidden_dim", static_cast<double>(config.hidden_dim)},
-      {"legacy_seconds", legacy_seconds},
-      {"batched_seconds", batched_seconds},
-      {"legacy_epoch_seconds", legacy_seconds / static_cast<double>(epochs)},
-      {"batched_epoch_seconds", batched_seconds / static_cast<double>(epochs)},
-      {"legacy_windows_per_sec", total_windows / legacy_seconds},
-      {"batched_windows_per_sec", total_windows / batched_seconds},
-      {"speedup", legacy_seconds / batched_seconds},
-      // Phase breakdown (trainer.cc trace spans; forward includes the
-      // nested features time).
-      {"legacy_forward_seconds", legacy_forward},
-      {"legacy_backward_seconds", legacy_backward},
-      {"legacy_features_seconds", legacy_features},
-      {"legacy_augment_seconds", legacy_augment},
-      {"legacy_step_seconds", legacy_step},
-      {"batched_forward_seconds", batched_forward},
-      {"batched_backward_seconds", batched_backward},
-      {"batched_features_seconds", batched_features},
-      {"batched_augment_seconds", batched_augment},
-      {"batched_step_seconds", batched_step},
-      {"final_train_loss", batched.epoch_train_loss.back()},
-      {"trajectories_bit_identical", 1.0},
+      {"lanes", static_cast<double>(lanes)},
   };
+  Leg serial;
+  {
+    ScopedDefaultPool scoped(&one_lane);
+    serial = TimedFit(config, windows, "serial", &extras);
+  }
+  const Leg pooled = TimedFit(config, windows, "pooled", &extras);
+
+  // Acceptance gate: the speedup is only reportable if the two runs did
+  // bit-identical work (ARCHITECTURE.md §11).
+  TRIAD_CHECK_EQ(serial.stats.epoch_train_loss.size(),
+                 pooled.stats.epoch_train_loss.size());
+  for (size_t e = 0; e < serial.stats.epoch_train_loss.size(); ++e) {
+    TRIAD_CHECK_MSG(
+        serial.stats.epoch_train_loss[e] == pooled.stats.epoch_train_loss[e],
+        "1-lane/" << lanes << "-lane loss diverged at epoch " << e);
+  }
+
+  const double total_windows =
+      static_cast<double>(n_windows) * static_cast<double>(epochs);
+  extras.insert(
+      extras.end(),
+      {{"serial_windows_per_sec", total_windows / serial.seconds},
+       {"pooled_windows_per_sec", total_windows / pooled.seconds},
+       {"speedup", serial.seconds / pooled.seconds},
+       {"final_train_loss", pooled.stats.epoch_train_loss.back()},
+       {"trajectories_bit_identical", 1.0}});
   bench::WriteBenchJson("train", wall.ElapsedSeconds(), extras);
   return 0;
 }

@@ -118,7 +118,7 @@ void ConvRowAccum(const float* x, int64_t xstride, const float* w,
                   int64_t lout);
 
 /// \brief All `taps` shifted dot products of one window against one
-/// gradient row — the inner kernel of the batched Conv1d weight gradient.
+/// gradient row — the inner kernel of nn::kernels::Conv1dBackwardWeight.
 ///
 ///   out[t] = sum_l x[l + t*dilation] * g[l],  t in [0, taps)
 ///
@@ -131,7 +131,7 @@ void ConvTapDots(const float* x, const float* g, int64_t taps,
                  int64_t dilation, int64_t lout, double* out);
 
 /// \brief Fused multi-tap *scatter* row accumulation — the inner kernel of
-/// the batched Conv1d input gradient (the adjoint of ConvRowAccum).
+/// nn::kernels::Conv1dBackwardInput (the adjoint of ConvRowAccum).
 ///
 ///   drow[l + t*dilation] += w[co*wstride + t] * g[co*gstride + l]
 ///
@@ -151,7 +151,7 @@ void CorrRowAccum(const float* g, int64_t gstride, const float* w,
 /// \brief Two dot products sharing the left operand: out2[0] = Dot(a, b0, n),
 /// out2[1] = Dot(a, b1, n), with each accumulated in Dot's exact per-column
 /// chain (bit-identical to two separate Dot calls at the same tier). The
-/// fusion halves the `a` loads — the win of the row-blocked GemmTransB.
+/// fusion halves the `a` loads — the win of nn::kernels::GemmTransB.
 void DotPair(const float* a, const float* b0, const float* b1, int64_t n,
              double* out2);
 

@@ -540,8 +540,7 @@ Result<DetectionResult> TriadDetector::Detect(
     // moved — so the cached MerlinResult IS this pass's result and the
     // re-search is skipped outright. Any content change misses the cache
     // and re-runs the full sweep (bit-identity forbids partial
-    // floating-point reuse across shifted origins; see ARCHITECTURE.md §8
-    // and discord::StompStream for the row-level primitive).
+    // floating-point reuse across shifted origins; see ARCHITECTURE.md §8).
     const discord::MerlinResult* cached = nullptr;
     if (memo != nullptr) {
       const int64_t gb = global_start + result.search_begin;

@@ -45,7 +45,7 @@ StreamingMetrics& Instruments() {
 }
 
 // TRIAD_STREAMING_INCREMENTAL vetoes StreamingOptions::incremental, same
-// spelling as TRIAD_METRICS / TRIAD_NN_BATCHED: off/0/false/no force the
+// spelling as TRIAD_METRICS: off/0/false/no force the
 // full recompute path. Read once per process.
 bool IncrementalEnabledFromEnv() {
   static const bool enabled = [] {

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "common/trace.h"
 #include "core/augmentation.h"
 #include "core/features.h"
@@ -20,17 +19,11 @@ using nn::Var;
 // Builds normalized representations of originals and augmentations for one
 // batch, returning the scalar loss Var.
 //
-// Threading depends on the execution mode:
-//  * Batched (default): the domains run serially and each op fans its own
-//    row loops across the whole pool (nn/kernels.h batched kernels) — this
-//    parallelizes the backward pass too, which domain-level tasks never
-//    could (Backward() is one serial graph walk).
-//  * Legacy (TRIAD_NN_BATCHED=off): the per-domain feature extraction +
-//    encoder forwards run as independent pool tasks, as before.
-// Both modes are bit-identical at every thread count: batched kernels
-// preserve per-element accumulation order, forward passes only read the
-// shared parameters, and the loss combines the domain slots in a fixed
-// order. Augmentation stays serial because it advances the shared RNG.
+// The domains run serially; each op fans its own row loops across the whole
+// pool (nn/kernels.h), forward and backward alike. Results are bit-identical
+// at every thread count: the kernels keep a fixed per-element accumulation
+// order, and the loss combines the domain slots in a fixed order.
+// Augmentation stays serial because it advances the shared RNG.
 Var BatchLoss(const TriadModel& model,
               const std::vector<std::vector<double>>& originals,
               int64_t period, Rng* rng) {
@@ -40,30 +33,19 @@ Var BatchLoss(const TriadModel& model,
     for (auto& w : augmented) AugmentWindow(&w, rng);
   }
 
-  const std::vector<Domain> domains = model.EnabledDomains();
-  std::vector<Var> orig_norms(domains.size());
-  std::vector<Var> aug_norms(domains.size());
-  const auto encode_range = [&](int64_t begin, int64_t end) {
-    for (int64_t di = begin; di < end; ++di) {
-      const Domain d = domains[static_cast<size_t>(di)];
-      Var xo, xa;
-      {
-        trace::TraceSpan span("trainer.features");
-        xo = nn::Constant(BuildDomainBatch(originals, d, period));
-        xa = nn::Constant(BuildDomainBatch(augmented, d, period));
-      }
-      orig_norms[static_cast<size_t>(di)] = model.EncodeNormalized(d, xo);
-      aug_norms[static_cast<size_t>(di)] = model.EncodeNormalized(d, xa);
-    }
-  };
   trace::TraceSpan forward_span("trainer.forward");
-  const int64_t n_domains = static_cast<int64_t>(domains.size());
-  if (nn::BatchedExecutionEnabled()) {
-    // Serial domain loop: nested ParallelFor calls would run inline inside
-    // the domain tasks, starving the batched kernels of the pool.
-    encode_range(0, n_domains);
-  } else {
-    ParallelFor(0, n_domains, /*grain=*/1, encode_range);
+  const std::vector<Domain> domains = model.EnabledDomains();
+  std::vector<Var> orig_norms;
+  std::vector<Var> aug_norms;
+  for (const Domain d : domains) {
+    Var xo, xa;
+    {
+      trace::TraceSpan span("trainer.features");
+      xo = nn::Constant(BuildDomainBatch(originals, d, period));
+      xa = nn::Constant(BuildDomainBatch(augmented, d, period));
+    }
+    orig_norms.push_back(model.EncodeNormalized(d, xo));
+    aug_norms.push_back(model.EncodeNormalized(d, xa));
   }
   return model.TotalLoss(orig_norms, aug_norms);
 }

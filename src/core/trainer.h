@@ -33,14 +33,11 @@ uint64_t ValidationSeed(uint64_t run_seed, int64_t epoch);
 /// batches of normal windows paired with their segment-augmented twins,
 /// Adam, and a 10% validation tail used to monitor generalization.
 ///
-/// Threading: on the batched path (default, see nn/ops.h
-/// BatchedExecutionEnabled) the domains run serially and every batched
-/// kernel — forward AND backward — fans its rows across DefaultPool();
-/// with TRIAD_NN_BATCHED=off the three domain encoders' forward passes run
-/// as independent tasks instead. Augmentation (shared RNG) and optimizer
-/// steps stay serial, so loss trajectories and trained weights are
-/// bit-identical across both modes and at any TRIAD_NUM_THREADS (see
-/// ARCHITECTURE.md §3 and §11; enforced by tests/parallel_test.cc and
+/// Threading: the domains run serially and every nn kernel — forward AND
+/// backward — fans its rows across DefaultPool(). Augmentation (shared RNG)
+/// and optimizer steps stay serial, so loss trajectories and trained
+/// weights are bit-identical at any TRIAD_NUM_THREADS (see ARCHITECTURE.md
+/// §3 and §11; enforced by tests/parallel_test.cc and
 /// tests/nn_batched_test.cc).
 class TriadTrainer {
  public:

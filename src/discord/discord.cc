@@ -888,53 +888,4 @@ Result<MerlinResult> ExactDiscords(const std::vector<double>& region,
   return accum.result;
 }
 
-Result<std::optional<Discord>> DiscordInRange(const MassContext& mass,
-                                              int64_t m, int64_t begin,
-                                              int64_t end,
-                                              DiscordStats* stats) {
-  const int64_t n = mass.size();
-  if (m < 2) return Status::InvalidArgument("discord length must be >= 2");
-  if (2 * m > n) {
-    return Status::InvalidArgument(
-        "series too short for non-trivial matches at this length");
-  }
-  const int64_t count = n - m + 1;
-  begin = std::clamp<int64_t>(begin, 0, count);
-  end = std::clamp<int64_t>(end, begin, count);
-  if (begin >= end) return std::optional<Discord>(std::nullopt);
-
-  const LengthContext ctx = MakeLengthContext(mass, m);
-  // One exact MASS profile per candidate row; rows fan across the pool and
-  // reduce in ascending order with the strictly-greater combine, so the
-  // result (including ties) matches a serial in-order scan at any thread
-  // count.
-  Phase2Partial best = ParallelMapReduce(
-      begin, end, /*grain=*/1, EmptyPhase2(m),
-      [&](int64_t b, int64_t e) {
-        Phase2Partial acc = EmptyPhase2(m);
-        std::vector<double> profile(static_cast<size_t>(count));
-        for (int64_t i = b; i < e; ++i) {
-          ctx.mass.DistanceProfileInto(ctx.Sub(i), m, ctx.stats,
-                                       profile.data());
-          acc.ops += 1;  // repurposed: profiles evaluated in this chunk
-          double nn = kInf;
-          for (int64_t j = 0; j < count; ++j) {
-            if (std::llabs(j - i) < m) continue;
-            nn = std::min(nn, profile[static_cast<size_t>(j)]);
-          }
-          if (std::isfinite(nn)) {
-            Phase2Partial one = EmptyPhase2(m);
-            one.best.position = i;
-            one.best.distance = nn;
-            acc = CombinePhase2(std::move(acc), one);
-          }
-        }
-        return acc;
-      },
-      CombinePhase2);
-  if (stats != nullptr) stats->distance_profiles += best.ops;
-  if (best.best.position < 0) return std::optional<Discord>(std::nullopt);
-  return std::optional<Discord>(best.best);
-}
-
 }  // namespace triad::discord

@@ -9,23 +9,18 @@
 #include "discord/mass.h"
 
 /// \file
-/// Variable-length discord discovery: DRAG, MERLIN, MERLIN++, the exact
-/// per-length matrix-profile sweep the detector runs (ExactDiscords) and
-/// the range-restricted re-search primitive.
+/// Variable-length discord discovery: DRAG, MERLIN, MERLIN++ and the exact
+/// per-length matrix-profile sweep the detector runs (ExactDiscords).
 ///
-/// **MassContext reuse rules** (ARCHITECTURE.md §7/§8): every algorithm
-/// here prices its distance work against one MassContext per series —
+/// **MassContext reuse rules** (ARCHITECTURE.md §7): every algorithm here
+/// prices its distance work against one MassContext per series —
 /// Merlin/MerlinPlusPlus build it internally and share it across the whole
 /// length sweep (prefix sums serve every length's rolling stats; lengths
-/// with the same padded FFT size share one series spectrum), while
-/// DiscordInRange takes the context *by reference* so a caller re-searching
-/// many ranges of the same series (changed-region tracking, streaming)
-/// pays the series-side FFT and prefix sums once, not once per call. A
-/// context is valid for a series snapshot: it never observes appends, so
-/// when the underlying stream grows, build a new context over the new
-/// buffer (cheap: O(n) prefix sums + one lazy FFT) or use
-/// discord::StompStream, which maintains its own state under append.
-/// Contexts are safe to share across pool workers (const methods only).
+/// with the same padded FFT size share one series spectrum). A context is
+/// valid for a series snapshot: it never observes appends, so when the
+/// underlying stream grows, build a new context over the new buffer
+/// (cheap: O(n) prefix sums + one lazy FFT). Contexts are safe to share
+/// across pool workers (const methods only).
 
 namespace triad::discord {
 
@@ -123,27 +118,6 @@ Result<MerlinResult> MerlinPlusPlus(const std::vector<double>& series,
 Result<MerlinResult> ExactDiscords(const std::vector<double>& region,
                                    int64_t min_length, int64_t max_length,
                                    int64_t length_step = 1);
-
-/// \brief Exact top discord of length m whose start position lies in
-/// [begin, end) — the changed-region re-search primitive
-/// (ARCHITECTURE.md §8).
-///
-/// Nearest-neighbour distances are measured against the FULL series held by
-/// `mass` (one amortized MASS profile per candidate row, fanned across the
-/// pool with an ordered reduction — bit-identical at any thread count), so
-/// each candidate's NN distance equals the matrix-profile entry
-/// BruteForceDiscord ranks; only the argmax is restricted to the range.
-/// After an append touches profile rows [begin, end) (e.g.
-/// StompStream::AppendResult's changed hull plus the new rows), re-ranking
-/// that span against a previously kept best is enough to maintain the top
-/// discord without a full re-search. `begin`/`end` are clamped to the valid
-/// row range; returns nullopt when the clamped range is empty or no
-/// candidate in it has a finite NN distance. `stats` (may be null)
-/// accumulates the distance-profile count.
-Result<std::optional<Discord>> DiscordInRange(const MassContext& mass,
-                                              int64_t m, int64_t begin,
-                                              int64_t end,
-                                              DiscordStats* stats = nullptr);
 
 }  // namespace triad::discord
 

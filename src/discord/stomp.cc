@@ -100,122 +100,6 @@ Result<MatrixProfile> Stomp(const std::vector<double>& series, int64_t m) {
   return profile;
 }
 
-StompStream::StompStream(int64_t m) : m_(m) {
-  TRIAD_CHECK(m >= 2);  // shorter subsequences have no z-norm distance
-  prefix_.push_back(0.0);
-  prefix_sq_.push_back(0.0);
-}
-
-StompStream::AppendResult StompStream::Append(
-    const std::vector<double>& points) {
-  AppendResult result;
-  // Initialize the changed hull to an empty span at the current frontier so
-  // min/max merging below works from any starting state.
-  result.changed_begin = count();
-  result.changed_end = count();
-  ++generation_;  // distinct-row accounting: one stamp epoch per Append
-  for (double v : points) PushPoint(v, &result);
-  if (result.updated_rows == 0) {
-    result.changed_begin = result.changed_end = count();
-  }
-  return result;
-}
-
-void StompStream::PushPoint(double value, AppendResult* result) {
-  static metrics::Counter* rows_counter =
-      metrics::Registry::Global().counter("stomp.stream_rows");
-  static metrics::Counter* updates_counter =
-      metrics::Registry::Global().counter("stomp.stream_row_updates");
-  series_.push_back(value);
-  // Same sequential accumulation as mass.cc's BuildPrefixSums, so the
-  // derived stats match ComputeRollingStats exactly.
-  prefix_.push_back(prefix_.back() + value);
-  prefix_sq_.push_back(prefix_sq_.back() + value * value);
-  const int64_t n = static_cast<int64_t>(series_.size());
-  if (n < m_) return;
-
-  const int64_t i = n - m_;  // index of the newly completed subsequence
-  const int64_t new_count = i + 1;
-  {
-    // DeriveStats arithmetic for the one new row.
-    const double sum = prefix_[static_cast<size_t>(i + m_)] -
-                       prefix_[static_cast<size_t>(i)];
-    const double sum_sq = prefix_sq_[static_cast<size_t>(i + m_)] -
-                          prefix_sq_[static_cast<size_t>(i)];
-    const double mu = sum / static_cast<double>(m_);
-    const double var =
-        std::max(0.0, sum_sq / static_cast<double>(m_) - mu * mu);
-    mean_.push_back(mu);
-    stddev_.push_back(std::sqrt(var));
-  }
-  rows_counter->Increment();
-
-  // Extend the sliding-dot row: QT_i[j] = QT_{i-1}[j-1]
-  //   - x[i-1]x[j-1] + x[i+m-1]x[j+m-1], the batch path's exact
-  // recurrence; QT_i[0] has no predecessor and is computed directly.
-  qt_.resize(static_cast<size_t>(new_count), 0.0);
-  if (i > 0) {
-    simd::SlidingDotUpdate(qt_.data(), new_count,
-                           series_[static_cast<size_t>(i - 1)],
-                           series_.data(),
-                           series_[static_cast<size_t>(i + m_ - 1)],
-                           series_.data() + m_);
-  }
-  double dot0 = 0.0;
-  for (int64_t t = 0; t < m_; ++t) {
-    dot0 += series_[static_cast<size_t>(i + t)] *
-            series_[static_cast<size_t>(t)];
-  }
-  qt_[0] = dot0;
-
-  // Distance of the new subsequence to every existing one (symmetric),
-  // via the kernel shared with Stomp/MASS.
-  dist_.resize(static_cast<size_t>(new_count));
-  simd::ZNormDistRow(qt_.data(), mean_.data(), stddev_.data(),
-                     mean_[static_cast<size_t>(i)],
-                     stddev_[static_cast<size_t>(i)], m_, dist_.data(),
-                     new_count);
-
-  // New row: argmin over the exclusion zone, strict < (earliest tie wins),
-  // matching the batch scan.
-  double best = kInf;
-  int64_t best_j = -1;
-  for (int64_t j = 0; j + m_ <= i; ++j) {
-    const double d = dist_[static_cast<size_t>(j)];
-    if (d < best) {
-      best = d;
-      best_j = j;
-    }
-  }
-  profile_.distances.push_back(best);
-  profile_.indices.push_back(best_j);
-  touched_.push_back(0);
-  ++result->new_rows;
-
-  // Relax old rows the new subsequence now serves as nearest neighbour. A
-  // row may be relaxed by several subsequences appended in one call; the
-  // generation stamp keeps updated_rows a count of *distinct* rows.
-  for (int64_t j = 0; j + m_ <= i; ++j) {
-    const double d = dist_[static_cast<size_t>(j)];
-    if (d < profile_.distances[static_cast<size_t>(j)]) {
-      profile_.distances[static_cast<size_t>(j)] = d;
-      profile_.indices[static_cast<size_t>(j)] = i;
-      if (result->updated_rows == 0) {
-        result->changed_begin = j;
-        result->changed_end = j + 1;
-      } else {
-        result->changed_begin = std::min(result->changed_begin, j);
-        result->changed_end = std::max(result->changed_end, j + 1);
-      }
-      if (touched_[static_cast<size_t>(j)] != generation_) {
-        touched_[static_cast<size_t>(j)] = generation_;
-        ++result->updated_rows;
-      }
-      updates_counter->Increment();
-    }
-  }
-}
-
 std::vector<int64_t> TopDiscordsFromProfile(const MatrixProfile& profile,
                                             int64_t m, int64_t k) {
   std::vector<int64_t> order(profile.distances.size());

@@ -104,7 +104,8 @@ Var L2NormalizeFused(const Var& a, float eps) {
     for (int64_t i = 0; i < inner; ++i) acc += row[i] * row[i];
     const float norm = std::sqrt(std::max(acc + eps, kSqrtEps));
     norms[o] = norm;
-    EvalTo(Bin<DivOp>(Leaf{row}, Scalar{norm}), out.data() + o * inner, inner);
+    float* dst = out.data() + o * inner;
+    for (int64_t i = 0; i < inner; ++i) dst[i] = row[i] / norm;
   }
   auto an = a.node();
   return Var::MakeNode(

@@ -1,97 +1,25 @@
 #ifndef TRIAD_NN_FUSED_H_
 #define TRIAD_NN_FUSED_H_
 
-#include <cstdint>
-
 #include "nn/variable.h"
 
 namespace triad::nn::fused {
 
-/// \file Lightweight expression templates for the hot elementwise chains
-/// (in the style of simple-tensor's broadcast_op.h).
+/// \file Fused elementwise chains with hand-written backward passes.
 ///
-/// An expression is a tree of leaf/functor structs evaluated per index by
-/// `operator()(i)`; `EvalTo` materializes it in ONE pass over memory, so a
-/// chain produces no intermediate tensors and no per-op autograd nodes.
-/// The fused entry points below (AddReluFused, BiasAddReluFused,
-/// L2NormalizeFused) each record a single hand-written backward on the
-/// existing Var autograd seam (Var::MakeNode). Chains with a dedicated
-/// runtime-dispatched kernel (simd::AddRelu / simd::AddReluMask) call it —
-/// one *vector* pass; chains without one (the per-row normalize scale)
-/// evaluate through the expression tree — one scalar pass.
+/// Each entry point replaces a composite of primitive ops (ops.h) with one
+/// pass over memory and a single autograd node recorded on the Var seam
+/// (Var::MakeNode). Chains with a dedicated runtime-dispatched kernel
+/// (simd::AddRelu / simd::AddReluMask) call it — one *vector* pass; the
+/// per-row normalize scale is a plain scalar loop.
 ///
 /// Numerics contract: every fused op performs the exact per-element IEEE
 /// operation sequence of the composite it replaces (fused.cc is compiled
 /// with -ffp-contract=off so the compiler cannot fuse the written mul/add
 /// chains), so forward values AND accumulated gradients are BIT-IDENTICAL
-/// to the unfused graph — asserted by tests/nn_batched_test.cc.
-
-// ---------- expression nodes ----------
-
-/// Dense row leaf.
-struct Leaf {
-  const float* p;
-  float operator()(int64_t i) const { return p[i]; }
-};
-
-/// Broadcast scalar leaf.
-struct Scalar {
-  float v;
-  float operator()(int64_t) const { return v; }
-};
-
-template <typename Op, typename L, typename R>
-struct BinExpr {
-  L l;
-  R r;
-  float operator()(int64_t i) const { return Op::Apply(l(i), r(i)); }
-};
-
-template <typename Op, typename E>
-struct UnExpr {
-  E e;
-  float operator()(int64_t i) const { return Op::Apply(e(i)); }
-};
-
-// ---------- elementwise functors ----------
-
-struct AddOp {
-  static float Apply(float a, float b) { return a + b; }
-};
-struct SubOp {
-  static float Apply(float a, float b) { return a - b; }
-};
-struct MulOp {
-  static float Apply(float a, float b) { return a * b; }
-};
-struct DivOp {
-  static float Apply(float a, float b) { return a / b; }
-};
-/// Branch semantics of simd::Relu (relu(-0.0) = -0.0? No: x > 0 ? x : 0,
-/// so relu(-0.0) = 0.0 and relu(NaN) = 0, matching the kernel layer).
-struct ReluOp {
-  static float Apply(float x) { return x > 0.0f ? x : 0.0f; }
-};
-
-// ---------- builders ----------
-
-template <typename Op, typename L, typename R>
-BinExpr<Op, L, R> Bin(L l, R r) {
-  return BinExpr<Op, L, R>{l, r};
-}
-
-template <typename Op, typename E>
-UnExpr<Op, E> Un(E e) {
-  return UnExpr<Op, E>{e};
-}
-
-/// Materializes `e` into `out` in one pass.
-template <typename E>
-void EvalTo(const E& e, float* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = e(i);
-}
-
-// ---------- fused composite ops (defined in fused.cc) ----------
+/// to the unfused graph — asserted by tests/nn_batched_test.cc against
+/// Relu(Add(a, b)) and the Square/Sum/AddScalar/Sqrt/ExpandLastDim/Div
+/// composite.
 
 /// relu(a + b) for identical shapes, as one pass + one autograd node.
 Var AddReluFused(const Var& a, const Var& b);
@@ -101,8 +29,9 @@ Var AddReluFused(const Var& a, const Var& b);
 /// exactly as the composite Add's ReduceGradToShape.
 Var BiasAddReluFused(const Var& a, const Var& bias);
 
-/// Rows scaled to unit L2 norm over the last axis, matching
-/// L2NormalizeLastDim(a, eps) bit for bit with one node instead of six.
+/// Rows scaled to unit L2 norm over the last axis, matching the composite
+/// Div(a, ExpandLastDim(Sqrt(AddScalar(Sum(Square(a)), eps)))) bit for bit
+/// with one node instead of six.
 Var L2NormalizeFused(const Var& a, float eps);
 
 }  // namespace triad::nn::fused

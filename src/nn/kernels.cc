@@ -8,106 +8,6 @@
 
 namespace triad::nn::kernels {
 
-// The `av == 0` skips mirror the pre-kernel scalar code: Xavier init makes
-// exact zeros rare in weights, but gradients and padded activations hit
-// them often (ReLU, zero padding), and skipping a whole axpy/dot row is
-// profitable at any SIMD tier. Skipped rows contribute exactly nothing in
-// either path, so the skip never changes results.
-
-void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
-          int64_t n) {
-  // Each output row is a fused multi-tap accumulation: row i of A is the
-  // tap weights, the rows of B are the tap inputs (taps=1, dilation=0).
-  for (int64_t i = 0; i < m; ++i) {
-    simd::ConvRowAccum(b, /*xstride=*/n, a + i * k, /*cin=*/k, /*taps=*/1,
-                       /*dilation=*/0, c + i * n, n);
-  }
-}
-
-void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,
-                int64_t n) {
-  for (int64_t p = 0; p < k; ++p) {
-    const float* arow = a + p * m;
-    const float* brow = b + p * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      simd::Axpy(av, brow, c + i * n, n);
-    }
-  }
-}
-
-void GemmTransB(const float* a, const float* b, float* c, int64_t m, int64_t n,
-                int64_t k) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * n;
-    float* crow = c + i * k;
-    for (int64_t p = 0; p < k; ++p) {
-      crow[p] += static_cast<float>(simd::Dot(arow, b + p * n, n));
-    }
-  }
-}
-
-void Conv1dForward(const float* xpad, const float* w, float* out, int64_t B,
-                   int64_t Cin, int64_t Cout, int64_t K, int64_t Lpad,
-                   int64_t Lout, int64_t dilation) {
-  // All Cin*K taps of one output row fuse into a single register-blocked
-  // pass over the row (simd::ConvRowAccum) instead of one axpy per tap.
-  for (int64_t b = 0; b < B; ++b) {
-    const float* xbatch = xpad + b * Cin * Lpad;
-    for (int64_t co = 0; co < Cout; ++co) {
-      simd::ConvRowAccum(xbatch, Lpad, w + co * Cin * K, Cin, K, dilation,
-                         out + (b * Cout + co) * Lout, Lout);
-    }
-  }
-}
-
-void Conv1dBackwardInput(const float* g, const float* w, float* gxpad,
-                         int64_t B, int64_t Cin, int64_t Cout, int64_t K,
-                         int64_t Lpad, int64_t Lout, int64_t dilation) {
-  for (int64_t b = 0; b < B; ++b) {
-    for (int64_t co = 0; co < Cout; ++co) {
-      const float* grow = g + (b * Cout + co) * Lout;
-      for (int64_t ci = 0; ci < Cin; ++ci) {
-        float* xrow = gxpad + (b * Cin + ci) * Lpad;
-        const float* wrow = w + (co * Cin + ci) * K;
-        for (int64_t k = 0; k < K; ++k) {
-          const float wv = wrow[k];
-          if (wv == 0.0f) continue;
-          simd::Axpy(wv, grow, xrow + k * dilation, Lout);
-        }
-      }
-    }
-  }
-}
-
-void Conv1dBackwardWeight(const float* g, const float* xpad, float* gw,
-                          int64_t B, int64_t Cin, int64_t Cout, int64_t K,
-                          int64_t Lpad, int64_t Lout, int64_t dilation) {
-  for (int64_t b = 0; b < B; ++b) {
-    for (int64_t co = 0; co < Cout; ++co) {
-      const float* grow = g + (b * Cout + co) * Lout;
-      for (int64_t ci = 0; ci < Cin; ++ci) {
-        const float* xrow = xpad + (b * Cin + ci) * Lpad;
-        float* wrow = gw + (co * Cin + ci) * K;
-        for (int64_t k = 0; k < K; ++k) {
-          wrow[k] +=
-              static_cast<float>(simd::Dot(xrow + k * dilation, grow, Lout));
-        }
-      }
-    }
-  }
-}
-
-void Conv1dBackwardBias(const float* g, float* gb, int64_t B, int64_t Cout,
-                        int64_t Lout) {
-  for (int64_t b = 0; b < B; ++b) {
-    for (int64_t co = 0; co < Cout; ++co) {
-      gb[co] += static_cast<float>(simd::Sum(g + (b * Cout + co) * Lout, Lout));
-    }
-  }
-}
-
 namespace {
 
 // Grain so that each pool chunk carries a worthwhile amount of work: tiny
@@ -123,18 +23,17 @@ int64_t RowGrain(int64_t rows, int64_t work_per_row) {
 
 }  // namespace
 
-void Conv1dForwardBatched(const float* xpad, const float* w, const float* bias,
-                          float* out, int64_t B, int64_t Cin, int64_t Cout,
-                          int64_t K, int64_t Lpad, int64_t Lout,
-                          int64_t dilation) {
+void Conv1dForward(const float* xpad, const float* w, const float* bias,
+                   float* out, int64_t B, int64_t Cin, int64_t Cout, int64_t K,
+                   int64_t Lpad, int64_t Lout, int64_t dilation) {
   // Implicit im2col: each output row reads its taps straight from the
   // padded input (the strided gather happens in ConvRowAccum's register
   // block, never in memory). A materialized [Cin*K, B*Lout] column matrix
   // measured strictly slower here — the copy + alloc traffic is pure
   // overhead once the tap reads are fused — see ARCHITECTURE.md §11.
   // Channels fan across the pool; per element the Cin*K taps apply in
-  // (ci, k) order with the same zero-weight skips as Conv1dForward, so the
-  // values are bit-identical to the per-window reference.
+  // (ci, k) order, skipping zero weights, so the values are bit-identical
+  // to a serial loop of one ConvRowAccum per (b, co) row.
   ParallelFor(0, Cout, RowGrain(Cout, B * Cin * K * Lout),
               [&](int64_t begin, int64_t end) {
                 for (int64_t co = begin; co < end; ++co) {
@@ -150,15 +49,14 @@ void Conv1dForwardBatched(const float* xpad, const float* w, const float* bias,
               });
 }
 
-void Conv1dBackwardInputBatched(const float* g, const float* w, float* gxpad,
-                                int64_t B, int64_t Cin, int64_t Cout,
-                                int64_t K, int64_t Lpad, int64_t Lout,
-                                int64_t dilation) {
+void Conv1dBackwardInput(const float* g, const float* w, float* gxpad,
+                         int64_t B, int64_t Cin, int64_t Cout, int64_t K,
+                         int64_t Lpad, int64_t Lout, int64_t dilation) {
   // Each (b, ci) row of gxpad is independent and runs as one fused
-  // CorrRowAccum: the Cout*K scatter terms apply per element in the same
-  // (co, k) order as Conv1dBackwardInput's axpy passes, register-blocked
-  // over the row interior. Lpad == Lout + (K-1)*dilation, so the kernel's
-  // output row is exactly the gxpad row.
+  // CorrRowAccum: the Cout*K scatter terms apply per element in (co, k)
+  // order — the chain of one simd::Axpy pass per nonzero tap —
+  // register-blocked over the row interior. Lpad == Lout + (K-1)*dilation,
+  // so the kernel's output row is exactly the gxpad row.
   const int64_t rows = B * Cin;
   ParallelFor(0, rows, RowGrain(rows, Cout * K * Lout),
               [&](int64_t begin, int64_t end) {
@@ -172,14 +70,13 @@ void Conv1dBackwardInputBatched(const float* g, const float* w, float* gxpad,
               });
 }
 
-void Conv1dBackwardWeightBatched(const float* g, const float* xpad, float* gw,
-                                 int64_t B, int64_t Cin, int64_t Cout,
-                                 int64_t K, int64_t Lpad, int64_t Lout,
-                                 int64_t dilation) {
+void Conv1dBackwardWeight(const float* g, const float* xpad, float* gw,
+                          int64_t B, int64_t Cin, int64_t Cout, int64_t K,
+                          int64_t Lpad, int64_t Lout, int64_t dilation) {
   // Each co slice of gw is independent. Per (b, ci) pair all K tap dots run
   // as one ConvTapDots sharing the gradient-row loads; every dot is
   // bit-identical to simd::Dot, and per element gw[co,ci,k] the B partials
-  // add in ascending b order, exactly as Conv1dBackwardWeight.
+  // add in ascending b order.
   ParallelFor(0, Cout, RowGrain(Cout, B * Cin * K * Lout),
               [&](int64_t begin, int64_t end) {
                 double dots[8];
@@ -203,8 +100,8 @@ void Conv1dBackwardWeightBatched(const float* g, const float* xpad, float* gw,
               });
 }
 
-void Conv1dBackwardBiasBatched(const float* g, float* gb, int64_t B,
-                               int64_t Cout, int64_t Lout) {
+void Conv1dBackwardBias(const float* g, float* gb, int64_t B, int64_t Cout,
+                        int64_t Lout) {
   ParallelFor(0, Cout, RowGrain(Cout, B * Lout),
               [&](int64_t begin, int64_t end) {
                 for (int64_t co = begin; co < end; ++co) {
@@ -216,8 +113,8 @@ void Conv1dBackwardBiasBatched(const float* g, float* gb, int64_t B,
               });
 }
 
-void GemmRowsParallel(const float* a, const float* b, float* c, int64_t m,
-                      int64_t k, int64_t n) {
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+          int64_t n) {
   ParallelFor(0, m, RowGrain(m, k * n), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       simd::ConvRowAccum(b, /*xstride=*/n, a + i * k, /*cin=*/k, /*taps=*/1,
@@ -226,8 +123,8 @@ void GemmRowsParallel(const float* a, const float* b, float* c, int64_t m,
   });
 }
 
-void GemmTransARowsParallel(const float* a, const float* b, float* c,
-                            int64_t m, int64_t k, int64_t n) {
+void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,
+                int64_t n) {
   // Column i of A gathered into a contiguous stack of tap weights turns the
   // row update into one register-blocked ConvRowAccum (taps=1) instead of k
   // separate axpy passes over the row. ConvRowAccum applies the k terms per
@@ -243,8 +140,8 @@ void GemmTransARowsParallel(const float* a, const float* b, float* c,
   });
 }
 
-void GemmTransBRowsParallel(const float* a, const float* b, float* c,
-                            int64_t m, int64_t n, int64_t k) {
+void GemmTransB(const float* a, const float* b, float* c, int64_t m, int64_t n,
+                int64_t k) {
   // Output columns pair up so each DotPair shares the A-row loads; every
   // dot keeps simd::Dot's exact accumulation chain.
   ParallelFor(0, m, RowGrain(m, n * k), [&](int64_t begin, int64_t end) {

@@ -5,113 +5,75 @@
 
 namespace triad::nn::kernels {
 
-/// \brief Shape-aware kernels for the encoder/dense hot paths.
+/// \brief Shape-aware kernels for the encoder/dense hot paths: one kernel
+/// per op, each over the whole batch.
 ///
 /// These wrap the runtime-dispatched primitives of common/simd.h into the
-/// loop nests ops.cc (MatMul, Conv1d) runs per batch element. Numerics
-/// follow the simd.h determinism contract: GEMM forward / Conv1d forward /
-/// Conv1d input-gradient are pure axpy chains and therefore bit-identical
-/// across SIMD tiers; GemmTransB and the Conv1d weight/bias gradients use
-/// the double-accumulated reductions and may differ from the scalar tier
-/// by a few ULPs (locked down by tests/kernel_equivalence_test.cc).
+/// loop nests ops.cc (MatMul, Conv1d) runs, and fan the independent output
+/// rows across DefaultPool(). Numerics follow the simd.h determinism
+/// contract: GEMM forward / Conv1d forward / Conv1d input-gradient are pure
+/// axpy chains and therefore bit-identical across SIMD tiers; GemmTransB and
+/// the Conv1d weight/bias gradients use the double-accumulated reductions
+/// and may differ from the scalar tier by a few ULPs (locked down by
+/// tests/kernel_equivalence_test.cc).
 ///
-/// All matrices are dense row-major; every kernel *accumulates* into its
-/// output (callers pass zeroed or bias-initialized buffers).
+/// Per output element every kernel applies a fixed chain of terms — the
+/// chain of the plain serial loop over simd::Axpy / Dot / Sum /
+/// ConvRowAccum, with the same term order and the same zero-weight skips —
+/// and each pool task writes a disjoint set of output rows. Results are
+/// therefore bit-identical at any thread count. tests/nn_batched_test.cc
+/// keeps those serial loops as oracles and asserts exact equality at both
+/// tiers and at 1 and 4 lanes.
+///
+/// All matrices are dense row-major. Conv1dForward writes every output
+/// element; every other kernel *accumulates* into its output (callers pass
+/// zeroed buffers).
 
-/// C[m,n] += A[m,k] * B[k,n].
-void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
-          int64_t n);
-
-/// C[m,n] += A[k,m]^T * B[k,n].
-void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,
-                int64_t n);
-
-/// C[m,k] += A[m,n] * B[k,n]^T.
-void GemmTransB(const float* a, const float* b, float* c, int64_t m, int64_t n,
-                int64_t k);
-
-/// Conv1d forward over a pre-padded input:
-///   out[b,co,t] += sum_{ci,k} w[co,ci,k] * xpad[b,ci,t + k*dilation]
-/// `xpad` is [B, Cin, Lpad] and `out` is [B, Cout, Lout] (pre-initialized
-/// with the bias, or zeros).
-void Conv1dForward(const float* xpad, const float* w, float* out, int64_t B,
-                   int64_t Cin, int64_t Cout, int64_t K, int64_t Lpad,
-                   int64_t Lout, int64_t dilation);
+/// Conv1d forward with *implicit* im2col over a pre-padded input:
+///   out[b,co,t] = bias[co] + sum_{ci,k} w[co,ci,k] * xpad[b,ci,t+k*dilation]
+/// `xpad` is [B, Cin, Lpad] and `out` is [B, Cout, Lout]; `bias` may be null
+/// (zero). The tap gather happens inside simd::ConvRowAccum's register
+/// block — no column matrix is materialized (measured strictly slower;
+/// ARCHITECTURE.md §11). Taps accumulate in (ci, k) order; the Cout channel
+/// slices fan across the pool.
+void Conv1dForward(const float* xpad, const float* w, const float* bias,
+                   float* out, int64_t B, int64_t Cin, int64_t Cout, int64_t K,
+                   int64_t Lpad, int64_t Lout, int64_t dilation);
 
 /// Gradient w.r.t. the padded input:
 ///   gxpad[b,ci,t + k*dilation] += w[co,ci,k] * g[b,co,t]
+/// applied per element in (co, k) order via simd::CorrRowAccum; each
+/// (b, ci) row is an independent pool task.
 void Conv1dBackwardInput(const float* g, const float* w, float* gxpad,
                          int64_t B, int64_t Cin, int64_t Cout, int64_t K,
                          int64_t Lpad, int64_t Lout, int64_t dilation);
 
 /// Gradient w.r.t. the weights:
 ///   gw[co,ci,k] += sum_t xpad[b,ci,t + k*dilation] * g[b,co,t]
+/// one simd::Dot chain per (b, co, ci, k), added in ascending b order; each
+/// co slice is an independent pool task.
 void Conv1dBackwardWeight(const float* g, const float* xpad, float* gw,
                           int64_t B, int64_t Cin, int64_t Cout, int64_t K,
                           int64_t Lpad, int64_t Lout, int64_t dilation);
 
-/// Gradient w.r.t. the bias: gb[co] += sum_{b,t} g[b,co,t].
+/// Gradient w.r.t. the bias: gb[co] += sum_{b,t} g[b,co,t], one simd::Sum
+/// per (b, co) row, added in ascending b order.
 void Conv1dBackwardBias(const float* g, float* gb, int64_t B, int64_t Cout,
                         int64_t Lout);
 
-// ---------------------------------------------------------------------------
-// Batched (window-major) kernels — the TRIAD_NN_BATCHED execution path.
-//
-// These reshape the whole batch into single GEMM-shaped calls and fan the
-// independent output rows across the default pool. Every kernel preserves
-// the reference kernels' per-element accumulation order exactly (same tap
-// order, same zero-weight skips, disjoint writes per row), so the batched
-// path is BIT-IDENTICAL to the serial reference at any thread count; the
-// equivalence suite in tests/nn_batched_test.cc asserts exact equality.
-// ---------------------------------------------------------------------------
+/// C[m,n] += A[m,k] * B[k,n], the m output rows fanned across the pool.
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+          int64_t n);
 
-/// Batched Conv1d forward with *implicit* im2col:
-///   out[b,co,t] = bias[co] + sum_{ci,k} w[co,ci,k] * xpad[b,ci,t+k*dilation]
-/// `bias` may be null (zero-init). The tap gather happens inside
-/// simd::ConvRowAccum's register block — no column matrix is materialized
-/// (measured strictly slower; ARCHITECTURE.md §11). Taps accumulate in
-/// (ci, k) order — the same per-element chain as Conv1dForward — so results
-/// are bit-identical; the Cout channel slices fan across the pool.
-void Conv1dForwardBatched(const float* xpad, const float* w, const float* bias,
-                          float* out, int64_t B, int64_t Cin, int64_t Cout,
-                          int64_t K, int64_t Lpad, int64_t Lout,
-                          int64_t dilation);
+/// C[m,n] += A[k,m]^T * B[k,n]; each output row accumulates its k terms in
+/// ascending order, and the m rows fan across the pool.
+void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,
+                int64_t n);
 
-/// Row-parallel Conv1d input gradient: identical per-element (co, k)
-/// accumulation order as Conv1dBackwardInput (via simd::CorrRowAccum),
-/// reorganized so each (b, ci) output row is an independent pool task.
-void Conv1dBackwardInputBatched(const float* g, const float* w, float* gxpad,
-                                int64_t B, int64_t Cin, int64_t Cout,
-                                int64_t K, int64_t Lpad, int64_t Lout,
-                                int64_t dilation);
-
-/// Row-parallel Conv1d weight gradient: per-element batch order (b
-/// ascending) matches Conv1dBackwardWeight; each co slice is independent.
-void Conv1dBackwardWeightBatched(const float* g, const float* xpad, float* gw,
-                                 int64_t B, int64_t Cin, int64_t Cout,
-                                 int64_t K, int64_t Lpad, int64_t Lout,
-                                 int64_t dilation);
-
-/// Row-parallel Conv1d bias gradient (same per-element order as
-/// Conv1dBackwardBias).
-void Conv1dBackwardBiasBatched(const float* g, float* gb, int64_t B,
-                               int64_t Cout, int64_t Lout);
-
-/// C[m,n] += A[m,k] * B[k,n] with the m output rows fanned across the
-/// pool; each row runs the exact Gemm row kernel (bit-identical).
-void GemmRowsParallel(const float* a, const float* b, float* c, int64_t m,
-                      int64_t k, int64_t n);
-
-/// C[m,n] += A[k,m]^T * B[k,n], reorganized row-major (each of the m
-/// output rows accumulates its k terms in ascending order — the same
-/// per-element order as GemmTransA) and fanned across the pool.
-void GemmTransARowsParallel(const float* a, const float* b, float* c,
-                            int64_t m, int64_t k, int64_t n);
-
-/// C[m,k] += A[m,n] * B[k,n]^T with the m output rows fanned across the
-/// pool (row loop identical to GemmTransB).
-void GemmTransBRowsParallel(const float* a, const float* b, float* c,
-                            int64_t m, int64_t n, int64_t k);
+/// C[m,k] += A[m,n] * B[k,n]^T, one simd::Dot chain per output element, the
+/// m output rows fanned across the pool.
+void GemmTransB(const float* a, const float* b, float* c, int64_t m, int64_t n,
+                int64_t k);
 
 }  // namespace triad::nn::kernels
 

@@ -145,7 +145,7 @@ Var DilatedResidualBlock::Forward(const Var& x) const {
   Var y = Relu(conv1_.Forward(x));
   y = conv2_.Forward(y);
   Var skip = projection_ ? projection_->Forward(x) : x;
-  // Residual add + relu fuse into one pass on the batched path.
+  // Residual add + relu fuse into one pass (nn/fused.h).
   return AddRelu(y, skip);
 }
 

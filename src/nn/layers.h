@@ -37,8 +37,8 @@ class Linear : public Module {
          bool with_bias = true);
 
   Var Forward(const Var& x) const;
-  /// relu(x W + b): the bias add and the relu fuse into one pass on the
-  /// batched path (bit-identical to Relu(Forward(x)) either way).
+  /// relu(x W + b): the bias add and the relu fuse into one pass
+  /// (bit-identical to Relu(Forward(x))).
   Var ForwardRelu(const Var& x) const;
   std::vector<Var> Parameters() const override;
 

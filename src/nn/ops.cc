@@ -1,44 +1,13 @@
 #include "nn/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <string>
 
-#include "common/env.h"
 #include "common/simd.h"
 #include "nn/fused.h"
 #include "nn/kernels.h"
 
 namespace triad::nn {
-namespace {
-
-bool BatchedFromEnv() {
-  const std::string v = GetEnvString("TRIAD_NN_BATCHED", "on");
-  return !(v == "off" || v == "0" || v == "false" || v == "no");
-}
-
-// -1 = follow the environment; 0/1 = ScopedBatchedExecution override.
-std::atomic<int> g_batched_override{-1};
-
-}  // namespace
-
-bool BatchedExecutionEnabled() {
-  const int o = g_batched_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static const bool env_enabled = BatchedFromEnv();
-  return env_enabled;
-}
-
-ScopedBatchedExecution::ScopedBatchedExecution(bool enabled)
-    : previous_(g_batched_override.load(std::memory_order_relaxed)) {
-  g_batched_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-ScopedBatchedExecution::~ScopedBatchedExecution() {
-  g_batched_override.store(previous_, std::memory_order_relaxed);
-}
-
 namespace {
 
 // Broadcast pattern of a binary op's right operand.
@@ -343,8 +312,8 @@ Var Gelu(const Var& a) {
       });
 }
 
-// The GEMM micro-kernels (cache-friendly ikj order over runtime-dispatched
-// axpy/dot rows) live in nn/kernels.cc.
+// The GEMM kernels (row-parallel over runtime-dispatched axpy/dot rows)
+// live in nn/kernels.cc.
 using kernels::Gemm;
 using kernels::GemmTransA;
 using kernels::GemmTransB;
@@ -358,36 +327,18 @@ Var MatMul(const Var& a, const Var& b) {
   if (av.ndim() == 2 && bv.ndim() == 2) {
     const int64_t m = av.dim(0), k = av.dim(1), n = bv.dim(1);
     TRIAD_CHECK_EQ(bv.dim(0), k);
-    // Batched path: identical row kernels, fanned across the pool. The
-    // forward-time gate decision is captured so forward and backward take
-    // matching paths (they are bit-identical either way).
-    const bool batched = BatchedExecutionEnabled();
     Tensor out({m, n});
-    if (batched) {
-      kernels::GemmRowsParallel(av.data(), bv.data(), out.data(), m, k, n);
-    } else {
-      Gemm(av.data(), bv.data(), out.data(), m, k, n);
-    }
+    Gemm(av.data(), bv.data(), out.data(), m, k, n);
     return Var::MakeNode(
-        std::move(out), {an, bn}, [an, bn, m, k, n, batched](Node& nd) {
+        std::move(out), {an, bn}, [an, bn, m, k, n](Node& nd) {
           if (an->requires_grad) {
             Tensor da({m, k});
-            if (batched) {
-              kernels::GemmTransBRowsParallel(nd.grad.data(), bn->value.data(),
-                                              da.data(), m, n, k);
-            } else {
-              GemmTransB(nd.grad.data(), bn->value.data(), da.data(), m, n, k);
-            }
+            GemmTransB(nd.grad.data(), bn->value.data(), da.data(), m, n, k);
             an->AccumulateGrad(da);
           }
           if (bn->requires_grad) {
             Tensor db({k, n});
-            if (batched) {
-              kernels::GemmTransARowsParallel(an->value.data(), nd.grad.data(),
-                                              db.data(), k, m, n);
-            } else {
-              GemmTransA(an->value.data(), nd.grad.data(), db.data(), k, m, n);
-            }
+            GemmTransA(an->value.data(), nd.grad.data(), db.data(), k, m, n);
             bn->AccumulateGrad(db);
           }
         });
@@ -397,46 +348,23 @@ Var MatMul(const Var& a, const Var& b) {
     const int64_t bsz = av.dim(0), m = av.dim(1), k = av.dim(2), n = bv.dim(1);
     TRIAD_CHECK_EQ(bv.dim(0), k);
     // The shared right operand makes [b,m,k] x [k,n] a single flattened
-    // [b*m,k] x [k,n] product: the per-batch Gemm loop and the flattened
-    // row-parallel call execute the same per-row kernel over the same rows
-    // (and GemmTransA's p-ascending accumulation order equals the serial
-    // batch-then-row order), so both paths are bit-identical.
-    const bool batched = BatchedExecutionEnabled();
+    // [b*m,k] x [k,n] product: the same per-row kernel over the same rows
+    // as a per-batch loop, and GemmTransA's p-ascending accumulation order
+    // is the batch-then-row order, so flattening changes no bit.
     Tensor out({bsz, m, n});
-    if (batched) {
-      kernels::GemmRowsParallel(av.data(), bv.data(), out.data(), bsz * m, k,
-                                n);
-    } else {
-      for (int64_t i = 0; i < bsz; ++i) {
-        Gemm(av.data() + i * m * k, bv.data(), out.data() + i * m * n, m, k, n);
-      }
-    }
+    Gemm(av.data(), bv.data(), out.data(), bsz * m, k, n);
     return Var::MakeNode(
-        std::move(out), {an, bn}, [an, bn, bsz, m, k, n, batched](Node& nd) {
+        std::move(out), {an, bn}, [an, bn, bsz, m, k, n](Node& nd) {
           if (an->requires_grad) {
             Tensor da({bsz, m, k});
-            if (batched) {
-              kernels::GemmTransBRowsParallel(nd.grad.data(), bn->value.data(),
-                                              da.data(), bsz * m, n, k);
-            } else {
-              for (int64_t i = 0; i < bsz; ++i) {
-                GemmTransB(nd.grad.data() + i * m * n, bn->value.data(),
-                           da.data() + i * m * k, m, n, k);
-              }
-            }
+            GemmTransB(nd.grad.data(), bn->value.data(), da.data(), bsz * m, n,
+                       k);
             an->AccumulateGrad(da);
           }
           if (bn->requires_grad) {
             Tensor db({k, n});
-            if (batched) {
-              kernels::GemmTransARowsParallel(an->value.data(), nd.grad.data(),
-                                              db.data(), k, bsz * m, n);
-            } else {
-              for (int64_t i = 0; i < bsz; ++i) {
-                GemmTransA(an->value.data() + i * m * k,
-                           nd.grad.data() + i * m * n, db.data(), k, m, n);
-              }
-            }
+            GemmTransA(an->value.data(), nd.grad.data(), db.data(), k, bsz * m,
+                       n);
             bn->AccumulateGrad(db);
           }
         });
@@ -539,37 +467,13 @@ Var Conv1d(const Var& input, const Var& weight, const Var& bias,
     }
   }
 
-  // The gate decision is captured at forward time so both passes take
-  // matching paths; the batched kernels preserve the reference kernels'
-  // per-element accumulation order, so either choice is bit-identical.
-  const bool batched = BatchedExecutionEnabled();
-
-  // The batched kernel (and the legacy bias pre-fill) writes every output
-  // element before accumulating; only the legacy no-bias path accumulates
-  // into a zero-initialized buffer.
-  Tensor out = (batched || has_bias) ? Tensor::Uninitialized({B, Cout, Lout})
-                                     : Tensor({B, Cout, Lout});
-  if (batched) {
-    // Whole batch with implicit im2col: one fused register-blocked row
-    // accumulation per (channel, window) pair, channels fanned across the
-    // pool. No column matrix is materialized (kernels.h).
-    kernels::Conv1dForwardBatched(xpad.data(), w.data(),
-                                  has_bias ? bias.value().data() : nullptr,
-                                  out.data(), B, Cin, Cout, K, Lpad, Lout,
-                                  dilation);
-  } else {
-    if (has_bias) {
-      for (int64_t b = 0; b < B; ++b) {
-        for (int64_t co = 0; co < Cout; ++co) {
-          float* orow = out.data() + (b * Cout + co) * Lout;
-          const float bv = bias.value()[co];
-          for (int64_t t = 0; t < Lout; ++t) orow[t] = bv;
-        }
-      }
-    }
-    kernels::Conv1dForward(xpad.data(), w.data(), out.data(), B, Cin, Cout, K,
-                           Lpad, Lout, dilation);
-  }
+  // Whole batch with implicit im2col: one fused register-blocked row
+  // accumulation per (channel, window) pair, channels fanned across the
+  // pool. The kernel writes every output element, bias included.
+  Tensor out = Tensor::Uninitialized({B, Cout, Lout});
+  kernels::Conv1dForward(xpad.data(), w.data(),
+                         has_bias ? bias.value().data() : nullptr, out.data(),
+                         B, Cin, Cout, K, Lpad, Lout, dilation);
 
   auto xn = input.node();
   auto wn = weight.node();
@@ -583,19 +487,12 @@ Var Conv1d(const Var& input, const Var& weight, const Var& bias,
   return Var::MakeNode(
       std::move(out), std::move(parents),
       [xn, wn, bnode, xpad = std::move(xpad), B, Cin, Cout, K, L, Lpad, Lout,
-       dilation, pad_left, batched](Node& nd) {
+       dilation, pad_left](Node& nd) {
         const Tensor& g = nd.grad;
         if (xn->requires_grad) {
           Tensor gxpad({B, Cin, Lpad});
-          if (batched) {
-            kernels::Conv1dBackwardInputBatched(g.data(), wn->value.data(),
-                                                gxpad.data(), B, Cin, Cout, K,
-                                                Lpad, Lout, dilation);
-          } else {
-            kernels::Conv1dBackwardInput(g.data(), wn->value.data(),
-                                         gxpad.data(), B, Cin, Cout, K, Lpad,
-                                         Lout, dilation);
-          }
+          kernels::Conv1dBackwardInput(g.data(), wn->value.data(), gxpad.data(),
+                                       B, Cin, Cout, K, Lpad, Lout, dilation);
           Tensor gx = Tensor::Uninitialized({B, Cin, L});
           for (int64_t b = 0; b < B; ++b) {
             for (int64_t c = 0; c < Cin; ++c) {
@@ -608,24 +505,13 @@ Var Conv1d(const Var& input, const Var& weight, const Var& bias,
         }
         if (wn->requires_grad) {
           Tensor gw({Cout, Cin, K});
-          if (batched) {
-            kernels::Conv1dBackwardWeightBatched(g.data(), xpad.data(),
-                                                 gw.data(), B, Cin, Cout, K,
-                                                 Lpad, Lout, dilation);
-          } else {
-            kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw.data(), B,
-                                          Cin, Cout, K, Lpad, Lout, dilation);
-          }
+          kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw.data(), B,
+                                        Cin, Cout, K, Lpad, Lout, dilation);
           wn->AccumulateGrad(gw);
         }
         if (bnode && bnode->requires_grad) {
           Tensor gb({Cout});
-          if (batched) {
-            kernels::Conv1dBackwardBiasBatched(g.data(), gb.data(), B, Cout,
-                                               Lout);
-          } else {
-            kernels::Conv1dBackwardBias(g.data(), gb.data(), B, Cout, Lout);
-          }
+          kernels::Conv1dBackwardBias(g.data(), gb.data(), B, Cout, Lout);
           bnode->AccumulateGrad(gb);
         }
       });
@@ -865,22 +751,15 @@ Var Softmax(const Var& a) {
 }
 
 Var AddRelu(const Var& a, const Var& b) {
-  if (BatchedExecutionEnabled()) {
-    const Bcast pattern = ClassifyBroadcast(a.value(), b.value());
-    if (pattern == Bcast::kSame) return fused::AddReluFused(a, b);
-    if (pattern == Bcast::kSuffix) return fused::BiasAddReluFused(a, b);
-    // kScalar is not on a hot path; fall through to the composite.
-  }
+  const Bcast pattern = ClassifyBroadcast(a.value(), b.value());
+  if (pattern == Bcast::kSame) return fused::AddReluFused(a, b);
+  if (pattern == Bcast::kSuffix) return fused::BiasAddReluFused(a, b);
+  // kScalar is not on a hot path; it lowers to the composite.
   return Relu(Add(a, b));
 }
 
 Var L2NormalizeLastDim(const Var& a, float eps) {
-  if (BatchedExecutionEnabled()) return fused::L2NormalizeFused(a, eps);
-  const int axis = a.value().ndim() - 1;
-  Var sq = Square(a);
-  Var norm = Sqrt(AddScalar(Sum(sq, axis, /*keepdim=*/true), eps));
-  Var expanded = ExpandLastDim(norm, a.shape().back());
-  return Div(a, expanded);
+  return fused::L2NormalizeFused(a, eps);
 }
 
 Var MseLoss(const Var& pred, const Var& target) {

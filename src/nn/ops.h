@@ -17,32 +17,11 @@ namespace triad::nn {
 ///   * right operand's shape is a suffix of the left's (bias broadcast);
 ///     its gradient sums over the leading dimensions.
 /// Anything else is a checked error.
-
-// ---------- batched execution gate ----------
-/// True when the window-major batched path is active: Conv1d runs as an
-/// im2col GEMM, MatMul flattens/parallelizes its row loops, and the hot
-/// elementwise chains (AddRelu, L2NormalizeLastDim) use the fused
-/// single-pass kernels from nn/fused.h. Both paths are bit-identical (see
-/// ARCHITECTURE.md §11); the gate exists so regressions can be bisected
-/// and the serial reference stays exercised in CI. Reads TRIAD_NN_BATCHED
-/// ("on" by default; "off"/"0"/"false"/"no" disable) once, cached;
-/// ScopedBatchedExecution overrides it afterwards.
-bool BatchedExecutionEnabled();
-
-/// \brief RAII override of BatchedExecutionEnabled() for tests and
-/// benches (same discipline as simd::ScopedForceLevel: overrides nest,
-/// install and remove from a single thread only).
-class ScopedBatchedExecution {
- public:
-  explicit ScopedBatchedExecution(bool enabled);
-  ~ScopedBatchedExecution();
-
-  ScopedBatchedExecution(const ScopedBatchedExecution&) = delete;
-  ScopedBatchedExecution& operator=(const ScopedBatchedExecution&) = delete;
-
- private:
-  int previous_;  // -1 = no override was active
-};
+///
+/// Conv1d and MatMul run whole-batch kernels (nn/kernels.h) that fan their
+/// output rows across DefaultPool(); AddRelu and L2NormalizeLastDim run the
+/// fused single-pass kernels of nn/fused.h. Every op is bit-identical at any
+/// thread count (ARCHITECTURE.md §11).
 
 // ---------- elementwise binary ----------
 Var Add(const Var& a, const Var& b);
@@ -111,12 +90,13 @@ Var Slice(const Var& a, int axis, int64_t start, int64_t length);
 Var Softmax(const Var& a);
 
 // ---------- composites (built from the primitives above) ----------
-/// relu(a + b) for identical shapes or a suffix-broadcast right operand.
-/// On the batched path this fuses into one pass over memory with a single
-/// autograd node (nn/fused.h); otherwise it lowers to Relu(Add(a, b)).
-/// Both spellings are bit-identical.
+/// relu(a + b). Identical shapes and a suffix-broadcast right operand fuse
+/// into one pass over memory with a single autograd node (nn/fused.h),
+/// bit-identical to Relu(Add(a, b)); a scalar right operand lowers to that
+/// composite.
 Var AddRelu(const Var& a, const Var& b);
-/// Rows scaled to unit L2 norm over the last axis.
+/// Rows scaled to unit L2 norm over the last axis, as one fused node
+/// (nn/fused.h).
 Var L2NormalizeLastDim(const Var& a, float eps = 1e-8f);
 /// Mean of squared differences -> scalar.
 Var MseLoss(const Var& pred, const Var& target);

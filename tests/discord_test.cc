@@ -407,67 +407,5 @@ TEST(MatrixProfileTest, SymmetricSeriesHasLowProfileEverywhere) {
   for (double v : profile) EXPECT_LT(v, 0.2);
 }
 
-// ---------- DiscordInRange (changed-region re-search) ----------
-
-TEST(DiscordInRangeTest, FullRangeMatchesBruteForce) {
-  const std::vector<double> x = PlantedAnomalySeries(400, 40, 200, 40, 11);
-  const int64_t m = 32;
-  auto brute = BruteForceDiscord(x, m);
-  ASSERT_TRUE(brute.ok());
-  const MassContext mass(x);
-  DiscordStats stats;
-  auto ranged = DiscordInRange(mass, m, 0,
-                               static_cast<int64_t>(x.size()), &stats);
-  ASSERT_TRUE(ranged.ok());
-  ASSERT_TRUE(ranged->has_value());
-  EXPECT_EQ((*ranged)->position, brute->position);
-  EXPECT_NEAR((*ranged)->distance, brute->distance, 1e-9);
-  EXPECT_GT(stats.distance_profiles, 0);
-}
-
-// A sub-range result is exactly the range-filtered argmax of the matrix
-// profile: NN distances come from the full series even for candidates near
-// the range edges.
-TEST(DiscordInRangeTest, SubRangeIsFilteredProfileArgmax) {
-  const std::vector<double> x = PlantedAnomalySeries(350, 35, 180, 35, 12);
-  const int64_t m = 28;
-  const std::vector<double> profile = MatrixProfileNaive(x, m);
-  const MassContext mass(x);
-  for (const auto [begin, end] :
-       {std::pair<int64_t, int64_t>{0, 60},
-        std::pair<int64_t, int64_t>{150, 230},
-        std::pair<int64_t, int64_t>{250, 1000}}) {  // end clamps to count
-    auto ranged = DiscordInRange(mass, m, begin, end);
-    ASSERT_TRUE(ranged.ok());
-    int64_t expect_pos = -1;
-    double expect_d = -1.0;
-    const int64_t hi =
-        std::min<int64_t>(end, static_cast<int64_t>(profile.size()));
-    for (int64_t i = begin; i < hi; ++i) {
-      const double d = profile[static_cast<size_t>(i)];
-      if (std::isfinite(d) && d > expect_d) {
-        expect_d = d;
-        expect_pos = i;
-      }
-    }
-    ASSERT_TRUE(ranged->has_value());
-    EXPECT_EQ((*ranged)->position, expect_pos);
-    EXPECT_NEAR((*ranged)->distance, expect_d, 1e-6);
-  }
-}
-
-TEST(DiscordInRangeTest, EmptyOrInvalidRanges) {
-  const std::vector<double> x = PlantedAnomalySeries(200, 25, 100, 25, 13);
-  const MassContext mass(x);
-  auto empty = DiscordInRange(mass, 20, 50, 50);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_FALSE(empty->has_value());
-  auto inverted = DiscordInRange(mass, 20, 80, 40);
-  ASSERT_TRUE(inverted.ok());
-  EXPECT_FALSE(inverted->has_value());
-  EXPECT_FALSE(DiscordInRange(mass, 1, 0, 10).ok());
-  EXPECT_FALSE(DiscordInRange(mass, 150, 0, 10).ok());
-}
-
 }  // namespace
 }  // namespace triad::discord

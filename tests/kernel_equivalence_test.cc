@@ -710,8 +710,8 @@ TEST(KernelEquivalenceTest, Conv1dForwardAndInputGradBitIdentical) {
   const std::vector<float> xpad = RandomFloats(B * Cin * Lpad, &rng, true);
   const std::vector<float> w = RandomFloats(Cout * Cin * K, &rng, true);
   auto [ref, got] = RunBothTiers(B * Cout * Lout, [&](float* out) {
-    nn::kernels::Conv1dForward(xpad.data(), w.data(), out, B, Cin, Cout, K,
-                               Lpad, Lout, dilation);
+    nn::kernels::Conv1dForward(xpad.data(), w.data(), /*bias=*/nullptr, out,
+                               B, Cin, Cout, K, Lpad, Lout, dilation);
   });
   for (size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(ref[i]))

@@ -1,12 +1,14 @@
-// Equivalence and gradient tests for the window-major batched execution
-// path (TRIAD_NN_BATCHED, nn/ops.h BatchedExecutionEnabled).
+// Equivalence and gradient tests for the nn execution path: the
+// whole-batch kernels of nn/kernels.h behind Conv1d and MatMul, and the
+// fused elementwise chains of nn/fused.h behind AddRelu and
+// L2NormalizeLastDim.
 //
-// The contract under test (ARCHITECTURE.md §11): the batched path — im2col
-// GEMM Conv1d, flattened/row-parallel MatMul, and the fused elementwise
-// chains of nn/fused.h — is BIT-IDENTICAL to the serial composite
-// reference, at both SIMD tiers and at any thread count, in the forward
-// values and in every accumulated gradient. Where the kernels reorganize
-// loops they preserve the per-element accumulation order exactly, so the
+// The contract under test (ARCHITECTURE.md §11): per output element every
+// kernel applies exactly the chain of simd::Axpy / Dot / Sum / ConvRowAccum
+// terms of a plain serial loop, and every fused op exactly the per-element
+// IEEE sequence of the composite it replaces — at both SIMD tiers and at
+// any thread count, in the forward values and in every accumulated
+// gradient. The serial loops live below as the Ref* oracles, so the
 // assertions here are exact bit equality, not ULP bounds.
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/parallel.h"
@@ -27,6 +30,115 @@
 namespace triad::nn {
 namespace {
 
+// ---------- serial reference kernels (the oracle) ----------
+//
+// Each applies its terms one simd primitive call at a time in the plain
+// loop order, so at the active SIMD tier it computes exactly the
+// per-element arithmetic the nn/kernels.h kernels must reproduce. The
+// `av == 0` / `wv == 0` skips contribute exactly nothing, so they never
+// change results; the kernels skip the same terms.
+
+void RefGemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+             int64_t n) {
+  // Each output row is a fused multi-tap accumulation: row i of A is the
+  // tap weights, the rows of B are the tap inputs (taps=1, dilation=0).
+  for (int64_t i = 0; i < m; ++i) {
+    simd::ConvRowAccum(b, /*xstride=*/n, a + i * k, /*cin=*/k, /*taps=*/1,
+                       /*dilation=*/0, c + i * n, n);
+  }
+}
+
+void RefGemmTransA(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n) {
+  for (int64_t p = 0; p < k; ++p) {
+    const float* arow = a + p * m;
+    const float* brow = b + p * n;
+    for (int64_t i = 0; i < m; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      simd::Axpy(av, brow, c + i * n, n);
+    }
+  }
+}
+
+void RefGemmTransB(const float* a, const float* b, float* c, int64_t m,
+                   int64_t n, int64_t k) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * n;
+    float* crow = c + i * k;
+    for (int64_t p = 0; p < k; ++p) {
+      crow[p] += static_cast<float>(simd::Dot(arow, b + p * n, n));
+    }
+  }
+}
+
+// Accumulates into `out`, which the caller pre-fills with the bias (or
+// zeros).
+void RefConv1dForward(const float* xpad, const float* w, float* out,
+                      int64_t B, int64_t Cin, int64_t Cout, int64_t K,
+                      int64_t Lpad, int64_t Lout, int64_t dilation) {
+  for (int64_t b = 0; b < B; ++b) {
+    const float* xbatch = xpad + b * Cin * Lpad;
+    for (int64_t co = 0; co < Cout; ++co) {
+      simd::ConvRowAccum(xbatch, Lpad, w + co * Cin * K, Cin, K, dilation,
+                         out + (b * Cout + co) * Lout, Lout);
+    }
+  }
+}
+
+void RefConv1dBackwardInput(const float* g, const float* w, float* gxpad,
+                            int64_t B, int64_t Cin, int64_t Cout, int64_t K,
+                            int64_t Lpad, int64_t Lout, int64_t dilation) {
+  for (int64_t b = 0; b < B; ++b) {
+    for (int64_t co = 0; co < Cout; ++co) {
+      const float* grow = g + (b * Cout + co) * Lout;
+      for (int64_t ci = 0; ci < Cin; ++ci) {
+        float* xrow = gxpad + (b * Cin + ci) * Lpad;
+        const float* wrow = w + (co * Cin + ci) * K;
+        for (int64_t k = 0; k < K; ++k) {
+          const float wv = wrow[k];
+          if (wv == 0.0f) continue;
+          simd::Axpy(wv, grow, xrow + k * dilation, Lout);
+        }
+      }
+    }
+  }
+}
+
+void RefConv1dBackwardWeight(const float* g, const float* xpad, float* gw,
+                             int64_t B, int64_t Cin, int64_t Cout, int64_t K,
+                             int64_t Lpad, int64_t Lout, int64_t dilation) {
+  for (int64_t b = 0; b < B; ++b) {
+    for (int64_t co = 0; co < Cout; ++co) {
+      const float* grow = g + (b * Cout + co) * Lout;
+      for (int64_t ci = 0; ci < Cin; ++ci) {
+        const float* xrow = xpad + (b * Cin + ci) * Lpad;
+        float* wrow = gw + (co * Cin + ci) * K;
+        for (int64_t k = 0; k < K; ++k) {
+          wrow[k] +=
+              static_cast<float>(simd::Dot(xrow + k * dilation, grow, Lout));
+        }
+      }
+    }
+  }
+}
+
+void RefConv1dBackwardBias(const float* g, float* gb, int64_t B, int64_t Cout,
+                           int64_t Lout) {
+  for (int64_t b = 0; b < B; ++b) {
+    for (int64_t co = 0; co < Cout; ++co) {
+      gb[co] += static_cast<float>(simd::Sum(g + (b * Cout + co) * Lout, Lout));
+    }
+  }
+}
+
+// ---------- helpers ----------
+
+using Leaves = std::vector<Var>;
+/// {forward value, leaf gradients...}
+using Outputs = std::vector<Tensor>;
+using Builder = std::function<Var(const Leaves&)>;
+
 void ExpectBitEqual(const Tensor& a, const Tensor& b, const char* what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
   for (int64_t i = 0; i < a.size(); ++i) {
@@ -36,14 +148,20 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b, const char* what) {
   }
 }
 
-// Projects to a scalar with fixed pseudo-random weights so gradients are
-// asymmetric (a plain sum would hide transposition bugs).
-Var WeightedSum(const Var& v) {
-  Tensor w(v.shape());
+// Fixed pseudo-random positive weights, so gradients are asymmetric (a
+// plain sum would hide transposition bugs).
+Tensor LossWeights(const std::vector<int64_t>& shape) {
+  Tensor w(shape);
   for (int64_t i = 0; i < w.size(); ++i) {
     w[i] = 0.2f + 0.1f * static_cast<float>((i * 2654435761u) % 13);
   }
-  return SumAll(Mul(v, Constant(std::move(w))));
+  return w;
+}
+
+// Projects to a scalar; the gradient it sends back into `v` is exactly
+// LossWeights(v.shape()).
+Var WeightedSum(const Var& v) {
+  return SumAll(Mul(v, Constant(LossWeights(v.shape()))));
 }
 
 // Mean-scaled loss for finite-difference grad checks: float32 FD noise is
@@ -56,71 +174,137 @@ Var GradCheckLoss(const Var& v) {
   return MulScalar(WeightedSum(v), 1.0f / static_cast<float>(n));
 }
 
+// What a leaf's grad() holds after one backward pass delivered `delta`:
+// Node::AccumulateGrad adds into zeros (which turns -0.0f into +0.0f).
+Tensor AsLeafGrad(const Tensor& delta) {
+  Tensor g = Tensor::Zeros(delta.shape());
+  g.AddInPlace(delta);
+  return g;
+}
+
 bool BestTierIsVector() {
   return simd::HighestSupportedLevel() != simd::Level::kScalar;
 }
 
-// Runs `build` under the given execution mode, backprops a weighted-sum
-// loss, and returns {forward value, leaf gradients...}.
-std::vector<Tensor> RunGraph(
-    bool batched, const std::vector<Var>& leaves,
-    const std::function<Var(const std::vector<Var>&)>& build) {
-  ScopedBatchedExecution mode(batched);
+// Runs `build`, backprops a weighted-sum loss, and returns the outputs.
+Outputs RunGraph(const Leaves& leaves, const Builder& build) {
   for (const auto& l : leaves) l.ZeroGrad();
   Var out = build(leaves);
   WeightedSum(out).Backward();
-  std::vector<Tensor> result = {out.value()};
+  Outputs result = {out.value()};
   for (const auto& l : leaves) result.push_back(l.grad());
   return result;
 }
 
-// Runs the comparison at the scalar tier and (when available) the vector
-// tier, and with the batched kernels on a 1-thread and a 4-thread pool.
-void ExpectModesBitIdenticalEverywhere(
-    const std::vector<Var>& leaves,
-    const std::function<Var(const std::vector<Var>&)>& build) {
+// At the scalar tier and (when available) the vector tier, runs `build` on
+// a 1-lane and on a 4-lane pool and expects its outputs to equal
+// `reference`'s bit for bit. `reference` runs at the same tier on the
+// 1-lane pool.
+void ExpectMatchesReferenceEverywhere(
+    const Leaves& leaves, const Builder& build,
+    const std::function<Outputs(const Leaves&)>& reference) {
+  ThreadPool serial(1), quad(4);
   for (const bool vector_tier : {false, true}) {
     if (vector_tier && !BestTierIsVector()) continue;
     simd::ScopedForceLevel tier(vector_tier ? simd::HighestSupportedLevel()
                                             : simd::Level::kScalar);
-    ThreadPool serial(1), quad(4);
-    std::vector<Tensor> reference;
+    Outputs want;
     {
-      ScopedDefaultPool pool(&serial);
-      reference = RunGraph(false, leaves, build);
+      ScopedDefaultPool scoped(&serial);
+      want = reference(leaves);
     }
     for (ThreadPool* pool : {&serial, &quad}) {
       ScopedDefaultPool scoped(pool);
-      const std::vector<Tensor> got = RunGraph(true, leaves, build);
-      ASSERT_EQ(reference.size(), got.size());
-      for (size_t i = 0; i < reference.size(); ++i) {
-        ExpectBitEqual(reference[i], got[i],
+      SCOPED_TRACE(testing::Message()
+                   << (vector_tier ? "vector" : "scalar") << " tier, "
+                   << pool->num_threads() << " lanes");
+      const Outputs got = RunGraph(leaves, build);
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        ExpectBitEqual(want[i], got[i],
                        i == 0 ? "forward value" : "leaf gradient");
       }
     }
   }
 }
 
-// ---------- gate plumbing ----------
-
-TEST(BatchedGateTest, ScopedOverrideNestsAndRestores) {
-  const bool ambient = BatchedExecutionEnabled();
-  {
-    ScopedBatchedExecution off(false);
-    EXPECT_FALSE(BatchedExecutionEnabled());
-    {
-      ScopedBatchedExecution on(true);
-      EXPECT_TRUE(BatchedExecutionEnabled());
-    }
-    EXPECT_FALSE(BatchedExecutionEnabled());
+// Conv1d's forward value and leaf gradients {x, w, bias} under the
+// WeightedSum loss, computed by the Ref* kernels straight from the leaves.
+Outputs RefConv1dOutputs(const Leaves& l, int64_t dilation, int64_t pad_left,
+                         int64_t pad_right) {
+  const Tensor& x = l[0].value();
+  const Tensor& w = l[1].value();
+  const Tensor& bias = l[2].value();
+  const int64_t B = x.dim(0), Cin = x.dim(1), L = x.dim(2);
+  const int64_t Cout = w.dim(0), K = w.dim(2);
+  const int64_t Lpad = L + pad_left + pad_right;
+  const int64_t Lout = Lpad - dilation * (K - 1);
+  Tensor xpad({B, Cin, Lpad});
+  for (int64_t r = 0; r < B * Cin; ++r) {
+    for (int64_t t = 0; t < L; ++t) xpad[r * Lpad + pad_left + t] = x[r * L + t];
   }
-  EXPECT_EQ(BatchedExecutionEnabled(), ambient);
+  Tensor out({B, Cout, Lout});
+  for (int64_t r = 0; r < B * Cout; ++r) {
+    for (int64_t t = 0; t < Lout; ++t) out[r * Lout + t] = bias[r % Cout];
+  }
+  RefConv1dForward(xpad.data(), w.data(), out.data(), B, Cin, Cout, K, Lpad,
+                   Lout, dilation);
+
+  const Tensor g = LossWeights(out.shape());
+  Tensor gxpad({B, Cin, Lpad});
+  RefConv1dBackwardInput(g.data(), w.data(), gxpad.data(), B, Cin, Cout, K,
+                         Lpad, Lout, dilation);
+  Tensor gx({B, Cin, L});
+  for (int64_t r = 0; r < B * Cin; ++r) {
+    for (int64_t t = 0; t < L; ++t) gx[r * L + t] = gxpad[r * Lpad + pad_left + t];
+  }
+  Tensor gw({Cout, Cin, K});
+  RefConv1dBackwardWeight(g.data(), xpad.data(), gw.data(), B, Cin, Cout, K,
+                          Lpad, Lout, dilation);
+  Tensor gb({Cout});
+  RefConv1dBackwardBias(g.data(), gb.data(), B, Cout, Lout);
+  return {out, AsLeafGrad(gx), AsLeafGrad(gw), AsLeafGrad(gb)};
+}
+
+// MatMul's forward value and leaf gradients {a, b} for [m,k] x [k,n] or
+// [bsz,m,k] x [k,n], as one Ref* call per batch slice.
+Outputs RefMatMulOutputs(const Leaves& l) {
+  const Tensor& a = l[0].value();
+  const Tensor& b = l[1].value();
+  const int64_t bsz = a.ndim() == 3 ? a.dim(0) : 1;
+  const int64_t m = a.dim(a.ndim() - 2), k = a.dim(a.ndim() - 1);
+  const int64_t n = b.dim(1);
+  std::vector<int64_t> out_shape = a.shape();
+  out_shape.back() = n;
+  Tensor out(out_shape);
+  for (int64_t i = 0; i < bsz; ++i) {
+    RefGemm(a.data() + i * m * k, b.data(), out.data() + i * m * n, m, k, n);
+  }
+  const Tensor g = LossWeights(out.shape());
+  Tensor da(a.shape());
+  Tensor db(b.shape());
+  for (int64_t i = 0; i < bsz; ++i) {
+    RefGemmTransB(g.data() + i * m * n, b.data(), da.data() + i * m * k, m, n,
+                  k);
+  }
+  for (int64_t i = 0; i < bsz; ++i) {
+    RefGemmTransA(a.data() + i * m * k, g.data() + i * m * n, db.data(), k, m,
+                  n);
+  }
+  return {out, AsLeafGrad(da), AsLeafGrad(db)};
+}
+
+// The six-op composite L2NormalizeLastDim fuses.
+Var CompositeL2Normalize(const Var& a, float eps = 1e-8f) {
+  const int axis = a.value().ndim() - 1;
+  Var norm = Sqrt(AddScalar(Sum(Square(a), axis, /*keepdim=*/true), eps));
+  return Div(a, ExpandLastDim(norm, a.shape().back()));
 }
 
 // ---------- kernel-level equivalence ----------
 
-// The batched forward gathers taps implicitly (no materialized im2col
-// matrix); this pins the strided reads against a naive per-element gather.
+// The forward gathers taps implicitly (no materialized im2col matrix); this
+// pins the strided reads against a naive per-element gather.
 TEST(BatchedKernelTest, ImplicitIm2ColForwardGathersTaps) {
   Rng rng(11);
   const int64_t B = 3, Cin = 2, Cout = 4, K = 3, Lpad = 12, dilation = 2;
@@ -128,9 +312,8 @@ TEST(BatchedKernelTest, ImplicitIm2ColForwardGathersTaps) {
   Tensor xpad = Tensor::Randn({B, Cin, Lpad}, &rng);
   Tensor w = Tensor::Randn({Cout, Cin, K}, &rng);
   Tensor got({B, Cout, Lout});
-  kernels::Conv1dForwardBatched(xpad.data(), w.data(), /*bias=*/nullptr,
-                                got.data(), B, Cin, Cout, K, Lpad, Lout,
-                                dilation);
+  kernels::Conv1dForward(xpad.data(), w.data(), /*bias=*/nullptr, got.data(),
+                         B, Cin, Cout, K, Lpad, Lout, dilation);
   for (int64_t b = 0; b < B; ++b) {
     for (int64_t co = 0; co < Cout; ++co) {
       for (int64_t t = 0; t < Lout; ++t) {
@@ -152,36 +335,37 @@ struct GemmShape {
   int64_t m, k, n;
 };
 
-TEST(BatchedKernelTest, GemmRowsParallelMatchesGemmBitExact) {
-  Rng rng(12);
-  ThreadPool quad(4);
-  ScopedDefaultPool scoped(&quad);
+TEST(BatchedKernelTest, GemmKernelsMatchReferenceBitExact) {
   const std::vector<GemmShape> shapes = {
       {1, 1, 1}, {3, 5, 7}, {16, 32, 9}, {33, 8, 65}, {64, 32, 120}};
-  for (const auto& [m, k, n] : shapes) {
-    Tensor a = Tensor::Randn({m, k}, &rng);
-    Tensor b = Tensor::Randn({k, n}, &rng);
-    a[0] = 0.0f;  // exercise the zero-skip
-    Tensor want({m, n}), got({m, n});
-    kernels::Gemm(a.data(), b.data(), want.data(), m, k, n);
-    kernels::GemmRowsParallel(a.data(), b.data(), got.data(), m, k, n);
-    ExpectBitEqual(want, got, "GemmRowsParallel");
+  ThreadPool serial(1), quad(4);
+  for (ThreadPool* pool : {&serial, &quad}) {
+    ScopedDefaultPool scoped(pool);
+    SCOPED_TRACE(testing::Message() << pool->num_threads() << " lanes");
+    Rng rng(12);
+    for (const auto& [m, k, n] : shapes) {
+      Tensor a = Tensor::Randn({m, k}, &rng);
+      Tensor b = Tensor::Randn({k, n}, &rng);
+      a[0] = 0.0f;  // exercise the zero-skip
+      Tensor want({m, n}), got({m, n});
+      RefGemm(a.data(), b.data(), want.data(), m, k, n);
+      kernels::Gemm(a.data(), b.data(), got.data(), m, k, n);
+      ExpectBitEqual(want, got, "Gemm");
 
-    Tensor wantTA({m, n}), gotTA({m, n});
-    Tensor ta = Tensor::Randn({k, m}, &rng);
-    ta[0] = 0.0f;
-    kernels::GemmTransA(ta.data(), b.data(), wantTA.data(), m, k, n);
-    kernels::GemmTransARowsParallel(ta.data(), b.data(), gotTA.data(), m, k,
-                                    n);
-    ExpectBitEqual(wantTA, gotTA, "GemmTransARowsParallel");
+      Tensor wantTA({m, n}), gotTA({m, n});
+      Tensor ta = Tensor::Randn({k, m}, &rng);
+      ta[0] = 0.0f;
+      RefGemmTransA(ta.data(), b.data(), wantTA.data(), m, k, n);
+      kernels::GemmTransA(ta.data(), b.data(), gotTA.data(), m, k, n);
+      ExpectBitEqual(wantTA, gotTA, "GemmTransA");
 
-    Tensor bt = Tensor::Randn({n, k}, &rng);
-    Tensor wantTB({m, n}), gotTB({m, n});
-    Tensor at = Tensor::Randn({m, k}, &rng);
-    kernels::GemmTransB(at.data(), bt.data(), wantTB.data(), m, k, n);
-    kernels::GemmTransBRowsParallel(at.data(), bt.data(), gotTB.data(), m, k,
-                                    n);
-    ExpectBitEqual(wantTB, gotTB, "GemmTransBRowsParallel");
+      Tensor bt = Tensor::Randn({n, k}, &rng);
+      Tensor wantTB({m, n}), gotTB({m, n});
+      Tensor at = Tensor::Randn({m, k}, &rng);
+      RefGemmTransB(at.data(), bt.data(), wantTB.data(), m, k, n);
+      kernels::GemmTransB(at.data(), bt.data(), gotTB.data(), m, k, n);
+      ExpectBitEqual(wantTB, gotTB, "GemmTransB");
+    }
   }
 }
 
@@ -189,68 +373,72 @@ struct ConvShape {
   int64_t B, Cin, Cout, K, L, dilation;
 };
 
-TEST(BatchedKernelTest, BatchedConvKernelsMatchReferenceBitExact) {
-  Rng rng(13);
-  ThreadPool quad(4);
-  ScopedDefaultPool scoped(&quad);
+TEST(BatchedKernelTest, ConvKernelsMatchReferenceBitExact) {
   const std::vector<ConvShape> shapes = {{1, 1, 1, 1, 4, 1},
                                          {2, 1, 4, 3, 16, 1},
                                          {3, 3, 8, 3, 33, 2},
                                          {4, 8, 8, 3, 64, 4},
                                          {8, 2, 5, 5, 40, 2}};
-  for (const auto& [B, Cin, Cout, K, L, dilation] : shapes) {
-    const int64_t span = dilation * (K - 1);
-    const int64_t Lpad = L + span;
-    const int64_t Lout = L;
-    Tensor xpad = Tensor::Randn({B, Cin, Lpad}, &rng);
-    Tensor w = Tensor::Randn({Cout, Cin, K}, &rng);
-    w[0] = 0.0f;  // exercise the zero-weight skip
-    Tensor bias = Tensor::Randn({Cout}, &rng);
-    Tensor g = Tensor::Randn({B, Cout, Lout}, &rng);
+  ThreadPool serial(1), quad(4);
+  for (ThreadPool* pool : {&serial, &quad}) {
+    ScopedDefaultPool scoped(pool);
+    SCOPED_TRACE(testing::Message() << pool->num_threads() << " lanes");
+    Rng rng(13);
+    for (const auto& [B, Cin, Cout, K, L, dilation] : shapes) {
+      const int64_t span = dilation * (K - 1);
+      const int64_t Lpad = L + span;
+      const int64_t Lout = L;
+      Tensor xpad = Tensor::Randn({B, Cin, Lpad}, &rng);
+      Tensor w = Tensor::Randn({Cout, Cin, K}, &rng);
+      w[0] = 0.0f;  // exercise the zero-weight skip
+      Tensor bias = Tensor::Randn({Cout}, &rng);
+      Tensor g = Tensor::Randn({B, Cout, Lout}, &rng);
 
-    // Forward.
-    Tensor want({B, Cout, Lout});
-    for (int64_t b = 0; b < B; ++b) {
-      for (int64_t co = 0; co < Cout; ++co) {
-        float* row = want.data() + (b * Cout + co) * Lout;
-        for (int64_t t = 0; t < Lout; ++t) row[t] = bias[co];
+      // Forward, with and without a bias. The NaN sentinel shows that the
+      // kernel writes every output element.
+      for (const bool with_bias : {true, false}) {
+        Tensor want({B, Cout, Lout});
+        for (int64_t r = 0; r < B * Cout; ++r) {
+          for (int64_t t = 0; t < Lout; ++t) {
+            want[r * Lout + t] = with_bias ? bias[r % Cout] : 0.0f;
+          }
+        }
+        RefConv1dForward(xpad.data(), w.data(), want.data(), B, Cin, Cout, K,
+                         Lpad, Lout, dilation);
+        Tensor got = Tensor::Full({B, Cout, Lout},
+                                  std::numeric_limits<float>::quiet_NaN());
+        kernels::Conv1dForward(xpad.data(), w.data(),
+                               with_bias ? bias.data() : nullptr, got.data(),
+                               B, Cin, Cout, K, Lpad, Lout, dilation);
+        ExpectBitEqual(want, got, "Conv1dForward");
       }
+
+      // Input gradient.
+      Tensor gx_want({B, Cin, Lpad}), gx_got({B, Cin, Lpad});
+      RefConv1dBackwardInput(g.data(), w.data(), gx_want.data(), B, Cin, Cout,
+                             K, Lpad, Lout, dilation);
+      kernels::Conv1dBackwardInput(g.data(), w.data(), gx_got.data(), B, Cin,
+                                   Cout, K, Lpad, Lout, dilation);
+      ExpectBitEqual(gx_want, gx_got, "Conv1dBackwardInput");
+
+      // Weight gradient.
+      Tensor gw_want({Cout, Cin, K}), gw_got({Cout, Cin, K});
+      RefConv1dBackwardWeight(g.data(), xpad.data(), gw_want.data(), B, Cin,
+                              Cout, K, Lpad, Lout, dilation);
+      kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw_got.data(), B,
+                                    Cin, Cout, K, Lpad, Lout, dilation);
+      ExpectBitEqual(gw_want, gw_got, "Conv1dBackwardWeight");
+
+      // Bias gradient.
+      Tensor gb_want({Cout}), gb_got({Cout});
+      RefConv1dBackwardBias(g.data(), gb_want.data(), B, Cout, Lout);
+      kernels::Conv1dBackwardBias(g.data(), gb_got.data(), B, Cout, Lout);
+      ExpectBitEqual(gb_want, gb_got, "Conv1dBackwardBias");
     }
-    kernels::Conv1dForward(xpad.data(), w.data(), want.data(), B, Cin, Cout,
-                           K, Lpad, Lout, dilation);
-    Tensor got({B, Cout, Lout});
-    kernels::Conv1dForwardBatched(xpad.data(), w.data(), bias.data(),
-                                  got.data(), B, Cin, Cout, K, Lpad, Lout,
-                                  dilation);
-    ExpectBitEqual(want, got, "Conv1dForwardBatched");
-
-    // Input gradient.
-    Tensor gx_want({B, Cin, Lpad}), gx_got({B, Cin, Lpad});
-    kernels::Conv1dBackwardInput(g.data(), w.data(), gx_want.data(), B, Cin,
-                                 Cout, K, Lpad, Lout, dilation);
-    kernels::Conv1dBackwardInputBatched(g.data(), w.data(), gx_got.data(), B,
-                                        Cin, Cout, K, Lpad, Lout, dilation);
-    ExpectBitEqual(gx_want, gx_got, "Conv1dBackwardInputBatched");
-
-    // Weight gradient.
-    Tensor gw_want({Cout, Cin, K}), gw_got({Cout, Cin, K});
-    kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw_want.data(), B,
-                                  Cin, Cout, K, Lpad, Lout, dilation);
-    kernels::Conv1dBackwardWeightBatched(g.data(), xpad.data(), gw_got.data(),
-                                         B, Cin, Cout, K, Lpad, Lout,
-                                         dilation);
-    ExpectBitEqual(gw_want, gw_got, "Conv1dBackwardWeightBatched");
-
-    // Bias gradient.
-    Tensor gb_want({Cout}), gb_got({Cout});
-    kernels::Conv1dBackwardBias(g.data(), gb_want.data(), B, Cout, Lout);
-    kernels::Conv1dBackwardBiasBatched(g.data(), gb_got.data(), B, Cout,
-                                       Lout);
-    ExpectBitEqual(gb_want, gb_got, "Conv1dBackwardBiasBatched");
   }
 }
 
-// ---------- op/graph-level equivalence: batched vs reference ----------
+// ---------- op/graph-level equivalence ----------
 
 TEST(BatchedOpsTest, Conv1dBatchedVsReferenceBitIdentical) {
   Rng rng(21);
@@ -260,78 +448,63 @@ TEST(BatchedOpsTest, Conv1dBatchedVsReferenceBitIdentical) {
                                          {1, 2, 2, 1, 7, 1}};
   for (const auto& [B, Cin, Cout, K, L, dilation] : shapes) {
     const int64_t span = dilation * (K - 1);
-    std::vector<Var> leaves = {
+    Leaves leaves = {
         Var(Tensor::Randn({B, Cin, L}, &rng), /*requires_grad=*/true),
         Var(Tensor::Randn({Cout, Cin, K}, &rng), /*requires_grad=*/true),
         Var(Tensor::Randn({Cout}, &rng), /*requires_grad=*/true)};
     const int64_t pl = span / 2, pr = span - span / 2;
-    ExpectModesBitIdenticalEverywhere(leaves, [=](const std::vector<Var>& l) {
-      return Conv1d(l[0], l[1], l[2], dilation, pl, pr);
-    });
+    ExpectMatchesReferenceEverywhere(
+        leaves,
+        [=](const Leaves& l) {
+          return Conv1d(l[0], l[1], l[2], dilation, pl, pr);
+        },
+        [=](const Leaves& l) {
+          return RefConv1dOutputs(l, dilation, pl, pr);
+        });
   }
 }
 
 TEST(BatchedOpsTest, MatMulBatchedVsReferenceBitIdentical) {
   Rng rng(22);
+  const auto matmul = [](const Leaves& l) { return MatMul(l[0], l[1]); };
   // 2D x 2D.
   const std::vector<GemmShape> shapes2d = {{2, 3, 4}, {8, 16, 8}, {33, 7, 9}};
   for (const auto& [m, k, n] : shapes2d) {
-    std::vector<Var> leaves = {
-        Var(Tensor::Randn({m, k}, &rng), /*requires_grad=*/true),
-        Var(Tensor::Randn({k, n}, &rng), /*requires_grad=*/true)};
-    ExpectModesBitIdenticalEverywhere(leaves, [](const std::vector<Var>& l) {
-      return MatMul(l[0], l[1]);
-    });
+    Leaves leaves = {Var(Tensor::Randn({m, k}, &rng), /*requires_grad=*/true),
+                     Var(Tensor::Randn({k, n}, &rng), /*requires_grad=*/true)};
+    ExpectMatchesReferenceEverywhere(leaves, matmul, RefMatMulOutputs);
   }
-  // 3D x 2D (shared right operand; the flattened-GEMM path).
+  // 3D x 2D: the shared right operand flattens into one [bsz*m, k] product,
+  // checked against one reference product per batch slice.
   struct BatchedShape {
     int64_t bsz, m, k, n;
   };
   const std::vector<BatchedShape> shapes3d = {
       {2, 4, 3, 5}, {5, 16, 8, 8}, {3, 9, 33, 2}};
   for (const auto& [bsz, m, k, n] : shapes3d) {
-    std::vector<Var> leaves = {
+    Leaves leaves = {
         Var(Tensor::Randn({bsz, m, k}, &rng), /*requires_grad=*/true),
         Var(Tensor::Randn({k, n}, &rng), /*requires_grad=*/true)};
-    ExpectModesBitIdenticalEverywhere(leaves, [](const std::vector<Var>& l) {
-      return MatMul(l[0], l[1]);
-    });
+    ExpectMatchesReferenceEverywhere(leaves, matmul, RefMatMulOutputs);
   }
 }
 
 TEST(BatchedOpsTest, AddReluFusedVsCompositeBitIdentical) {
   Rng rng(23);
+  const auto fused = [](const Leaves& l) { return AddRelu(l[0], l[1]); };
+  const auto composite = [](const Leaves& l) {
+    return RunGraph(l, [](const Leaves& v) { return Relu(Add(v[0], v[1])); });
+  };
   // Same-shape (residual add -> relu).
-  {
-    std::vector<Var> leaves = {
-        Var(Tensor::Randn({4, 8, 16}, &rng), /*requires_grad=*/true),
-        Var(Tensor::Randn({4, 8, 16}, &rng), /*requires_grad=*/true)};
-    ExpectModesBitIdenticalEverywhere(leaves, [](const std::vector<Var>& l) {
-      return AddRelu(l[0], l[1]);
-    });
-    // The fused op must equal the composite spelling under the SAME mode.
-    ScopedBatchedExecution on(true);
-    const std::vector<Tensor> fused =
-        RunGraph(true, leaves, [](const std::vector<Var>& l) {
-          return AddRelu(l[0], l[1]);
-        });
-    const std::vector<Tensor> composite =
-        RunGraph(true, leaves, [](const std::vector<Var>& l) {
-          return Relu(Add(l[0], l[1]));
-        });
-    for (size_t i = 0; i < fused.size(); ++i) {
-      ExpectBitEqual(fused[i], composite[i], "AddRelu vs Relu(Add)");
-    }
-  }
+  ExpectMatchesReferenceEverywhere(
+      {Var(Tensor::Randn({4, 8, 16}, &rng), /*requires_grad=*/true),
+       Var(Tensor::Randn({4, 8, 16}, &rng), /*requires_grad=*/true)},
+      fused, composite);
   // Suffix broadcast (bias add -> relu).
-  {
-    std::vector<Var> leaves = {
-        Var(Tensor::Randn({3, 5, 8}, &rng), /*requires_grad=*/true),
-        Var(Tensor::Randn({8}, &rng), /*requires_grad=*/true)};
-    ExpectModesBitIdenticalEverywhere(leaves, [](const std::vector<Var>& l) {
-      return AddRelu(l[0], l[1]);
-    });
-  }
+  ExpectMatchesReferenceEverywhere(
+      {Var(Tensor::Randn({3, 5, 8}, &rng), /*requires_grad=*/true),
+       Var(Tensor::Randn({8}, &rng), /*requires_grad=*/true)},
+      fused, composite);
 }
 
 TEST(BatchedOpsTest, L2NormalizeFusedVsCompositeBitIdentical) {
@@ -341,11 +514,13 @@ TEST(BatchedOpsTest, L2NormalizeFusedVsCompositeBitIdentical) {
   };
   const std::vector<RowShape> shapes = {{1, 1}, {4, 16}, {9, 33}};
   for (const auto& [rows, n] : shapes) {
-    std::vector<Var> leaves = {
-        Var(Tensor::Randn({rows, n}, &rng), /*requires_grad=*/true)};
-    ExpectModesBitIdenticalEverywhere(leaves, [](const std::vector<Var>& l) {
-      return L2NormalizeLastDim(l[0]);
-    });
+    ExpectMatchesReferenceEverywhere(
+        {Var(Tensor::Randn({rows, n}, &rng), /*requires_grad=*/true)},
+        [](const Leaves& l) { return L2NormalizeLastDim(l[0]); },
+        [](const Leaves& l) {
+          return RunGraph(
+              l, [](const Leaves& v) { return CompositeL2Normalize(v[0]); });
+        });
   }
 }
 
@@ -353,21 +528,18 @@ TEST(BatchedOpsTest, LinearForwardReluMatchesComposite) {
   Rng rng(25);
   Linear linear(6, 4, &rng);
   const Var x(Tensor::Randn({3, 5, 6}, &rng), /*requires_grad=*/true);
-  for (const bool batched : {false, true}) {
-    ScopedBatchedExecution mode(batched);
-    x.ZeroGrad();
-    linear.ZeroGrad();
-    Var fused = linear.ForwardRelu(x);
-    WeightedSum(fused).Backward();
-    const Tensor fused_value = fused.value();
-    const Tensor fused_gx = x.grad();
-    x.ZeroGrad();
-    linear.ZeroGrad();
-    Var composite = Relu(linear.Forward(x));
-    WeightedSum(composite).Backward();
-    ExpectBitEqual(fused_value, composite.value(), "ForwardRelu value");
-    ExpectBitEqual(fused_gx, x.grad(), "ForwardRelu input grad");
-  }
+  x.ZeroGrad();
+  linear.ZeroGrad();
+  Var fused = linear.ForwardRelu(x);
+  WeightedSum(fused).Backward();
+  const Tensor fused_value = fused.value();
+  const Tensor fused_gx = x.grad();
+  x.ZeroGrad();
+  linear.ZeroGrad();
+  Var composite = Relu(linear.Forward(x));
+  WeightedSum(composite).Backward();
+  ExpectBitEqual(fused_value, composite.value(), "ForwardRelu value");
+  ExpectBitEqual(fused_gx, x.grad(), "ForwardRelu input grad");
 }
 
 TEST(BatchedOpsTest, SuffixBroadcastBinaryOpsStillCorrect) {
@@ -406,7 +578,6 @@ TEST(BatchedOpsTest, SuffixBroadcastBinaryOpsStillCorrect) {
 
 TEST(BatchedGradCheckTest, BatchedConv1dAcrossEncoderShapes) {
   Rng rng(31);
-  ScopedBatchedExecution on(true);
   // Encoder-like shapes: K=3 dilated stacks over 1- and 3-channel inputs
   // (temporal/residual and frequency domains) plus a wider block.
   struct GcShape {
@@ -436,7 +607,6 @@ TEST(BatchedGradCheckTest, BatchedConv1dAcrossEncoderShapes) {
 
 TEST(BatchedGradCheckTest, FusedChains) {
   Rng rng(32);
-  ScopedBatchedExecution on(true);
   // Residual add -> relu (fused), offset so the kink is far from 0.
   {
     std::vector<Var> leaves = {

@@ -1,10 +1,10 @@
-// Knob-composition matrix for numeric reproducibility: TRIAD_SIMD and
-// TRIAD_NN_BATCHED must compose without surprises. The in-process
-// equivalents of those env knobs (ScopedForceLevel, ScopedBatchedExecution)
-// let one binary walk the whole matrix. nn_batched_test compares the
-// batched and legacy execution modes within one SIMD tier; this pins a
+// Composition matrix for numeric reproducibility: the SIMD tier
+// (TRIAD_SIMD) and the pool's lane count (TRIAD_NUM_THREADS) must compose
+// without surprises. Their in-process equivalents (ScopedForceLevel,
+// ScopedDefaultPool) let one binary walk the whole matrix. nn_batched_test
+// compares each op with its serial oracle within one SIMD tier; this pins a
 // whole training step across tiers too: every nn forward value and
-// gradient is bit-identical across all {simd tier} x {batched}
+// gradient is bit-identical across all {simd tier} x {1 lane, 4 lanes}
 // combinations.
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "nn/ops.h"
@@ -59,22 +60,23 @@ TEST(PrecisionMatrixTest, TrainingIsBitIdenticalAcrossWholeKnobMatrix) {
       nn::Var(nn::Tensor::Randn({Cout * Lout, 6}, &rng),
               /*requires_grad=*/true)};
 
-  std::vector<nn::Tensor> reference;  // scalar / batched-off
+  ThreadPool serial(1), quad(4);
+  std::vector<nn::Tensor> reference;  // scalar tier, 1 lane
   {
     simd::ScopedForceLevel level(simd::Level::kScalar);
-    nn::ScopedBatchedExecution batched(false);
+    ScopedDefaultPool lanes(&serial);
     reference = RunTrainingStep(leaves);
   }
 
   for (const bool vector_tier : {false, true}) {
     if (vector_tier && !BestTierIsVector()) continue;
-    for (const bool batched : {false, true}) {
+    for (ThreadPool* pool : {&serial, &quad}) {
       simd::ScopedForceLevel force_level(
           vector_tier ? simd::HighestSupportedLevel() : simd::Level::kScalar);
-      nn::ScopedBatchedExecution force_batched(batched);
+      ScopedDefaultPool lanes(pool);
       const std::vector<nn::Tensor> got = RunTrainingStep(leaves);
       SCOPED_TRACE(std::string(vector_tier ? "vector" : "scalar") + "/" +
-                   (batched ? "batched" : "serial"));
+                   std::to_string(pool->num_threads()) + " lanes");
       ASSERT_EQ(got.size(), reference.size());
       for (size_t t = 0; t < reference.size(); ++t) {
         ASSERT_EQ(got[t].shape(), reference[t].shape());

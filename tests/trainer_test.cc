@@ -5,9 +5,6 @@
 //  2. A trailing singleton window (train_count % batch == 1) folds into
 //     the preceding batch instead of being silently dropped every epoch.
 //  3. A zero-batch epoch records NaN, never a fake perfect 0.0 loss.
-//
-// Plus the end-to-end tentpole guarantee: the batched execution path
-// (TRIAD_NN_BATCHED) trains bit-identically to the legacy per-window path.
 
 #include "core/trainer.h"
 
@@ -19,7 +16,6 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "core/model.h"
-#include "nn/ops.h"
 
 namespace triad::core {
 namespace {
@@ -148,36 +144,6 @@ TEST(TrainerRegressionTest, ZeroBatchEpochAverageIsNaNNotZero) {
   EXPECT_TRUE(std::isnan(EpochAverageLoss(0.0, 0)));
   EXPECT_EQ(EpochAverageLoss(6.0, 3), 2.0);
   EXPECT_EQ(EpochAverageLoss(0.0, 2), 0.0);  // a real zero loss stays 0
-}
-
-// ---------- tentpole: batched path trains bit-identically ----------
-
-TEST(TrainerBatchedTest, BatchedAndLegacyTrainingAreBitIdentical) {
-  const auto windows = NoisySineWindows(13, 48, 12.0, 34);
-  TriadConfig config = TinyConfig();
-  config.validation_fraction = 0.2;  // exercise the validation path too
-
-  TrainStats batched, legacy;
-  {
-    nn::ScopedBatchedExecution mode(true);
-    batched = FitOrDie(config, windows);
-  }
-  {
-    nn::ScopedBatchedExecution mode(false);
-    legacy = FitOrDie(config, windows);
-  }
-  ASSERT_EQ(batched.epoch_train_loss.size(), legacy.epoch_train_loss.size());
-  ASSERT_FALSE(batched.epoch_train_loss.empty());
-  for (size_t e = 0; e < batched.epoch_train_loss.size(); ++e) {
-    EXPECT_EQ(batched.epoch_train_loss[e], legacy.epoch_train_loss[e])
-        << "train epoch " << e;
-  }
-  ASSERT_EQ(batched.epoch_val_loss.size(), legacy.epoch_val_loss.size());
-  ASSERT_FALSE(batched.epoch_val_loss.empty());
-  for (size_t e = 0; e < batched.epoch_val_loss.size(); ++e) {
-    EXPECT_EQ(batched.epoch_val_loss[e], legacy.epoch_val_loss[e])
-        << "val epoch " << e;
-  }
 }
 
 }  // namespace
