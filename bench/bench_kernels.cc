@@ -1,13 +1,11 @@
 // SIMD kernel layer throughput: every dispatched kernel measured at the
 // scalar tier and at the best tier the host supports (see
-// ARCHITECTURE.md §4). The argument is the simd::Level; per-element
-// workloads use sizes taken from the real call sites — the encoder's
-// conv shapes, MASS/STOMP profile rows at bench scale, and the similarity
-// scan's unit-vector dots.
-//
-// Acceptance target (ISSUE): >= 2x on the dot and conv kernels with AVX2.
-// Example on an AVX2 host: BM_Dot 4096 floats 3.3x, BM_Conv1dForward
-// encoder shape 3.0x, BM_ZNormDistRow 2.6x (CPU time, single lane).
+// ARCHITECTURE.md §4). The first argument is the simd::Level; workloads
+// use sizes taken from the real call sites — the encoder's conv shapes
+// (second argument: the paper-scale block or the one archive_batch
+// trains), the projection head's GEMMs on ReLU'd activations, MASS/STOMP
+// profile rows at bench scale, and the similarity scan's unit-vector
+// dots. bench/README.md records the numbers.
 //
 // The nn kernels fan their rows across the default pool; their benches pin
 // a 1-lane pool so the tier comparison stays single lane at any
@@ -19,6 +17,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -115,53 +114,128 @@ void BM_Relu(benchmark::State& state) {
 }
 BENCHMARK(BM_Relu)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
 
-// Conv1d forward at the exact encoder shape: batch 8, 32 -> 32 channels,
-// K=3, L=160 (2.5 periods at bench scale), dilation 4.
+// The conv shapes the benches run, picked by the second argument:
+// 0 = the paper-scale encoder block (batch 8, 32 -> 32 channels, K=3,
+// L=160 = 2.5 periods at bench scale, dilation 4); 1 = the block
+// archive_batch trains (batch 8, 16 -> 16 channels, K=3, L=143,
+// dilation 2).
+struct ConvBenchShape {
+  int64_t B, Cin, Cout, K, Lout, dilation;
+  int64_t Lpad() const { return Lout + dilation * (K - 1); }
+  int64_t Macs() const { return B * Cout * Cin * K * Lout; }
+};
+constexpr ConvBenchShape kConvShapes[] = {{8, 32, 32, 3, 160, 4},
+                                          {8, 16, 16, 3, 143, 2}};
+constexpr ConvBenchShape kArchiveConv = kConvShapes[1];
+
+// The projection head archive_batch trains: m = B*L = 8*143 rows, hidden
+// 16, n = 16 (head1) or 1 (head2).
+constexpr int64_t kHeadRows = 8 * 143;
+constexpr int64_t kHeadHidden = 16;
+
+// What a ReLU leaves: about half the entries exact zeros.
+std::vector<float> ReluFloats(int64_t n, uint64_t seed) {
+  std::vector<float> x = RandomFloats(n, seed);
+  for (auto& v : x) v = v > 0.0f ? v : 0.0f;
+  return x;
+}
+
 void BM_Conv1dForward(benchmark::State& state) {
   simd::Level level;
   if (!SetLevelOrSkip(state, &level)) return;
-  const int64_t B = 8, Cin = 32, Cout = 32, K = 3, dilation = 4;
-  const int64_t Lout = 160, Lpad = Lout + dilation * (K - 1);
-  const std::vector<float> xpad = RandomFloats(B * Cin * Lpad, 6);
-  const std::vector<float> w = RandomFloats(Cout * Cin * K, 7);
-  std::vector<float> out(static_cast<size_t>(B * Cout * Lout));
+  const ConvBenchShape& s = kConvShapes[state.range(1)];
+  const std::vector<float> xpad = RandomFloats(s.B * s.Cin * s.Lpad(), 6);
+  const std::vector<float> w = RandomFloats(s.Cout * s.Cin * s.K, 7);
+  std::vector<float> out(static_cast<size_t>(s.B * s.Cout * s.Lout));
   simd::ScopedForceLevel force(level);
   ThreadPool one_lane(1);
   ScopedDefaultPool scoped(&one_lane);
   for (auto _ : state) {
     nn::kernels::Conv1dForward(xpad.data(), w.data(), /*bias=*/nullptr,
-                               out.data(), B, Cin, Cout, K, Lpad, Lout,
-                               dilation);
+                               out.data(), s.B, s.Cin, s.Cout, s.K, s.Lpad(),
+                               s.Lout, s.dilation);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  // MACs per conv: B * Cout * Cin * K * Lout.
-  state.SetItemsProcessed(state.iterations() * B * Cout * Cin * K * Lout);
+  state.SetItemsProcessed(state.iterations() * s.Macs());
 }
-BENCHMARK(BM_Conv1dForward)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Conv1dForward)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
-// Weight gradient (dot-reduction kernel) at the same encoder shape.
+// Input gradient (the adjoint scatter) at the same shapes.
+void BM_Conv1dBackwardInput(benchmark::State& state) {
+  simd::Level level;
+  if (!SetLevelOrSkip(state, &level)) return;
+  const ConvBenchShape& s = kConvShapes[state.range(1)];
+  const std::vector<float> g = RandomFloats(s.B * s.Cout * s.Lout, 8);
+  const std::vector<float> w = RandomFloats(s.Cout * s.Cin * s.K, 7);
+  std::vector<float> gx(static_cast<size_t>(s.B * s.Cin * s.Lpad()));
+  simd::ScopedForceLevel force(level);
+  ThreadPool one_lane(1);
+  ScopedDefaultPool scoped(&one_lane);
+  for (auto _ : state) {
+    std::fill(gx.begin(), gx.end(), 0.0f);
+    nn::kernels::Conv1dBackwardInput(g.data(), w.data(), gx.data(), s.B,
+                                     s.Cin, s.Cout, s.K, s.Lpad(), s.Lout,
+                                     s.dilation);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * s.Macs());
+}
+BENCHMARK(BM_Conv1dBackwardInput)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+// Weight gradient (dot-reduction kernel) at the same shapes.
 void BM_Conv1dBackwardWeight(benchmark::State& state) {
   simd::Level level;
   if (!SetLevelOrSkip(state, &level)) return;
-  const int64_t B = 8, Cin = 32, Cout = 32, K = 3, dilation = 4;
-  const int64_t Lout = 160, Lpad = Lout + dilation * (K - 1);
-  const std::vector<float> xpad = RandomFloats(B * Cin * Lpad, 8);
-  const std::vector<float> g = RandomFloats(B * Cout * Lout, 9);
-  std::vector<float> gw(static_cast<size_t>(Cout * Cin * K));
+  const ConvBenchShape& s = kConvShapes[state.range(1)];
+  const std::vector<float> xpad = RandomFloats(s.B * s.Cin * s.Lpad(), 8);
+  const std::vector<float> g = RandomFloats(s.B * s.Cout * s.Lout, 9);
+  std::vector<float> gw(static_cast<size_t>(s.Cout * s.Cin * s.K));
   simd::ScopedForceLevel force(level);
   ThreadPool one_lane(1);
   ScopedDefaultPool scoped(&one_lane);
   for (auto _ : state) {
     std::fill(gw.begin(), gw.end(), 0.0f);
-    nn::kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw.data(), B,
-                                      Cin, Cout, K, Lpad, Lout, dilation);
+    nn::kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw.data(), s.B,
+                                      s.Cin, s.Cout, s.K, s.Lpad(), s.Lout,
+                                      s.dilation);
     benchmark::DoNotOptimize(gw.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * B * Cout * Cin * K * Lout);
+  state.SetItemsProcessed(state.iterations() * s.Macs());
 }
 BENCHMARK(BM_Conv1dBackwardWeight)
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+// The projection head's forward GEMMs on a ReLU'd left operand (half its
+// entries exact zeros, which every output row skips): n = 16 (head1) and
+// n = 1 (head2).
+void BM_Gemm(benchmark::State& state) {
+  simd::Level level;
+  if (!SetLevelOrSkip(state, &level)) return;
+  const int64_t m = kHeadRows, k = kHeadHidden, n = state.range(1);
+  const std::vector<float> a = ReluFloats(m * k, 16);
+  const std::vector<float> b = RandomFloats(k * n, 17);
+  std::vector<float> c(static_cast<size_t>(m * n));
+  simd::ScopedForceLevel force(level);
+  ThreadPool one_lane(1);
+  ScopedDefaultPool scoped(&one_lane);
+  for (auto _ : state) {
+    std::fill(c.begin(), c.end(), 0.0f);
+    nn::kernels::Gemm(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_Gemm)
+    ->ArgsProduct({{0, 1}, {16, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // The projection-head matmul gradient path (C += A B^T row dots).
@@ -281,18 +355,93 @@ int RunJsonMode() {
       benchmark::DoNotOptimize(simd::Dot(a.data(), b.data(), n));
     }
   }
+  // One span per conv/GEMM kernel, each at the shape archive_batch trains
+  // and on a 1-lane pool, with a fixed iteration count.
   {
-    trace::TraceSpan span("kernel.conv1d_forward");
-    const int64_t B = 8, Cin = 32, Cout = 32, K = 3, dilation = 4;
-    const int64_t Lout = 160, Lpad = Lout + dilation * (K - 1);
-    const std::vector<float> xpad = RandomFloats(B * Cin * Lpad, 6);
-    const std::vector<float> w = RandomFloats(Cout * Cin * K, 7);
-    std::vector<float> out(static_cast<size_t>(B * Cout * Lout));
-    for (int iter = 0; iter < 50; ++iter) {
-      nn::kernels::Conv1dForward(xpad.data(), w.data(), /*bias=*/nullptr,
-                                 out.data(), B, Cin, Cout, K, Lpad, Lout,
-                                 dilation);
-      benchmark::DoNotOptimize(out.data());
+    ThreadPool one_lane(1);
+    ScopedDefaultPool scoped(&one_lane);
+    const ConvBenchShape& s = kArchiveConv;
+    const std::vector<float> xpad = RandomFloats(s.B * s.Cin * s.Lpad(), 6);
+    const std::vector<float> w = RandomFloats(s.Cout * s.Cin * s.K, 7);
+    const std::vector<float> g = RandomFloats(s.B * s.Cout * s.Lout, 9);
+    std::vector<float> out(static_cast<size_t>(s.B * s.Cout * s.Lout));
+    std::vector<float> gx(static_cast<size_t>(s.B * s.Cin * s.Lpad()));
+    std::vector<float> gw(static_cast<size_t>(s.Cout * s.Cin * s.K));
+    std::vector<float> gb(static_cast<size_t>(s.Cout));
+    constexpr int kConvIters = 200;
+    {
+      trace::TraceSpan span("kernel.conv1d_forward");
+      for (int iter = 0; iter < kConvIters; ++iter) {
+        nn::kernels::Conv1dForward(xpad.data(), w.data(), /*bias=*/nullptr,
+                                   out.data(), s.B, s.Cin, s.Cout, s.K,
+                                   s.Lpad(), s.Lout, s.dilation);
+        benchmark::DoNotOptimize(out.data());
+      }
+    }
+    {
+      trace::TraceSpan span("kernel.conv1d_backward_input");
+      for (int iter = 0; iter < kConvIters; ++iter) {
+        nn::kernels::Conv1dBackwardInput(g.data(), w.data(), gx.data(), s.B,
+                                         s.Cin, s.Cout, s.K, s.Lpad(), s.Lout,
+                                         s.dilation);
+        benchmark::DoNotOptimize(gx.data());
+      }
+    }
+    {
+      trace::TraceSpan span("kernel.conv1d_backward_weight");
+      for (int iter = 0; iter < kConvIters; ++iter) {
+        nn::kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw.data(),
+                                          s.B, s.Cin, s.Cout, s.K, s.Lpad(),
+                                          s.Lout, s.dilation);
+        benchmark::DoNotOptimize(gw.data());
+      }
+    }
+    {
+      trace::TraceSpan span("kernel.conv1d_backward_bias");
+      for (int iter = 0; iter < kConvIters; ++iter) {
+        nn::kernels::Conv1dBackwardBias(g.data(), gb.data(), s.B, s.Cout,
+                                        s.Lout);
+        benchmark::DoNotOptimize(gb.data());
+      }
+    }
+
+    // The head's GEMMs, n = 16 (head1) then n = 1 (head2) in each span:
+    // forward on the ReLU'd activations, the weight gradient reading them
+    // as A^T, and the input gradient.
+    const int64_t m = kHeadRows, k = kHeadHidden;
+    const std::vector<float> act = ReluFloats(m * k, 16);
+    const std::vector<float> wt = RandomFloats(k * k, 17);
+    const std::vector<float> gout = RandomFloats(m * k, 18);
+    std::vector<float> y(static_cast<size_t>(m * k));
+    std::vector<float> dw(static_cast<size_t>(k * k));
+    std::vector<float> dx(static_cast<size_t>(m * k));
+    constexpr int kGemmIters = 500;
+    {
+      trace::TraceSpan span("kernel.gemm");
+      for (int iter = 0; iter < kGemmIters; ++iter) {
+        for (const int64_t n : {k, int64_t{1}}) {
+          nn::kernels::Gemm(act.data(), wt.data(), y.data(), m, k, n);
+        }
+        benchmark::DoNotOptimize(y.data());
+      }
+    }
+    {
+      trace::TraceSpan span("kernel.gemm_trans_a");
+      for (int iter = 0; iter < kGemmIters; ++iter) {
+        for (const int64_t n : {k, int64_t{1}}) {
+          nn::kernels::GemmTransA(act.data(), gout.data(), dw.data(), k, m, n);
+        }
+        benchmark::DoNotOptimize(dw.data());
+      }
+    }
+    {
+      trace::TraceSpan span("kernel.gemm_trans_b");
+      for (int iter = 0; iter < kGemmIters; ++iter) {
+        for (const int64_t n : {k, int64_t{1}}) {
+          nn::kernels::GemmTransB(gout.data(), wt.data(), dx.data(), m, n, k);
+        }
+        benchmark::DoNotOptimize(dx.data());
+      }
     }
   }
   {

@@ -1,6 +1,7 @@
 #include "common/simd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -56,49 +57,49 @@ void Relu(const float* x, float* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-void ConvRowAccum(const float* x, int64_t xstride, const float* w,
-                  int64_t cin, int64_t taps, int64_t dilation, float* orow,
-                  int64_t lout) {
-  // One axpy pass per tap. Per element this applies the taps in (ci, t)
-  // order — the canonical chain the vector tiers reproduce in registers.
-  for (int64_t ci = 0; ci < cin; ++ci) {
-    const float* xrow = x + ci * xstride;
-    const float* wrow = w + ci * taps;
-    for (int64_t t = 0; t < taps; ++t) {
-      const float wv = wrow[t];
-      if (wv == 0.0f) continue;
-      Axpy(wv, xrow + t * dilation, orow, lout);
+void ConvRowsAccum(const float* x, int64_t xstride, const float* w,
+                   int64_t wrow, int64_t wterm, int64_t cin, int64_t taps,
+                   int64_t dilation, float* out, int64_t ostride, int64_t rows,
+                   int64_t lout) {
+  // One axpy pass per nonzero term: per element the terms apply in (ci, t)
+  // order — the chain the vector tier reproduces in registers.
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      for (int64_t t = 0; t < taps; ++t) {
+        const float wv = w[r * wrow + (ci * taps + t) * wterm];
+        if (wv == 0.0f) continue;
+        Axpy(wv, x + ci * xstride + t * dilation, out + r * ostride, lout);
+      }
     }
   }
 }
 
-void ConvTapDots(const float* x, const float* g, int64_t taps,
-                 int64_t dilation, int64_t lout, double* out) {
-  // One Dot per tap — the canonical per-tap chain the vector tier keeps in
-  // registers while sharing the g loads.
-  for (int64_t t = 0; t < taps; ++t) out[t] = Dot(x + t * dilation, g, lout);
-}
-
-void CorrRowAccum(const float* g, int64_t gstride, const float* w,
-                  int64_t wstride, int64_t cout, int64_t taps,
-                  int64_t dilation, float* drow, int64_t lout) {
-  // One axpy pass per (co, t) term. Per element this applies the terms in
+void CorrRowsAccum(const float* g, int64_t gstride, const float* w,
+                   int64_t wrow, int64_t wstride, int64_t cout, int64_t taps,
+                   int64_t dilation, float* d, int64_t dstride, int64_t rows,
+                   int64_t lout) {
+  // One axpy pass per nonzero (co, t) term: per element the terms apply in
   // (co, t) order — the chain the vector tier reproduces in registers.
-  for (int64_t co = 0; co < cout; ++co) {
-    const float* grow = g + co * gstride;
-    const float* wrow = w + co * wstride;
-    for (int64_t t = 0; t < taps; ++t) {
-      const float wv = wrow[t];
-      if (wv == 0.0f) continue;
-      Axpy(wv, grow, drow + t * dilation, lout);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t co = 0; co < cout; ++co) {
+      const float* grow = g + co * gstride;
+      for (int64_t t = 0; t < taps; ++t) {
+        const float wv = w[r * wrow + co * wstride + t];
+        if (wv == 0.0f) continue;
+        Axpy(wv, grow, d + r * dstride + t * dilation, lout);
+      }
     }
   }
 }
 
-void DotPair(const float* a, const float* b0, const float* b1, int64_t n,
-             double* out2) {
-  out2[0] = Dot(a, b0, n);
-  out2[1] = Dot(a, b1, n);
+void ConvTapDotTile(const float* x, const float* g, int64_t gstride,
+                    int64_t rows, int64_t taps, int64_t dilation,
+                    int64_t lout, double* out) {
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t t = 0; t < taps; ++t) {
+      out[r * taps + t] = Dot(x + t * dilation, g + r * gstride, lout);
+    }
+  }
 }
 
 void AddRelu(const float* a, const float* b, float* out, int64_t n) {
@@ -284,235 +285,386 @@ TRIAD_TARGET_AVX2 void Relu(const float* x, float* out, int64_t n) {
   for (; i < n; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-TRIAD_TARGET_AVX2 void ConvRowAccum(const float* x, int64_t xstride,
-                                    const float* w, int64_t cin, int64_t taps,
-                                    int64_t dilation, float* orow,
-                                    int64_t lout) {
-  // Keeps a 32-float register block of the output row live across the
-  // whole cin*taps tap sequence (the scalar tier re-reads the row once per
-  // tap). Per lane the op chain — mul, then add, in (ci, t) order, zero
-  // weights skipped — matches the scalar reference exactly, so the fusion
-  // changes traffic, not results.
-  int64_t l = 0;
-  for (; l + 32 <= lout; l += 32) {
-    float* const o = orow + l;
-    __m256 acc0 = _mm256_loadu_ps(o);
-    __m256 acc1 = _mm256_loadu_ps(o + 8);
-    __m256 acc2 = _mm256_loadu_ps(o + 16);
-    __m256 acc3 = _mm256_loadu_ps(o + 24);
-    for (int64_t ci = 0; ci < cin; ++ci) {
-      const float* xrow = x + ci * xstride + l;
-      const float* wrow = w + ci * taps;
-      for (int64_t t = 0; t < taps; ++t) {
-        const float wv = wrow[t];
-        if (wv == 0.0f) continue;
-        const __m256 wvv = _mm256_set1_ps(wv);
-        const float* xs = xrow + t * dilation;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(wvv, _mm256_loadu_ps(xs)));
-        acc1 =
-            _mm256_add_ps(acc1, _mm256_mul_ps(wvv, _mm256_loadu_ps(xs + 8)));
-        acc2 =
-            _mm256_add_ps(acc2, _mm256_mul_ps(wvv, _mm256_loadu_ps(xs + 16)));
-        acc3 =
-            _mm256_add_ps(acc3, _mm256_mul_ps(wvv, _mm256_loadu_ps(xs + 24)));
-      }
+// ---- Multi-row accumulation: ConvRowsAccum and CorrRowsAccum ----
+//
+// Both primitives list a block of kRowBlock rows' terms once per call and
+// then run a term loop with no data-dependent branch, kRowBlock rows x up
+// to 16 columns of accumulators sharing every input load. Per element the
+// op chain — mul, then add, listed terms in order — is the scalar tier's;
+// a row that skips a listed term (zero weight, or out of range) adds
+// -0.0f instead, which leaves the accumulator unchanged whatever it holds.
+
+constexpr int kRows = static_cast<int>(kRowBlock);
+constexpr int kTermChunk = 64;  // terms listed per pass over the rows
+
+// Lanes [0, count) set; count >= 8 sets all eight.
+TRIAD_TARGET_AVX2 inline __m256i LaneMask(int64_t count) {
+  return _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(std::min<int64_t>(count, 8))),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// One chunk of a row block's terms in chain order. Per term: the input
+// offset and the tap shift t*dilation; per row: the weight and a keep
+// mask (all ones, or zero where the row skips the term). Rows past the
+// block's end repeat its last row; their accumulators are never stored.
+struct TermTable {
+  int64_t off[kTermChunk];
+  int64_t shift[kTermChunk];
+  alignas(32) float w[kTermChunk][kRows];
+  alignas(32) float keep[kTermChunk][kRows];
+  int count;
+  bool skips;  // some listed term is skipped by some row of the block
+};
+
+// Lists terms [j0, j1), j = ci*taps + t, of the row block whose weights
+// start at `w`: row r's weight is w[r*wrow + ci*wci + t*wt] and the input
+// offset is ci*xci + t*xt. Terms no row keeps are left out, branch-free.
+// Rows past nrows read the last row's weights, so they change neither
+// which terms are listed nor `skips`.
+TRIAD_TARGET_AVX2 inline void BuildTermTable(
+    const float* w, int64_t wrow, int64_t wci, int64_t wt, int64_t xci,
+    int64_t xt, int64_t taps, int64_t dilation, int nrows, int64_t j0,
+    int64_t j1, TermTable* tt) {
+  static_assert(kRows == 4, "one SSE vector of weights per term");
+  const float* wr[kRows];
+  for (int r = 0; r < kRows; ++r) wr[r] = w + std::min(r, nrows - 1) * wrow;
+  const __m128 zero = _mm_setzero_ps();
+  int count = 0;
+  int mixed = 0;
+  int64_t ci = j0 / taps, t = j0 % taps;
+  for (int64_t j = j0; j < j1; ++j) {
+    const int64_t woff = ci * wci + t * wt;
+    tt->off[count] = ci * xci + t * xt;
+    tt->shift[count] = t * dilation;
+    const __m128 wv =
+        _mm_setr_ps(wr[0][woff], wr[1][woff], wr[2][woff], wr[3][woff]);
+    // NEQ is unordered: a NaN weight is kept, as `w == 0.0f` is false.
+    const __m128 keep = _mm_cmpneq_ps(wv, zero);
+    _mm_store_ps(tt->w[count], wv);
+    _mm_store_ps(tt->keep[count], keep);
+    const int bits = _mm_movemask_ps(keep);
+    mixed |= bits != 0 && bits != 0xF;
+    count += bits != 0;
+    if (++t == taps) {
+      t = 0;
+      ++ci;
     }
-    _mm256_storeu_ps(o, acc0);
-    _mm256_storeu_ps(o + 8, acc1);
-    _mm256_storeu_ps(o + 16, acc2);
-    _mm256_storeu_ps(o + 24, acc3);
   }
-  for (; l + 8 <= lout; l += 8) {
-    __m256 acc = _mm256_loadu_ps(orow + l);
-    for (int64_t ci = 0; ci < cin; ++ci) {
-      const float* xrow = x + ci * xstride + l;
-      const float* wrow = w + ci * taps;
-      for (int64_t t = 0; t < taps; ++t) {
-        const float wv = wrow[t];
-        if (wv == 0.0f) continue;
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(wv),
-                               _mm256_loadu_ps(xrow + t * dilation)));
+  tt->count = count;
+  tt->skips = mixed != 0;
+}
+
+// Adds the listed terms into rows[r][l, l + 8*kVecs) for r < nrows, input
+// x[off + l, ...). kTail masks the last vector to the lanes in `tail`.
+// kSkips = false when every row keeps every listed term.
+template <bool kSkips, int kVecs, bool kTail>
+TRIAD_TARGET_AVX2 inline void ApplyTerms(const TermTable& tt, const float* x,
+                                         int64_t l, float* const* rows,
+                                         int nrows, __m256i tail) {
+  const __m256 neg_zero = _mm256_set1_ps(-0.0f);
+  constexpr int kLast = kVecs - 1;
+  __m256 acc[kRows][kVecs];
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      if (r >= nrows) {
+        acc[r][v] = _mm256_setzero_ps();
+      } else if (kTail && v == kLast) {
+        acc[r][v] = _mm256_maskload_ps(rows[r] + l + 8 * v, tail);
+      } else {
+        acc[r][v] = _mm256_loadu_ps(rows[r] + l + 8 * v);
       }
     }
-    _mm256_storeu_ps(orow + l, acc);
   }
-  for (; l < lout; ++l) {
-    float acc = orow[l];
-    for (int64_t ci = 0; ci < cin; ++ci) {
-      const float* xrow = x + ci * xstride + l;
-      const float* wrow = w + ci * taps;
-      for (int64_t t = 0; t < taps; ++t) {
-        const float wv = wrow[t];
-        if (wv == 0.0f) continue;
-        acc += wv * xrow[t * dilation];
+  for (int e = 0; e < tt.count; ++e) {
+    const float* xs = x + (tt.off[e] + l);
+    __m256 xv[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      xv[v] = kTail && v == kLast ? _mm256_maskload_ps(xs + 8 * v, tail)
+                                  : _mm256_loadu_ps(xs + 8 * v);
+    }
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 wv = _mm256_broadcast_ss(&tt.w[e][r]);
+      __m256 keep = neg_zero, fill = neg_zero;
+      if constexpr (kSkips) {
+        keep = _mm256_broadcast_ss(&tt.keep[e][r]);
+        fill = _mm256_andnot_ps(keep, neg_zero);
+      }
+      for (int v = 0; v < kVecs; ++v) {
+        __m256 p = _mm256_mul_ps(wv, xv[v]);
+        if constexpr (kSkips) p = _mm256_or_ps(_mm256_and_ps(p, keep), fill);
+        acc[r][v] = _mm256_add_ps(acc[r][v], p);
       }
     }
-    orow[l] = acc;
+  }
+  // Constant trip counts, so `acc` stays in registers.
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      if (r >= nrows) {
+        continue;
+      } else if (kTail && v == kLast) {
+        _mm256_maskstore_ps(rows[r] + l + 8 * v, tail, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(rows[r] + l + 8 * v, acc[r][v]);
+      }
+    }
   }
 }
 
-TRIAD_TARGET_AVX2 void ConvTapDots(const float* x, const float* g,
-                                   int64_t taps, int64_t dilation,
-                                   int64_t lout, double* out) {
-  // Per-tap even/odd double accumulators, exactly Dot's — the taps just
-  // march over the shared g block converted once. `taps` capped at 8 keeps
-  // the accumulator array small (the conv stacks use 3–5 taps).
-  __m256d acc_lo[8];
-  __m256d acc_hi[8];
-  for (int64_t t = 0; t < taps; ++t) {
-    acc_lo[t] = _mm256_setzero_pd();
-    acc_hi[t] = _mm256_setzero_pd();
+// Columns [l, end) of the rows: 16-wide blocks, then the last 1..15
+// columns as one pass whose last vector is masked.
+template <bool kSkips>
+TRIAD_TARGET_AVX2 void ApplyColumns(const TermTable& tt, const float* x,
+                                    int64_t l, int64_t end, float* const* rows,
+                                    int nrows) {
+  const __m256i none = _mm256_setzero_si256();
+  for (; l + 16 <= end; l += 16) {
+    ApplyTerms<kSkips, 2, false>(tt, x, l, rows, nrows, none);
   }
-  int64_t i = 0;
-  for (; i + 8 <= lout; i += 8) {
-    const __m256 gv = _mm256_loadu_ps(g + i);
-    const __m256d g_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(gv));
-    const __m256d g_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(gv, 1));
-    for (int64_t t = 0; t < taps; ++t) {
-      const __m256 xv = _mm256_loadu_ps(x + t * dilation + i);
-      acc_lo[t] = _mm256_fmadd_pd(
-          _mm256_cvtps_pd(_mm256_castps256_ps128(xv)), g_lo, acc_lo[t]);
-      acc_hi[t] = _mm256_fmadd_pd(
-          _mm256_cvtps_pd(_mm256_extractf128_ps(xv, 1)), g_hi, acc_hi[t]);
-    }
-  }
-  for (int64_t t = 0; t < taps; ++t) {
-    double acc = HSum4(acc_lo[t]) + HSum4(acc_hi[t]);
-    const float* xt = x + t * dilation;
-    for (int64_t j = i; j < lout; ++j) {
-      acc += static_cast<double>(xt[j]) * static_cast<double>(g[j]);
-    }
-    out[t] = acc;
+  const int64_t rest = end - l;
+  if (rest > 8) {
+    ApplyTerms<kSkips, 2, true>(tt, x, l, rows, nrows, LaneMask(rest - 8));
+  } else if (rest > 0) {
+    ApplyTerms<kSkips, 1, true>(tt, x, l, rows, nrows, LaneMask(rest));
   }
 }
 
-TRIAD_TARGET_AVX2 void CorrRowAccum(const float* g, int64_t gstride,
-                                    const float* w, int64_t wstride,
-                                    int64_t cout, int64_t taps,
-                                    int64_t dilation, float* drow,
-                                    int64_t lout) {
-  // The interior of drow — elements every tap reaches — is register-blocked
-  // across the whole cout*taps term sequence; the (taps-1)*dilation edge
-  // elements on each side get per-tap partial axpy passes. Each drow
-  // element lives in exactly one region and sees its terms in (co, t)
-  // order with separate mul/add and zero-skip, so the result is
-  // bit-identical to the scalar one-axpy-per-term reference.
+TRIAD_TARGET_AVX2 void ConvRowsAccum(const float* x, int64_t xstride,
+                                     const float* w, int64_t wrow,
+                                     int64_t wterm, int64_t cin, int64_t taps,
+                                     int64_t dilation, float* out,
+                                     int64_t ostride, int64_t rows,
+                                     int64_t lout) {
+  const int64_t terms = cin * taps;
+  TermTable tt;
+  for (int64_t r0 = 0; r0 < rows; r0 += kRows) {
+    const int nrows = static_cast<int>(std::min<int64_t>(kRows, rows - r0));
+    float* orows[kRows];
+    for (int r = 0; r < kRows; ++r) {
+      orows[r] = out + (r0 + std::min(r, nrows - 1)) * ostride;
+    }
+    for (int64_t j0 = 0; j0 < terms; j0 += kTermChunk) {
+      BuildTermTable(w + r0 * wrow, wrow, taps * wterm, wterm, xstride,
+                     dilation, taps, dilation, nrows, j0,
+                     std::min(terms, j0 + kTermChunk), &tt);
+      if (tt.skips) {
+        ApplyColumns<true>(tt, x, 0, lout, orows, nrows);
+      } else {
+        ApplyColumns<false>(tt, x, 0, lout, orows, nrows);
+      }
+    }
+  }
+}
+
+// One 8-column block of CorrRowsAccum's output rows at m that reaches an
+// edge: lane i of term e reads g[off + m + i] only where m + i - shift is
+// in [0, lout) and adds -0.0f elsewhere; lanes outside `store` are neither
+// read nor written. Positions are compared in 32 bits (rows shorter than
+// 2^31 elements).
+TRIAD_TARGET_AVX2 inline void ApplyEdgeTerms(const TermTable& tt,
+                                             const float* g, int64_t m,
+                                             int64_t lout, float* const* rows,
+                                             int nrows, __m256i store) {
+  const __m256 neg_zero = _mm256_set1_ps(-0.0f);
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i minus_one = _mm256_set1_epi32(-1);
+  const __m256i lout_v = _mm256_set1_epi32(static_cast<int>(lout));
+  __m256 acc[kRows];
+  for (int r = 0; r < kRows; ++r) {
+    acc[r] = r < nrows ? _mm256_maskload_ps(rows[r] + m, store)
+                       : _mm256_setzero_ps();
+  }
+  for (int e = 0; e < tt.count; ++e) {
+    const __m256i pos = _mm256_add_epi32(
+        iota, _mm256_set1_epi32(static_cast<int>(m - tt.shift[e])));
+    const __m256i in = _mm256_and_si256(_mm256_cmpgt_epi32(pos, minus_one),
+                                        _mm256_cmpgt_epi32(lout_v, pos));
+    const __m256 gv = _mm256_maskload_ps(g + (tt.off[e] + m), in);
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 keep = _mm256_and_ps(_mm256_castsi256_ps(in),
+                                        _mm256_broadcast_ss(&tt.keep[e][r]));
+      const __m256 p =
+          _mm256_mul_ps(_mm256_broadcast_ss(&tt.w[e][r]), gv);
+      acc[r] = _mm256_add_ps(
+          acc[r], _mm256_or_ps(_mm256_and_ps(p, keep),
+                               _mm256_andnot_ps(keep, neg_zero)));
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    if (r < nrows) _mm256_maskstore_ps(rows[r] + m, store, acc[r]);
+  }
+}
+
+TRIAD_TARGET_AVX2 void CorrRowsAccum(const float* g, int64_t gstride,
+                                     const float* w, int64_t wrow,
+                                     int64_t wstride, int64_t cout,
+                                     int64_t taps, int64_t dilation, float* d,
+                                     int64_t dstride, int64_t rows,
+                                     int64_t lout) {
+  // Columns [span, lout) of a row see every term in range (the interior);
+  // the columns before span and from lout on take the edge path.
   const int64_t span = (taps - 1) * dilation;
-  const int64_t hi = span > lout ? span : lout;
-  for (int64_t co = 0; co < cout; ++co) {  // front edge: drow[0, span)
-    const float* grow = g + co * gstride;
-    const float* wrow = w + co * wstride;
-    for (int64_t t = 0; t < taps; ++t) {
-      const float wv = wrow[t];
-      if (wv == 0.0f) continue;
-      const int64_t len = std::min(lout, span - t * dilation);
-      if (len > 0) Axpy(wv, grow, drow + t * dilation, len);
+  const int64_t lpad = lout + span;
+  const int64_t terms = cout * taps;
+  TermTable tt;
+  for (int64_t r0 = 0; r0 < rows; r0 += kRows) {
+    const int nrows = static_cast<int>(std::min<int64_t>(kRows, rows - r0));
+    float* drows[kRows];
+    for (int r = 0; r < kRows; ++r) {
+      drows[r] = d + (r0 + std::min(r, nrows - 1)) * dstride;
     }
-  }
-  int64_t m = span;  // interior: drow[span, lout)
-  for (; m + 32 <= lout; m += 32) {
-    float* const o = drow + m;
-    __m256 acc0 = _mm256_loadu_ps(o);
-    __m256 acc1 = _mm256_loadu_ps(o + 8);
-    __m256 acc2 = _mm256_loadu_ps(o + 16);
-    __m256 acc3 = _mm256_loadu_ps(o + 24);
-    for (int64_t co = 0; co < cout; ++co) {
-      const float* grow = g + co * gstride + m;
-      const float* wrow = w + co * wstride;
-      for (int64_t t = 0; t < taps; ++t) {
-        const float wv = wrow[t];
-        if (wv == 0.0f) continue;
-        const __m256 wvv = _mm256_set1_ps(wv);
-        const float* gs = grow - t * dilation;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(wvv, _mm256_loadu_ps(gs)));
-        acc1 =
-            _mm256_add_ps(acc1, _mm256_mul_ps(wvv, _mm256_loadu_ps(gs + 8)));
-        acc2 =
-            _mm256_add_ps(acc2, _mm256_mul_ps(wvv, _mm256_loadu_ps(gs + 16)));
-        acc3 =
-            _mm256_add_ps(acc3, _mm256_mul_ps(wvv, _mm256_loadu_ps(gs + 24)));
+    for (int64_t j0 = 0; j0 < terms; j0 += kTermChunk) {
+      BuildTermTable(w + r0 * wrow, wrow, wstride, 1, gstride, -dilation,
+                     taps, dilation, nrows, j0,
+                     std::min(terms, j0 + kTermChunk), &tt);
+      const int64_t front = std::min(span, lpad);
+      for (int64_t m = 0; m < front; m += 8) {
+        ApplyEdgeTerms(tt, g, m, lout, drows, nrows, LaneMask(front - m));
       }
-    }
-    _mm256_storeu_ps(o, acc0);
-    _mm256_storeu_ps(o + 8, acc1);
-    _mm256_storeu_ps(o + 16, acc2);
-    _mm256_storeu_ps(o + 24, acc3);
-  }
-  for (; m + 8 <= lout; m += 8) {
-    __m256 acc = _mm256_loadu_ps(drow + m);
-    for (int64_t co = 0; co < cout; ++co) {
-      const float* grow = g + co * gstride + m;
-      const float* wrow = w + co * wstride;
-      for (int64_t t = 0; t < taps; ++t) {
-        const float wv = wrow[t];
-        if (wv == 0.0f) continue;
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(wv),
-                               _mm256_loadu_ps(grow - t * dilation)));
+      if (tt.skips) {
+        ApplyColumns<true>(tt, g, front, lout, drows, nrows);
+      } else {
+        ApplyColumns<false>(tt, g, front, lout, drows, nrows);
       }
-    }
-    _mm256_storeu_ps(drow + m, acc);
-  }
-  for (; m < lout; ++m) {
-    float acc = drow[m];
-    for (int64_t co = 0; co < cout; ++co) {
-      const float* grow = g + co * gstride;
-      const float* wrow = w + co * wstride;
-      for (int64_t t = 0; t < taps; ++t) {
-        const float wv = wrow[t];
-        if (wv == 0.0f) continue;
-        acc += wv * grow[m - t * dilation];
-      }
-    }
-    drow[m] = acc;
-  }
-  for (int64_t co = 0; co < cout; ++co) {  // back edge: drow[hi, lout + span)
-    const float* grow = g + co * gstride;
-    const float* wrow = w + co * wstride;
-    for (int64_t t = 0; t < taps; ++t) {
-      const float wv = wrow[t];
-      if (wv == 0.0f) continue;
-      const int64_t lstart = hi - t * dilation;
-      if (lstart < lout) {
-        Axpy(wv, grow + lstart, drow + t * dilation + lstart, lout - lstart);
+      for (int64_t m = std::max(front, lout); m < lpad; m += 8) {
+        ApplyEdgeTerms(tt, g, m, lout, drows, nrows, LaneMask(lpad - m));
       }
     }
   }
 }
 
-TRIAD_TARGET_AVX2 void DotPair(const float* a, const float* b0,
-                               const float* b1, int64_t n, double* out2) {
-  __m256d acc0_lo = _mm256_setzero_pd();
-  __m256d acc0_hi = _mm256_setzero_pd();
-  __m256d acc1_lo = _mm256_setzero_pd();
-  __m256d acc1_hi = _mm256_setzero_pd();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 av = _mm256_loadu_ps(a + i);
-    const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(av));
-    const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(av, 1));
-    const __m256 b0v = _mm256_loadu_ps(b0 + i);
-    acc0_lo = _mm256_fmadd_pd(
-        a_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(b0v)), acc0_lo);
-    acc0_hi = _mm256_fmadd_pd(
-        a_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(b0v, 1)), acc0_hi);
-    const __m256 b1v = _mm256_loadu_ps(b1 + i);
-    acc1_lo = _mm256_fmadd_pd(
-        a_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(b1v)), acc1_lo);
-    acc1_hi = _mm256_fmadd_pd(
-        a_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(b1v, 1)), acc1_hi);
+// ---- ConvTapDotTile ----
+
+// In-register 4x4 transpose: afterwards a_k holds lane k of the inputs.
+TRIAD_TARGET_AVX2 inline void Transpose4x4(__m256d* a) {
+  const __m256d t0 = _mm256_unpacklo_pd(a[0], a[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(a[0], a[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(a[2], a[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(a[2], a[3]);
+  a[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  a[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  a[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  a[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+// Four dots' HSum4 at once: lane k of the result is (a_k[0] + a_k[1]) +
+// (a_k[2] + a_k[3]), HSum4's exact order.
+TRIAD_TARGET_AVX2 inline __m256d HSum4x4(__m256d* a) {
+  Transpose4x4(a);
+  return _mm256_add_pd(_mm256_add_pd(a[0], a[1]), _mm256_add_pd(a[2], a[3]));
+}
+
+// The R x T dots of gradient rows g + r*gstride (r < nrows <= R) against
+// the T shifted windows of x. Each dot runs Dot's two lane chains — lo
+// over elements 8s..8s+3, hi over 8s+4..8s+7 — as two passes, so one
+// pass keeps only R*T accumulators live; each converted x window feeds R
+// rows and each converted g block feeds T taps. Folds and tails then run
+// four dots per vector.
+template <int R, int T>
+TRIAD_TARGET_AVX2 void TapDotTile(const float* x, const float* g,
+                                  int64_t gstride, int nrows, int64_t dilation,
+                                  int64_t lout, double* out) {
+  constexpr int kDots = R * T;
+  const float* grow[R];
+  for (int r = 0; r < R; ++r) grow[r] = g + std::min(r, nrows - 1) * gstride;
+  const int64_t body = lout & ~int64_t{7};
+  alignas(32) double chains[2][kDots][4];  // each dot's lo and hi lanes
+  for (int half = 0; half < 2; ++half) {
+    __m256d acc[R][T];
+    for (int r = 0; r < R; ++r) {
+      for (int t = 0; t < T; ++t) acc[r][t] = _mm256_setzero_pd();
+    }
+    for (int64_t i = 4 * half; i < body; i += 8) {
+      __m256d gv[R];
+      for (int r = 0; r < R; ++r) {
+        gv[r] = _mm256_cvtps_pd(_mm_loadu_ps(grow[r] + i));
+      }
+      for (int t = 0; t < T; ++t) {
+        const __m256d xv = _mm256_cvtps_pd(_mm_loadu_ps(x + t * dilation + i));
+        for (int r = 0; r < R; ++r) {
+          acc[r][t] = _mm256_fmadd_pd(xv, gv[r], acc[r][t]);
+        }
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int t = 0; t < T; ++t) {
+        _mm256_store_pd(chains[half][r * T + t], acc[r][t]);
+      }
+    }
   }
-  double acc0 = HSum4(acc0_lo) + HSum4(acc0_hi);
-  double acc1 = HSum4(acc1_lo) + HSum4(acc1_hi);
-  for (int64_t j = i; j < n; ++j) {
-    acc0 += static_cast<double>(a[j]) * static_cast<double>(b0[j]);
+  // Four dots per vector: fold each dot's lo and hi chains, then add its
+  // tail products in ascending order. The tail products come from one
+  // masked 8-wide load per operand, transposed so vector j holds the four
+  // dots' products at element body + j.
+  const int64_t tail = lout - body;
+  const __m256i tail_lanes = LaneMask(tail);
+  const int valid = nrows * T;
+  for (int q = 0; q < kDots; q += 4) {
+    int dot[4];
+    for (int k = 0; k < 4; ++k) dot[k] = std::min(q + k, kDots - 1);  // pads
+    // With no full block both chains are +0.0, and so is their fold.
+    __m256d sum = _mm256_setzero_pd();
+    if (body > 0) {
+      __m256d l4[4], h4[4];
+      for (int k = 0; k < 4; ++k) {
+        l4[k] = _mm256_load_pd(chains[0][dot[k]]);
+        h4[k] = _mm256_load_pd(chains[1][dot[k]]);
+      }
+      sum = _mm256_add_pd(HSum4x4(l4), HSum4x4(h4));
+    }
+    if (tail > 0) {
+      __m256d p_lo[4], p_hi[4];
+      for (int k = 0; k < 4; ++k) {
+        const __m256 xs = _mm256_maskload_ps(
+            x + (dot[k] % T) * dilation + body, tail_lanes);
+        const __m256 gs = _mm256_maskload_ps(grow[dot[k] / T] + body,
+                                             tail_lanes);
+        p_lo[k] = _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(xs)),
+                                _mm256_cvtps_pd(_mm256_castps256_ps128(gs)));
+        p_hi[k] = _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(xs, 1)),
+                                _mm256_cvtps_pd(_mm256_extractf128_ps(gs, 1)));
+      }
+      Transpose4x4(p_lo);
+      Transpose4x4(p_hi);
+      for (int64_t j = 0; j < tail; ++j) {
+        sum = _mm256_add_pd(sum, j < 4 ? p_lo[j] : p_hi[j - 4]);
+      }
+    }
+    const __m256i store = _mm256_cmpgt_epi64(_mm256_set1_epi64x(valid - q),
+                                             _mm256_setr_epi64x(0, 1, 2, 3));
+    _mm256_maskstore_pd(out + q, store, sum);
   }
-  for (int64_t j = i; j < n; ++j) {
-    acc1 += static_cast<double>(a[j]) * static_cast<double>(b1[j]);
+}
+
+// Register tiles of at most 12 dots: eight gradient rows at one tap, four
+// at three taps, fewer rows for more taps.
+template <int T>
+TRIAD_TARGET_AVX2 void TapDotRows(const float* x, const float* g,
+                                  int64_t gstride, int64_t rows,
+                                  int64_t dilation, int64_t lout,
+                                  double* out) {
+  constexpr int R = T == 1 ? 8 : (12 / T > 0 ? 12 / T : 1);
+  for (int64_t r0 = 0; r0 < rows; r0 += R) {
+    const int nrows = static_cast<int>(std::min<int64_t>(R, rows - r0));
+    TapDotTile<R, T>(x, g + r0 * gstride, gstride, nrows, dilation, lout,
+                     out + r0 * T);
   }
-  out2[0] = acc0;
-  out2[1] = acc1;
+}
+
+TRIAD_TARGET_AVX2 void ConvTapDotTile(const float* x, const float* g,
+                                      int64_t gstride, int64_t rows,
+                                      int64_t taps, int64_t dilation,
+                                      int64_t lout, double* out) {
+  switch (taps) {
+    case 1: return TapDotRows<1>(x, g, gstride, rows, dilation, lout, out);
+    case 2: return TapDotRows<2>(x, g, gstride, rows, dilation, lout, out);
+    case 3: return TapDotRows<3>(x, g, gstride, rows, dilation, lout, out);
+    case 4: return TapDotRows<4>(x, g, gstride, rows, dilation, lout, out);
+    case 5: return TapDotRows<5>(x, g, gstride, rows, dilation, lout, out);
+    case 6: return TapDotRows<6>(x, g, gstride, rows, dilation, lout, out);
+    case 7: return TapDotRows<7>(x, g, gstride, rows, dilation, lout, out);
+    default: return TapDotRows<8>(x, g, gstride, rows, dilation, lout, out);
+  }
 }
 
 TRIAD_TARGET_AVX2 void AddRelu(const float* a, const float* b, float* out,
@@ -731,14 +883,14 @@ struct KernelTable {
   void (*add)(const float*, const float*, float*, int64_t);
   void (*mul)(const float*, const float*, float*, int64_t);
   void (*relu)(const float*, float*, int64_t);
-  void (*conv_row)(const float*, int64_t, const float*, int64_t, int64_t,
-                   int64_t, float*, int64_t);
-  void (*conv_tap_dots)(const float*, const float*, int64_t, int64_t, int64_t,
-                        double*);
-  void (*corr_row)(const float*, int64_t, const float*, int64_t, int64_t,
-                   int64_t, int64_t, float*, int64_t);
-  void (*dot_pair)(const float*, const float*, const float*, int64_t,
-                   double*);
+  void (*conv_rows)(const float*, int64_t, const float*, int64_t, int64_t,
+                    int64_t, int64_t, int64_t, float*, int64_t, int64_t,
+                    int64_t);
+  void (*corr_rows)(const float*, int64_t, const float*, int64_t, int64_t,
+                    int64_t, int64_t, int64_t, float*, int64_t, int64_t,
+                    int64_t);
+  void (*tap_dot_tile)(const float*, const float*, int64_t, int64_t, int64_t,
+                       int64_t, int64_t, double*);
   void (*add_relu)(const float*, const float*, float*, int64_t);
   void (*add_relu_mask)(const float*, const float*, const float*, float*,
                         int64_t);
@@ -757,8 +909,8 @@ struct KernelTable {
 constexpr KernelTable kScalarTable = {
     scalar::Dot,  scalar::Sum,  scalar::Axpy,
     scalar::Add,  scalar::Mul,  scalar::Relu,
-    scalar::ConvRowAccum,       scalar::ConvTapDots,
-    scalar::CorrRowAccum,       scalar::DotPair,
+    scalar::ConvRowsAccum,      scalar::CorrRowsAccum,
+    scalar::ConvTapDotTile,
     scalar::AddRelu,            scalar::AddReluMask,
     scalar::ReluMask,           scalar::SlidingDotUpdate,   scalar::ZNormDistRow,
     scalar::CorrRowMax,         scalar::SlidingCorrMax,
@@ -768,8 +920,8 @@ constexpr KernelTable kScalarTable = {
 constexpr KernelTable kAvx2Table = {
     avx2::Dot,  avx2::Sum,  avx2::Axpy,
     avx2::Add,  avx2::Mul,  avx2::Relu,
-    avx2::ConvRowAccum,      avx2::ConvTapDots,
-    avx2::CorrRowAccum,      avx2::DotPair,
+    avx2::ConvRowsAccum,     avx2::CorrRowsAccum,
+    avx2::ConvTapDotTile,
     avx2::AddRelu,           avx2::AddReluMask,
     avx2::ReluMask,          avx2::SlidingDotUpdate,  avx2::ZNormDistRow,
     avx2::CorrRowMax,        avx2::SlidingCorrMax,
@@ -856,28 +1008,29 @@ void Relu(const float* x, float* out, int64_t n) {
   TableFor(ActiveLevel()).relu(x, out, n);
 }
 
-void ConvRowAccum(const float* x, int64_t xstride, const float* w,
-                  int64_t cin, int64_t taps, int64_t dilation, float* orow,
-                  int64_t lout) {
+void ConvRowsAccum(const float* x, int64_t xstride, const float* w,
+                   int64_t wrow, int64_t wterm, int64_t cin, int64_t taps,
+                   int64_t dilation, float* out, int64_t ostride, int64_t rows,
+                   int64_t lout) {
   TableFor(ActiveLevel())
-      .conv_row(x, xstride, w, cin, taps, dilation, orow, lout);
+      .conv_rows(x, xstride, w, wrow, wterm, cin, taps, dilation, out, ostride,
+                 rows, lout);
 }
 
-void ConvTapDots(const float* x, const float* g, int64_t taps,
-                 int64_t dilation, int64_t lout, double* out) {
-  TableFor(ActiveLevel()).conv_tap_dots(x, g, taps, dilation, lout, out);
-}
-
-void CorrRowAccum(const float* g, int64_t gstride, const float* w,
-                  int64_t wstride, int64_t cout, int64_t taps,
-                  int64_t dilation, float* drow, int64_t lout) {
+void CorrRowsAccum(const float* g, int64_t gstride, const float* w,
+                   int64_t wrow, int64_t wstride, int64_t cout, int64_t taps,
+                   int64_t dilation, float* d, int64_t dstride, int64_t rows,
+                   int64_t lout) {
   TableFor(ActiveLevel())
-      .corr_row(g, gstride, w, wstride, cout, taps, dilation, drow, lout);
+      .corr_rows(g, gstride, w, wrow, wstride, cout, taps, dilation, d,
+                 dstride, rows, lout);
 }
 
-void DotPair(const float* a, const float* b0, const float* b1, int64_t n,
-             double* out2) {
-  TableFor(ActiveLevel()).dot_pair(a, b0, b1, n, out2);
+void ConvTapDotTile(const float* x, const float* g, int64_t gstride,
+                    int64_t rows, int64_t taps, int64_t dilation,
+                    int64_t lout, double* out) {
+  TableFor(ActiveLevel())
+      .tap_dot_tile(x, g, gstride, rows, taps, dilation, lout, out);
 }
 
 void AddRelu(const float* a, const float* b, float* out, int64_t n) {

@@ -17,16 +17,20 @@ namespace triad::simd {
 ///
 /// Determinism contract (see ARCHITECTURE.md §4):
 ///
-///  * **Elementwise kernels** (Axpy, Add, Mul, Relu, SlidingDotUpdate,
-///    ZNormDistRow, CorrRowMax, SlidingCorrMax) perform the exact same IEEE
-///    operation sequence per element at every tier — vector lanes are just
-///    scalar lanes side by side, and FMA contraction is never used — so
-///    their output is **bit-identical** to the scalar reference.
-///  * **Reduction kernels** (Dot, Sum) accumulate in double precision at
-///    every tier; the vector tiers use a fixed-width lane split, so the
-///    only divergence from the scalar reference is double-rounding of
-///    reordered exact partials — within a few ULPs of the result, and
-///    bit-stable run-to-run at a given tier.
+///  * **Elementwise kernels** (Axpy, Add, Mul, Relu, ConvRowsAccum,
+///    CorrRowsAccum, SlidingDotUpdate, ZNormDistRow, CorrRowMax,
+///    SlidingCorrMax) perform the exact same IEEE operation sequence per
+///    element at every tier — vector lanes are just scalar lanes side by
+///    side, and FMA contraction is never used — so their output is
+///    **bit-identical** to the scalar reference. The scalar tier of each is
+///    the plain per-term loop that defines its chain; the vector tier
+///    blocks independent outputs and, where it runs a term an output
+///    skips, adds -0.0f, which leaves every float unchanged.
+///  * **Reduction kernels** (Dot, Sum, ConvTapDotTile) accumulate in double
+///    precision at every tier; the vector tiers use a fixed-width lane
+///    split, so the only divergence from the scalar reference is
+///    double-rounding of reordered exact partials — within a few ULPs of
+///    the result, and bit-stable run-to-run at a given tier.
 ///
 /// Combined with the fixed chunking of common/parallel.h, results are
 /// bit-identical across thread counts at any given tier.
@@ -100,60 +104,73 @@ void Relu(const float* x, float* out, int64_t n);
 void SlidingDotUpdate(double* qt, int64_t n, double drop, const double* tail,
                       double add, const double* head);
 
-/// \brief Fused multi-tap row accumulation — the inner kernel of Conv1d
-/// forward and the dense matmul.
-///
-///   orow[l] += sum_{ci, t} w[ci*taps + t] * x[ci*xstride + l + t*dilation]
-///
-/// applied per element in (ci, t) order with a separate round of each
-/// product and add (no FMA). That per-element chain is exactly what the
-/// one-axpy-per-tap formulation produces, so all tiers are bit-identical
-/// to the scalar reference; the vector tiers just keep a register block of
-/// `orow` live across all cin*taps terms instead of re-reading the row per
-/// tap. Taps whose weight is exactly 0.0f are skipped at every tier.
-/// `x` and `orow` must not alias. A dense matmul row is the degenerate
-/// conv: taps = 1, dilation = 0, xstride = row stride of the B matrix.
-void ConvRowAccum(const float* x, int64_t xstride, const float* w,
-                  int64_t cin, int64_t taps, int64_t dilation, float* orow,
-                  int64_t lout);
+/// Output rows the vector tier's multi-row primitives (ConvRowsAccum,
+/// CorrRowsAccum) hold in registers at once. Callers that fan rows across a
+/// pool split them in multiples of it so no block is cut short; the results
+/// never depend on the split.
+inline constexpr int64_t kRowBlock = 4;
 
-/// \brief All `taps` shifted dot products of one window against one
-/// gradient row — the inner kernel of nn::kernels::Conv1dBackwardWeight.
+/// \brief Multi-row fused multi-tap accumulation — the inner kernel of
+/// Conv1d forward and of the dense matmuls (Gemm, GemmTransA).
 ///
-///   out[t] = sum_l x[l + t*dilation] * g[l],  t in [0, taps)
+///   out[r*ostride + l] += sum_{ci, t} w[r*wrow + (ci*taps + t)*wterm]
+///                                     * x[ci*xstride + t*dilation + l]
 ///
-/// Each tap accumulates in double with exactly Dot's per-tap operation
-/// chain (same lane split, same fold, same scalar tail), so every out[t]
-/// is bit-identical to a separate Dot(x + t*dilation, g, lout) call at the
-/// same tier; the fusion just loads each g block once for all taps instead
-/// of once per tap. `taps` must be in [1, 8].
-void ConvTapDots(const float* x, const float* g, int64_t taps,
-                 int64_t dilation, int64_t lout, double* out);
+/// for r in [0, rows), l in [0, lout). Per output element the terms apply
+/// in (ci, t) order with a separate round of each product and add (no
+/// FMA), and a term whose weight is exactly 0.0f is skipped: the chain of
+/// the plain per-term loop, which is the scalar tier. The vector tier
+/// blocks kRowBlock rows over 16 output columns, so each input load feeds
+/// every row of the block, and runs the Lout % 8 tail as one masked vector.
+/// Its term loop has no data-dependent branch: the block's terms are
+/// listed once per call (dropping terms every row skips), and a row that
+/// skips a listed term adds -0.0f in its place, which leaves every float —
+/// ±0, ±inf, NaN — unchanged. All tiers are therefore bit-identical.
+/// A dense matmul row is the degenerate conv (taps = 1, dilation = 0,
+/// xstride = row stride of B); `wterm` = m reads A's columns in place
+/// for GemmTransA. `x` and `out` must not alias.
+void ConvRowsAccum(const float* x, int64_t xstride, const float* w,
+                   int64_t wrow, int64_t wterm, int64_t cin, int64_t taps,
+                   int64_t dilation, float* out, int64_t ostride, int64_t rows,
+                   int64_t lout);
 
-/// \brief Fused multi-tap *scatter* row accumulation — the inner kernel of
-/// nn::kernels::Conv1dBackwardInput (the adjoint of ConvRowAccum).
+/// \brief Multi-row fused multi-tap *scatter* accumulation — the inner
+/// kernel of nn::kernels::Conv1dBackwardInput (the adjoint of
+/// ConvRowsAccum).
 ///
-///   drow[l + t*dilation] += w[co*wstride + t] * g[co*gstride + l]
+///   d[r*dstride + l + t*dilation] += w[r*wrow + co*wstride + t]
+///                                    * g[co*gstride + l]
 ///
-/// for all co in [0, cout), t in [0, taps), l in [0, lout); `drow` has
-/// lout + (taps-1)*dilation elements. Per element the (co, t) terms apply
-/// in ascending order with a separate round of each product and add (no
-/// FMA) and zero weights skipped — exactly the chain the one-axpy-per-tap
-/// formulation produces — so all tiers are bit-identical to the scalar
-/// reference. The vector tiers keep a register block of the interior of
-/// `drow` live across all cout*taps terms; the (taps-1)*dilation edge
-/// elements on each side fall back to per-tap partial passes in the same
-/// (co, t) order. `g` and `drow` must not alias.
-void CorrRowAccum(const float* g, int64_t gstride, const float* w,
-                  int64_t wstride, int64_t cout, int64_t taps,
-                  int64_t dilation, float* drow, int64_t lout);
+/// for r in [0, rows), co in [0, cout), t in [0, taps), l in [0, lout);
+/// each `d` row has lout + (taps-1)*dilation elements. Per element the
+/// (co, t) terms apply in ascending order with a separate round of each
+/// product and add (no FMA), zero weights skipped and out-of-range terms
+/// left out — the chain of one axpy pass per nonzero term, which is the
+/// scalar tier. The vector tier blocks kRowBlock rows over the row, so
+/// each gradient load feeds every row of the block; blocks that reach the
+/// (taps-1)*dilation edges or the row's end mask their loads and add
+/// -0.0f for an out-of-range term, exactly as for a skipped weight. All
+/// tiers are bit-identical. `g` and `d` must not alias.
+void CorrRowsAccum(const float* g, int64_t gstride, const float* w,
+                   int64_t wrow, int64_t wstride, int64_t cout, int64_t taps,
+                   int64_t dilation, float* d, int64_t dstride, int64_t rows,
+                   int64_t lout);
 
-/// \brief Two dot products sharing the left operand: out2[0] = Dot(a, b0, n),
-/// out2[1] = Dot(a, b1, n), with each accumulated in Dot's exact per-column
-/// chain (bit-identical to two separate Dot calls at the same tier). The
-/// fusion halves the `a` loads — the win of nn::kernels::GemmTransB.
-void DotPair(const float* a, const float* b0, const float* b1, int64_t n,
-             double* out2);
+/// \brief A tile of shifted dot products — the inner kernel of
+/// nn::kernels::Conv1dBackwardWeight and (taps = 1) of GemmTransB.
+///
+///   out[r*taps + t] = Dot(x + t*dilation, g + r*gstride, lout)
+///
+/// for r in [0, rows), t in [0, taps). Each dot keeps Dot's exact chain at
+/// the same tier — same lane split, HSum4(lo) + HSum4(hi) fold, then the
+/// ascending scalar tail — so every out element is bit-identical to a
+/// separate Dot call. The vector tier converts each window of `x` once
+/// for every gradient row of its register tile and each block of a
+/// gradient row once for every tap, folds four dots per vector and runs
+/// four dots' tails side by side. `taps` must be in [1, 8].
+void ConvTapDotTile(const float* x, const float* g, int64_t gstride,
+                    int64_t rows, int64_t taps, int64_t dilation,
+                    int64_t lout, double* out);
 
 /// out[i] = relu(a[i] + b[i]) with Relu's branch semantics — one pass over
 /// the operands instead of an Add pass plus a Relu pass.
@@ -235,16 +252,17 @@ void Axpy(float alpha, const float* x, float* y, int64_t n);
 void Add(const float* a, const float* b, float* out, int64_t n);
 void Mul(const float* a, const float* b, float* out, int64_t n);
 void Relu(const float* x, float* out, int64_t n);
-void ConvRowAccum(const float* x, int64_t xstride, const float* w,
-                  int64_t cin, int64_t taps, int64_t dilation, float* orow,
-                  int64_t lout);
-void ConvTapDots(const float* x, const float* g, int64_t taps,
-                 int64_t dilation, int64_t lout, double* out);
-void CorrRowAccum(const float* g, int64_t gstride, const float* w,
-                  int64_t wstride, int64_t cout, int64_t taps,
-                  int64_t dilation, float* drow, int64_t lout);
-void DotPair(const float* a, const float* b0, const float* b1, int64_t n,
-             double* out2);
+void ConvRowsAccum(const float* x, int64_t xstride, const float* w,
+                   int64_t wrow, int64_t wterm, int64_t cin, int64_t taps,
+                   int64_t dilation, float* out, int64_t ostride, int64_t rows,
+                   int64_t lout);
+void CorrRowsAccum(const float* g, int64_t gstride, const float* w,
+                   int64_t wrow, int64_t wstride, int64_t cout, int64_t taps,
+                   int64_t dilation, float* d, int64_t dstride, int64_t rows,
+                   int64_t lout);
+void ConvTapDotTile(const float* x, const float* g, int64_t gstride,
+                    int64_t rows, int64_t taps, int64_t dilation,
+                    int64_t lout, double* out);
 void AddRelu(const float* a, const float* b, float* out, int64_t n);
 void AddReluMask(const float* a, const float* b, const float* g, float* out,
                  int64_t n);

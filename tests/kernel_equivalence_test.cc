@@ -3,10 +3,11 @@
 // unaligned lengths, vector-remainder tails, denormals, signed zeros and
 // ±inf. The determinism contract under test:
 //
-//  * elementwise kernels (axpy/add/mul/relu, the STOMP sliding-dot update,
-//    the z-norm distance row, the discord sweep's correlation row, the
-//    selection scan's sliding correlation max) are BIT-IDENTICAL to the
-//    scalar reference;
+//  * elementwise kernels (axpy/add/mul/relu, the blocked conv/GEMM row
+//    accumulations ConvRowsAccum and CorrRowsAccum, the STOMP sliding-dot
+//    update, the z-norm distance row, the discord sweep's correlation row,
+//    the selection scan's sliding correlation max) are BIT-IDENTICAL to
+//    the scalar reference;
 //  * reduction kernels (dot/sum and the conv/gemm gradients built on them)
 //    accumulate in double at every tier and may diverge only by reordered
 //    double-rounding — asserted here as <= 4 ULP of the float32 result.
@@ -343,7 +344,9 @@ TEST(KernelEquivalenceTest, CorrRowMaxBitIdenticalWithFlatsInfAndDenormals) {
       ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(ref))
           << "n=" << n << " seed=" << seed;
       EXPECT_FALSE(std::isnan(ref));  // NaN cells never win a max
-      if (seed == 5) EXPECT_EQ(ref, -inf);  // flat row: nothing ranks
+      if (seed == 5) {
+        EXPECT_EQ(ref, -inf);  // flat row: nothing ranks
+      }
       for (int64_t i = 0; i < n; ++i) {
         const size_t si = static_cast<size_t>(i);
         ASSERT_EQ(std::bit_cast<uint64_t>(q_got[si]),
@@ -475,87 +478,151 @@ TEST(KernelEquivalenceTest, SlidingCorrMaxBitIdenticalOnOffsetsAndDenormals) {
 
 // ---------- fused kernels: per-element chains pinned to the primitives ----
 
-// ConvTapDots' contract is per-tap bit-identity with Dot *at the same
-// tier* (the fusion only shares the g loads), plus the usual <= 4 ULP
-// envelope against the scalar reference.
-TEST(KernelEquivalenceTest, ConvTapDotsMatchesPerTapDot) {
+// Bit equality where any NaN matches any NaN: the payload an add of two
+// NaNs keeps depends on operand order, which the chain does not fix.
+void ExpectSameFloats(const std::vector<float>& ref,
+                      const std::vector<float>& got, const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  for (size_t i = 0; i < ref.size(); ++i) {
+    if (std::isnan(ref[i]) && std::isnan(got[i])) continue;
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(ref[i]))
+        << what << " i=" << i;
+  }
+}
+
+// Weights with exact zeros of both signs every third entry and inputs
+// with ±inf, NaN and -0.0 planted, so a kept term, a skipped term and a
+// special value all meet in the same rows.
+std::vector<float> SparseWeights(int64_t n, Rng* rng) {
+  std::vector<float> w = RandomFloats(n, rng, true);
+  for (int64_t i = 0; i < n; i += 3) {
+    w[static_cast<size_t>(i)] = (i % 2) ? -0.0f : 0.0f;
+  }
+  return w;
+}
+
+std::vector<float> InputsWithSpecials(int64_t n, Rng* rng) {
+  std::vector<float> x = RandomFloats(n, rng, true);
+  const float specials[] = {kInf, -kInf, kNaN, -0.0f};
+  for (int64_t i = 0; i < 4 && i < n; ++i) {
+    x[static_cast<size_t>((i * 7919 + n / 3) % n)] = specials[i];
+  }
+  return x;
+}
+
+// ConvRowsAccum covers Conv1d forward, Gemm (taps = 1, dilation = 0) and
+// GemmTransA (weights read down a column, wterm = rows of A); row counts
+// off the 4-row block and every column tail.
+TEST(KernelEquivalenceTest, ConvRowsAccumBitIdenticalAcrossShapes) {
   Rng rng(31);
+  struct Shape {
+    int64_t rows, cin, taps, dilation, lout;
+  };
+  for (const Shape& sh : {Shape{1, 1, 1, 1, 1}, Shape{4, 16, 3, 4, 143},
+                          Shape{7, 5, 3, 2, 37}, Shape{3, 2, 5, 1, 9},
+                          Shape{5, 70, 1, 0, 16}, Shape{6, 16, 1, 0, 1},
+                          Shape{2, 3, 2, 8, 100}}) {
+    for (const bool column_weights : {false, true}) {
+      const int64_t terms = sh.cin * sh.taps;
+      const int64_t xstride = sh.lout + (sh.taps - 1) * sh.dilation + 3;
+      const std::vector<float> x = InputsWithSpecials(sh.cin * xstride, &rng);
+      const std::vector<float> w = SparseWeights(sh.rows * terms, &rng);
+      // Row-major weights (conv, Gemm) or one column per row (GemmTransA).
+      const int64_t wrow = column_weights ? 1 : terms;
+      const int64_t wterm = column_weights ? sh.rows : 1;
+      const std::vector<float> seed =
+          InputsWithSpecials(sh.rows * sh.lout, &rng);
+      std::vector<float> ref = seed, got = seed;
+      simd::scalar::ConvRowsAccum(x.data(), xstride, w.data(), wrow, wterm,
+                                  sh.cin, sh.taps, sh.dilation, ref.data(),
+                                  sh.lout, sh.rows, sh.lout);
+      simd::ScopedForceLevel force(simd::HighestSupportedLevel());
+      simd::ConvRowsAccum(x.data(), xstride, w.data(), wrow, wterm, sh.cin,
+                          sh.taps, sh.dilation, got.data(), sh.lout, sh.rows,
+                          sh.lout);
+      ExpectSameFloats(ref, got,
+                       "rows=" + std::to_string(sh.rows) +
+                           " cin=" + std::to_string(sh.cin) +
+                           " taps=" + std::to_string(sh.taps) +
+                           " lout=" + std::to_string(sh.lout) +
+                           (column_weights ? " column" : " row"));
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, CorrRowsAccumBitIdenticalAcrossShapes) {
+  Rng rng(32);
+  // Includes lout < (taps-1)*dilation shapes, where the row is all edge
+  // and the vector tier's interior blocks are empty, and row counts off
+  // the 4-row block.
+  for (const auto& [rows, cout, taps, dilation, lout] :
+       {std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t>{1, 1, 1, 1, 5},
+        {4, 4, 3, 1, 33},
+        {5, 8, 3, 4, 64},
+        {3, 5, 5, 2, 3},
+        {2, 3, 4, 8, 7},
+        {6, 2, 3, 2, 100},
+        {4, 16, 3, 4, 143},
+        {7, 70, 1, 1, 17}}) {
+    const int64_t span = (taps - 1) * dilation;
+    const int64_t wrow = taps, wstride = rows * taps;
+    const std::vector<float> g = InputsWithSpecials(cout * lout, &rng);
+    const std::vector<float> w = SparseWeights(cout * wstride, &rng);
+    const std::vector<float> seed =
+        InputsWithSpecials(rows * (lout + span), &rng);
+    std::vector<float> ref = seed;
+    std::vector<float> got = seed;
+    simd::scalar::CorrRowsAccum(g.data(), lout, w.data(), wrow, wstride, cout,
+                                taps, dilation, ref.data(), lout + span, rows,
+                                lout);
+    simd::ScopedForceLevel force(simd::HighestSupportedLevel());
+    simd::CorrRowsAccum(g.data(), lout, w.data(), wrow, wstride, cout, taps,
+                        dilation, got.data(), lout + span, rows, lout);
+    ExpectSameFloats(ref, got,
+                     "rows=" + std::to_string(rows) +
+                         " cout=" + std::to_string(cout) +
+                         " taps=" + std::to_string(taps) +
+                         " dilation=" + std::to_string(dilation) +
+                         " lout=" + std::to_string(lout));
+  }
+}
+
+// ConvTapDotTile's contract is per-dot bit-identity with Dot *at the same
+// tier* (the tile only shares conversions and runs folds and tails four
+// dots wide), plus the usual <= 4 ULP envelope against the scalar
+// reference. taps = 1 is GemmTransB's use: one row dotted against up to
+// four others.
+TEST(KernelEquivalenceTest, ConvTapDotTileMatchesPerTapDot) {
+  Rng rng(33);
   for (const int64_t taps : {1, 2, 3, 5, 8}) {
-    for (const int64_t dilation : {1, 2, 4}) {
-      for (const int64_t lout : {1, 7, 8, 33, 255}) {
-        const std::vector<float> g = RandomFloats(lout, &rng, true);
-        const std::vector<float> x =
-            RandomFloats(lout + (taps - 1) * dilation, &rng, true);
-        for (const simd::Level level :
-             {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
-          simd::ScopedForceLevel force(level);
-          std::vector<double> fused(static_cast<size_t>(taps));
-          simd::ConvTapDots(x.data(), g.data(), taps, dilation, lout,
-                            fused.data());
-          for (int64_t t = 0; t < taps; ++t) {
-            const double want = simd::Dot(x.data() + t * dilation, g.data(),
-                                          lout);
-            ASSERT_EQ(std::bit_cast<uint64_t>(fused[static_cast<size_t>(t)]),
-                      std::bit_cast<uint64_t>(want))
-                << simd::LevelName(level) << " taps=" << taps
-                << " dilation=" << dilation << " lout=" << lout << " t=" << t;
+    for (const int64_t rows : {1, 2, 4, 5}) {
+      for (const int64_t dilation : {1, 2, 4}) {
+        for (const int64_t lout : {1, 7, 8, 16, 33, 143}) {
+          const int64_t gstride = lout + 5;
+          const std::vector<float> g = RandomFloats(rows * gstride, &rng, true);
+          const std::vector<float> x =
+              RandomFloats(lout + (taps - 1) * dilation, &rng, true);
+          for (const simd::Level level :
+               {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
+            simd::ScopedForceLevel force(level);
+            std::vector<double> tile(static_cast<size_t>(rows * taps));
+            simd::ConvTapDotTile(x.data(), g.data(), gstride, rows, taps,
+                                 dilation, lout, tile.data());
+            for (int64_t r = 0; r < rows; ++r) {
+              for (int64_t t = 0; t < taps; ++t) {
+                const double want = simd::Dot(x.data() + t * dilation,
+                                              g.data() + r * gstride, lout);
+                ASSERT_EQ(
+                    std::bit_cast<uint64_t>(tile[static_cast<size_t>(r * taps + t)]),
+                    std::bit_cast<uint64_t>(want))
+                    << simd::LevelName(level) << " taps=" << taps
+                    << " rows=" << rows << " dilation=" << dilation
+                    << " lout=" << lout << " r=" << r << " t=" << t;
+              }
+            }
           }
         }
       }
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, CorrRowAccumBitIdenticalAcrossShapes) {
-  Rng rng(32);
-  // Includes lout < (taps-1)*dilation shapes, where the row is all edge
-  // and the vector tier's interior block is empty.
-  for (const auto& [cout, taps, dilation, lout] :
-       {std::tuple<int64_t, int64_t, int64_t, int64_t>{1, 1, 1, 5},
-        {4, 3, 1, 33},
-        {8, 3, 4, 64},
-        {5, 5, 2, 3},
-        {3, 4, 8, 7},
-        {2, 3, 2, 100}}) {
-    const int64_t span = (taps - 1) * dilation;
-    const std::vector<float> g = RandomFloats(cout * lout, &rng, true);
-    std::vector<float> w = RandomFloats(cout * taps, &rng, true);
-    w[0] = 0.0f;  // exercise the zero-weight skip
-    const std::vector<float> seed_row =
-        RandomFloats(lout + span, &rng, true);
-    std::vector<float> ref = seed_row;
-    std::vector<float> got = seed_row;
-    simd::scalar::CorrRowAccum(g.data(), lout, w.data(), taps, cout, taps,
-                               dilation, ref.data(), lout);
-    simd::ScopedForceLevel force(simd::HighestSupportedLevel());
-    simd::CorrRowAccum(g.data(), lout, w.data(), taps, cout, taps, dilation,
-                       got.data(), lout);
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
-                std::bit_cast<uint32_t>(ref[i]))
-          << "cout=" << cout << " taps=" << taps << " dilation=" << dilation
-          << " lout=" << lout << " i=" << i;
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, DotPairMatchesTwoDots) {
-  Rng rng(33);
-  for (int64_t n : kLengths) {
-    const std::vector<float> a = RandomFloats(n, &rng, true);
-    const std::vector<float> b0 = RandomFloats(n, &rng, true);
-    const std::vector<float> b1 = RandomFloats(n, &rng, true);
-    for (const simd::Level level :
-         {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
-      simd::ScopedForceLevel force(level);
-      double pair[2];
-      simd::DotPair(a.data(), b0.data(), b1.data(), n, pair);
-      ASSERT_EQ(std::bit_cast<uint64_t>(pair[0]),
-                std::bit_cast<uint64_t>(simd::Dot(a.data(), b0.data(), n)))
-          << simd::LevelName(level) << " n=" << n;
-      ASSERT_EQ(std::bit_cast<uint64_t>(pair[1]),
-                std::bit_cast<uint64_t>(simd::Dot(a.data(), b1.data(), n)))
-          << simd::LevelName(level) << " n=" << n;
     }
   }
 }

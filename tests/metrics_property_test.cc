@@ -53,7 +53,9 @@ TEST_P(MetricsPropertyTest, PointAdjustOnlyFillsLabeledEvents) {
   const RandomCase c = MakeCase(GetParam() + 1000);
   const std::vector<int> adjusted = PointAdjust(c.pred, c.labels);
   for (size_t i = 0; i < c.pred.size(); ++i) {
-    if (adjusted[i] != c.pred[i]) EXPECT_EQ(c.labels[i], 1) << i;
+    if (adjusted[i] != c.pred[i]) {
+      EXPECT_EQ(c.labels[i], 1) << i;
+    }
   }
 }
 

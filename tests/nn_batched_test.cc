@@ -4,16 +4,23 @@
 // L2NormalizeLastDim.
 //
 // The contract under test (ARCHITECTURE.md §11): per output element every
-// kernel applies exactly the chain of simd::Axpy / Dot / Sum / ConvRowAccum
-// terms of a plain serial loop, and every fused op exactly the per-element
-// IEEE sequence of the composite it replaces — at both SIMD tiers and at
-// any thread count, in the forward values and in every accumulated
-// gradient. The serial loops live below as the Ref* oracles, so the
-// assertions here are exact bit equality, not ULP bounds.
+// kernel applies exactly the chain of simd::Axpy / Dot / Sum terms of a
+// plain serial loop, and every fused op exactly the per-element IEEE
+// sequence of the composite it replaces — at both SIMD tiers and at any
+// thread count, in the forward values and in every accumulated gradient.
+// The kernels block several output rows per pass and add -0.0f where a
+// row skips a term; the serial loops below, the Ref* oracles, do neither,
+// so the assertions here are exact bit equality (any NaN matching any
+// NaN), not ULP bounds. The
+// kernel-level cases cover the shapes training runs (16 -> 16 channels
+// at every Lout % 8 residue, the projection head's GEMMs with ReLU'd,
+// half-zero activations), ragged channel blocks, short rows, and inputs
+// holding ±inf, NaN and -0.0.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -32,19 +39,24 @@ namespace {
 
 // ---------- serial reference kernels (the oracle) ----------
 //
-// Each applies its terms one simd primitive call at a time in the plain
-// loop order, so at the active SIMD tier it computes exactly the
-// per-element arithmetic the nn/kernels.h kernels must reproduce. The
-// `av == 0` / `wv == 0` skips contribute exactly nothing, so they never
-// change results; the kernels skip the same terms.
+// Each applies its terms one simd::Axpy / Dot / Sum call at a time in the
+// plain loop order, so at the active SIMD tier it computes exactly the
+// per-element arithmetic the nn/kernels.h kernels must reproduce — and
+// none of them calls the blocked primitives (ConvRowsAccum,
+// CorrRowsAccum, ConvTapDotTile) those kernels are built on, so a chain
+// change inside one cannot move its own oracle. The `av == 0` / `wv == 0`
+// skips are part of the chain (skipping a term is not the same as adding
+// a zero product: -0.0f + 0.0f is +0.0f, and 0 * inf is NaN); the kernels
+// skip the same terms.
 
 void RefGemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n) {
-  // Each output row is a fused multi-tap accumulation: row i of A is the
-  // tap weights, the rows of B are the tap inputs (taps=1, dilation=0).
   for (int64_t i = 0; i < m; ++i) {
-    simd::ConvRowAccum(b, /*xstride=*/n, a + i * k, /*cin=*/k, /*taps=*/1,
-                       /*dilation=*/0, c + i * n, n);
+    for (int64_t p = 0; p < k; ++p) {
+      const float av = a[i * k + p];
+      if (av == 0.0f) continue;
+      simd::Axpy(av, b + p * n, c + i * n, n);
+    }
   }
 }
 
@@ -78,10 +90,17 @@ void RefConv1dForward(const float* xpad, const float* w, float* out,
                       int64_t B, int64_t Cin, int64_t Cout, int64_t K,
                       int64_t Lpad, int64_t Lout, int64_t dilation) {
   for (int64_t b = 0; b < B; ++b) {
-    const float* xbatch = xpad + b * Cin * Lpad;
     for (int64_t co = 0; co < Cout; ++co) {
-      simd::ConvRowAccum(xbatch, Lpad, w + co * Cin * K, Cin, K, dilation,
-                         out + (b * Cout + co) * Lout, Lout);
+      float* orow = out + (b * Cout + co) * Lout;
+      for (int64_t ci = 0; ci < Cin; ++ci) {
+        const float* xrow = xpad + (b * Cin + ci) * Lpad;
+        const float* wrow = w + (co * Cin + ci) * K;
+        for (int64_t k = 0; k < K; ++k) {
+          const float wv = wrow[k];
+          if (wv == 0.0f) continue;
+          simd::Axpy(wv, xrow + k * dilation, orow, Lout);
+        }
+      }
     }
   }
 }
@@ -335,107 +354,244 @@ struct GemmShape {
   int64_t m, k, n;
 };
 
-TEST(BatchedKernelTest, GemmKernelsMatchReferenceBitExact) {
-  const std::vector<GemmShape> shapes = {
-      {1, 1, 1}, {3, 5, 7}, {16, 32, 9}, {33, 8, 65}, {64, 32, 120}};
+// Exact bit equality, except that any NaN matches any NaN: which NaN
+// payload survives an add of two NaNs depends on operand order in the
+// hardware, which is not part of the chain.
+void ExpectSameFloats(const Tensor& want, const Tensor& got, const char* what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i]) && std::isnan(got[i])) continue;
+    ASSERT_EQ(std::bit_cast<uint32_t>(want[i]), std::bit_cast<uint32_t>(got[i]))
+        << what << " diverges at flat index " << i << ": " << want[i]
+        << " vs " << got[i];
+  }
+}
+
+// What the encoder's ReLU leaves behind: about half the entries exact
+// zeros (+0.0 and -0.0 alike), the rest positive.
+Tensor ReluLike(const std::vector<int64_t>& shape, Rng* rng) {
+  Tensor t = Tensor::Randn(shape, rng);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    if (t[i] <= 0.0f) t[i] = (i % 3 == 0) ? -0.0f : 0.0f;
+  }
+  return t;
+}
+
+// Plants ±inf, NaN and -0.0 at fixed spread-out positions.
+void PlantSpecials(Tensor* t) {
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(), -0.0f};
+  const int64_t n = t->size();
+  for (int64_t i = 0; i < 4 && i < n; ++i) {
+    (*t)[(i * 7919 + n / 3) % n] = specials[i];
+  }
+}
+
+// Runs `check` at the scalar tier and (when available) the vector tier,
+// each on a 1-lane and a 4-lane pool.
+void AtEveryTierAndPool(const std::function<void()>& check) {
   ThreadPool serial(1), quad(4);
-  for (ThreadPool* pool : {&serial, &quad}) {
-    ScopedDefaultPool scoped(pool);
-    SCOPED_TRACE(testing::Message() << pool->num_threads() << " lanes");
+  for (const bool vector_tier : {false, true}) {
+    if (vector_tier && !BestTierIsVector()) continue;
+    simd::ScopedForceLevel tier(vector_tier ? simd::HighestSupportedLevel()
+                                            : simd::Level::kScalar);
+    for (ThreadPool* pool : {&serial, &quad}) {
+      ScopedDefaultPool scoped(pool);
+      SCOPED_TRACE(testing::Message()
+                   << (vector_tier ? "vector" : "scalar") << " tier, "
+                   << pool->num_threads() << " lanes");
+      check();
+    }
+  }
+}
+
+struct GemmCase {
+  GemmShape shape;
+  bool relu_a;    // A (and GemmTransA's A) about half exact zeros
+  bool specials;  // ±inf, NaN and -0.0 planted in every operand
+};
+
+TEST(BatchedKernelTest, GemmKernelsMatchReferenceBitExact) {
+  const std::vector<GemmCase> cases = {
+      {{1, 1, 1}, false, false},   {{3, 5, 7}, false, false},
+      {{16, 32, 9}, false, false}, {{33, 8, 65}, false, false},
+      {{64, 32, 120}, false, false},
+      // The projection head at archive_batch's shape: m = B*L = 8*143,
+      // k = 16, n = 16 (head1) and n = 1 (head2), on ReLU'd activations.
+      {{1144, 16, 16}, true, false}, {{1144, 16, 1}, true, false},
+      // Ragged row blocks and every column tail, with special values.
+      {{7, 6, 13}, true, true},    {{5, 9, 1}, false, true},
+      {{10, 16, 24}, true, true}};
+  AtEveryTierAndPool([&] {
     Rng rng(12);
-    for (const auto& [m, k, n] : shapes) {
-      Tensor a = Tensor::Randn({m, k}, &rng);
+    for (const auto& [shape, relu_a, specials] : cases) {
+      const auto [m, k, n] = shape;
+      SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k << " n=" << n
+                                      << (relu_a ? " relu" : "")
+                                      << (specials ? " specials" : ""));
+      Tensor a = relu_a ? ReluLike({m, k}, &rng) : Tensor::Randn({m, k}, &rng);
       Tensor b = Tensor::Randn({k, n}, &rng);
       a[0] = 0.0f;  // exercise the zero-skip
+      if (specials) {
+        PlantSpecials(&a);
+        PlantSpecials(&b);
+      }
       Tensor want({m, n}), got({m, n});
       RefGemm(a.data(), b.data(), want.data(), m, k, n);
       kernels::Gemm(a.data(), b.data(), got.data(), m, k, n);
-      ExpectBitEqual(want, got, "Gemm");
+      ExpectSameFloats(want, got, "Gemm");
 
-      Tensor wantTA({m, n}), gotTA({m, n});
-      Tensor ta = Tensor::Randn({k, m}, &rng);
+      // C[m,n] += A[k,m]^T B[k,n]: the head's weight gradient reads the
+      // ReLU'd activations as A with k = B*L, so swap m and k for it.
+      const int64_t tm = relu_a && m > k ? k : m;
+      const int64_t tk = relu_a && m > k ? m : k;
+      Tensor ta = relu_a ? ReluLike({tk, tm}, &rng) : Tensor::Randn({tk, tm}, &rng);
+      Tensor tb = Tensor::Randn({tk, n}, &rng);
       ta[0] = 0.0f;
-      RefGemmTransA(ta.data(), b.data(), wantTA.data(), m, k, n);
-      kernels::GemmTransA(ta.data(), b.data(), gotTA.data(), m, k, n);
-      ExpectBitEqual(wantTA, gotTA, "GemmTransA");
+      if (specials) {
+        PlantSpecials(&ta);
+        PlantSpecials(&tb);
+      }
+      Tensor wantTA({tm, n}), gotTA({tm, n});
+      RefGemmTransA(ta.data(), tb.data(), wantTA.data(), tm, tk, n);
+      kernels::GemmTransA(ta.data(), tb.data(), gotTA.data(), tm, tk, n);
+      ExpectSameFloats(wantTA, gotTA, "GemmTransA");
 
-      Tensor bt = Tensor::Randn({n, k}, &rng);
-      Tensor wantTB({m, n}), gotTB({m, n});
-      Tensor at = Tensor::Randn({m, k}, &rng);
-      RefGemmTransB(at.data(), bt.data(), wantTB.data(), m, k, n);
-      kernels::GemmTransB(at.data(), bt.data(), gotTB.data(), m, k, n);
-      ExpectBitEqual(wantTB, gotTB, "GemmTransB");
+      // C[m,k] += A[m,n] B[k,n]^T with the dot over n — the head's input
+      // gradient when n is 16 or 1.
+      Tensor at = Tensor::Randn({m, n}, &rng);
+      Tensor bt = Tensor::Randn({k, n}, &rng);
+      if (specials) {
+        PlantSpecials(&at);
+        PlantSpecials(&bt);
+      }
+      Tensor wantTB({m, k}), gotTB({m, k});
+      RefGemmTransB(at.data(), bt.data(), wantTB.data(), m, n, k);
+      kernels::GemmTransB(at.data(), bt.data(), gotTB.data(), m, n, k);
+      ExpectSameFloats(wantTB, gotTB, "GemmTransB");
     }
-  }
+  });
 }
 
 struct ConvShape {
   int64_t B, Cin, Cout, K, L, dilation;
 };
 
-TEST(BatchedKernelTest, ConvKernelsMatchReferenceBitExact) {
-  const std::vector<ConvShape> shapes = {{1, 1, 1, 1, 4, 1},
-                                         {2, 1, 4, 3, 16, 1},
-                                         {3, 3, 8, 3, 33, 2},
-                                         {4, 8, 8, 3, 64, 4},
-                                         {8, 2, 5, 5, 40, 2}};
-  ThreadPool serial(1), quad(4);
-  for (ThreadPool* pool : {&serial, &quad}) {
-    ScopedDefaultPool scoped(pool);
-    SCOPED_TRACE(testing::Message() << pool->num_threads() << " lanes");
-    Rng rng(13);
-    for (const auto& [B, Cin, Cout, K, L, dilation] : shapes) {
-      const int64_t span = dilation * (K - 1);
-      const int64_t Lpad = L + span;
-      const int64_t Lout = L;
-      Tensor xpad = Tensor::Randn({B, Cin, Lpad}, &rng);
-      Tensor w = Tensor::Randn({Cout, Cin, K}, &rng);
-      w[0] = 0.0f;  // exercise the zero-weight skip
-      Tensor bias = Tensor::Randn({Cout}, &rng);
-      Tensor g = Tensor::Randn({B, Cout, Lout}, &rng);
+// All four conv kernels against the Ref* oracles at one shape. `specials`
+// plants ±inf, NaN and -0.0 in the input, weights and gradient, gives
+// channel 1 all-zero weights and a -0.0 bias (so its output must stay
+// -0.0 whatever the input holds), and makes every third weight zero.
+void ExpectConvKernelsMatchReference(const ConvShape& shape, bool specials,
+                                     Rng* rng) {
+  const auto [B, Cin, Cout, K, L, dilation] = shape;
+  SCOPED_TRACE(testing::Message()
+               << "B=" << B << " Cin=" << Cin << " Cout=" << Cout
+               << " K=" << K << " L=" << L << " dilation=" << dilation
+               << (specials ? " specials" : ""));
+  const int64_t span = dilation * (K - 1);
+  const int64_t Lpad = L + span;
+  const int64_t Lout = L;
+  Tensor xpad = Tensor::Randn({B, Cin, Lpad}, rng);
+  Tensor w = Tensor::Randn({Cout, Cin, K}, rng);
+  w[0] = 0.0f;  // exercise the zero-weight skip
+  Tensor bias = Tensor::Randn({Cout}, rng);
+  Tensor g = Tensor::Randn({B, Cout, Lout}, rng);
+  if (specials) {
+    PlantSpecials(&xpad);
+    PlantSpecials(&g);
+    for (int64_t i = 0; i < w.size(); i += 3) w[i] = (i % 2) ? -0.0f : 0.0f;
+    if (Cout > 1) {
+      for (int64_t i = Cin * K; i < 2 * Cin * K; ++i) w[i] = 0.0f;
+      bias[1] = -0.0f;
+    }
+    bias[0] = -0.0f;
+  }
 
-      // Forward, with and without a bias. The NaN sentinel shows that the
-      // kernel writes every output element.
-      for (const bool with_bias : {true, false}) {
-        Tensor want({B, Cout, Lout});
-        for (int64_t r = 0; r < B * Cout; ++r) {
-          for (int64_t t = 0; t < Lout; ++t) {
-            want[r * Lout + t] = with_bias ? bias[r % Cout] : 0.0f;
-          }
-        }
-        RefConv1dForward(xpad.data(), w.data(), want.data(), B, Cin, Cout, K,
-                         Lpad, Lout, dilation);
-        Tensor got = Tensor::Full({B, Cout, Lout},
-                                  std::numeric_limits<float>::quiet_NaN());
-        kernels::Conv1dForward(xpad.data(), w.data(),
-                               with_bias ? bias.data() : nullptr, got.data(),
-                               B, Cin, Cout, K, Lpad, Lout, dilation);
-        ExpectBitEqual(want, got, "Conv1dForward");
+  // Forward, with and without a bias. The NaN sentinel shows that the
+  // kernel writes every output element.
+  for (const bool with_bias : {true, false}) {
+    Tensor want({B, Cout, Lout});
+    for (int64_t r = 0; r < B * Cout; ++r) {
+      for (int64_t t = 0; t < Lout; ++t) {
+        want[r * Lout + t] = with_bias ? bias[r % Cout] : 0.0f;
       }
-
-      // Input gradient.
-      Tensor gx_want({B, Cin, Lpad}), gx_got({B, Cin, Lpad});
-      RefConv1dBackwardInput(g.data(), w.data(), gx_want.data(), B, Cin, Cout,
-                             K, Lpad, Lout, dilation);
-      kernels::Conv1dBackwardInput(g.data(), w.data(), gx_got.data(), B, Cin,
-                                   Cout, K, Lpad, Lout, dilation);
-      ExpectBitEqual(gx_want, gx_got, "Conv1dBackwardInput");
-
-      // Weight gradient.
-      Tensor gw_want({Cout, Cin, K}), gw_got({Cout, Cin, K});
-      RefConv1dBackwardWeight(g.data(), xpad.data(), gw_want.data(), B, Cin,
-                              Cout, K, Lpad, Lout, dilation);
-      kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw_got.data(), B,
-                                    Cin, Cout, K, Lpad, Lout, dilation);
-      ExpectBitEqual(gw_want, gw_got, "Conv1dBackwardWeight");
-
-      // Bias gradient.
-      Tensor gb_want({Cout}), gb_got({Cout});
-      RefConv1dBackwardBias(g.data(), gb_want.data(), B, Cout, Lout);
-      kernels::Conv1dBackwardBias(g.data(), gb_got.data(), B, Cout, Lout);
-      ExpectBitEqual(gb_want, gb_got, "Conv1dBackwardBias");
+    }
+    RefConv1dForward(xpad.data(), w.data(), want.data(), B, Cin, Cout, K,
+                     Lpad, Lout, dilation);
+    Tensor got = Tensor::Full({B, Cout, Lout},
+                              std::numeric_limits<float>::quiet_NaN());
+    kernels::Conv1dForward(xpad.data(), w.data(),
+                           with_bias ? bias.data() : nullptr, got.data(), B,
+                           Cin, Cout, K, Lpad, Lout, dilation);
+    ExpectSameFloats(want, got, "Conv1dForward");
+    if (specials && with_bias && Cout > 1) {
+      for (int64_t b = 0; b < B; ++b) {
+        for (int64_t t = 0; t < Lout; ++t) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(got[(b * Cout + 1) * Lout + t]),
+                    std::bit_cast<uint32_t>(-0.0f))
+              << "an all-zero-weight channel must keep its -0.0 bias";
+        }
+      }
     }
   }
+
+  // Input gradient.
+  Tensor gx_want({B, Cin, Lpad}), gx_got({B, Cin, Lpad});
+  RefConv1dBackwardInput(g.data(), w.data(), gx_want.data(), B, Cin, Cout, K,
+                         Lpad, Lout, dilation);
+  kernels::Conv1dBackwardInput(g.data(), w.data(), gx_got.data(), B, Cin, Cout,
+                               K, Lpad, Lout, dilation);
+  ExpectSameFloats(gx_want, gx_got, "Conv1dBackwardInput");
+
+  // Weight gradient.
+  Tensor gw_want({Cout, Cin, K}), gw_got({Cout, Cin, K});
+  RefConv1dBackwardWeight(g.data(), xpad.data(), gw_want.data(), B, Cin, Cout,
+                          K, Lpad, Lout, dilation);
+  kernels::Conv1dBackwardWeight(g.data(), xpad.data(), gw_got.data(), B, Cin,
+                                Cout, K, Lpad, Lout, dilation);
+  ExpectSameFloats(gw_want, gw_got, "Conv1dBackwardWeight");
+
+  // Bias gradient.
+  Tensor gb_want({Cout}), gb_got({Cout});
+  RefConv1dBackwardBias(g.data(), gb_want.data(), B, Cout, Lout);
+  kernels::Conv1dBackwardBias(g.data(), gb_got.data(), B, Cout, Lout);
+  ExpectSameFloats(gb_want, gb_got, "Conv1dBackwardBias");
+}
+
+TEST(BatchedKernelTest, ConvKernelsMatchReferenceBitExact) {
+  std::vector<ConvShape> shapes = {{1, 1, 1, 1, 4, 1},
+                                   {2, 1, 4, 3, 16, 1},
+                                   {3, 3, 8, 3, 33, 2},
+                                   {4, 8, 8, 3, 64, 4},
+                                   {8, 2, 5, 5, 40, 2},
+                                   // Channel counts off the 4-row blocks,
+                                   // K in {1, 2, 3, 5}.
+                                   {2, 5, 7, 1, 29, 1},
+                                   {3, 6, 3, 2, 21, 3},
+                                   {2, 7, 6, 3, 45, 2},
+                                   {2, 3, 9, 5, 52, 1},
+                                   // Lout < (K-1)*dilation: rows that are
+                                   // all edge.
+                                   {2, 3, 5, 5, 3, 4},
+                                   {1, 2, 6, 3, 5, 4},
+                                   {2, 5, 2, 2, 1, 3}};
+  // The encoder's 16 -> 16 blocks at K = 3, dilation 1/2/4, at every
+  // Lout % 8 residue (archive_batch's windows are 143 long).
+  for (const int64_t dilation : {1, 2, 4}) {
+    for (int64_t L = 136; L < 144; ++L) shapes.push_back({3, 16, 16, 3, L, dilation});
+  }
+  AtEveryTierAndPool([&] {
+    Rng rng(13);
+    for (const ConvShape& shape : shapes) {
+      ExpectConvKernelsMatchReference(shape, /*specials=*/false, &rng);
+    }
+    for (const ConvShape& shape : {ConvShape{2, 5, 6, 3, 37, 2},
+                                   ConvShape{1, 4, 5, 2, 19, 1},
+                                   ConvShape{2, 3, 3, 5, 6, 2}}) {
+      ExpectConvKernelsMatchReference(shape, /*specials=*/true, &rng);
+    }
+  });
 }
 
 // ---------- op/graph-level equivalence ----------
