@@ -9,9 +9,13 @@
 // tolerance (~1e-9) that absorbs cross-libm ULP noise while still catching
 // any real numerical regression.
 //
+// A second trace pins the multi-event path, DetectEvents(test, 2), on the
+// same scenario: two regions searched, two windows voting.
+//
 // Regenerate after an intentional behaviour change with
 //   TRIAD_UPDATE_GOLDEN=1 ./detector_golden_test
-// which rewrites tests/testdata/detector_golden.txt from the scalar tier.
+// which rewrites tests/testdata/detector_golden.txt and
+// tests/testdata/detector_events_golden.txt from the scalar tier.
 
 #include <gtest/gtest.h>
 
@@ -38,7 +42,9 @@
 namespace triad {
 namespace {
 
-const char* GoldenPath() { return TRIAD_GOLDEN_DIR "/detector_golden.txt"; }
+std::string GoldenPath(const std::string& file) {
+  return std::string(TRIAD_GOLDEN_DIR) + "/" + file;
+}
 
 // Everything the golden file pins, in one flat struct.
 struct GoldenTrace {
@@ -77,9 +83,9 @@ GoldenTrace TraceFrom(const core::DetectionResult& result) {
   return t;
 }
 
-void WriteGolden(const GoldenTrace& t) {
-  std::ofstream out(GoldenPath());
-  ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
+void WriteGolden(const std::string& path, const GoldenTrace& t) {
+  std::ofstream out(path);
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
   out << std::setprecision(17);
   out << "# TriAD detector golden trace (scalar tier). Regenerate with\n"
       << "#   TRIAD_UPDATE_GOLDEN=1 ./detector_golden_test\n";
@@ -106,8 +112,8 @@ void WriteGolden(const GoldenTrace& t) {
   ASSERT_TRUE(out.good());
 }
 
-bool ReadGolden(GoldenTrace* t) {
-  std::ifstream in(GoldenPath());
+bool ReadGolden(const std::string& path, GoldenTrace* t) {
+  std::ifstream in(path);
   if (!in.good()) return false;
   std::string line;
   // Skip comment header lines.
@@ -228,35 +234,61 @@ core::TriadConfig GoldenConfig() {
   return config;
 }
 
-GoldenTrace RunPipeline(simd::Level level) {
+// Fits the golden scenario at `level` and traces DetectEvents(test,
+// max_events), or Detect(test) when max_events is 0.
+GoldenTrace RunPipeline(simd::Level level, int64_t max_events = 0) {
   simd::ScopedForceLevel force(level);
   const data::UcrDataset ds = GoldenDataset();
   core::TriadDetector detector(GoldenConfig());
   EXPECT_TRUE(detector.Fit(ds.train).ok());
-  auto result = detector.Detect(ds.test);
+  auto result = max_events == 0 ? detector.Detect(ds.test)
+                                : detector.DetectEvents(ds.test, max_events);
   EXPECT_TRUE(result.ok());
   return TraceFrom(*result);
 }
 
-TEST(DetectorGoldenTest, TraceMatchesGoldenOnEveryTier) {
-  const GoldenTrace scalar_trace = RunPipeline(simd::Level::kScalar);
-
+// Checks the scalar trace, and the best tier's, against golden `file`;
+// under TRIAD_UPDATE_GOLDEN=1 rewrites the file from the scalar trace.
+void ExpectGoldenOnEveryTier(const std::string& file, int64_t max_events,
+                             const GoldenTrace& scalar_trace) {
+  const std::string path = GoldenPath(file);
   if (GetEnvInt("TRIAD_UPDATE_GOLDEN", 0) != 0) {
-    WriteGolden(scalar_trace);
-    GTEST_SKIP() << "golden trace regenerated at " << GoldenPath();
+    WriteGolden(path, scalar_trace);
+    GTEST_SKIP() << "golden trace regenerated at " << path;
   }
 
   GoldenTrace golden;
-  ASSERT_TRUE(ReadGolden(&golden))
-      << "missing/corrupt " << GoldenPath()
+  ASSERT_TRUE(ReadGolden(path, &golden))
+      << "missing/corrupt " << path
       << " — regenerate with TRIAD_UPDATE_GOLDEN=1";
 
   ExpectMatchesGolden(scalar_trace, golden, "scalar");
 
   const simd::Level best = simd::HighestSupportedLevel();
   if (best != simd::Level::kScalar) {
-    ExpectMatchesGolden(RunPipeline(best), golden, simd::LevelName(best));
+    ExpectMatchesGolden(RunPipeline(best, max_events), golden,
+                        simd::LevelName(best));
   }
+}
+
+TEST(DetectorGoldenTest, TraceMatchesGoldenOnEveryTier) {
+  ExpectGoldenOnEveryTier("detector_golden.txt", /*max_events=*/0,
+                          RunPipeline(simd::Level::kScalar));
+}
+
+// The multi-event path: two non-overlapping windows, a discord search
+// around each, one vote. search_begin/end is the first window's region,
+// so a discord outside it shows that the second region was searched too.
+TEST(DetectorGoldenTest, EventsTraceMatchesGoldenOnEveryTier) {
+  const GoldenTrace scalar_trace =
+      RunPipeline(simd::Level::kScalar, /*max_events=*/2);
+  int64_t outside = 0;
+  for (int64_t p : scalar_trace.discord_positions) {
+    outside += p < scalar_trace.search_begin || p >= scalar_trace.search_end;
+  }
+  EXPECT_GT(outside, 0) << "no discord outside the first search region";
+  ExpectGoldenOnEveryTier("detector_events_golden.txt", /*max_events=*/2,
+                          scalar_trace);
 }
 
 // The observability invariant (ARCHITECTURE.md §6): metrics and trace
