@@ -41,7 +41,6 @@ struct TriadConfig {
   bool use_inter_loss = true;
 
   // --- detection (Section III-D) ---
-  int64_t top_windows_per_domain = 1;  ///< Z in the paper
   /// Context padding added before and after the selected window prior to the
   /// MERLIN search, in units of the window length.
   double merlin_padding_windows = 1.0;

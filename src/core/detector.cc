@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -115,10 +115,6 @@ struct MemoMetrics {
       metrics::Registry::Global().counter("streaming.encode_hits");
   metrics::Counter* encode_misses =
       metrics::Registry::Global().counter("streaming.encode_misses");
-  metrics::Counter* dot_hits =
-      metrics::Registry::Global().counter("streaming.dot_hits");
-  metrics::Counter* dot_misses =
-      metrics::Registry::Global().counter("streaming.dot_misses");
   metrics::Counter* deviation_hits =
       metrics::Registry::Global().counter("streaming.deviation_hits");
   metrics::Counter* deviation_misses =
@@ -136,12 +132,20 @@ MemoMetrics& MemoInstruments() {
   return m;
 }
 
-// Stage 3's search region around one selected window, shared by Detect and
-// DetectEvents: the window padded by merlin_padding_windows on each side
-// and clamped to the series, searched at lengths merlin_min_length ..
-// max_len, where max_len is at most half the region minus one (longer
-// lengths have no non-trivial match) and at most merlin_max_length_windows
-// windows.
+// The memo entry stored under `key`, or null on a miss. A null cache (a
+// pass without a memo) misses every lookup.
+template <typename Map>
+const typename Map::mapped_type* FindCached(const Map* cache, int64_t key) {
+  if (cache == nullptr) return nullptr;
+  const auto it = cache->find(key);
+  return it == cache->end() ? nullptr : &it->second;
+}
+
+// Stage 3's search region around one kept window: the window padded by
+// merlin_padding_windows on each side and clamped to the series, searched
+// at lengths merlin_min_length .. max_len, where max_len is at most half
+// the region minus one (longer lengths have no non-trivial match) and at
+// most merlin_max_length_windows windows.
 struct DiscordRegion {
   int64_t begin = 0;
   int64_t end = 0;
@@ -166,12 +170,48 @@ struct DiscordRegion {
 
   // Exact top discord per length (discord::ExactDiscords), with positions
   // relative to `begin`.
+  //
+  // Changed-region tracking at region granularity: when the region's global
+  // span matches a memo entry, the stream content of the whole region is
+  // unchanged since that pass, so the stored result IS this search's result.
+  // Any content change misses and re-runs the full sweep (bit-identity
+  // forbids partial floating-point reuse across shifted origins; see
+  // ARCHITECTURE.md §8). A miss stores its result, evicting the least
+  // recently used entry once the memo holds kMerlinEntries.
   Result<discord::MerlinResult> Search(const std::vector<double>& series,
-                                       const TriadConfig& config) const {
+                                       const TriadConfig& config,
+                                       DetectMemo* memo,
+                                       int64_t global_start) const {
+    const int64_t global_begin = global_start + begin;
+    const int64_t global_end = global_start + end;
+    if (memo != nullptr) {
+      for (DetectMemo::MerlinEntry& entry : memo->merlin) {
+        if (entry.begin == global_begin && entry.end == global_end) {
+          entry.last_used = ++memo->tick;
+          MemoInstruments().merlin_hits->Increment();
+          return entry.result;
+        }
+      }
+      MemoInstruments().merlin_misses->Increment();
+    }
     const std::vector<double> region(series.begin() + begin,
                                      series.begin() + end);
-    return discord::ExactDiscords(region, config.merlin_min_length, max_len,
-                                  config.merlin_length_step);
+    TRIAD_ASSIGN_OR_RETURN(
+        discord::MerlinResult found,
+        discord::ExactDiscords(region, config.merlin_min_length, max_len,
+                               config.merlin_length_step));
+    if (memo != nullptr) {
+      if (memo->merlin.size() >= DetectMemo::kMerlinEntries) {
+        memo->merlin.erase(std::min_element(
+            memo->merlin.begin(), memo->merlin.end(),
+            [](const DetectMemo::MerlinEntry& a,
+               const DetectMemo::MerlinEntry& b) {
+              return a.last_used < b.last_used;
+            }));
+      }
+      memo->merlin.push_back({global_begin, global_end, found, ++memo->tick});
+    }
+    return found;
   }
 };
 
@@ -199,12 +239,6 @@ void DetectMemo::EvictBefore(int64_t global_start) {
     for (auto it = per_domain.begin(); it != per_domain.end();) {
       it = it->first < global_start ? per_domain.erase(it) : std::next(it);
     }
-  }
-  for (auto& per_domain : rep_dots) {
-    // Keys are (lo, hi) with lo <= hi: everything with lo below the buffer
-    // start references an evicted window, and the map is ordered by lo.
-    per_domain.erase(per_domain.begin(),
-                     per_domain.lower_bound({global_start, global_start}));
   }
   for (auto it = deviations.begin(); it != deviations.end();) {
     it = it->first < global_start ? deviations.erase(it) : std::next(it);
@@ -299,15 +333,20 @@ Status TriadDetector::Fit(const std::vector<double>& train_series) {
 }
 
 std::vector<std::vector<float>> TriadDetector::EncodeWindows(
-    Domain domain, const std::vector<std::vector<double>>& windows) const {
+    Domain domain, const std::vector<std::vector<double>>& windows,
+    const std::vector<int64_t>& rows) const {
   constexpr int64_t kEncodeBatch = 16;
-  const int64_t M = static_cast<int64_t>(windows.size());
+  const int64_t M = static_cast<int64_t>(rows.size());
   std::vector<std::vector<float>> reps;
   reps.reserve(static_cast<size_t>(M));
   for (int64_t start = 0; start < M; start += kEncodeBatch) {
     const int64_t count = std::min(kEncodeBatch, M - start);
-    std::vector<std::vector<double>> chunk(
-        windows.begin() + start, windows.begin() + start + count);
+    std::vector<std::vector<double>> chunk;
+    chunk.reserve(static_cast<size_t>(count));
+    for (int64_t b = start; b < start + count; ++b) {
+      const int64_t row = rows[static_cast<size_t>(b)];
+      chunk.push_back(windows[static_cast<size_t>(row)]);
+    }
     nn::Var x = nn::Constant(BuildDomainBatch(chunk, domain, period_));
     nn::Var r = model_->EncodeNormalized(domain, x);
     const nn::Tensor& value = r.value();
@@ -323,23 +362,40 @@ std::vector<std::vector<float>> TriadDetector::EncodeWindows(
 
 Result<DetectionResult> TriadDetector::Detect(
     const std::vector<double>& test_series) const {
-  return Detect(test_series, /*memo=*/nullptr, /*global_start=*/0);
+  return RunPass(test_series, /*max_events=*/1, /*memo=*/nullptr,
+                 /*global_start=*/0);
 }
 
 Result<DetectionResult> TriadDetector::Detect(
     const std::vector<double>& test_series, DetectMemo* memo,
     int64_t global_start) const {
+  return RunPass(test_series, /*max_events=*/1, memo, global_start);
+}
+
+Result<DetectionResult> TriadDetector::DetectEvents(
+    const std::vector<double>& test_series, int64_t max_events) const {
+  return RunPass(test_series, max_events, /*memo=*/nullptr,
+                 /*global_start=*/0);
+}
+
+Result<DetectionResult> TriadDetector::RunPass(
+    const std::vector<double>& test_series, int64_t max_events,
+    DetectMemo* memo, int64_t global_start) const {
   if (model_ == nullptr) {
     return Status::FailedPrecondition("Detect called before Fit");
+  }
+  if (max_events < 1) {
+    return Status::InvalidArgument("max_events must be >= 1");
   }
   const int64_t n = static_cast<int64_t>(test_series.size());
   if (n < window_length_) {
     return Status::InvalidArgument("test series shorter than one window");
   }
   // Cooperative deadline checkpoints (common/deadline.h): one per pipeline
-  // stage, plus one per discord length inside the search (discord.cc). A pass
-  // whose budget ran out fails with DeadlineExceeded at the next checkpoint
-  // instead of finishing late — recoverable, like a sanitize rejection.
+  // stage, one per searched region, plus one per discord length inside the
+  // search (discord.cc). A pass whose budget ran out fails with
+  // DeadlineExceeded at the next checkpoint instead of finishing late —
+  // recoverable, like a sanitize rejection.
   TRIAD_RETURN_NOT_OK(CheckPassDeadline());
   TRIAD_ASSIGN_OR_RETURN(
       data::Sanitized clean,
@@ -357,7 +413,7 @@ Result<DetectionResult> TriadDetector::Detect(
 
   // The memo is content-keyed by global stream index, so it is only valid
   // when the buffer passed through the sanitizer untouched; a repaired
-  // buffer runs the plain path (ARCHITECTURE.md §8).
+  // buffer runs without it (ARCHITECTURE.md §8).
   if (memo != nullptr && !result.sanitize_report.clean()) {
     MemoInstruments().memo_bypass->Increment();
     memo = nullptr;
@@ -375,18 +431,16 @@ Result<DetectionResult> TriadDetector::Detect(
   };
 
   // ---- stage 1: encode + tri-window nomination ----
-  // The three domain encoders run as independent pool tasks (inference
-  // only touches read-only model parameters); each similarity matrix then
-  // fans its rows out across the pool. Stage timings come from TraceSpans
+  // The domain encoders run as independent pool tasks (inference only
+  // touches read-only model parameters); each similarity matrix then fans
+  // its rows out across the pool. Stage timings come from TraceSpans
   // (ARCHITECTURE.md §6); the DetectionResult *_seconds fields are a
   // compatibility view of the same measurements.
   //
-  // Memoized passes encode only the windows that newly slid into the
-  // buffer: encodings are per-window computations (batch rows are
-  // independent, enforced by core_test's EncodeRowsAreBatchIndependent),
-  // so a cached row is bitwise the row this pass would recompute. Each
-  // domain touches only its own memo slot, so the per-domain fan-out
-  // stays race-free.
+  // With a memo, only windows that newly slid into the buffer are encoded:
+  // batch rows are independent (core_test's EncodeRowsAreBatchIndependent),
+  // so a cached row is bitwise the row this pass would compute. Each domain
+  // touches only its own memo slot, so the fan-out stays race-free.
   trace::TraceSpan encode_span("detector.encode");
   const std::vector<Domain> domains = model_->EnabledDomains();
   std::vector<std::vector<std::vector<float>>> reps(
@@ -396,340 +450,134 @@ Result<DetectionResult> TriadDetector::Detect(
       [&](int64_t begin, int64_t end) {
         for (int64_t di = begin; di < end; ++di) {
           const Domain domain = domains[static_cast<size_t>(di)];
-          if (memo == nullptr) {
-            reps[static_cast<size_t>(di)] = EncodeWindows(domain, windows);
-            continue;
-          }
-          auto& cache = memo->encodings[static_cast<size_t>(domain)];
-          std::vector<int64_t> missing;
-          for (int64_t i = 0; i < M; ++i) {
-            if (cache.find(global_key(i)) == cache.end()) missing.push_back(i);
-          }
-          if (!missing.empty()) {
-            std::vector<std::vector<double>> missing_windows;
-            missing_windows.reserve(missing.size());
-            for (int64_t i : missing) {
-              missing_windows.push_back(windows[static_cast<size_t>(i)]);
-            }
-            std::vector<std::vector<float>> fresh =
-                EncodeWindows(domain, missing_windows);
-            for (size_t k = 0; k < missing.size(); ++k) {
-              cache[global_key(missing[k])] = std::move(fresh[k]);
-            }
-          }
-          MemoInstruments().encode_misses->Increment(missing.size());
-          MemoInstruments().encode_hits->Increment(
-              static_cast<uint64_t>(M) - missing.size());
+          auto* cache = memo == nullptr
+                            ? nullptr
+                            : &memo->encodings[static_cast<size_t>(domain)];
           auto& out = reps[static_cast<size_t>(di)];
           out.resize(static_cast<size_t>(M));
+          std::vector<int64_t> missing;
           for (int64_t i = 0; i < M; ++i) {
-            out[static_cast<size_t>(i)] = cache.at(global_key(i));
+            if (const auto* hit = FindCached(cache, global_key(i))) {
+              out[static_cast<size_t>(i)] = *hit;
+            } else {
+              missing.push_back(i);
+            }
+          }
+          std::vector<std::vector<float>> fresh =
+              EncodeWindows(domain, windows, missing);
+          for (size_t k = 0; k < missing.size(); ++k) {
+            auto& row = out[static_cast<size_t>(missing[k])];
+            row = std::move(fresh[k]);
+            if (cache != nullptr) (*cache)[global_key(missing[k])] = row;
+          }
+          if (cache != nullptr) {
+            MemoInstruments().encode_misses->Increment(missing.size());
+            MemoInstruments().encode_hits->Increment(
+                static_cast<uint64_t>(M) - missing.size());
           }
         }
       });
   result.encode_seconds = encode_span.Stop();
   TRIAD_RETURN_NOT_OK(CheckPassDeadline());
 
+  // Each domain nominates its `max_events` least-similar windows. The sort
+  // is stable, so equal similarities keep index order and the first
+  // nominee is ArgMin(sim).
   trace::TraceSpan tri_window_span("detector.tri_window");
+  std::set<int64_t> nominees;
   for (size_t di = 0; di < domains.size(); ++di) {
-    std::vector<double> sim;
-    if (memo == nullptr) {
-      sim = MeanPairwiseSimilarity(reps[di]);
-    } else {
-      // Same per-row sums in the same j order as MeanPairwiseSimilarity,
-      // with each pairwise dot served from the memo when cached.
-      // simd::Dot is bitwise symmetric (per-lane products commute), so one
-      // (lo, hi) key serves both orders.
-      auto& dots =
-          memo->rep_dots[static_cast<size_t>(domains[di])];
-      uint64_t hits = 0, misses = 0;
-      sim.assign(static_cast<size_t>(M), 0.0);
-      for (int64_t i = 0; i < M; ++i) {
-        double total = 0.0;
-        const auto& a = reps[di][static_cast<size_t>(i)];
-        for (int64_t j = 0; j < M; ++j) {
-          if (i == j) continue;
-          const int64_t gi = global_key(i), gj = global_key(j);
-          const auto key = std::make_pair(std::min(gi, gj), std::max(gi, gj));
-          auto it = dots.find(key);
-          if (it == dots.end()) {
-            const auto& b = reps[di][static_cast<size_t>(j)];
-            const double dot =
-                simd::Dot(a.data(), b.data(), static_cast<int64_t>(a.size()));
-            it = dots.emplace(key, dot).first;
-            ++misses;
-          } else {
-            ++hits;
-          }
-          total += it->second;
-        }
-        sim[static_cast<size_t>(i)] =
-            M > 1 ? total / static_cast<double>(M - 1) : 0.0;
-      }
-      MemoInstruments().dot_hits->Increment(hits);
-      MemoInstruments().dot_misses->Increment(misses);
-    }
-    result.candidate_windows.push_back(ArgMin(sim));
+    std::vector<double> sim = MeanPairwiseSimilarity(reps[di]);
+    std::vector<int64_t> order(static_cast<size_t>(M));
+    std::iota(order.begin(), order.end(), int64_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+      return sim[static_cast<size_t>(a)] < sim[static_cast<size_t>(b)];
+    });
+    nominees.insert(order.begin(), order.begin() + std::min(max_events, M));
+    result.candidate_windows.push_back(order[0]);
     result.domain_similarity.push_back(std::move(sim));
   }
   result.tri_window_seconds = tri_window_span.Stop();
 
-  // ---- stage 2: single-window selection against the training data ----
+  // ---- stage 2: selection against the training data ----
+  // Each nominee's deviation is one scan of the training index; the scans
+  // are independent, so they fan out across the pool. Nominees are ranked
+  // highest deviation first, lowest window on ties, and up to max_events
+  // non-overlapping windows are kept greedily.
   TRIAD_RETURN_NOT_OK(CheckPassDeadline());
   trace::TraceSpan selection_span("detector.selection");
-  const std::set<int64_t> unique_candidates(result.candidate_windows.begin(),
-                                            result.candidate_windows.end());
-  const std::vector<int64_t> candidates(unique_candidates.begin(),
-                                        unique_candidates.end());
+  const std::vector<int64_t> candidates(nominees.begin(), nominees.end());
+  auto* deviation_cache = memo == nullptr ? nullptr : &memo->deviations;
   std::vector<double> deviation(candidates.size(), 0.0);
-  std::vector<int64_t> pending;  // indices into `candidates` to compute
-  if (memo == nullptr) {
-    pending.resize(candidates.size());
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      pending[c] = static_cast<int64_t>(c);
-    }
-  } else {
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      const auto it = memo->deviations.find(global_key(candidates[c]));
-      if (it != memo->deviations.end()) {
-        deviation[c] = it->second;
-        MemoInstruments().deviation_hits->Increment();
-      } else {
-        pending.push_back(static_cast<int64_t>(c));
-        MemoInstruments().deviation_misses->Increment();
-      }
+  std::vector<size_t> pending;  // indices into `candidates` to compute
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    if (const double* hit =
+            FindCached(deviation_cache, global_key(candidates[c]))) {
+      deviation[c] = *hit;
+    } else {
+      pending.push_back(c);
     }
   }
   ParallelFor(0, static_cast<int64_t>(pending.size()), /*grain=*/1,
               [&](int64_t begin, int64_t end) {
                 for (int64_t k = begin; k < end; ++k) {
-                  const size_t c =
-                      static_cast<size_t>(pending[static_cast<size_t>(k)]);
+                  const size_t c = pending[static_cast<size_t>(k)];
                   deviation[c] = train_index_.NearestDistance(
                       windows[static_cast<size_t>(candidates[c])]);
                 }
               });
-  if (memo != nullptr) {
-    for (int64_t k : pending) {
-      const size_t c = static_cast<size_t>(k);
-      memo->deviations[global_key(candidates[c])] = deviation[c];
+  if (deviation_cache != nullptr) {
+    for (size_t c : pending) {
+      (*deviation_cache)[global_key(candidates[c])] = deviation[c];
     }
+    MemoInstruments().deviation_misses->Increment(pending.size());
+    MemoInstruments().deviation_hits->Increment(candidates.size() -
+                                                pending.size());
   }
-  int64_t selected = candidates.front();
-  double best_deviation = -1.0;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    if (deviation[c] > best_deviation) {
-      best_deviation = deviation[c];
-      selected = candidates[c];
+  std::vector<size_t> ranked(candidates.size());
+  std::iota(ranked.begin(), ranked.end(), size_t{0});
+  std::stable_sort(ranked.begin(), ranked.end(), [&](size_t a, size_t b) {
+    return deviation[a] > deviation[b];
+  });
+  const auto start_of = [&](size_t c) {
+    return result.window_starts[static_cast<size_t>(candidates[c])];
+  };
+  std::vector<size_t> kept;  // indices into `candidates`
+  for (size_t c : ranked) {
+    if (std::none_of(kept.begin(), kept.end(), [&](size_t k) {
+          return WindowOverlapsRange(start_of(c), window_length_, start_of(k),
+                                     start_of(k) + window_length_);
+        })) {
+      kept.push_back(c);
     }
+    if (static_cast<int64_t>(kept.size()) >= max_events) break;
   }
-  result.selected_window = selected;
+  result.selected_window = candidates[kept.front()];
   result.selection_seconds = selection_span.Stop();
 
-  // ---- stage 3: exact discord search around the selected window ----
-  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
+  // ---- stage 3: exact discord search around each kept window ----
+  // search_begin/end report the first (most deviant) window's region.
   trace::TraceSpan discord_span("detector.discord");
-  const int64_t w_start = result.window_starts[static_cast<size_t>(selected)];
-  const DiscordRegion region(config_, window_length_, n, w_start);
-  result.search_begin = region.begin;
-  result.search_end = region.end;
-  if (region.Searchable(config_)) {
-    // Changed-region tracking at region granularity: when the selected
-    // window's global span matches a cached entry, the stream content of
-    // the whole region is unchanged since that pass — no profile row in it
-    // moved — so the cached MerlinResult IS this pass's result and the
-    // re-search is skipped outright. Any content change misses the cache
-    // and re-runs the full sweep (bit-identity forbids partial
-    // floating-point reuse across shifted origins; see ARCHITECTURE.md §8).
-    const discord::MerlinResult* cached = nullptr;
-    if (memo != nullptr) {
-      const int64_t gb = global_start + result.search_begin;
-      const int64_t ge = global_start + result.search_end;
-      for (auto& entry : memo->merlin) {
-        if (entry.begin == gb && entry.end == ge) {
-          entry.last_used = ++memo->tick;
-          cached = &entry.result;
-          break;
-        }
-      }
-      if (cached != nullptr) {
-        MemoInstruments().merlin_hits->Increment();
-      } else {
-        MemoInstruments().merlin_misses->Increment();
-      }
+  std::vector<WindowVote> window_votes;
+  for (size_t k = 0; k < kept.size(); ++k) {
+    TRIAD_RETURN_NOT_OK(CheckPassDeadline());
+    const int64_t w_start = start_of(kept[k]);
+    window_votes.push_back({w_start, window_length_, deviation[kept[k]]});
+    const DiscordRegion region(config_, window_length_, n, w_start);
+    if (k == 0) {
+      result.search_begin = region.begin;
+      result.search_end = region.end;
     }
-    discord::MerlinResult fresh;
-    if (cached == nullptr) {
-      TRIAD_ASSIGN_OR_RETURN(fresh, region.Search(series, config_));
-      if (memo != nullptr) {
-        if (memo->merlin.size() >= DetectMemo::kMerlinEntries) {
-          auto oldest = std::min_element(
-              memo->merlin.begin(), memo->merlin.end(),
-              [](const DetectMemo::MerlinEntry& a,
-                 const DetectMemo::MerlinEntry& b) {
-                return a.last_used < b.last_used;
-              });
-          memo->merlin.erase(oldest);
-        }
-        memo->merlin.push_back({global_start + result.search_begin,
-                                global_start + result.search_end, fresh,
-                                ++memo->tick});
-      }
-      cached = &fresh;
-    }
-    for (discord::Discord d : cached->discords) {
-      d.position += result.search_begin;  // translate to test coordinates
+    if (!region.Searchable(config_)) continue;
+    TRIAD_ASSIGN_OR_RETURN(discord::MerlinResult found,
+                           region.Search(series, config_, memo, global_start));
+    for (discord::Discord d : found.discords) {
+      d.position += region.begin;  // translate to test coordinates
       result.discords.push_back(d);
     }
   }
   result.discord_seconds = discord_span.Stop();
 
   // ---- stage 4: voting (Eq. 8) + exception rule (Section IV-G) ----
-  trace::TraceSpan voting_span("detector.voting");
-  VotingResult votes =
-      RunVoting(n, {{w_start, window_length_, best_deviation}},
-                result.discords, config_.voting);
-  result.votes = std::move(votes.votes);
-  result.vote_threshold = votes.threshold;
-  result.predictions = std::move(votes.predictions);
-  result.exception_applied = votes.exception_applied;
-  return result;
-}
-
-Result<DetectionResult> TriadDetector::DetectEvents(
-    const std::vector<double>& test_series, int64_t max_events) const {
-  if (model_ == nullptr) {
-    return Status::FailedPrecondition("DetectEvents called before Fit");
-  }
-  if (max_events < 1) {
-    return Status::InvalidArgument("max_events must be >= 1");
-  }
-  const int64_t n = static_cast<int64_t>(test_series.size());
-  if (n < window_length_) {
-    return Status::InvalidArgument("test series shorter than one window");
-  }
-  // Deadline checkpoints at the same stage boundaries as Detect.
-  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
-  TRIAD_ASSIGN_OR_RETURN(
-      data::Sanitized clean,
-      data::SanitizeSeries(test_series, config_.sanitize));
-  const std::vector<double>& series = clean.series;
-
-  DetectionResult result;
-  result.sanitize_report = std::move(clean.report);
-  result.period_fallback = period_fallback_;
-  result.residual_domain_disabled = residual_disabled_;
-  result.window_length = window_length_;
-  result.stride = stride_;
-  result.window_starts =
-      signal::SlidingWindowStarts(n, window_length_, stride_);
-  const int64_t M = static_cast<int64_t>(result.window_starts.size());
-
-  std::vector<std::vector<double>> windows;
-  windows.reserve(static_cast<size_t>(M));
-  for (int64_t s : result.window_starts) {
-    windows.push_back(signal::ExtractWindow(series, s, window_length_));
-  }
-
-  // Encode, then per-domain similarity ranking; each domain nominates its
-  // `max_events` least-similar windows. Domain encoders run as independent
-  // pool tasks; the nomination logic stays serial (it is cheap and mutates
-  // the shared pool set).
-  trace::TraceSpan encode_span("detector.encode");
-  const std::vector<Domain> domains = model_->EnabledDomains();
-  std::vector<std::vector<std::vector<float>>> reps(domains.size());
-  ParallelFor(0, static_cast<int64_t>(domains.size()), /*grain=*/1,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t di = begin; di < end; ++di) {
-                  reps[static_cast<size_t>(di)] =
-                      EncodeWindows(domains[static_cast<size_t>(di)], windows);
-                }
-              });
-  result.encode_seconds = encode_span.Stop();
-  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
-
-  trace::TraceSpan tri_window_span("detector.tri_window");
-  std::set<int64_t> pool;
-  for (size_t di = 0; di < domains.size(); ++di) {
-    std::vector<double> sim = MeanPairwiseSimilarity(reps[di]);
-    std::vector<int64_t> order(static_cast<size_t>(M));
-    for (int64_t i = 0; i < M; ++i) order[static_cast<size_t>(i)] = i;
-    // Stable: equal similarities keep index order, so order[0] is
-    // ArgMin(sim), the window Detect nominates.
-    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-      return sim[static_cast<size_t>(a)] < sim[static_cast<size_t>(b)];
-    });
-    for (int64_t z = 0; z < std::min(max_events, M); ++z) {
-      pool.insert(order[static_cast<size_t>(z)]);
-    }
-    result.candidate_windows.push_back(order[0]);
-    result.domain_similarity.push_back(std::move(sim));
-  }
-  result.tri_window_seconds = tri_window_span.Stop();
-
-  // Rank the pool by deviation from the training data and greedily keep up
-  // to max_events non-overlapping windows. The per-candidate scans are
-  // independent, so they fan out across the pool.
-  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
-  trace::TraceSpan selection_span("detector.selection");
-  const std::vector<int64_t> pooled(pool.begin(), pool.end());
-  std::vector<std::pair<double, int64_t>> ranked(
-      pooled.size());  // (-deviation, index)
-  ParallelFor(0, static_cast<int64_t>(pooled.size()), /*grain=*/1,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t c = begin; c < end; ++c) {
-                  const int64_t cand = pooled[static_cast<size_t>(c)];
-                  ranked[static_cast<size_t>(c)] = {
-                      -train_index_.NearestDistance(
-                          windows[static_cast<size_t>(cand)]),
-                      cand};
-                }
-              });
-  std::sort(ranked.begin(), ranked.end());
-  std::map<int64_t, double> deviation_by_window;
-  for (const auto& [neg_dev, cand] : ranked) {
-    deviation_by_window[cand] = -neg_dev;
-  }
-  std::vector<int64_t> selected;
-  for (const auto& [neg_dev, cand] : ranked) {
-    bool overlaps = false;
-    for (int64_t s : selected) {
-      overlaps = overlaps ||
-                 std::llabs(result.window_starts[static_cast<size_t>(cand)] -
-                            result.window_starts[static_cast<size_t>(s)]) <
-                     window_length_;
-    }
-    if (!overlaps) selected.push_back(cand);
-    if (static_cast<int64_t>(selected.size()) >= max_events) break;
-  }
-  result.selected_window = selected.empty() ? -1 : selected.front();
-  result.selection_seconds = selection_span.Stop();
-
-  // Discord search around every selected window.
-  TRIAD_RETURN_NOT_OK(CheckPassDeadline());
-  trace::TraceSpan discord_span("detector.discord");
-  std::vector<WindowVote> window_votes;
-  for (int64_t cand : selected) {
-    const int64_t w_start =
-        result.window_starts[static_cast<size_t>(cand)];
-    window_votes.push_back(
-        {w_start, window_length_, deviation_by_window[cand]});
-    const DiscordRegion region(config_, window_length_, n, w_start);
-    if (cand == result.selected_window) {
-      result.search_begin = region.begin;
-      result.search_end = region.end;
-    }
-    if (!region.Searchable(config_)) continue;
-    TRIAD_RETURN_NOT_OK(CheckPassDeadline());  // one checkpoint per region
-    TRIAD_ASSIGN_OR_RETURN(discord::MerlinResult found,
-                           region.Search(series, config_));
-    for (discord::Discord d : found.discords) {
-      d.position += region.begin;
-      result.discords.push_back(d);
-    }
-  }
-  result.discord_seconds = discord_span.Stop();
-
   trace::TraceSpan voting_span("detector.voting");
   VotingResult votes =
       RunVoting(n, window_votes, result.discords, config_.voting);
@@ -793,7 +641,9 @@ void WriteConfig(std::ostream& out, const TriadConfig& c) {
   WritePod(out, static_cast<uint8_t>(c.use_residual));
   WritePod(out, static_cast<uint8_t>(c.use_intra_loss));
   WritePod(out, static_cast<uint8_t>(c.use_inter_loss));
-  WritePod(out, c.top_windows_per_domain);
+  // The slot of the deleted per-domain nominee count; one window per
+  // domain was the only value the detector ever used.
+  WritePod(out, int64_t{1});
   WritePod(out, c.merlin_padding_windows);
   WritePod(out, c.merlin_min_length);
   WritePod(out, c.merlin_max_length_windows);
@@ -816,6 +666,7 @@ void WriteConfig(std::ostream& out, const TriadConfig& c) {
 
 bool ReadConfig(std::istream& in, uint32_t version, TriadConfig* c) {
   uint8_t b1, b2, b3, b4, b5;
+  int64_t unused_nominee_count;
   const bool ok =
       ReadPod(in, &c->periods_per_window) && ReadPod(in, &c->stride_divisor) &&
       ReadPod(in, &c->depth) && ReadPod(in, &c->hidden_dim) &&
@@ -825,7 +676,7 @@ bool ReadConfig(std::istream& in, uint32_t version, TriadConfig* c) {
       ReadPod(in, &c->validation_fraction) && ReadPod(in, &c->seed) &&
       ReadPod(in, &b1) && ReadPod(in, &b2) && ReadPod(in, &b3) &&
       ReadPod(in, &b4) && ReadPod(in, &b5) &&
-      ReadPod(in, &c->top_windows_per_domain) &&
+      ReadPod(in, &unused_nominee_count) &&
       ReadPod(in, &c->merlin_padding_windows) &&
       ReadPod(in, &c->merlin_min_length) &&
       ReadPod(in, &c->merlin_max_length_windows) &&

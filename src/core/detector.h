@@ -3,11 +3,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -82,13 +80,22 @@ struct DetectionResult {
 /// therefore keyed by *global* coordinates, which identify content exactly,
 /// and every cached value is the stored result of the identical computation
 /// the from-scratch pass would run — so a memoized pass is bit-identical to
-/// a full recompute by construction (the golden/chunking tests in
-/// tests/streaming_test.cc enforce it on both SIMD tiers).
+/// a full recompute by construction (core_test's MemoizedDetectEqualsDetect
+/// and the golden/chunking tests in tests/streaming_test.cc enforce it on
+/// both SIMD tiers).
+///
+/// Three stages consult it: encode (per-window encodings), selection
+/// (per-window deviations) and the discord search (per-region results).
+/// Each is an optional cache inside the one detector pass: a lookup that
+/// misses runs the stage's normal code and stores the result, and a pass
+/// without a memo misses every lookup. The pairwise similarity scan is not
+/// cached: at streaming shapes (about a dozen windows of 40-160 floats) a
+/// map lookup per pair costs more than the dot product it would replace.
 ///
 /// The memo is only consulted on passes whose sanitize report is clean: a
 /// repaired buffer no longer equals the raw stream content, so its windows
 /// must not be looked up by (or inserted under) global keys. Dirty passes
-/// fall back to the plain path and leave the memo untouched.
+/// run without it and leave it untouched.
 ///
 /// Memory stays bounded by the buffer: Detect evicts every key that slid
 /// out of the active window and caps the MERLIN region cache at
@@ -112,10 +119,6 @@ struct DetectMemo {
   /// Per-domain window encodings keyed by global window start
   /// (slot index = static_cast<int>(Domain)).
   std::array<std::unordered_map<int64_t, std::vector<float>>, 3> encodings;
-  /// Pairwise representation dot products keyed by (lo, hi) global starts;
-  /// simd::Dot is bitwise symmetric in its operands, so one key serves both
-  /// orders.
-  std::array<std::map<std::pair<int64_t, int64_t>, double>, 3> rep_dots;
   /// Candidate deviation against the training series, keyed by global
   /// window start.
   std::unordered_map<int64_t, double> deviations;
@@ -194,9 +197,13 @@ class TriadDetector {
 
   /// \brief Multi-event extension beyond the paper's single-event protocol.
   ///
-  /// Nominates up to `max_events` non-overlapping suspicious windows (ranked
-  /// by deviation from the training data), runs the discord search around
-  /// each, and merges the votes. With max_events = 1 this matches Detect().
+  /// Each domain nominates its `max_events` least-similar windows; the
+  /// nominees are ranked by deviation from the training data and up to
+  /// `max_events` non-overlapping ones are kept, the discord search runs
+  /// around each, and one vote merges them. `selected_window` and
+  /// `search_begin`/`search_end` describe the most deviant kept window.
+  /// max_events = 1 is Detect(test_series); max_events < 1 is
+  /// InvalidArgument.
   Result<DetectionResult> DetectEvents(const std::vector<double>& test_series,
                                        int64_t max_events) const;
 
@@ -228,10 +235,21 @@ class TriadDetector {
   }
 
  private:
-  /// Normalized representations of the given raw windows for one domain,
-  /// encoded in mini-batches; rows are unit vectors of length L.
+  /// The one inference pass behind Detect and DetectEvents (Section III-D):
+  /// sanitize and slice, encode, nominate `max_events` windows per domain,
+  /// select up to `max_events` non-overlapping ones against the training
+  /// data, search discords around each, vote. `memo` (nullable) caches the
+  /// encode, selection and region stages across passes over one stream whose
+  /// buffer starts at `global_start`.
+  Result<DetectionResult> RunPass(const std::vector<double>& test_series,
+                                  int64_t max_events, DetectMemo* memo,
+                                  int64_t global_start) const;
+
+  /// Normalized representations of windows[rows[k]] for one domain, encoded
+  /// in mini-batches; rows are unit vectors of length L.
   std::vector<std::vector<float>> EncodeWindows(
-      Domain domain, const std::vector<std::vector<double>>& windows) const;
+      Domain domain, const std::vector<std::vector<double>>& windows,
+      const std::vector<int64_t>& rows) const;
 
   TriadConfig config_;
   std::unique_ptr<TriadModel> model_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/timer.h"
 
@@ -42,17 +41,6 @@ struct StreamingMetrics {
 StreamingMetrics& Instruments() {
   static StreamingMetrics m;
   return m;
-}
-
-// TRIAD_STREAMING_INCREMENTAL vetoes StreamingOptions::incremental, same
-// spelling as TRIAD_METRICS: off/0/false/no force the
-// full recompute path. Read once per process.
-bool IncrementalEnabledFromEnv() {
-  static const bool enabled = [] {
-    const std::string v = GetEnvString("TRIAD_STREAMING_INCREMENTAL", "on");
-    return !(v == "off" || v == "0" || v == "false" || v == "no");
-  }();
-  return enabled;
 }
 
 }  // namespace
@@ -106,7 +94,7 @@ double RollingStatsRing::stddev() const {
 StreamingTriad::StreamingTriad(const TriadDetector* detector,
                                StreamingOptions options)
     : detector_(detector),
-      incremental_(options.incremental && IncrementalEnabledFromEnv()),
+      incremental_(options.incremental),
       // Ring capacity set below once buffer_length_ is known.
       ring_(1),
       stream_uid_(NextStreamUid()) {

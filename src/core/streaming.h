@@ -52,11 +52,10 @@ struct StreamingOptions {
   /// New points between passes; 0 = one detector stride.
   int64_t hop = 0;
   /// Cross-pass memoization (the ARCHITECTURE.md §8 hot path). On by
-  /// default; the TRIAD_STREAMING_INCREMENTAL environment variable vetoes
-  /// it (`off`/`0`/`false`/`no` force full recompute regardless of this
-  /// flag). Alarms, passes and gaps are bit-identical either way — the
-  /// incremental path only substitutes cached results of the identical
-  /// computations (enforced by tests/streaming_test.cc on both SIMD tiers).
+  /// default; false runs every pass without a memo (full recompute).
+  /// Alarms, passes and gaps are bit-identical either way — the memo only
+  /// substitutes stored results of the identical computations (enforced by
+  /// tests/streaming_test.cc on both SIMD tiers).
   bool incremental = true;
 };
 
@@ -113,11 +112,10 @@ class RollingStatsRing {
 /// that overlap almost entirely, and stream content at a global index never
 /// changes once ingested. With `StreamingOptions::incremental` on (the
 /// default), the wrapper threads a DetectMemo through
-/// TriadDetector::Detect so window encodings, pairwise dots, candidate
-/// deviations and MERLIN region results are computed once per stream
-/// position instead of once per pass — O(new points) of fresh work per
-/// hop in steady state. Results are bit-identical to full recompute by
-/// construction; `TRIAD_STREAMING_INCREMENTAL=off` is the escape hatch.
+/// TriadDetector::Detect so window encodings, candidate deviations and
+/// discord region results are computed once per stream position instead of
+/// once per pass. Results are bit-identical to full recompute by
+/// construction; `StreamingOptions::incremental = false` selects it.
 class StreamingTriad {
  public:
   /// `detector` must outlive this object and already be fitted.
@@ -178,7 +176,7 @@ class StreamingTriad {
 
   int64_t buffer_length() const { return buffer_length_; }
   int64_t hop() const { return hop_; }
-  /// True when cross-pass memoization is active (options AND environment).
+  /// True when cross-pass memoization is active (StreamingOptions).
   bool incremental() const { return incremental_; }
   /// Process-unique id of this stream; the DetectMemo is bound to it so a
   /// memo can never be (mis)used for another stream whose global keys

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/metrics.h"
+#include "common/parallel.h"
+#include "common/simd.h"
 #include "common/stats.h"
 #include "core/augmentation.h"
 #include "core/detector.h"
@@ -469,6 +472,31 @@ TEST(DetectorTest, DetectEventsSingleMatchesProtocol) {
   EXPECT_GT(multi->selection_seconds, 0.0);
 }
 
+// Every field of two detections except the stage timings, exactly.
+void ExpectSameDetection(const DetectionResult& a, const DetectionResult& b) {
+  EXPECT_EQ(a.predictions, b.predictions);
+  EXPECT_EQ(a.window_length, b.window_length);
+  EXPECT_EQ(a.stride, b.stride);
+  EXPECT_EQ(a.window_starts, b.window_starts);
+  EXPECT_EQ(a.domain_similarity, b.domain_similarity);
+  EXPECT_EQ(a.candidate_windows, b.candidate_windows);
+  EXPECT_EQ(a.selected_window, b.selected_window);
+  EXPECT_EQ(a.search_begin, b.search_begin);
+  EXPECT_EQ(a.search_end, b.search_end);
+  ASSERT_EQ(a.discords.size(), b.discords.size());
+  for (size_t i = 0; i < a.discords.size(); ++i) {
+    EXPECT_EQ(a.discords[i].position, b.discords[i].position);
+    EXPECT_EQ(a.discords[i].length, b.discords[i].length);
+    EXPECT_EQ(a.discords[i].distance, b.discords[i].distance);
+  }
+  EXPECT_EQ(a.votes, b.votes);
+  EXPECT_EQ(a.vote_threshold, b.vote_threshold);
+  EXPECT_EQ(a.exception_applied, b.exception_applied);
+  EXPECT_EQ(a.sanitize_report.Summary(), b.sanitize_report.Summary());
+  EXPECT_EQ(a.period_fallback, b.period_fallback);
+  EXPECT_EQ(a.residual_domain_disabled, b.residual_domain_disabled);
+}
+
 // Detect nominates ArgMin(sim) per domain, the lowest index among equal
 // minima; DetectEvents(x, 1) must nominate the same windows and so return
 // the same result, field by field.
@@ -478,21 +506,7 @@ void ExpectSingleEventMatchesDetect(const TriadDetector& detector,
   auto events = detector.DetectEvents(test, 1);
   ASSERT_TRUE(single.ok()) << single.status().ToString();
   ASSERT_TRUE(events.ok()) << events.status().ToString();
-  EXPECT_EQ(events->predictions, single->predictions);
-  EXPECT_EQ(events->votes, single->votes);
-  EXPECT_EQ(events->vote_threshold, single->vote_threshold);
-  EXPECT_EQ(events->exception_applied, single->exception_applied);
-  EXPECT_EQ(events->candidate_windows, single->candidate_windows);
-  EXPECT_EQ(events->selected_window, single->selected_window);
-  EXPECT_EQ(events->search_begin, single->search_begin);
-  EXPECT_EQ(events->search_end, single->search_end);
-  ASSERT_EQ(events->discords.size(), single->discords.size());
-  for (size_t i = 0; i < single->discords.size(); ++i) {
-    EXPECT_EQ(events->discords[i].position, single->discords[i].position);
-    EXPECT_EQ(events->discords[i].length, single->discords[i].length);
-    EXPECT_EQ(events->discords[i].distance, single->discords[i].distance);
-  }
-  EXPECT_EQ(events->domain_similarity, single->domain_similarity);
+  ExpectSameDetection(*events, *single);
 }
 
 // True when two windows share some domain's lowest similarity.
@@ -525,6 +539,78 @@ TEST(DetectorTest, DetectEventsSingleEqualsDetect) {
     ASSERT_TRUE(single.ok()) << single.status().ToString();
     ASSERT_TRUE(HasTiedMinimum(*single));
     ExpectSingleEventMatchesDetect(detector, test);
+  }
+}
+
+// The memo is a pure cache (DetectMemo): a 4-window buffer slid one stride
+// at a time through a stream, scored with one memo, must equal a plain
+// Detect of the same buffer at every step, on both SIMD tiers and at 1 and
+// 4 pool lanes. One step scores a copy of its buffer with a NaN the
+// sanitizer repairs; that pass must bypass the memo and leave it unpolluted
+// for the clean steps after it. Each of the three caches must be hit, so
+// none goes unexercised.
+TEST(DetectorTest, MemoizedDetectEqualsDetect) {
+  data::UcrGeneratorOptions gen;
+  gen.count = 1;
+  gen.seed = 43;
+  gen.min_period = 32;
+  gen.max_period = 32;
+  gen.min_train_periods = 14;
+  gen.max_train_periods = 14;
+  gen.min_test_periods = 20;
+  gen.max_test_periods = 20;
+  const data::UcrDataset ds = data::MakeUcrArchive(gen)[0];
+  TriadDetector detector(TinyConfig());
+  ASSERT_TRUE(detector.Fit(ds.train).ok());
+  const int64_t buffer = 4 * detector.window_length();
+  const int64_t stride = detector.stride();
+  const int64_t steps =
+      (static_cast<int64_t>(ds.test.size()) - buffer) / stride + 1;
+  ASSERT_GE(steps, 8);
+  const int64_t dirty_step = steps / 2;
+
+  metrics::ScopedEnable enable(true);
+  auto& registry = metrics::Registry::Global();
+  metrics::Counter* bypass = registry.counter("streaming.memo_bypass");
+  const std::vector<metrics::Counter*> hits = {
+      registry.counter("streaming.encode_hits"),
+      registry.counter("streaming.deviation_hits"),
+      registry.counter("streaming.merlin_hits")};
+
+  for (simd::Level level :
+       {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
+    for (int64_t lanes : {1, 4}) {
+      SCOPED_TRACE(std::string("tier=") + simd::LevelName(level) +
+                   " lanes=" + std::to_string(lanes));
+      simd::ScopedForceLevel force(level);
+      ThreadPool pool(lanes);
+      ScopedDefaultPool scoped(&pool);
+      std::vector<uint64_t> hits_before;
+      for (metrics::Counter* c : hits) hits_before.push_back(c->value());
+      DetectMemo memo;
+      for (int64_t step = 0; step < steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const int64_t start = step * stride;
+        std::vector<double> buf(ds.test.begin() + start,
+                                ds.test.begin() + start + buffer);
+        if (step == dirty_step) {
+          buf[static_cast<size_t>(buffer / 2)] =
+              std::numeric_limits<double>::quiet_NaN();
+        }
+        const uint64_t bypass_before = bypass->value();
+        auto memoized = detector.Detect(buf, &memo, start);
+        auto plain = detector.Detect(buf);
+        ASSERT_TRUE(memoized.ok()) << memoized.status().ToString();
+        ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+        ExpectSameDetection(*memoized, *plain);
+        const bool repaired = step == dirty_step;
+        EXPECT_EQ(plain->sanitize_report.clean(), !repaired);
+        EXPECT_EQ(bypass->value() - bypass_before, repaired ? 1u : 0u);
+      }
+      for (size_t c = 0; c < hits.size(); ++c) {
+        EXPECT_GT(hits[c]->value(), hits_before[c]) << "cache " << c;
+      }
+    }
   }
 }
 

@@ -2,9 +2,7 @@
 
 #include <cmath>
 #include <limits>
-#include <string>
 
-#include "common/env.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/streaming.h"
@@ -246,15 +244,9 @@ TEST(StreamingTest, IncrementalAccessorReflectsOptions) {
   const data::UcrDataset ds = SmallDataset(68);
   TriadDetector detector(TinyConfig());
   ASSERT_TRUE(detector.Fit(ds.train).ok());
-  // The effective state is options AND environment: on by default, but the
-  // TRIAD_STREAMING_INCREMENTAL escape hatch vetoes it process-wide (CI
-  // runs this suite under the veto, so honor it here).
-  const std::string veto =
-      GetEnvString("TRIAD_STREAMING_INCREMENTAL", "on");
-  const bool env_allows =
-      !(veto == "off" || veto == "0" || veto == "false" || veto == "no");
+  // On by default; the option alone turns it off.
   StreamingTriad on(&detector);
-  EXPECT_EQ(on.incremental(), env_allows);
+  EXPECT_TRUE(on.incremental());
   StreamingOptions off_options;
   off_options.incremental = false;
   StreamingTriad off(&detector, off_options);
