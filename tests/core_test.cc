@@ -12,6 +12,7 @@
 #include "core/features.h"
 #include "core/model.h"
 #include "core/trainer.h"
+#include "discord/mass.h"
 #include "nn/grad_check.h"
 #include "data/ucr_generator.h"
 
@@ -540,6 +541,37 @@ TEST(DetectorTest, DetectEventsSingleEqualsDetect) {
     ASSERT_TRUE(HasTiedMinimum(*single));
     ExpectSingleEventMatchesDetect(detector, test);
   }
+}
+
+// Selection ranks nominees by deviation, highest first and lowest window on
+// ties. At max_events = M every window is a nominee, and same-phase windows
+// of a noise-free sine are identical, so the most deviant phase is shared
+// by several windows: the first kept window must be the lowest of them.
+TEST(DetectorTest, SelectionBreaksDeviationTiesTowardTheLowestWindow) {
+  TriadConfig config = TinyConfig();
+  config.epochs = 2;
+  TriadDetector detector(config);
+  const std::vector<double> train = Sine(800, 20.0);
+  ASSERT_TRUE(detector.Fit(train).ok());
+  const std::vector<double> test = Sine(600, 20.0);
+  const int64_t L = detector.window_length();
+  const std::vector<int64_t> starts = signal::SlidingWindowStarts(
+      static_cast<int64_t>(test.size()), L, detector.stride());
+  const int64_t M = static_cast<int64_t>(starts.size());
+  auto result = detector.DetectEvents(test, M);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const discord::NearestWindowIndex index(train, L);
+  std::vector<double> deviation;
+  for (int64_t s : starts) {
+    deviation.push_back(
+        index.NearestDistance(signal::ExtractWindow(test, s, L)));
+  }
+  const double most = *std::max_element(deviation.begin(), deviation.end());
+  ASSERT_GT(std::count(deviation.begin(), deviation.end(), most), 1);
+  EXPECT_EQ(result->selected_window,
+            std::find(deviation.begin(), deviation.end(), most) -
+                deviation.begin());
 }
 
 // The memo is a pure cache (DetectMemo): a 4-window buffer slid one stride
