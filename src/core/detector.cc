@@ -641,8 +641,8 @@ void WriteConfig(std::ostream& out, const TriadConfig& c) {
   WritePod(out, static_cast<uint8_t>(c.use_residual));
   WritePod(out, static_cast<uint8_t>(c.use_intra_loss));
   WritePod(out, static_cast<uint8_t>(c.use_inter_loss));
-  // The slot of the deleted per-domain nominee count; one window per
-  // domain was the only value the detector ever used.
+  // Slot of a per-domain nominee count that no version of the detector
+  // read; always 1, kept so the checkpoint layout stays the same.
   WritePod(out, int64_t{1});
   WritePod(out, c.merlin_padding_windows);
   WritePod(out, c.merlin_min_length);
@@ -666,7 +666,7 @@ void WriteConfig(std::ostream& out, const TriadConfig& c) {
 
 bool ReadConfig(std::istream& in, uint32_t version, TriadConfig* c) {
   uint8_t b1, b2, b3, b4, b5;
-  int64_t unused_nominee_count;
+  int64_t unused_nominee_count = 0;
   const bool ok =
       ReadPod(in, &c->periods_per_window) && ReadPod(in, &c->stride_divisor) &&
       ReadPod(in, &c->depth) && ReadPod(in, &c->hidden_dim) &&
