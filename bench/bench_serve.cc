@@ -289,6 +289,9 @@ int RunJsonMode() {
         TRIAD_CHECK(durable.Drain().ok());
       }
     }
+    // The writer lane may still hold snapshots the drains handed it: wait
+    // for them before the hooks change and before counting them.
+    TRIAD_CHECK(durable.FlushSnapshots().ok());
     ClearServeTestHooks();
     killed_stats = durable.stats();
     // Killed here: the fleet object is abandoned with chunks still queued.

@@ -752,6 +752,12 @@ Result<TriadDetector> TriadDetector::Load(const std::string& path) {
     if (!ReadConfig(in, version, &config)) {
       return Status::InvalidArgument("corrupt checkpoint config");
     }
+    // The CRC proves the bytes, not the values: a config Fit would refuse
+    // must not reach the model constructor's checks.
+    const Status valid = ValidateConfig(config);
+    if (!valid.ok()) {
+      return Status::InvalidArgument("checkpoint config: " + valid.message());
+    }
     TriadDetector detector(config);
     uint64_t train_size = 0;
     if (!ReadPod(in, &detector.period_) ||

@@ -55,8 +55,10 @@ struct DurabilityOptions {
   /// (the fleet behaves exactly as before this layer existed).
   std::string dir;
   /// A tenant is re-snapshotted once it has run at least this many passes
-  /// (clean + failed) since its last snapshot. Snapshots happen at the end
-  /// of the Drain that crossed the threshold; Checkpoint() forces one.
+  /// (clean + failed) since its last snapshot. The Drain that crosses the
+  /// threshold hands the tenant's state to the fleet's snapshot writer
+  /// lane, which writes it off the verdict path; Checkpoint() forces a
+  /// snapshot of every tenant and waits for the writes.
   int64_t snapshot_every_passes = 8;
   /// fsync the WAL after every appended record. On by default — turning it
   /// off trades the crash-recovery guarantee for ingest throughput.

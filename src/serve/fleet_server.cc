@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -20,6 +21,7 @@
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/timer.h"
+#include "common/trace.h"
 
 namespace triad::serve {
 namespace {
@@ -53,6 +55,8 @@ struct FleetMetrics {
       metrics::Registry::Global().counter("serve.wal_failures");
   metrics::Counter* snapshots =
       metrics::Registry::Global().counter("serve.snapshots");
+  metrics::Histogram* snapshot_seconds =
+      metrics::Registry::Global().histogram("serve.snapshot_seconds");
   metrics::Counter* transient_retries =
       metrics::Registry::Global().counter("serve.transient_retries");
   metrics::Counter* deadline_expired =
@@ -168,7 +172,16 @@ struct TenantState {
   int64_t qos_count = 0;
   // WAL records with seq <= this are reflected in `stream` (state_mu).
   uint64_t chunks_applied_seq = 0;
-  int64_t passes_at_last_snapshot = 0;  // snapshot cadence (state_mu)
+  // Snapshot cadence (state_mu): lifetime passes at the last hand-off to
+  // the writer lane, and whether the lane's last write of this tenant
+  // failed (then the next Drain hands it off whatever the cadence says).
+  int64_t passes_at_last_snapshot = 0;
+  bool snapshot_failed = false;
+  // The newest exported state the writer lane has not taken yet, and the
+  // ticket of the oldest hand-off it stands for. Guarded by the fleet's
+  // snapshot_mu, not by this tenant's mutexes.
+  std::optional<TenantDurableState> snapshot_pending;
+  uint64_t snapshot_since = 0;
   metrics::Histogram* pass_hist = nullptr;
 
   // Written by Drain under state_mu, read lock-free by Ingest.
@@ -251,7 +264,105 @@ struct FleetServer::Impl {
   std::condition_variable watchdog_cv;
   bool watchdog_stop = false;
   std::thread watchdog;
+
+  // Snapshot writer lane (durable fleets only): the one thread that writes
+  // tenant snapshots. `snapshot_queue` lists the tenants whose
+  // `snapshot_pending` is filled, in hand-off order; a newer hand-off
+  // replaces the pending state in place, so the queue holds each tenant at
+  // most once and stays sorted by `snapshot_since`. Every hand-off takes a
+  // ticket; all tickets <= `snapshot_resolved` are on disk or were
+  // replaced by a state that is.
+  std::mutex snapshot_mu;
+  std::condition_variable snapshot_cv;          // wakes the lane
+  std::condition_variable snapshot_flushed_cv;  // wakes FlushSnapshots
+  std::deque<std::shared_ptr<TenantState>> snapshot_queue;
+  uint64_t snapshot_tickets = 0;
+  uint64_t snapshot_resolved = 0;
+  Status snapshot_error;  // first failed write since the last flush
+  bool snapshot_stop = false;
+  std::thread snapshot_lane;
+
+  void HandOffSnapshot(const std::shared_ptr<TenantState>& tenant);
+  void RunSnapshotLane(const std::string& dir);
 };
+
+// Exports the tenant's durable state and hands it to the writer lane,
+// replacing a state of the same tenant the lane has not taken yet. The
+// caller holds the tenant's state_mu, so one tenant's hand-offs reach the
+// lane in the order of the states they carry; with the lane the only
+// writer, an older state can never overwrite a newer file.
+void FleetServer::Impl::HandOffSnapshot(
+    const std::shared_ptr<TenantState>& tenant) {
+  TenantState& t = *tenant;
+  TenantDurableState durable;
+  durable.stream = t.stream.ExportState();
+  durable.rung =
+      static_cast<uint8_t>(t.rung.load(std::memory_order_acquire));
+  durable.qos_outcomes = t.qos_outcomes;
+  durable.qos_next = t.qos_next;
+  durable.qos_count = t.qos_count;
+  durable.chunks_applied_seq = t.chunks_applied_seq;
+  {
+    std::lock_guard<std::mutex> qlock(t.queue_mu);
+    durable.probation_counter = t.probation_counter;
+  }
+  t.passes_at_last_snapshot = t.stream.passes() + t.stream.failed_passes();
+  t.snapshot_failed = false;
+  std::lock_guard<std::mutex> lock(snapshot_mu);
+  ++snapshot_tickets;
+  if (!t.snapshot_pending.has_value()) {
+    t.snapshot_since = snapshot_tickets;
+    snapshot_queue.push_back(tenant);
+    snapshot_cv.notify_one();
+  }
+  t.snapshot_pending = std::move(durable);
+}
+
+// The lane's loop: takes the oldest pending tenant, writes its state with
+// no lock held, records the outcome, until stopped with nothing pending.
+void FleetServer::Impl::RunSnapshotLane(const std::string& dir) {
+  std::unique_lock<std::mutex> lock(snapshot_mu);
+  for (;;) {
+    snapshot_cv.wait(
+        lock, [this] { return snapshot_stop || !snapshot_queue.empty(); });
+    if (snapshot_queue.empty()) return;
+    std::shared_ptr<TenantState> tenant = std::move(snapshot_queue.front());
+    snapshot_queue.pop_front();
+    const TenantDurableState state = std::move(*tenant->snapshot_pending);
+    tenant->snapshot_pending.reset();
+    lock.unlock();
+
+    Status written = Status::OK();
+    try {
+      if (g_test_hooks.before_snapshot_write != nullptr) {
+        written = g_test_hooks.before_snapshot_write(tenant->id);
+      }
+      if (written.ok()) {
+        trace::TraceSpan span("serve.snapshot");
+        written = WriteTenantSnapshot(dir, tenant->id, state);
+        Instruments().snapshot_seconds->Observe(span.Stop());
+      }
+    } catch (const std::exception& e) {
+      written = Status::Internal(std::string("snapshot write threw: ") +
+                                 e.what());
+    }
+    if (written.ok()) {
+      snapshots.fetch_add(1, std::memory_order_relaxed);
+      Instruments().snapshots->Increment();
+    } else {
+      std::lock_guard<std::mutex> state_lock(tenant->state_mu);
+      tenant->last_error = written;
+      tenant->snapshot_failed = true;
+    }
+
+    lock.lock();
+    if (!written.ok() && snapshot_error.ok()) snapshot_error = written;
+    snapshot_resolved = snapshot_queue.empty()
+                            ? snapshot_tickets
+                            : snapshot_queue.front()->snapshot_since - 1;
+    snapshot_flushed_cv.notify_all();
+  }
+}
 
 FleetServer::FleetServer(FleetOptions options)
     : options_(options), impl_(new Impl) {
@@ -284,9 +395,23 @@ FleetServer::FleetServer(FleetOptions options)
       }
     });
   }
+  if (!options_.durability.dir.empty()) {
+    impl_->snapshot_lane = std::thread(
+        [this] { impl_->RunSnapshotLane(options_.durability.dir); });
+  }
 }
 
 FleetServer::~FleetServer() {
+  if (impl_->snapshot_lane.joinable()) {
+    // Write errors already sit in each tenant's last_error.
+    (void)FlushSnapshots();
+    {
+      std::lock_guard<std::mutex> lock(impl_->snapshot_mu);
+      impl_->snapshot_stop = true;
+    }
+    impl_->snapshot_cv.notify_all();
+    impl_->snapshot_lane.join();
+  }
   if (impl_->watchdog.joinable()) {
     {
       std::lock_guard<std::mutex> lock(impl_->watchdog_mu);
@@ -764,51 +889,35 @@ Result<int64_t> FleetServer::Drain() {
     Instruments().queue_depth->Add(-static_cast<double>(group_chunks));
   }
 
-  // Snapshot cadence: any drained tenant that has run enough passes since
-  // its last snapshot gets a fresh one, written atomically after scoring
-  // so a crash during the write leaves the previous snapshot intact (and a
-  // crash after it simply replays fewer WAL records next time).
+  // Snapshot cadence: a drained tenant that has run enough passes since
+  // its last hand-off, or whose last write failed, hands its state to the
+  // writer lane. The lane writes it atomically, so a crash mid-write keeps
+  // the previous snapshot; the WAL is never truncated, so a snapshot that
+  // lags only lengthens replay.
   if (!options_.durability.dir.empty()) {
     for (auto& [buffer_length, group] : groups) {
       for (DrainItem& item : group) {
-        std::lock_guard<std::mutex> lock(item.tenant->state_mu);
-        const int64_t lifetime = item.tenant->stream.passes() +
-                                 item.tenant->stream.failed_passes();
-        if (lifetime - item.tenant->passes_at_last_snapshot <
-            options_.durability.snapshot_every_passes) {
+        TenantState& t = *item.tenant;
+        std::lock_guard<std::mutex> lock(t.state_mu);
+        const int64_t lifetime = t.stream.passes() + t.stream.failed_passes();
+        if (!t.snapshot_failed &&
+            lifetime - t.passes_at_last_snapshot <
+                options_.durability.snapshot_every_passes) {
           continue;
         }
-        const Status written = SnapshotTenantLocked(*item.tenant);
-        if (written.ok()) {
-          item.tenant->passes_at_last_snapshot = lifetime;
-        } else {
-          item.tenant->last_error = written;
-        }
+        impl_->HandOffSnapshot(item.tenant);
       }
     }
   }
   return total_passes;
 }
 
-// Writes one tenant's durable snapshot; caller holds state_mu.
-Status FleetServer::SnapshotTenantLocked(TenantState& t) {
-  TenantDurableState durable;
-  durable.stream = t.stream.ExportState();
-  durable.rung =
-      static_cast<uint8_t>(t.rung.load(std::memory_order_acquire));
-  durable.qos_outcomes = t.qos_outcomes;
-  durable.qos_next = t.qos_next;
-  durable.qos_count = t.qos_count;
-  durable.chunks_applied_seq = t.chunks_applied_seq;
-  {
-    std::lock_guard<std::mutex> qlock(t.queue_mu);
-    durable.probation_counter = t.probation_counter;
-  }
-  TRIAD_RETURN_NOT_OK(
-      WriteTenantSnapshot(options_.durability.dir, t.id, durable));
-  impl_->snapshots.fetch_add(1, std::memory_order_relaxed);
-  Instruments().snapshots->Increment();
-  return Status::OK();
+Status FleetServer::FlushSnapshots() {
+  std::unique_lock<std::mutex> lock(impl_->snapshot_mu);
+  const uint64_t target = impl_->snapshot_tickets;
+  impl_->snapshot_flushed_cv.wait(
+      lock, [&] { return impl_->snapshot_resolved >= target; });
+  return std::exchange(impl_->snapshot_error, Status::OK());
 }
 
 Status FleetServer::Checkpoint() {
@@ -825,10 +934,9 @@ Status FleetServer::Checkpoint() {
   }
   for (auto& tenant : tenants) {
     std::lock_guard<std::mutex> lock(tenant->state_mu);
-    TRIAD_RETURN_NOT_OK(SnapshotTenantLocked(*tenant));
-    tenant->passes_at_last_snapshot =
-        tenant->stream.passes() + tenant->stream.failed_passes();
+    impl_->HandOffSnapshot(tenant);
   }
+  TRIAD_RETURN_NOT_OK(FlushSnapshots());
   return WriteManifest(options_.durability.dir, manifest);
 }
 

@@ -174,7 +174,10 @@ struct FleetStats {
   /// back because its enqueue failed is not counted — admission is atomic).
   uint64_t wal_records = 0;
   uint64_t wal_failures = 0;       ///< admissions rejected on WAL errors
-  uint64_t snapshots = 0;          ///< tenant snapshots written
+  /// Tenant snapshots the writer lane has written. A state still queued,
+  /// replaced by a newer one, or whose write failed does not count; call
+  /// FlushSnapshots() first for an exact count.
+  uint64_t snapshots = 0;
   uint64_t transient_retries = 0;  ///< chunk retries after transient errors
   uint64_t deadline_expired_passes = 0;  ///< drain slices over budget
   uint64_t watchdog_cancels = 0;   ///< passes cut loose by the watchdog
@@ -221,7 +224,8 @@ struct RecoveryReport {
 };
 
 /// \brief Chaos-harness seams (tests/serve_chaos_test.cc). Process-global;
-/// install only while no fleet is draining. Production code never sets
+/// install or clear them only while no fleet is draining and no snapshot
+/// write is pending (FlushSnapshots() first). Production code never sets
 /// these — every hook defaults to absent and costs one null check.
 struct ServeTestHooks {
   /// Runs before each chunk's Append during a drain slice; a non-OK return
@@ -233,6 +237,10 @@ struct ServeTestHooks {
   /// Runs at admission just before the enqueue; returning true simulates
   /// the enqueue allocation throwing std::bad_alloc.
   std::function<bool(int64_t tenant_id)> admission_alloc_fail;
+  /// Runs on the snapshot writer lane before each snapshot write; a non-OK
+  /// return fails that write (as a disk error would), and a hook that
+  /// blocks models a slow disk.
+  std::function<Status(int64_t tenant_id)> before_snapshot_write;
 };
 
 /// Replaces the global hooks (test-only).
@@ -260,6 +268,12 @@ void ClearServeTestHooks();
 ///    StreamingTriad on the shared DefaultPool().
 ///  * AddTenant/RemoveTenant may interleave with both; a tenant removed
 ///    mid-drain finishes its in-flight pass and is destroyed afterwards.
+///  * A durable fleet owns one snapshot writer lane, a thread started
+///    beside the watchdog. It is the only writer of tenant snapshots:
+///    Drain and Checkpoint hand it exported states (at most one pending
+///    per tenant; a newer state replaces an unwritten one), so no verdict
+///    waits on snapshot I/O. The destructor finishes pending writes, then
+///    joins it.
 ///
 /// Per-tenant ingest order is the caller's responsibility exactly as far
 /// as the caller's own threading makes it: chunks from one producer
@@ -307,13 +321,26 @@ class FleetServer {
   /// \brief Scores everything pending; returns inference passes executed
   /// (clean + failed). Same-shape tenant groups fan out per the chosen
   /// ExecutionStrategy; per-tenant chunks apply in ingest order.
+  ///
+  /// On a durable fleet, each drained tenant that has run
+  /// `durability.snapshot_every_passes` passes since its last snapshot
+  /// hand-off, or whose last snapshot write failed, exports its state and
+  /// hands it to the snapshot writer lane. Drain does no snapshot I/O and
+  /// returns without waiting for the write.
   Result<int64_t> Drain();
 
-  /// \brief Forces a durable snapshot of every tenant plus the manifest
-  /// (durable fleets only; FailedPrecondition otherwise). Drain also
-  /// snapshots automatically every `durability.snapshot_every_passes`
-  /// passes per tenant; this is the explicit flush for orderly shutdown.
+  /// \brief Snapshots every tenant durably, then writes the manifest
+  /// (durable fleets only; FailedPrecondition otherwise): hands every
+  /// tenant's current state to the writer lane and waits for the writes
+  /// (FlushSnapshots). A failed write returns its Status and leaves the
+  /// manifest unwritten. The explicit flush for orderly shutdown.
   Status Checkpoint();
+
+  /// \brief Waits until the writer lane has dealt with every state handed
+  /// to it so far (written it, failed to, or written a newer state of the
+  /// same tenant instead), and returns the first write failure since the
+  /// previous call (OK if none). OK at once on a fleet without durability.
+  Status FlushSnapshots();
 
   /// \brief Rebuilds the fleet from `durability.dir` after a crash.
   ///
@@ -350,7 +377,6 @@ class FleetServer {
 
  private:
   struct Impl;
-  Status SnapshotTenantLocked(struct TenantState& tenant);
   FleetOptions options_;
   Impl* impl_;
 };

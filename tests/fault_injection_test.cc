@@ -10,8 +10,8 @@
 //   * clean input passes through bit-identically;
 //   * repairable mild corruption does not change the verdict — the
 //     detector still localizes the planted anomaly;
-//   * a CRC-valid checkpoint with hostile geometry or tensor shapes fails
-//     Load with InvalidArgument (ARCHITECTURE.md §10).
+//   * a CRC-valid checkpoint with a hostile config, geometry or tensor
+//     shapes fails Load with InvalidArgument (ARCHITECTURE.md §10).
 
 #include <gtest/gtest.h>
 
@@ -363,6 +363,47 @@ TEST(CheckpointGeometryTest, RejectsOverflowingTensorShape) {
   Poke<uint32_t>(&body, rank_at, 2);
   Poke<int64_t>(&body, rank_at + 4, int64_t{1} << 40);
   Poke<int64_t>(&body, rank_at + 12, int64_t{1} << 40);
+  ExpectRejected(body);
+}
+
+// ---------- hostile checkpoints: CRC-valid bodies with a bad config ----------
+//
+// The config block opens the body: periods_per_window (f64), then the
+// int64 stride_divisor, depth and hidden_dim, eight-byte fields on to the
+// seed at 88, then one byte each for use_temporal, use_frequency and
+// use_residual. A config Fit would refuse must fail Load with a Status,
+// not abort in the model constructor.
+
+constexpr size_t kDepthAt = 16;
+constexpr size_t kHiddenDimAt = 24;
+constexpr size_t kDomainFlagsAt = 96;
+
+int64_t PeekInt64(const std::string& body, size_t at) {
+  int64_t value = -1;
+  if (at + sizeof(value) <= body.size()) {
+    std::memcpy(&value, body.data() + at, sizeof(value));
+  }
+  return value;
+}
+
+TEST(CheckpointConfigTest, RejectsNoEnabledDomain) {
+  std::string body = Saved().body;
+  ASSERT_EQ(body.compare(kDomainFlagsAt, 3, std::string(3, '\1')), 0);
+  for (size_t i = 0; i < 3; ++i) Poke<uint8_t>(&body, kDomainFlagsAt + i, 0);
+  ExpectRejected(body);
+}
+
+TEST(CheckpointConfigTest, RejectsZeroDepth) {
+  std::string body = Saved().body;
+  ASSERT_EQ(PeekInt64(body, kDepthAt), FixtureConfig().depth);
+  Poke<int64_t>(&body, kDepthAt, 0);
+  ExpectRejected(body);
+}
+
+TEST(CheckpointConfigTest, RejectsZeroHiddenDim) {
+  std::string body = Saved().body;
+  ASSERT_EQ(PeekInt64(body, kHiddenDimAt), FixtureConfig().hidden_dim);
+  Poke<int64_t>(&body, kHiddenDimAt, 0);
   ExpectRejected(body);
 }
 

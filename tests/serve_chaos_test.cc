@@ -19,15 +19,22 @@
 //     and its WAL record rolled back (WAL-then-enqueue is atomic), so the
 //     caller's retry never double-applies across a crash + Recover();
 //   * one tenant throwing out of a batched drain group — absorbed per
-//     tenant, the rest of the group drains normally.
+//     tenant, the rest of the group drains normally;
+//   * a failing or stalled snapshot writer lane — verdicts never change or
+//     wait, a failed write is retried at the next drain, a stalled lane
+//     writes only the newest state, and Checkpoint waits for pending
+//     writes before its manifest.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +64,22 @@ core::TriadConfig TinyConfig() {
   config.seed = 5;
   config.merlin_length_step = 4;
   return config;
+}
+
+// The first `points` points of a generated test series.
+std::vector<double> TestSeries(uint64_t seed, size_t points) {
+  data::UcrGeneratorOptions gen;
+  gen.count = 1;
+  gen.seed = seed;
+  gen.min_period = 32;
+  gen.max_period = 32;
+  gen.min_train_periods = 14;
+  gen.max_train_periods = 14;
+  gen.min_test_periods = static_cast<int64_t>(points / 32 + 2);
+  gen.max_test_periods = gen.min_test_periods;
+  std::vector<double> series = data::MakeUcrArchive(gen)[0].test;
+  series.resize(points);
+  return series;
 }
 
 data::UcrDataset SmallDataset(uint64_t seed) {
@@ -144,6 +167,73 @@ std::vector<double> Prefix(const std::vector<double>& feed, size_t n) {
   return std::vector<double>(feed.begin(),
                              feed.begin() + static_cast<long>(
                                                 std::min(n, feed.size())));
+}
+
+std::vector<double> Slice(const std::vector<double>& feed, size_t begin,
+                          size_t end) {
+  return std::vector<double>(feed.begin() + static_cast<long>(begin),
+                             feed.begin() + static_cast<long>(end));
+}
+
+// The streaming geometry every tenant of the shared detector gets.
+struct Geometry {
+  size_t buffer = 0;
+  size_t hop = 0;
+};
+
+Geometry StreamGeometry() {
+  core::StreamingTriad probe(SharedDetector().get());
+  return {static_cast<size_t>(probe.buffer_length()),
+          static_cast<size_t>(probe.hop())};
+}
+
+// A latch a before_snapshot_write hook waits on, modelling a disk that
+// stalls until the test opens it. The wait gives up after `timeout` so a
+// lane that should not be waited on fails the test instead of hanging it.
+class DiskGate {
+ public:
+  // False when the wait timed out.
+  bool Wait(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return open_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// Spins until `counter` reaches `value` (or ~10 s pass); true if reached.
+bool AwaitCount(const std::atomic<int64_t>& counter, int64_t value) {
+  for (int i = 0; i < 10000 && counter.load() < value; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return counter.load() >= value;
+}
+
+// The tenant's snapshot on disk decodes to exactly its live state.
+void ExpectSnapshotMatchesLive(const std::string& dir,
+                               const TenantSnapshot& live,
+                               uint64_t watermark, const std::string& label) {
+  auto durable = ReadTenantSnapshot(dir, live.id);
+  ASSERT_TRUE(durable.ok()) << label << ": " << durable.status().ToString();
+  EXPECT_EQ(durable->chunks_applied_seq, watermark) << label;
+  EXPECT_EQ(durable->stream.total_points, live.total_points) << label;
+  EXPECT_EQ(durable->stream.passes, live.passes) << label;
+  EXPECT_EQ(durable->stream.failed_passes, live.failed_passes) << label;
+  EXPECT_EQ(durable->stream.alarms, live.alarms) << label;
+  ASSERT_EQ(durable->stream.gaps.size(), live.gaps.size()) << label;
+  for (size_t i = 0; i < live.gaps.size(); ++i) {
+    EXPECT_EQ(durable->stream.gaps[i].begin, live.gaps[i].begin) << label;
+    EXPECT_EQ(durable->stream.gaps[i].end, live.gaps[i].end) << label;
+  }
+  EXPECT_EQ(static_cast<QosRung>(durable->rung), live.rung) << label;
 }
 
 void IngestInChunks(FleetServer* fleet, int64_t id,
@@ -809,16 +899,7 @@ TEST(ServeChaosScaleTest, Fleet256KilledMidStreamRecoversBitIdentically) {
   const size_t needed = buffer + 3 * hop;
   std::vector<std::vector<double>> bases;
   for (uint64_t b = 0; b < 8; ++b) {
-    data::UcrGeneratorOptions gen;
-    gen.count = 1;
-    gen.seed = 300 + b;
-    gen.min_period = 32;
-    gen.max_period = 32;
-    gen.min_train_periods = 14;
-    gen.max_train_periods = 14;
-    gen.min_test_periods = static_cast<int64_t>(needed / 32 + 2);
-    gen.max_test_periods = gen.min_test_periods;
-    bases.push_back(data::MakeUcrArchive(gen)[0].test);
+    bases.push_back(TestSeries(300 + b, needed));
   }
   std::vector<std::vector<double>> feeds;
   for (int t = 0; t < kTenants; ++t) {
@@ -844,6 +925,8 @@ TEST(ServeChaosScaleTest, Fleet256KilledMidStreamRecoversBitIdentically) {
               .ok());
     }
     ASSERT_TRUE(fleet.Drain().ok());  // one pass each → snapshots at cadence 1
+    // Drain only hands the states to the writer lane; count once written.
+    ASSERT_TRUE(fleet.FlushSnapshots().ok());
     EXPECT_EQ(fleet.stats().snapshots, static_cast<uint64_t>(kTenants));
     for (int t = 0; t < kTenants; ++t) {
       const auto& feed = feeds[static_cast<size_t>(t)];
@@ -875,6 +958,248 @@ TEST(ServeChaosScaleTest, Fleet256KilledMidStreamRecoversBitIdentically) {
     ExpectMatchesStandalone(
         *snap, RunStandalone(detector, feeds[static_cast<size_t>(t)]),
         "256-fleet tenant " + std::to_string(t));
+  }
+}
+
+// The snapshot writer lane: a failed write sets the tenant's last_error but
+// changes no verdict, the tenant is handed off again at its next drain
+// whatever the cadence says, and a kill then recovers from the older
+// snapshot plus the WAL, bit for bit.
+TEST_P(ServeChaosTest, FailedSnapshotWriteKeepsVerdictsAndRetriesNextDrain) {
+  simd::ScopedForceLevel force(GetParam());
+  const std::string dir =
+      ChaosDir(std::string("snapfail_") + simd::LevelName(GetParam()));
+  const Geometry geometry = StreamGeometry();
+  // Chunk 0 fills the buffer and chunk k > 0 is the k-th hop: one pass each.
+  const auto chunk_end = [&](size_t k) {
+    return geometry.buffer + k * geometry.hop;
+  };
+  const std::vector<double> feed = TestSeries(290, chunk_end(4));
+
+  FleetOptions options;
+  options.durability.dir = dir;
+  options.durability.snapshot_every_passes = 2;
+  std::atomic<bool> fail{false};
+  std::atomic<int64_t> attempts{0};
+  ServeTestHooks hooks;
+  hooks.before_snapshot_write = [&fail, &attempts](int64_t) -> Status {
+    attempts.fetch_add(1);
+    return fail.load() ? Status::IoError("injected snapshot write failure")
+                       : Status::OK();
+  };
+  SetServeTestHooks(hooks);
+  const auto& detector = *SharedDetector();
+  int64_t id = 0;
+  {
+    ModelRegistry registry;
+    FleetServer fleet(options);
+    auto added = fleet.AddTenantFromCheckpoint(&registry,
+                                               SharedCheckpointPath());
+    ASSERT_TRUE(added.ok());
+    id = *added;
+    // Serves chunk k and checks the verdicts against a standalone run.
+    const auto serve_chunk = [&](size_t k) {
+      const size_t begin = k == 0 ? 0 : chunk_end(k - 1);
+      ASSERT_TRUE(fleet.Ingest(id, Slice(feed, begin, chunk_end(k))).ok());
+      auto passes = fleet.Drain();
+      ASSERT_TRUE(passes.ok());
+      ASSERT_EQ(*passes, 1);
+      auto snap = fleet.Tenant(id);
+      ASSERT_TRUE(snap.ok());
+      ExpectMatchesStandalone(
+          *snap, RunStandalone(detector, Prefix(feed, chunk_end(k))),
+          "after chunk " + std::to_string(k));
+    };
+    serve_chunk(0);
+    serve_chunk(1);  // two passes: handed off, written
+    ASSERT_TRUE(fleet.FlushSnapshots().ok());
+    EXPECT_EQ(attempts.load(), 1);
+    EXPECT_EQ(fleet.stats().snapshots, 1u);
+
+    fail = true;
+    serve_chunk(2);  // one pass since the hand-off: not due
+    EXPECT_EQ(fleet.FlushSnapshots().code(), StatusCode::kOk);
+    EXPECT_EQ(attempts.load(), 1);
+    serve_chunk(3);  // two passes: handed off, and the write fails
+    EXPECT_EQ(fleet.FlushSnapshots().code(), StatusCode::kIoError);
+    EXPECT_EQ(attempts.load(), 2);
+    EXPECT_EQ(fleet.Tenant(id)->last_error.code(), StatusCode::kIoError);
+    serve_chunk(4);  // one pass, yet due again after the failure
+    EXPECT_EQ(fleet.FlushSnapshots().code(), StatusCode::kIoError);
+    EXPECT_EQ(attempts.load(), 3);
+    EXPECT_EQ(fleet.stats().snapshots, 1u);
+    // Killed here: the disk holds the snapshot taken after chunk 1.
+  }
+  ClearServeTestHooks();
+
+  ModelRegistry registry;
+  FleetServer recovered(options);
+  auto report = recovered.Recover(&registry);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tenants_recovered, 1);
+  EXPECT_EQ(report->snapshot_fallbacks, 0);
+  EXPECT_EQ(report->chunks_replayed, 3);  // chunks 2..4, past the watermark
+  auto snap = recovered.Tenant(id);
+  ASSERT_TRUE(snap.ok());
+  ExpectMatchesStandalone(*snap,
+                          RunStandalone(detector, Prefix(feed, chunk_end(4))),
+                          "recovered from the older snapshot plus the WAL");
+}
+
+// The hooks below capture test locals, so a test that stops early must not
+// leave them installed for the next one.
+class ServeChaosSnapshotLaneTest : public ::testing::Test {
+ protected:
+  void TearDown() override { ClearServeTestHooks(); }
+};
+
+// A stalled disk makes snapshots staler, never a verdict later: drains go
+// on while the lane is held in a write, the states they hand off replace
+// one another, and once the disk frees the lane writes the newest one —
+// its watermark equals the live one and it decodes to the live state.
+TEST_F(ServeChaosSnapshotLaneTest, HeldLaneWritesOnlyTheNewestState) {
+  const std::string dir = ChaosDir("heldlane");
+  const Geometry geometry = StreamGeometry();
+  constexpr size_t kHeldDrains = 4;
+  const std::vector<double> feed =
+      TestSeries(291, geometry.buffer + kHeldDrains * geometry.hop);
+
+  FleetOptions options;
+  options.durability.dir = dir;
+  options.durability.snapshot_every_passes = 1;
+  DiskGate disk;
+  std::atomic<int64_t> attempts{0};
+  std::atomic<bool> stalled_out{false};
+  ServeTestHooks hooks;
+  hooks.before_snapshot_write = [&](int64_t) -> Status {
+    if (attempts.fetch_add(1) == 0 && !disk.Wait(std::chrono::seconds(20))) {
+      stalled_out = true;
+    }
+    return Status::OK();
+  };
+  SetServeTestHooks(hooks);
+  ModelRegistry registry;
+  FleetServer fleet(options);
+  auto id = fleet.AddTenantFromCheckpoint(&registry, SharedCheckpointPath());
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(fleet.Ingest(*id, Prefix(feed, geometry.buffer)).ok());
+  ASSERT_EQ(*fleet.Drain(), 1);
+  ASSERT_TRUE(AwaitCount(attempts, 1));  // the lane is now held
+  for (size_t k = 1; k <= kHeldDrains; ++k) {
+    const size_t end = geometry.buffer + k * geometry.hop;
+    ASSERT_TRUE(fleet.Ingest(*id, Slice(feed, end - geometry.hop, end)).ok());
+    ASSERT_EQ(*fleet.Drain(), 1);
+  }
+  EXPECT_FALSE(stalled_out.load()) << "a drain waited on the held lane";
+  EXPECT_EQ(fleet.stats().snapshots, 0u);
+  auto live = fleet.Tenant(*id);
+  ASSERT_TRUE(live.ok());
+  ExpectMatchesStandalone(*live, RunStandalone(*SharedDetector(), feed),
+                          "tenant drained past a held lane");
+
+  disk.Open();
+  ASSERT_TRUE(fleet.FlushSnapshots().ok());
+  // The held state, then the newest: the three between were replaced.
+  EXPECT_EQ(attempts.load(), 2);
+  EXPECT_EQ(fleet.stats().snapshots, 2u);
+  ExpectSnapshotMatchesLive(dir, *live, 1 + kHeldDrains,
+                            "snapshot written after the hold");
+}
+
+// Checkpoint with writes pending waits for them: every tenant's current
+// state is on disk before the manifest is written, and a failed write
+// returns its Status with the manifest left unwritten.
+TEST_F(ServeChaosSnapshotLaneTest,
+       CheckpointWritesPendingStatesBeforeManifest) {
+  const std::string dir = ChaosDir("ckptlane");
+  const std::string manifest = dir + "/manifest";
+  const Geometry geometry = StreamGeometry();
+  constexpr int kTenants = 3;
+  FleetOptions options;
+  options.durability.dir = dir;
+  options.durability.snapshot_every_passes = 1;
+  DiskGate disk;
+  std::atomic<int64_t> attempts{0};
+  std::atomic<bool> fail{false};
+  ServeTestHooks hooks;
+  hooks.before_snapshot_write = [&](int64_t) -> Status {
+    if (attempts.fetch_add(1) == 0) disk.Wait(std::chrono::seconds(20));
+    return fail.load() ? Status::IoError("injected snapshot write failure")
+                       : Status::OK();
+  };
+  SetServeTestHooks(hooks);
+  std::vector<std::vector<double>> feeds;
+  std::vector<int64_t> ids;
+  {
+    ModelRegistry registry;
+    FleetServer fleet(options);
+    for (int t = 0; t < kTenants; ++t) {
+      auto id = fleet.AddTenantFromCheckpoint(&registry,
+                                              SharedCheckpointPath());
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+      feeds.push_back(TestSeries(292 + static_cast<uint64_t>(t),
+                                      geometry.buffer + geometry.hop));
+      ASSERT_TRUE(fleet.Ingest(*id, Prefix(feeds.back(), geometry.buffer))
+                      .ok());
+    }
+    ASSERT_TRUE(fleet.Drain().ok());
+    ASSERT_TRUE(AwaitCount(attempts, 1));  // the lane is now held
+    for (int t = 0; t < kTenants; ++t) {
+      const auto& feed = feeds[static_cast<size_t>(t)];
+      ASSERT_TRUE(fleet
+                      .Ingest(ids[static_cast<size_t>(t)],
+                              Slice(feed, geometry.buffer,
+                                    geometry.buffer + geometry.hop))
+                      .ok());
+    }
+    ASSERT_TRUE(fleet.Drain().ok());
+    // AddTenant wrote the manifest; take it away so its rewrite shows.
+    ASSERT_EQ(std::remove(manifest.c_str()), 0);
+
+    std::atomic<bool> done{false};
+    Status checkpointed;
+    std::thread checkpoint([&] {
+      checkpointed = fleet.Checkpoint();
+      done = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(done.load()) << "Checkpoint returned with writes pending";
+    EXPECT_EQ(FileSize(manifest), -1);
+    disk.Open();
+    checkpoint.join();
+    ASSERT_TRUE(checkpointed.ok()) << checkpointed.ToString();
+    EXPECT_GT(FileSize(manifest), 0);
+    for (int t = 0; t < kTenants; ++t) {
+      auto live = fleet.Tenant(ids[static_cast<size_t>(t)]);
+      ASSERT_TRUE(live.ok());
+      ExpectSnapshotMatchesLive(dir, *live, 2,
+                                "checkpointed tenant " + std::to_string(t));
+    }
+
+    // No write is pending now. A failing disk fails the Checkpoint, and
+    // its manifest is not written.
+    fail = true;
+    ASSERT_EQ(std::remove(manifest.c_str()), 0);
+    EXPECT_EQ(fleet.Checkpoint().code(), StatusCode::kIoError);
+    EXPECT_EQ(FileSize(manifest), -1);
+    fail = false;
+    ASSERT_TRUE(fleet.Checkpoint().ok());
+  }
+  ClearServeTestHooks();
+
+  ModelRegistry registry;
+  FleetServer recovered(options);
+  auto report = recovered.Recover(&registry);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tenants_recovered, kTenants);
+  EXPECT_EQ(report->chunks_replayed, 0);
+  for (int t = 0; t < kTenants; ++t) {
+    auto snap = recovered.Tenant(ids[static_cast<size_t>(t)]);
+    ASSERT_TRUE(snap.ok());
+    ExpectMatchesStandalone(
+        *snap, RunStandalone(*SharedDetector(), feeds[static_cast<size_t>(t)]),
+        "recovered checkpointed tenant " + std::to_string(t));
   }
 }
 
