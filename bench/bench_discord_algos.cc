@@ -206,12 +206,12 @@ void BM_MerlinNoisySweep(benchmark::State& state) {
 }
 BENCHMARK(BM_MerlinNoisySweep)->Unit(benchmark::kMillisecond);
 
-// --json mode: the region sweep (Merlin vs ExactDiscords) and the
-// selection-stage comparison (MASS profile vs nearest-window scan) as a
-// machine-readable record, with the FFT plan and spectrum cache counters,
-// in BENCH_discord.json (schema triad-observability-v1; see
-// bench/README.md). Fixed iteration counts keep the record cheap and the
-// workload identical across runs.
+// --json mode: the region sweep (Merlin vs ExactDiscords at step 4,
+// ExactDiscords alone at step 1) and the selection-stage comparison (MASS
+// profile vs nearest-window scan) as a machine-readable record, with the
+// FFT plan and spectrum cache counters, in BENCH_discord.json (schema
+// triad-observability-v1; see bench/README.md). Fixed iteration counts
+// keep the record cheap and the workload identical across runs.
 int RunJsonMode() {
   metrics::ScopedEnable enable(true);
   metrics::Registry::Global().ResetAll();
@@ -219,7 +219,8 @@ int RunJsonMode() {
   Timer wall;
 
   // Region sweep, Merlin vs ExactDiscords (the BM_Region* pair above):
-  // one timed call of each per region size.
+  // one timed call of each per region size at step 4, plus ExactDiscords
+  // at step 1, the detector's default (merlin_length_step = 1).
   std::vector<std::pair<std::string, double>> region_fields;
   for (int64_t n : {120, 480, 960, 1500, 3000}) {
     const std::vector<double> x = Workload(static_cast<size_t>(n));
@@ -230,12 +231,16 @@ int RunJsonMode() {
     Timer exact_timer;
     auto exact = ExactDiscords(x, 4, max_len, 4);
     const double exact_s = exact_timer.ElapsedSeconds();
-    TRIAD_CHECK(merlin.ok() && exact.ok());
+    Timer step1_timer;
+    auto step1 = ExactDiscords(x, 4, max_len, 1);
+    const double step1_s = step1_timer.ElapsedSeconds();
+    TRIAD_CHECK(merlin.ok() && exact.ok() && step1.ok());
     TRIAD_CHECK(merlin->discords.size() == exact->discords.size());
     const std::string key = "region_" + std::to_string(n);
     region_fields.push_back({key + "_merlin_seconds", merlin_s});
     region_fields.push_back({key + "_exact_seconds", exact_s});
     region_fields.push_back({key + "_exact_speedup", merlin_s / exact_s});
+    region_fields.push_back({key + "_exact_step1_seconds", step1_s});
   }
 
   // Selection stage, MASS profile vs nearest-window scan (the

@@ -171,6 +171,28 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
   return row_max + 0.0;
 }
 
+void ZNormDistEarlyAbandon4(const double* a, double mu_a, double inv_a,
+                            const double* b, const double* mu_b,
+                            const double* inv_b, int64_t m, double limit,
+                            double* out) {
+  const double threshold = limit * limit;
+  for (int l = 0; l < 4; ++l) {
+    if (std::isnan(inv_a) || std::isnan(inv_b[l])) {
+      out[l] = std::isnan(inv_a) && std::isnan(inv_b[l])
+                   ? 0.0
+                   : std::numeric_limits<double>::infinity();
+      continue;
+    }
+    double acc = 0.0;
+    for (int64_t t = 0; t < m; ++t) {
+      const double d = (a[t] - mu_a) * inv_a - (b[l + t] - mu_b[l]) * inv_b[l];
+      acc += d * d;
+      if (acc > threshold) break;
+    }
+    out[l] = std::sqrt(acc);
+  }
+}
+
 double SlidingCorrMax(const double* q, int64_t m, const double* x,
                       const double* inv_sd, int64_t n) {
   double best = -std::numeric_limits<double>::infinity();
@@ -818,6 +840,42 @@ TRIAD_TARGET_AVX2 double CorrRowMax(double* q, int64_t n, double inv_m,
   return row_max + 0.0;
 }
 
+// Lane l is the scalar chain of window b + l: one load per term feeds all
+// four lanes. The sum never waits on the stop test: every lane keeps
+// adding, and the first sum past the threshold is latched into `stopped`,
+// which is what the scalar loop returns. Flat columns start stopped at
+// +inf; the loop ends once every lane has stopped.
+TRIAD_TARGET_AVX2 void ZNormDistEarlyAbandon4(const double* a, double mu_a,
+                                              double inv_a, const double* b,
+                                              const double* mu_b,
+                                              const double* inv_b, int64_t m,
+                                              double limit, double* out) {
+  if (std::isnan(inv_a)) {
+    scalar::ZNormDistEarlyAbandon4(a, mu_a, inv_a, b, mu_b, inv_b, m, limit,
+                                   out);
+    return;
+  }
+  const __m256d threshold = _mm256_set1_pd(limit * limit);
+  const __m256d mu_bv = _mm256_loadu_pd(mu_b);
+  const __m256d inv_bv = _mm256_loadu_pd(inv_b);
+  __m256d done = _mm256_cmp_pd(inv_bv, inv_bv, _CMP_UNORD_Q);
+  __m256d stopped = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d acc = _mm256_setzero_pd();
+  for (int64_t t = 0; t < m; ++t) {
+    const __m256d za = _mm256_set1_pd((a[t] - mu_a) * inv_a);
+    const __m256d zb = _mm256_mul_pd(
+        _mm256_sub_pd(_mm256_loadu_pd(b + t), mu_bv), inv_bv);
+    const __m256d d = _mm256_sub_pd(za, zb);
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+    const __m256d over =
+        _mm256_andnot_pd(done, _mm256_cmp_pd(acc, threshold, _CMP_GT_OQ));
+    stopped = _mm256_blendv_pd(stopped, acc, over);
+    done = _mm256_or_pd(done, over);
+    if (_mm256_movemask_pd(done) == 0xF) break;
+  }
+  _mm256_storeu_pd(out, _mm256_sqrt_pd(_mm256_blendv_pd(acc, stopped, done)));
+}
+
 // Four windows per vector, each lane running the scalar dot chain (0.0
 // start, k ascending, mul then add). Blocks of four vectors keep four
 // independent add chains in flight; then single vectors, then the scalar
@@ -902,6 +960,9 @@ struct KernelTable {
   double (*corr_row_max)(double*, int64_t, double, double, double,
                          const double*, const double*, double*, double,
                          const double*, double, const double*);
+  void (*znorm_abandon4)(const double*, double, double, const double*,
+                         const double*, const double*, int64_t, double,
+                         double*);
   double (*sliding_corr_max)(const double*, int64_t, const double*,
                              const double*, int64_t);
 };
@@ -913,7 +974,8 @@ constexpr KernelTable kScalarTable = {
     scalar::ConvTapDotTile,
     scalar::AddRelu,            scalar::AddReluMask,
     scalar::ReluMask,           scalar::SlidingDotUpdate,   scalar::ZNormDistRow,
-    scalar::CorrRowMax,         scalar::SlidingCorrMax,
+    scalar::CorrRowMax,         scalar::ZNormDistEarlyAbandon4,
+    scalar::SlidingCorrMax,
 };
 
 #if TRIAD_SIMD_HAVE_AVX2
@@ -924,7 +986,8 @@ constexpr KernelTable kAvx2Table = {
     avx2::ConvTapDotTile,
     avx2::AddRelu,           avx2::AddReluMask,
     avx2::ReluMask,          avx2::SlidingDotUpdate,  avx2::ZNormDistRow,
-    avx2::CorrRowMax,        avx2::SlidingCorrMax,
+    avx2::CorrRowMax,        avx2::ZNormDistEarlyAbandon4,
+    avx2::SlidingCorrMax,
 };
 #endif
 
@@ -1064,6 +1127,14 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
   return TableFor(ActiveLevel())
       .corr_row_max(q, n, inv_m, mu_row, inv_sd_row, mu, inv_sd, col_max,
                     drop, tail, add, head);
+}
+
+void ZNormDistEarlyAbandon4(const double* a, double mu_a, double inv_a,
+                            const double* b, const double* mu_b,
+                            const double* inv_b, int64_t m, double limit,
+                            double* out) {
+  TableFor(ActiveLevel())
+      .znorm_abandon4(a, mu_a, inv_a, b, mu_b, inv_b, m, limit, out);
 }
 
 double SlidingCorrMax(const double* q, int64_t m, const double* x,

@@ -19,13 +19,14 @@ namespace triad::simd {
 ///
 ///  * **Elementwise kernels** (Axpy, Add, Mul, Relu, ConvRowsAccum,
 ///    CorrRowsAccum, SlidingDotUpdate, ZNormDistRow, CorrRowMax,
-///    SlidingCorrMax) perform the exact same IEEE operation sequence per
-///    element at every tier — vector lanes are just scalar lanes side by
-///    side, and FMA contraction is never used — so their output is
-///    **bit-identical** to the scalar reference. The scalar tier of each is
-///    the plain per-term loop that defines its chain; the vector tier
-///    blocks independent outputs and, where it runs a term an output
-///    skips, adds -0.0f, which leaves every float unchanged.
+///    ZNormDistEarlyAbandon4, SlidingCorrMax) perform the exact same IEEE
+///    operation sequence per element at every tier — vector lanes are just
+///    scalar lanes side by side, and FMA contraction is never used — so
+///    their output is **bit-identical** to the scalar reference. The
+///    scalar tier of each is the plain per-term loop that defines its
+///    chain; the vector tier blocks independent outputs and, where it runs
+///    a term an output skips, adds -0.0f, which leaves every float
+///    unchanged.
 ///  * **Reduction kernels** (Dot, Sum, ConvTapDotTile) accumulate in double
 ///    precision at every tier; the vector tiers use a fixed-width lane
 ///    split, so the only divergence from the scalar reference is
@@ -225,6 +226,31 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
                   double* col_max, double drop, const double* tail,
                   double add, const double* head);
 
+/// \brief Four early-abandoning z-normalized distances from one window to
+/// four consecutive ones — the exact re-score of discord::ExactDiscords'
+/// confirm step.
+///
+/// Lane l pairs the length-m window `a` (mean mu_a, 1/stddev inv_a) with
+/// the window starting at b + l (mean mu_b[l], 1/stddev inv_b[l]). With
+/// inv = 1.0 / sd, out[l] equals discord::ZNormDistanceEarlyAbandon(a,
+/// mu_a, sd_a, b + l, mu_b[l], sd_b[l], m, limit) bit for bit. Per lane
+/// and term t, in this order:
+///
+///   d   = (a[t] - mu_a) * inv_a - (b[l + t] - mu_b[l]) * inv_b[l]
+///   acc = acc + d * d        (product and sum rounded separately)
+///
+/// A lane stops at the first term where acc > limit * limit and returns
+/// sqrt(acc); a lane that never stops returns sqrt of the full sum. NaN in
+/// an inv marks a flat window (sd < 1e-12), so no caller divides by a zero
+/// stddev: two flat windows are at 0, a flat and a non-flat one at +inf.
+/// All four lanes share `limit`. The scalar tier is the per-lane loop; the
+/// vector tier runs the lanes side by side until every lane has stopped,
+/// with no FMA, so every tier is bit-identical.
+void ZNormDistEarlyAbandon4(const double* a, double mu_a, double inv_a,
+                            const double* b, const double* mu_b,
+                            const double* inv_b, int64_t m, double limit,
+                            double* out);
+
 /// \brief Best scaled sliding dot of one query against every window of a
 /// series — the scan behind discord::NearestWindowIndex.
 ///
@@ -275,6 +301,10 @@ double CorrRowMax(double* q, int64_t n, double inv_m, double mu_row,
                   double inv_sd_row, const double* mu, const double* inv_sd,
                   double* col_max, double drop, const double* tail,
                   double add, const double* head);
+void ZNormDistEarlyAbandon4(const double* a, double mu_a, double inv_a,
+                            const double* b, const double* mu_b,
+                            const double* inv_b, int64_t m, double limit,
+                            double* out);
 double SlidingCorrMax(const double* q, int64_t m, const double* x,
                       const double* inv_sd, int64_t n);
 }  // namespace scalar

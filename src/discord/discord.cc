@@ -509,6 +509,11 @@ Result<MerlinResult> RunMerlin(const std::vector<double>& series,
 
 // ---- ExactDiscords: one exact matrix-profile sweep per length ----
 
+// Contiguous chunks the lengths of one search split into. More chunks
+// balance a multi-lane search better (the short lengths cost the most);
+// fewer repeat less of row 0's dot row, which each chunk sums from t = 0.
+constexpr int64_t kLengthChunks = 8;
+
 // Registered when a search starts, not on first increment, so exporters
 // report both counters (zero-valued when nothing happened) once the
 // detector has searched a region — the same reason mass.cc registers its
@@ -553,21 +558,86 @@ struct SweepRegion {
   double abs_sum = 0.0;     // sum |x|
 };
 
+// One chunk's working buffers (see ExactDiscords): sized for the chunk's
+// first length, whose row count is the largest since lengths ascend, and
+// reused by every later length, so a length allocates nothing. `seed` is
+// the running sum of row 0's dot row, holding the terms t < seed_terms.
+struct SweepBuffers {
+  explicit SweepBuffers(int64_t count)
+      : seed(static_cast<size_t>(count), 0.0),
+        q(seed.size()),
+        mu(seed.size()),
+        sd(seed.size()),
+        nu(seed.size()),
+        inv(seed.size()),
+        defect(seed.size()),
+        best(seed.size()),
+        col_max(seed.size()) {}
+
+  int64_t seed_terms = 0;
+  std::vector<double> seed;
+  std::vector<double> q;        // the sweep's dot row, by diagonal
+  std::vector<double> mu, sd;   // Stats(m), bit for bit
+  std::vector<double> nu;       // mu - c
+  std::vector<double> inv;      // 1/sd; NaN for a flat window
+  std::vector<double> defect;   // the bound's Stats(m) term s_i (a)
+  std::vector<double> best;     // row maxima, then the bound U
+  std::vector<double> col_max;  // column maxima
+};
+
 // Exact NN distance of row i, unless it falls below `floor` (then any
 // value < floor is returned: the row cannot be the top). `t_upper` must
-// exceed the row's NN distance. Each pair first runs with the early-abandon
-// limit min(nn, t_upper): a pair whose exact distance is below the limit
-// returns a value below it (abandoned or not), so it is never skipped, and
-// is then recomputed with no limit, so nn only ever holds exact values.
-double ConfirmRow(const LengthContext& ctx, int64_t i, double t_upper,
-                  double floor, int64_t* ops) {
+// exceed the row's NN distance. The result is that of the scalar loop
+//
+//   for j ascending with |j - i| >= m:
+//     limit = min(nn, t_upper)
+//     if D(i, j, limit) < limit:
+//       nn = min(nn, D(i, j, +inf)); stop if nn < floor
+//
+// with D = ZNormDistanceEarlyAbandon on Stats(m): a pair whose exact
+// distance is below the limit returns a value below it (abandoned or not),
+// so it is never skipped, and is then recomputed with no limit, so nn only
+// ever holds exact values. simd::ZNormDistEarlyAbandon4 runs four columns
+// at the limit taken before them, each lane D at that limit bit for bit,
+// so each column's test is read off its lane; only a column whose limit
+// moved within its batch (an earlier lane lowered nn below t_upper) runs
+// again at its own limit. The loop's decisions, and where it stops, are
+// therefore the scalar loop's.
+double ConfirmRow(const double* t, const SweepBuffers& s, int64_t m,
+                  int64_t count, int64_t i, double t_upper, double floor,
+                  int64_t* ops) {
+  const size_t si = static_cast<size_t>(i);
+  const auto distance = [&](int64_t j, double limit) {
+    *ops += m;
+    const size_t sj = static_cast<size_t>(j);
+    return ZNormDistanceEarlyAbandon(t + i, s.mu[si], s.sd[si], t + j,
+                                     s.mu[sj], s.sd[sj], m, limit);
+  };
   double nn = kInf;
-  for (int64_t j = 0; j < ctx.count; ++j) {
-    if (std::llabs(j - i) < ctx.m) continue;
+  // The scalar loop's step at column j, given d = D(i, j, d_limit).
+  const auto step = [&](int64_t j, double d, double d_limit) {
     const double limit = std::min(nn, t_upper);
-    if (ctx.Distance(i, j, limit, ops) < limit) {
-      nn = std::min(nn, ctx.Distance(i, j, kInf, ops));
-      if (nn < floor) break;
+    if (limit != d_limit) d = distance(j, limit);
+    if (d < limit) nn = std::min(nn, distance(j, kInf));
+    return nn < floor;
+  };
+  const int64_t segments[2][2] = {{0, i - m + 1}, {i + m, count}};
+  for (const auto& [lo, hi] : segments) {
+    int64_t j = lo;
+    for (; j + 4 <= hi; j += 4) {
+      const double limit = std::min(nn, t_upper);
+      double d[4];
+      simd::ZNormDistEarlyAbandon4(t + i, s.mu[si], s.inv[si], t + j,
+                                   s.mu.data() + j, s.inv.data() + j, m,
+                                   limit, d);
+      *ops += 4 * m;
+      for (int l = 0; l < 4; ++l) {
+        if (step(j + l, d[l], limit)) return nn;
+      }
+    }
+    for (; j < hi; ++j) {
+      const double limit = std::min(nn, t_upper);
+      if (step(j, distance(j, limit), limit)) return nn;
     }
   }
   return nn;
@@ -585,8 +655,12 @@ struct ExactOutcome {
 //    simd::CorrRowMax ranks the row's cells by
 //      rho~ = ((q[k]/m - nu_i nu_j) / sd_j) / sd_i,   nu = mu - c,
 //    with (mu, sd) = Stats(m), folding them into row and column maxima,
-//    then advances q to row i+1 in place. The seed row is a direct sum.
-//    Every row i gets a best correlation and b_i = 2m(1 - best).
+//    then advances q to row i+1 in place. Row 0's dot row is a direct sum,
+//    q[k] = sum_{t<m} x[t] x[k+t] with t ascending from 0.0, carried from
+//    the chunk's previous length: that sum at m + step is the sum at m plus
+//    the terms t in [m, m + step), added in the same order, so the running
+//    sum repeats the direct one term for term. Every row i gets a best
+//    correlation and b_i = 2m(1 - best).
 //
 // 2. Bound. Let D_ij be the direct distance (ZNormDistanceEarlyAbandon on
 //    T and Stats(m)) and D*_ij its exact-real value. With z = (T - mu)/sd,
@@ -643,73 +717,83 @@ struct ExactOutcome {
 // Flat rows are never ranked: their NN is 0 or +inf, and a top below 1e-9
 // reports nothing. Flat columns carry NaN in inv and drop out of every max.
 // A non-flat row with no finite correlation has no finite NN.
-ExactOutcome SweepLength(const SweepRegion& region, int64_t m) {
-  const LengthContext ctx = MakeLengthContext(region.mass, m);
-  const int64_t count = ctx.count;
+//
+// The per-row set-up (Stats(m), nu, inv and s_i) is one pass into `s`,
+// whose buffers hold at least count entries; `s->seed` must hold row 0's
+// dot row for a length <= m of the same chunk, or nothing yet.
+ExactOutcome SweepLength(const SweepRegion& region, int64_t m,
+                         SweepBuffers* s) {
   const int64_t n = region.mass.size();
+  const int64_t count = n - m + 1;
   const double dm = static_cast<double>(m);
   const double u = std::numeric_limits<double>::epsilon() / 2.0;
   const double g_n =
       static_cast<double>(n) * u / (1.0 - static_cast<double>(n) * u);
 
-  std::vector<double> nu(static_cast<size_t>(count));
-  std::vector<double> inv(static_cast<size_t>(count));
-  std::vector<double> defect(static_cast<size_t>(count), 0.0);
+  const double* prefix = region.mass.prefix();
+  const double* prefix_sq = region.mass.prefix_sq();
+  const double dmux_sums = 2.0 * g_n * region.abs_sum / dm;
+  const double dvarx_sums = 2.0 * g_n * region.prefix_sq.back() / dm;
+  const double x_u = u * region.x_max;
+  double* const mu = s->mu.data();
+  double* const sd = s->sd.data();
+  double* const nu = s->nu.data();
+  double* const inv = s->inv.data();
+  double* const defect = s->defect.data();
   double nu_max = 0.0, inv_max = 0.0, defect_max = 0.0, dmu_max = 0.0;
   for (int64_t i = 0; i < count; ++i) {
-    const size_t si = static_cast<size_t>(i);
-    const double mu = ctx.MeanAt(i);
-    const double sd = ctx.StdAt(i);
-    nu[si] = mu - region.center;
-    if (sd < 1e-12) {
-      inv[si] = std::numeric_limits<double>::quiet_NaN();
+    WindowMoments(prefix, prefix_sq, i, m, &mu[i], &sd[i]);
+    nu[i] = mu[i] - region.center;
+    defect[i] = 0.0;
+    if (sd[i] < 1e-12) {
+      inv[i] = std::numeric_limits<double>::quiet_NaN();
       continue;
     }
-    inv[si] = 1.0 / sd;
+    inv[i] = 1.0 / sd[i];
     // The window stats of x, with Stats(m)'s arithmetic.
     const size_t end = static_cast<size_t>(i + m);
+    const size_t si = static_cast<size_t>(i);
     const double mux = (region.prefix[end] - region.prefix[si]) / dm;
     const double varx = std::max(
         0.0, (region.prefix_sq[end] - region.prefix_sq[si]) / dm - mux * mux);
-    const double dmux =
-        2.0 * g_n * region.abs_sum / dm + 2.0 * u * std::abs(mux);
-    const double dvarx = 2.0 * g_n * region.prefix_sq.back() / dm +
-                         5.0 * u * (varx + mux * mux) +
+    const double dmux = dmux_sums + 2.0 * u * std::abs(mux);
+    const double dvarx = dvarx_sums + 5.0 * u * (varx + mux * mux) +
                          dmux * (2.0 * std::abs(mux) + dmux);
-    const double x_u = u * region.x_max;
-    const double dmu = std::abs(mux - nu[si]) + dmux + x_u +
-                       u * (std::abs(nu[si]) + std::abs(mux - nu[si]));
-    const double dvar = std::abs(varx - sd * sd) + dvarx +
+    const double dmu = std::abs(mux - nu[i]) + dmux + x_u +
+                       u * (std::abs(nu[i]) + std::abs(mux - nu[i]));
+    const double dvar = std::abs(varx - sd[i] * sd[i]) + dvarx +
                         x_u * (2.0 * std::sqrt(varx + dvarx) + x_u) +
-                        2.0 * u * (varx + sd * sd);
-    defect[si] = (dvar + dmu * dmu) * inv[si] * inv[si];
-    nu_max = std::max(nu_max, std::abs(nu[si]));
-    inv_max = std::max(inv_max, inv[si]);
-    defect_max = std::max(defect_max, defect[si]);
+                        2.0 * u * (varx + sd[i] * sd[i]);
+    defect[i] = (dvar + dmu * dmu) * inv[i] * inv[i];
+    nu_max = std::max(nu_max, std::abs(nu[i]));
+    inv_max = std::max(inv_max, inv[i]);
+    defect_max = std::max(defect_max, defect[i]);
     dmu_max = std::max(dmu_max, dmu);
   }
 
-  // Step 1: the sweep. q[k] for k in [m, count) is row 0's seed; row i
+  // Step 1: the sweep. q[k] for k in [m, count) is row 0's dot row; row i
   // owns q[m .. count-1-i]. The update for row i+1 reads x[i+k+m], one past
   // the series for the last cell, whose value is never used again — hence
-  // the pad.
+  // the pad. The running seed only ever needs the entries of the current
+  // length, whose range [m, count) shrinks as m grows.
   const double* x = region.x.data();
-  std::vector<double> q(static_cast<size_t>(count), 0.0);
-  for (int64_t t = 0; t < m; ++t) {
+  double* const seed = s->seed.data();
+  for (int64_t t = s->seed_terms; t < m; ++t) {
     const double xt = x[t];
-    for (int64_t k = m; k < count; ++k) {
-      q[static_cast<size_t>(k)] += xt * x[k + t];
-    }
+    for (int64_t k = m; k < count; ++k) seed[k] += xt * x[k + t];
   }
-  std::vector<double> best(static_cast<size_t>(count), -kInf);
-  std::vector<double> col_max(static_cast<size_t>(count), -kInf);
+  s->seed_terms = m;
+  double* const q = s->q.data();
+  std::copy(seed + m, seed + count, q + m);
+  double* const best = s->best.data();
+  double* const col_max = s->col_max.data();
+  std::fill(best, best + count, -kInf);
+  std::fill(col_max, col_max + count, -kInf);
   const double inv_m = 1.0 / dm;
   for (int64_t i = 0; i + m < count; ++i) {
-    const size_t si = static_cast<size_t>(i);
-    best[si] = simd::CorrRowMax(
-        q.data() + m, count - i - m, inv_m, nu[si], inv[si],
-        nu.data() + i + m, inv.data() + i + m, col_max.data() + i + m, x[i],
-        x + i + m, x[i + m], x + i + 2 * m);
+    best[i] = simd::CorrRowMax(q + m, count - i - m, inv_m, nu[i], inv[i],
+                               nu + i + m, inv + i + m, col_max + i + m, x[i],
+                               x + i + m, x[i + m], x + i + 2 * m);
   }
 
   // Step 2: the per-row upper bound U_i on NN_i^2 (reusing `best`); -inf
@@ -721,25 +805,25 @@ ExactOutcome SweepLength(const SweepRegion& region, int64_t m) {
                    2.0 * nu_max * dmu_max;
   const double rho_round = 8.0 * u * (1.0 + defect_max);
   const double direct = u * dm * (1.0 + defect_max) * (4.0 * dm + 48.0);
-  std::vector<double>& upper = best;
+  double* const upper = best;
   for (int64_t i = 0; i < count; ++i) {
-    const size_t si = static_cast<size_t>(i);
-    const double corr = col_max[si] > best[si] ? col_max[si] : best[si];
-    if (std::isnan(inv[si]) || corr == -kInf) {
-      upper[si] = -kInf;
+    const double corr = col_max[i] > best[i] ? col_max[i] : best[i];
+    if (std::isnan(inv[i]) || corr == -kInf) {
+      upper[i] = -kInf;
       continue;
     }
     const double b = 2.0 * dm * (1.0 - corr);
     const double e =
-        2.0 * (dm * (defect[si] + defect_max) +
-               2.0 * dm * (g * inv[si] * inv_max + rho_round) + direct +
+        2.0 * (dm * (defect[i] + defect_max) +
+               2.0 * dm * (g * inv[i] * inv_max + rho_round) + direct +
                4.0 * u * (std::abs(b) + 2.0 * dm));
     // NaN only from overflow (inf - inf): then the row must be re-scored.
-    upper[si] = std::isnan(b + e) ? kInf : b + e;
+    upper[i] = std::isnan(b + e) ? kInf : b + e;
   }
 
   // Step 3: confirm in descending U order.
   constexpr double kMinDistance = 1e-9;
+  const double* series = region.mass.series().data();
   ExactOutcome out;
   Discord top;
   top.length = m;
@@ -748,19 +832,20 @@ ExactOutcome SweepLength(const SweepRegion& region, int64_t m) {
     int64_t pick = -1;
     double pick_upper = -kInf;
     for (int64_t i = 0; i < count; ++i) {
-      if (upper[static_cast<size_t>(i)] > pick_upper) {
-        pick_upper = upper[static_cast<size_t>(i)];
+      if (upper[i] > pick_upper) {
+        pick_upper = upper[i];
         pick = i;
       }
     }
     if (pick < 0) break;
     const double floor = std::max(top.distance, kMinDistance);
     if (pick_upper < floor * floor * (1.0 - 4.0 * u)) break;
-    upper[static_cast<size_t>(pick)] = -kInf;
+    upper[pick] = -kInf;
     ExactInstruments().confirm_rows->Increment();
     const double t_upper =
         std::sqrt(std::max(pick_upper, 0.0)) * (1.0 + 1e-12) + 1e-300;
-    const double nn = ConfirmRow(ctx, pick, t_upper, floor, &out.ops);
+    const double nn =
+        ConfirmRow(series, *s, m, count, pick, t_upper, floor, &out.ops);
     if (!std::isfinite(nn) || nn < floor) continue;
     if (nn > top.distance || pick < top.position) {
       top.position = pick;
@@ -850,16 +935,22 @@ Result<MerlinResult> ExactDiscords(const std::vector<double>& region,
   const MassContext mass(region);
   const SweepRegion sweep(mass);
 
-  // Lengths fan out as in RunMerlin: one deadline checkpoint per length,
-  // outcomes folded in ascending-length order.
+  // Lengths fan out as in RunMerlin, one deadline checkpoint per length and
+  // outcomes folded in ascending-length order, but in kLengthChunks
+  // contiguous chunks: a chunk carries row 0's dot row from each length to
+  // the next and reuses one SweepBuffers, so memory is O(n) per chunk in
+  // flight. The split depends only on the number of lengths.
   struct Accum {
     MerlinResult result;
     Status first_error = Status::OK();
   };
+  const int64_t num_lengths = static_cast<int64_t>(lengths.size());
   Accum accum = ParallelMapReduce(
-      int64_t{0}, static_cast<int64_t>(lengths.size()), /*grain=*/1, Accum{},
+      int64_t{0}, num_lengths,
+      /*grain=*/(num_lengths + kLengthChunks - 1) / kLengthChunks, Accum{},
       [&](int64_t b, int64_t e) {
         Accum local;
+        SweepBuffers buffers(n - lengths[static_cast<size_t>(b)] + 1);
         for (int64_t k = b; k < e; ++k) {
           Status deadline = CheckPassDeadline();
           if (!deadline.ok()) {
@@ -867,7 +958,7 @@ Result<MerlinResult> ExactDiscords(const std::vector<double>& region,
             break;
           }
           ExactOutcome one =
-              SweepLength(sweep, lengths[static_cast<size_t>(k)]);
+              SweepLength(sweep, lengths[static_cast<size_t>(k)], &buffers);
           if (one.discord.has_value()) {
             local.result.discords.push_back(*one.discord);
           }

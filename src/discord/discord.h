@@ -113,8 +113,14 @@ Result<MerlinResult> MerlinPlusPlus(const std::vector<double>& series,
 /// O(n^2) time and O(n) memory, ranking rows by Pearson correlation
 /// (simd::CorrRowMax); the rows whose approximate NN distance could still
 /// reach the top under a derived rounding bound are then re-scored with
-/// the direct distance. `stats.pointwise_distance_ops` counts that
-/// re-scoring; the other DiscordStats fields stay 0.
+/// the direct distance, four columns at a time
+/// (simd::ZNormDistEarlyAbandon4). Lengths run in a fixed number of
+/// contiguous chunks, each carrying the first row's dot products from one
+/// length to the next. `stats.pointwise_distance_ops` counts that
+/// re-scoring as m per pair evaluated: four per four-column batch (lanes
+/// past the point where a row stops included), one per pair run alone (a
+/// segment's last columns, a pair re-run at a lower limit) and one per
+/// exact recomputation. The other DiscordStats fields stay 0.
 Result<MerlinResult> ExactDiscords(const std::vector<double>& region,
                                    int64_t min_length, int64_t max_length,
                                    int64_t length_step = 1);

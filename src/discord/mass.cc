@@ -33,8 +33,9 @@ void BuildPrefixSums(const std::vector<double>& series,
   }
 }
 
-// Derives length-m rolling stats from the prefix sums; the single place
-// this arithmetic lives, so the one-shot and amortized paths cannot drift.
+// Derives length-m rolling stats from the prefix sums with WindowMoments,
+// the single place this arithmetic lives, so the one-shot and amortized
+// paths (and ExactDiscords' per-length set-up) cannot drift.
 RollingStats DeriveStats(const std::vector<double>& prefix,
                          const std::vector<double>& prefix_sq, int64_t n,
                          int64_t m) {
@@ -44,14 +45,9 @@ RollingStats DeriveStats(const std::vector<double>& prefix,
   out.mean.resize(static_cast<size_t>(count));
   out.stddev.resize(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
-    const double sum = prefix[static_cast<size_t>(i + m)] - prefix[static_cast<size_t>(i)];
-    const double sum_sq =
-        prefix_sq[static_cast<size_t>(i + m)] - prefix_sq[static_cast<size_t>(i)];
-    const double mu = sum / static_cast<double>(m);
-    const double var =
-        std::max(0.0, sum_sq / static_cast<double>(m) - mu * mu);
-    out.mean[static_cast<size_t>(i)] = mu;
-    out.stddev[static_cast<size_t>(i)] = std::sqrt(var);
+    WindowMoments(prefix.data(), prefix_sq.data(), i, m,
+                  &out.mean[static_cast<size_t>(i)],
+                  &out.stddev[static_cast<size_t>(i)]);
   }
   return out;
 }

@@ -1,6 +1,8 @@
 #ifndef TRIAD_DISCORD_MASS_H_
 #define TRIAD_DISCORD_MASS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -21,6 +23,21 @@ struct RollingStats {
 
 RollingStats ComputeRollingStats(const std::vector<double>& series,
                                  int64_t m);
+
+/// Mean and population stddev of the length-m window at i, from prefix sums
+/// of a series and of its squares (prefix[k] = sum of the first k values):
+/// the arithmetic of ComputeRollingStats and MassContext::Stats, one window
+/// at a time, for loops that keep their own buffers.
+inline void WindowMoments(const double* prefix, const double* prefix_sq,
+                          int64_t i, int64_t m, double* mean,
+                          double* stddev) {
+  const double sum = prefix[i + m] - prefix[i];
+  const double sum_sq = prefix_sq[i + m] - prefix_sq[i];
+  const double mu = sum / static_cast<double>(m);
+  *mean = mu;
+  *stddev =
+      std::sqrt(std::max(0.0, sum_sq / static_cast<double>(m) - mu * mu));
+}
 
 /// \brief Amortization context for repeated MASS queries against one series
 /// (see ARCHITECTURE.md §7).
@@ -54,6 +71,12 @@ class MassContext {
 
   /// Rolling stats for length m, derived from the shared prefix sums.
   RollingStats Stats(int64_t m) const;
+
+  /// The prefix sums of the series and of its squares (n+1 entries each)
+  /// that Stats(m) derives from; WindowMoments over them is Stats(m)
+  /// window by window.
+  const double* prefix() const { return prefix_.data(); }
+  const double* prefix_sq() const { return prefix_sq_.data(); }
 
   /// Sliding dot products dots[i] = sum_j series[i+j] * query[j] for
   /// i in [0, n-m]; `dots` must hold n-m+1 entries. One query-side FFT

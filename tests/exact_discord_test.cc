@@ -185,6 +185,48 @@ TEST(ExactDiscordsTest, MatchesNaiveOracleOnEveryInput) {
   }
 }
 
+// Length ranges that stress the row-0 dot row each chunk of lengths
+// carries from one length to the next: an odd start with an odd step, a
+// single length, a range whose last lengths are cut by 2m > n, a range
+// whose every chunk holds several lengths, and a paced fleet's region
+// shape (n = 120, lengths 4-40 every 4th).
+TEST(ExactDiscordsTest, CarriedSeedMatchesOracleOnEveryRangeShape) {
+  struct Range {
+    int64_t min_length, max_length, step;
+  };
+  std::vector<NamedSeries> inputs = Inputs();
+  Rng rng(120);
+  std::vector<double> paced(120);
+  for (size_t t = 0; t < paced.size(); ++t) {
+    paced[t] = std::sin(2.0 * kPi * static_cast<double>(t) / 40.0) +
+               0.05 * rng.Normal(0.0, 1.0);
+  }
+  for (size_t t = 70; t < 80; ++t) paced[t] += 0.4;
+  inputs.push_back({"paced_region", paced});
+  for (const NamedSeries& in : inputs) {
+    const int64_t n = static_cast<int64_t>(in.x.size());
+    const std::vector<Range> ranges = {
+        {5, n / 2 - 1, 3},   // odd start and step
+        {17, 17, 1},         // min_length == max_length
+        {n / 2 - 7, n, 2},   // the lengths past n/2 are cut
+        {6, n / 2 - 1, 2},   // every chunk holds several lengths
+        {4, 40, 4},          // a paced fleet's region shape
+    };
+    for (const Range& r : ranges) {
+      const std::string where =
+          in.name + " [" + std::to_string(r.min_length) + ", " +
+          std::to_string(r.max_length) + "] step " + std::to_string(r.step);
+      const std::vector<Discord> want = OracleDiscords(
+          in.x, r.min_length, std::min(r.max_length, n / 2), r.step);
+      AtEveryTierAndLaneCount([&](const std::string& config) {
+        auto got = ExactDiscords(in.x, r.min_length, r.max_length, r.step);
+        ASSERT_TRUE(got.ok()) << where;
+        ExpectSameDiscords(want, got->discords, where + " " + config);
+      });
+    }
+  }
+}
+
 // At m = n/2 - 1 the rows in the middle have no partner |i - j| >= m, so
 // they must not rank (their correlation never leaves its -inf seed); the
 // rest still report their exact top.

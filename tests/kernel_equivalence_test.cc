@@ -6,8 +6,8 @@
 //  * elementwise kernels (axpy/add/mul/relu, the blocked conv/GEMM row
 //    accumulations ConvRowsAccum and CorrRowsAccum, the STOMP sliding-dot
 //    update, the z-norm distance row, the discord sweep's correlation row,
-//    the selection scan's sliding correlation max) are BIT-IDENTICAL to
-//    the scalar reference;
+//    its four-pair confirm distances, the selection scan's sliding
+//    correlation max) are BIT-IDENTICAL to the scalar reference;
 //  * reduction kernels (dot/sum and the conv/gemm gradients built on them)
 //    accumulate in double at every tier and may diverge only by reordered
 //    double-rounding — asserted here as <= 4 ULP of the float32 result.
@@ -23,6 +23,7 @@
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "discord/mass.h"
 #include "nn/kernels.h"
 
 namespace triad {
@@ -474,6 +475,82 @@ TEST(KernelEquivalenceTest, SlidingCorrMaxBitIdenticalOnOffsetsAndDenormals) {
     tiny_x[0] = -kDenormal;
     ExpectSlidingCorrMaxTiersAgree(tiny_q, tiny_x, inv_sd, "denormals");
   }
+}
+
+// ZNormDistEarlyAbandon4 at both tiers against four scalar
+// ZNormDistanceEarlyAbandon calls on the same (mean, stddev) pairs, with
+// 1/stddev as ExactDiscords' set-up computes it (NaN when flat). Limits
+// stop every lane at its first term (0), no lane (+inf), or some lanes
+// (each lane's own distance, and values between them); flat windows sit
+// among non-flat ones, against a flat row, and at a stddev below the 1e-12
+// threshold but not zero; m is 1, 3, 5 and 37; windows sit at 0 and at a
+// 1e6 offset.
+TEST(KernelEquivalenceTest, ZNormDistEarlyAbandon4MatchesScalarDistance) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto inv_of = [](double sd) {
+    return sd < 1e-12 ? std::numeric_limits<double>::quiet_NaN() : 1.0 / sd;
+  };
+  int compared = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 97);
+    for (int64_t m : {1, 3, 5, 37}) {
+      for (double offset : {0.0, 1e6}) {
+        std::vector<double> a = RandomDoubles(m, &rng);
+        std::vector<double> b = RandomDoubles(m + 3, &rng, 2.0);
+        for (double& v : a) v += offset;
+        for (double& v : b) v += offset;
+        // flat: 0 none, 1 lane 2 at sd 0, 2 lanes 1 and 3 just under the
+        // threshold, 3 the row and lane 0 flat.
+        for (int flat = 0; flat < 4; ++flat) {
+          double mu_a = offset + rng.Normal(0.0, 0.1);
+          double sd_a = 0.5 + rng.Uniform();
+          double mu_b[4], sd_b[4], inv_b[4];
+          for (int l = 0; l < 4; ++l) {
+            mu_b[l] = offset + rng.Normal(0.0, 0.2);
+            sd_b[l] = 0.5 + 2.0 * rng.Uniform();
+          }
+          if (flat == 1) sd_b[2] = 0.0;
+          if (flat == 2) sd_b[1] = sd_b[3] = 5e-13;
+          if (flat == 3) sd_a = sd_b[0] = 0.0;
+          for (int l = 0; l < 4; ++l) inv_b[l] = inv_of(sd_b[l]);
+          const auto scalar = [&](int l, double limit) {
+            return discord::ZNormDistanceEarlyAbandon(
+                a.data(), mu_a, sd_a, b.data() + l, mu_b[l], sd_b[l], m,
+                limit);
+          };
+          std::vector<double> limits = {0.0, inf};
+          for (int l = 0; l < 4; ++l) {
+            const double exact = scalar(l, inf);
+            if (!std::isfinite(exact)) continue;
+            limits.push_back(exact);
+            limits.push_back(0.5 * exact);
+            limits.push_back(std::nextafter(exact, 0.0));
+          }
+          for (double limit : limits) {
+            double want[4];
+            for (int l = 0; l < 4; ++l) want[l] = scalar(l, limit);
+            for (simd::Level level :
+                 {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
+              simd::ScopedForceLevel force(level);
+              double got[4];
+              simd::ZNormDistEarlyAbandon4(a.data(), mu_a, inv_of(sd_a),
+                                           b.data(), mu_b, inv_b, m, limit,
+                                           got);
+              for (int l = 0; l < 4; ++l) {
+                ASSERT_EQ(std::bit_cast<uint64_t>(got[l]),
+                          std::bit_cast<uint64_t>(want[l]))
+                    << "m=" << m << " offset=" << offset << " flat=" << flat
+                    << " lane=" << l << " limit=" << limit
+                    << " level=" << simd::LevelName(level);
+              }
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 500);
 }
 
 // ---------- fused kernels: per-element chains pinned to the primitives ----
