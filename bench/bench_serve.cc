@@ -335,8 +335,6 @@ int RunJsonMode() {
       {"degraded", static_cast<double>(stats.degraded)},
       {"rejected", static_cast<double>(stats.rejected)},
       {"batched_detects", static_cast<double>(stats.batched_detects)},
-      {"single_core_groups", static_cast<double>(stats.single_core_groups)},
-      {"multi_core_groups", static_cast<double>(stats.multi_core_groups)},
       {"verified_tenants", static_cast<double>(tenants)},
       // Crash-recovery phase (ARCHITECTURE.md §10). The registry dump in
       // this record carries the matching instruments (the

@@ -134,12 +134,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.accepted),
               static_cast<unsigned long long>(stats.degraded),
               static_cast<unsigned long long>(stats.rejected));
-  std::printf("       %llu passes (%llu batched), %llu single-core groups, "
-              "%llu multi-core groups\n",
+  std::printf("       %llu passes (%llu batched)\n",
               static_cast<unsigned long long>(stats.passes +
                                               stats.failed_passes),
-              static_cast<unsigned long long>(stats.batched_detects),
-              static_cast<unsigned long long>(stats.single_core_groups),
-              static_cast<unsigned long long>(stats.multi_core_groups));
+              static_cast<unsigned long long>(stats.batched_detects));
   return 0;
 }

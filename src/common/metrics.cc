@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <vector>
 
 #include "common/env.h"
 
@@ -137,9 +136,6 @@ struct Registry::Impl {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
-  // Detached histograms: out of the exported maps, kept alive so cached
-  // instrument pointers never dangle (see DetachHistogram).
-  std::vector<std::unique_ptr<Histogram>> detached_histograms;
 };
 
 Registry::Registry() : impl_(new Impl) {}
@@ -170,15 +166,6 @@ Histogram* Registry::histogram(std::string_view name) {
   auto& slot = impl_->histograms[std::string(name)];
   if (slot == nullptr) slot = std::make_unique<Histogram>();
   return slot.get();
-}
-
-bool Registry::DetachHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->histograms.find(std::string(name));
-  if (it == impl_->histograms.end()) return false;
-  impl_->detached_histograms.push_back(std::move(it->second));
-  impl_->histograms.erase(it);
-  return true;
 }
 
 std::string Registry::ExportText() const {

@@ -125,18 +125,6 @@ class Registry {
   Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
 
-  /// Removes `name` from the exported set (ExportText/ExportJsonMembers and
-  /// ResetAll no longer see it) without invalidating the instrument:
-  /// the Histogram object is detached to an internal keep-alive list, so a
-  /// raw pointer held by a concurrent Observe caller stays usable for the
-  /// process lifetime. This is the eviction primitive for dynamically named
-  /// series (e.g. the serve layer's per-tenant histograms on RemoveTenant)
-  /// — it bounds the *export* cardinality, which is what exporters and the
-  /// bench JSONs pay for; the detached shell's memory is a few hundred
-  /// bytes. Re-registering the same name later creates a fresh instrument.
-  /// Returns false if no such histogram is registered.
-  bool DetachHistogram(std::string_view name);
-
   /// One instrument per line: `counter <name> <value>` / `gauge <name>
   /// <value>` / `histogram <name> count <n> sum <s>`, sorted by name.
   std::string ExportText() const;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/deadline.h"
 #include "common/env.h"
@@ -60,7 +61,7 @@ struct ThreadPool::Batch {
   std::mutex mu;
   std::condition_variable done_cv;
   int64_t done = 0;                   // guarded by mu
-  std::exception_ptr error;           // first failure, guarded by mu
+  std::exception_ptr error;           // first failure, guarded by mu until done
 };
 
 struct ThreadPool::Impl {
@@ -68,14 +69,12 @@ struct ThreadPool::Impl {
 
   std::mutex mu;
   std::condition_variable work_cv;
-  // Shared ownership: a worker that grabs the batch pointer right before
-  // the batch drains must keep it alive past the caller's return.
+  // The most recently published batch, which idle workers join. Shared
+  // ownership: a worker that grabs the batch pointer right before the
+  // batch drains must keep it alive past the caller's return.
   std::shared_ptr<Batch> current;
   uint64_t epoch = 0;  // bumped when a new batch is published
   bool shutdown = false;
-
-  // Serializes RunChunks calls arriving from different external threads.
-  std::mutex run_mu;
 };
 
 ThreadPool::ThreadPool(int64_t num_threads)
@@ -118,7 +117,7 @@ void ThreadPool::ExecuteBatch(Batch* batch) {
     std::lock_guard<std::mutex> lock(batch->mu);
     batch->done += executed_or_skipped;
     if (batch->error == nullptr && first_error != nullptr) {
-      batch->error = first_error;
+      batch->error = std::move(first_error);
     }
     complete = batch->done == batch->num_chunks;
   }
@@ -168,7 +167,6 @@ void ThreadPool::RunChunks(int64_t num_chunks,
                                  static_cast<double>(num_threads_));
   Instruments().lanes->Set(static_cast<double>(num_threads_));
 
-  std::lock_guard<std::mutex> run_lock(impl_->run_mu);
   auto batch = std::make_shared<Batch>();
   batch->fn = &fn;
   batch->num_chunks = num_chunks;
@@ -192,13 +190,21 @@ void ThreadPool::RunChunks(int64_t num_chunks,
                         [&] { return batch->done == batch->num_chunks; });
   }
   {
+    // Another external caller may have published its batch since ours;
+    // idle workers must still find that one.
     std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->current = nullptr;
+    if (impl_->current == batch) impl_->current = nullptr;
   }
-  if (batch->error != nullptr) std::rethrow_exception(batch->error);
+  // The error leaves the batch before the caller drops it, so the caller
+  // alone owns the exception and frees it after handling it. A worker may
+  // still hold the batch; had the batch kept a reference, the worker could
+  // free the exception while the handler reads it, ordered only by
+  // exception_ptr's count inside the uninstrumented runtime, which TSan
+  // reports as a race.
+  if (batch->error != nullptr) {
+    std::rethrow_exception(std::exchange(batch->error, nullptr));
+  }
 }
-
-const ThreadPool* CurrentTaskPool() { return tls_executing_pool; }
 
 ThreadPool* DefaultPool() {
   static ThreadPool* pool = [] {

@@ -26,10 +26,12 @@ namespace triad {
 ///     is rethrown on the calling thread; the pool remains usable
 ///     afterwards. Calls issued from inside a pool task run inline
 ///     (serially), so nested parallel constructs cannot deadlock.
-///  3. **Simplicity.** One batch of chunks runs at a time; workers pull
-///     chunk indices from an atomic counter; the calling thread
-///     participates in execution. There is no work stealing and no task
-///     futures — every entry point blocks until its batch completes.
+///  3. **Simplicity.** Workers pull chunk indices from an atomic counter;
+///     the calling thread participates in execution. Batches from
+///     different external threads may overlap: idle workers join the most
+///     recently published one, and each caller runs and waits for its own.
+///     There is no work stealing and no task futures — every entry point
+///     blocks until its batch completes.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` total execution lanes *including the
@@ -53,8 +55,9 @@ class ThreadPool {
   /// throws, remaining unstarted chunks are skipped and the first exception
   /// is rethrown on the calling thread once the batch has drained.
   ///
-  /// Reentrant calls (from inside a task of this pool) run inline, in chunk
-  /// order, on the current thread.
+  /// Calls from different external threads may run at the same time; each
+  /// waits only for its own batch. Reentrant calls (from inside a task of
+  /// this pool) run inline, in chunk order, on the current thread.
   void RunChunks(int64_t num_chunks, const std::function<void(int64_t)>& fn);
 
  private:
@@ -74,13 +77,6 @@ class ThreadPool {
 /// the hardware concurrency). The pool is intentionally leaked so that it
 /// outlives static destructors. Never null.
 ThreadPool* DefaultPool();
-
-/// The pool whose task the calling thread is currently executing, or
-/// nullptr outside any pool task. Lets layered schedulers (serve::
-/// FleetServer) detect that they are already inside a pool task — where a
-/// nested RunChunks on the same pool runs inline — and pick an execution
-/// strategy accordingly instead of fanning out to no effect.
-const ThreadPool* CurrentTaskPool();
 
 /// \brief RAII override of DefaultPool() for tests and benches that sweep
 /// thread counts (e.g. asserting 1-thread vs 4-thread bit-identity).

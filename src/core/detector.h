@@ -167,8 +167,9 @@ uint64_t NextStreamUid();
 /// Every decomposition uses fixed chunking and ordered reductions, so
 /// detections are bit-identical at any thread count; see ARCHITECTURE.md §3.
 /// A detector is safe to share across threads for concurrent Detect() calls
-/// only after Fit()/Load() has completed (Detect is const and the pool
-/// serializes its own batches).
+/// only after Fit()/Load() has completed (Detect is const, and each
+/// caller's pool batches run beside the others', each caller waiting only
+/// for its own).
 class TriadDetector {
  public:
   explicit TriadDetector(TriadConfig config = TriadConfig());

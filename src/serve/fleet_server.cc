@@ -17,7 +17,6 @@
 
 #include "common/check.h"
 #include "common/deadline.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -41,10 +40,6 @@ struct FleetMetrics {
       metrics::Registry::Global().counter("serve.rejected");
   metrics::Counter* batched_detects =
       metrics::Registry::Global().counter("serve.batched_detects");
-  metrics::Counter* single_core_groups =
-      metrics::Registry::Global().counter("serve.single_core_groups");
-  metrics::Counter* multi_core_groups =
-      metrics::Registry::Global().counter("serve.multi_core_groups");
   metrics::Counter* append_errors =
       metrics::Registry::Global().counter("serve.append_errors");
   metrics::Histogram* pass_seconds =
@@ -92,21 +87,6 @@ void SetServeTestHooks(ServeTestHooks hooks) {
 
 void ClearServeTestHooks() { g_test_hooks = ServeTestHooks(); }
 
-const std::vector<ExecutionStrategy::Enum>& ExecutionStrategy::all() {
-  static const std::vector<Enum> kAll = {kSingleCoreInline, kMultiCoreSharded};
-  return kAll;
-}
-
-const char* ToString(ExecutionStrategy::Enum strategy) {
-  switch (strategy) {
-    case ExecutionStrategy::kSingleCoreInline:
-      return "single_core_inline";
-    case ExecutionStrategy::kMultiCoreSharded:
-      return "multi_core_sharded";
-  }
-  return "unknown";
-}
-
 const char* ToString(IngestStatus status) {
   switch (status) {
     case IngestStatus::kAccepted:
@@ -129,18 +109,6 @@ const char* ToString(QosRung rung) {
       return "rejecting";
   }
   return "unknown";
-}
-
-ExecutionStrategy::Enum ChooseExecutionStrategy(int64_t buffer_length,
-                                                int64_t ready_tenants,
-                                                int64_t pool_lanes,
-                                                const FleetOptions& options) {
-  if (ready_tenants <= 1) return ExecutionStrategy::kMultiCoreSharded;
-  if (buffer_length >= options.multi_core_min_buffer &&
-      ready_tenants < pool_lanes) {
-    return ExecutionStrategy::kMultiCoreSharded;
-  }
-  return ExecutionStrategy::kSingleCoreInline;
 }
 
 // One tenant: its stream, its pending queue, its QoS history. Two mutexes
@@ -182,14 +150,20 @@ struct TenantState {
   // snapshot_mu, not by this tenant's mutexes.
   std::optional<TenantDurableState> snapshot_pending;
   uint64_t snapshot_since = 0;
-  metrics::Histogram* pass_hist = nullptr;
 
   // Written by Drain under state_mu, read lock-free by Ingest.
   std::atomic<int> rung{static_cast<int>(QosRung::kHealthy)};
 
+  // Sets the pending-points budget: the fleet's per-tenant bound, or 8
+  // buffers' worth when that bound is 0.
   TenantState(std::shared_ptr<const core::TriadDetector> d,
-              const core::StreamingOptions& streaming)
-      : detector(std::move(d)), stream(detector.get(), streaming) {}
+              const core::StreamingOptions& streaming,
+              const FleetOptions& options)
+      : detector(std::move(d)), stream(detector.get(), streaming) {
+    max_pending_points = options.max_pending_points_per_tenant > 0
+                             ? options.max_pending_points_per_tenant
+                             : 8 * stream.buffer_length();
+  }
 };
 
 namespace {
@@ -241,8 +215,6 @@ struct FleetServer::Impl {
   std::atomic<uint64_t> passes{0};
   std::atomic<uint64_t> failed_passes{0};
   std::atomic<uint64_t> batched_detects{0};
-  std::atomic<uint64_t> single_core_groups{0};
-  std::atomic<uint64_t> multi_core_groups{0};
   std::atomic<uint64_t> append_errors{0};
   std::atomic<uint64_t> wal_records{0};
   std::atomic<uint64_t> wal_failures{0};
@@ -251,9 +223,6 @@ struct FleetServer::Impl {
   std::atomic<uint64_t> deadline_expired{0};
   std::atomic<uint64_t> watchdog_cancels{0};
   std::atomic<uint64_t> admission_alloc_failures{0};
-
-  // The pass budget after the TRIAD_PASS_DEADLINE override; 0 = none.
-  double pass_deadline_seconds = 0.0;
 
   // Watchdog (runs only when a pass budget is set): Drain registers each
   // in-flight slice's DeadlineState here; the thread cancels any that blew
@@ -374,12 +343,10 @@ FleetServer::FleetServer(FleetOptions options)
   options_.qos_window = std::clamp<int64_t>(options_.qos_window, 1, 64);
   options_.qos_min_passes =
       std::clamp<int64_t>(options_.qos_min_passes, 1, options_.qos_window);
-  impl_->pass_deadline_seconds = GetEnvDouble("TRIAD_PASS_DEADLINE",
-                                              options_.pass_deadline_seconds);
-  if (impl_->pass_deadline_seconds > 0.0) {
+  if (options_.pass_deadline_seconds > 0.0) {
     impl_->watchdog = std::thread([this] {
       const auto poll = std::chrono::duration<double>(
-          std::max(impl_->pass_deadline_seconds / 4.0, 0.001));
+          std::max(options_.pass_deadline_seconds / 4.0, 0.001));
       std::unique_lock<std::mutex> lock(impl_->watchdog_mu);
       while (!impl_->watchdog_stop) {
         impl_->watchdog_cv.wait_for(lock, poll);
@@ -461,8 +428,8 @@ Result<int64_t> FleetServer::AddTenant(
         "AddTenant: a durable fleet needs TenantOptions::model_key so "
         "Recover can re-resolve the detector");
   }
-  auto tenant =
-      std::make_shared<TenantState>(std::move(detector), options.streaming);
+  auto tenant = std::make_shared<TenantState>(std::move(detector),
+                                              options.streaming, options_);
   tenant->model_key = options.model_key;
   std::lock_guard<std::mutex> lock(impl_->registry_mu);
   if (static_cast<int64_t>(impl_->tenants.size()) >= options_.max_tenants) {
@@ -471,17 +438,6 @@ Result<int64_t> FleetServer::AddTenant(
   }
   const int64_t id = impl_->next_id;
   tenant->id = id;
-  tenant->max_pending_points =
-      options_.max_pending_points_per_tenant > 0
-          ? options_.max_pending_points_per_tenant
-          : 8 * tenant->stream.buffer_length();
-  // Per-tenant latency series are opt-in: unconditional registration made
-  // export cardinality grow monotonically with every tenant ever added
-  // (the registry is process-global and series outlive the tenant).
-  if (options_.per_tenant_histograms) {
-    tenant->pass_hist = metrics::Registry::Global().histogram(
-        "serve.tenant." + std::to_string(id) + ".pass_seconds");
-  }
   if (durable) {
     const std::string& root = options_.durability.dir;
     TRIAD_RETURN_NOT_OK(EnsureDir(root));
@@ -534,12 +490,6 @@ Status FleetServer::RemoveTenant(int64_t id) {
     }
     tenant = std::move(it->second);
     impl_->tenants.erase(it);
-    if (tenant->pass_hist != nullptr) {
-      // Evict the tenant's series from the exporters; the instrument stays
-      // alive (detached) for any drain still holding the pointer.
-      metrics::Registry::Global().DetachHistogram(
-          "serve.tenant." + std::to_string(id) + ".pass_seconds");
-    }
     if (!options_.durability.dir.empty()) {
       // Drop the tenant from the roster; its files stay on disk (recovery
       // is manifest-driven, so they are simply never consulted again).
@@ -719,9 +669,7 @@ Result<int64_t> FleetServer::Drain() {
     tenants.reserve(impl_->tenants.size());
     for (auto& [id, tenant] : impl_->tenants) tenants.push_back(tenant);
   }
-  // Group ready tenants by buffer shape (the Detect input length) so each
-  // group can pick one execution strategy.
-  std::map<int64_t, std::vector<DrainItem>> groups;
+  std::vector<DrainItem> claimed;  // ready tenants, in roster order
   for (auto& tenant : tenants) {
     DrainItem item;
     {
@@ -734,7 +682,7 @@ Result<int64_t> FleetServer::Drain() {
     }
     item.chunk_count = static_cast<int64_t>(item.chunks.size());
     item.tenant = tenant;
-    groups[tenant->stream.buffer_length()].push_back(std::move(item));
+    claimed.push_back(std::move(item));
   }
 
   // Scoring one tenant's claimed chunks; runs with state_mu held. Updates
@@ -742,16 +690,16 @@ Result<int64_t> FleetServer::Drain() {
   // Fault boundary: everything that can go wrong in here — a pass blowing
   // its deadline, a transient error (retried with backoff), a hard Append
   // error, even a thrown exception — is absorbed per tenant, so one bad
-  // tenant can never skip the rest of its batched group.
+  // tenant can never skip the rest of the drain.
   auto run_tenant = [&](DrainItem& item) {
     TenantState& t = *item.tenant;
     std::lock_guard<std::mutex> lock(t.state_mu);
     // One budget for the whole slice, visible to the watchdog and (via the
     // thread-local + pool propagation) to every checkpoint inside Detect.
-    DeadlinePtr budget = MakeDeadline(impl_->pass_deadline_seconds);
+    DeadlinePtr budget = MakeDeadline(options_.pass_deadline_seconds);
     ScopedPassDeadline scope(
-        impl_->pass_deadline_seconds > 0.0 ? budget : nullptr);
-    if (impl_->pass_deadline_seconds > 0.0) {
+        options_.pass_deadline_seconds > 0.0 ? budget : nullptr);
+    if (options_.pass_deadline_seconds > 0.0) {
       std::lock_guard<std::mutex> wlock(impl_->watchdog_mu);
       impl_->active_passes[t.id] = budget;
     }
@@ -811,7 +759,7 @@ Result<int64_t> FleetServer::Drain() {
       impl_->append_errors.fetch_add(1, std::memory_order_relaxed);
       Instruments().append_errors->Increment();
     }
-    if (impl_->pass_deadline_seconds > 0.0) {
+    if (options_.pass_deadline_seconds > 0.0) {
       std::lock_guard<std::mutex> wlock(impl_->watchdog_mu);
       impl_->active_passes.erase(t.id);
       if (budget->Expired()) {
@@ -836,7 +784,6 @@ Result<int64_t> FleetServer::Drain() {
       // One observation of the mean per-pass latency for this slice.
       const double per_pass = elapsed / static_cast<double>(item.passes_run);
       Instruments().pass_seconds->Observe(per_pass);
-      if (t.pass_hist != nullptr) t.pass_hist->Observe(per_pass);
     }
     // Slide the QoS window by the outcomes this drain produced — failed
     // passes plus chunk-level errors — then move the rung. This is how an
@@ -846,48 +793,30 @@ Result<int64_t> FleetServer::Drain() {
               options_);
   };
 
-  ThreadPool* pool = DefaultPool();
-  // Inside a pool task every nested RunChunks is inline anyway — one lane.
-  const int64_t lanes =
-      CurrentTaskPool() == pool ? 1 : pool->num_threads();
+  // One task per tenant. A lone tenant's one-chunk batch runs inline on
+  // this thread, so its pass's inner ParallelFors spread across the pool;
+  // inside a task they run inline.
+  ParallelFor(0, static_cast<int64_t>(claimed.size()), 1,
+              [&](int64_t begin, int64_t end) {
+                for (int64_t i = begin; i < end; ++i) run_tenant(claimed[i]);
+              });
   int64_t total_passes = 0;
-  for (auto& [buffer_length, group] : groups) {
-    const auto strategy = ChooseExecutionStrategy(
-        buffer_length, static_cast<int64_t>(group.size()), lanes, options_);
-    if (strategy == ExecutionStrategy::kSingleCoreInline) {
-      impl_->single_core_groups.fetch_add(1, std::memory_order_relaxed);
-      Instruments().single_core_groups->Increment();
-      // One tenant per chunk; inner ParallelFors collapse inline.
-      ParallelFor(
-          0, static_cast<int64_t>(group.size()), 1,
-          [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) run_tenant(group[i]);
-          },
-          pool);
-    } else {
-      impl_->multi_core_groups.fetch_add(1, std::memory_order_relaxed);
-      Instruments().multi_core_groups->Increment();
-      for (DrainItem& item : group) run_tenant(item);
-    }
-    int64_t group_passes = 0;
-    int64_t group_chunks = 0;
-    int64_t group_points = 0;
-    for (const DrainItem& item : group) {
-      group_passes += item.passes_run;
-      group_chunks += item.chunk_count;
-      group_points += item.point_count;
-    }
-    total_passes += group_passes;
-    if (group.size() >= 2) {
-      impl_->batched_detects.fetch_add(static_cast<uint64_t>(group_passes),
-                                       std::memory_order_relaxed);
-      Instruments().batched_detects->Increment(
-          static_cast<uint64_t>(group_passes));
-    }
-    impl_->queue_chunks.fetch_sub(group_chunks, std::memory_order_relaxed);
-    impl_->queue_points.fetch_sub(group_points, std::memory_order_relaxed);
-    Instruments().queue_depth->Add(-static_cast<double>(group_chunks));
+  int64_t total_chunks = 0;
+  int64_t total_points = 0;
+  for (const DrainItem& item : claimed) {
+    total_passes += item.passes_run;
+    total_chunks += item.chunk_count;
+    total_points += item.point_count;
   }
+  if (claimed.size() >= 2) {
+    impl_->batched_detects.fetch_add(static_cast<uint64_t>(total_passes),
+                                     std::memory_order_relaxed);
+    Instruments().batched_detects->Increment(
+        static_cast<uint64_t>(total_passes));
+  }
+  impl_->queue_chunks.fetch_sub(total_chunks, std::memory_order_relaxed);
+  impl_->queue_points.fetch_sub(total_points, std::memory_order_relaxed);
+  Instruments().queue_depth->Add(-static_cast<double>(total_chunks));
 
   // Snapshot cadence: a drained tenant that has run enough passes since
   // its last hand-off, or whose last write failed, hands its state to the
@@ -895,18 +824,16 @@ Result<int64_t> FleetServer::Drain() {
   // the previous snapshot; the WAL is never truncated, so a snapshot that
   // lags only lengthens replay.
   if (!options_.durability.dir.empty()) {
-    for (auto& [buffer_length, group] : groups) {
-      for (DrainItem& item : group) {
-        TenantState& t = *item.tenant;
-        std::lock_guard<std::mutex> lock(t.state_mu);
-        const int64_t lifetime = t.stream.passes() + t.stream.failed_passes();
-        if (!t.snapshot_failed &&
-            lifetime - t.passes_at_last_snapshot <
-                options_.durability.snapshot_every_passes) {
-          continue;
-        }
-        impl_->HandOffSnapshot(item.tenant);
+    for (DrainItem& item : claimed) {
+      TenantState& t = *item.tenant;
+      std::lock_guard<std::mutex> lock(t.state_mu);
+      const int64_t lifetime = t.stream.passes() + t.stream.failed_passes();
+      if (!t.snapshot_failed &&
+          lifetime - t.passes_at_last_snapshot <
+              options_.durability.snapshot_every_passes) {
+        continue;
       }
+      impl_->HandOffSnapshot(item.tenant);
     }
   }
   return total_passes;
@@ -977,17 +904,9 @@ Result<RecoveryReport> FleetServer::Recover(ModelRegistry* registry) {
     streaming.hop = entry.hop;
     streaming.incremental = entry.incremental;
     auto tenant = std::make_shared<TenantState>(std::move(model).value(),
-                                                streaming);
+                                                streaming, options_);
     tenant->id = entry.id;
     tenant->model_key = entry.model_key;
-    tenant->max_pending_points =
-        options_.max_pending_points_per_tenant > 0
-            ? options_.max_pending_points_per_tenant
-            : 8 * tenant->stream.buffer_length();
-    if (options_.per_tenant_histograms) {
-      tenant->pass_hist = metrics::Registry::Global().histogram(
-          "serve.tenant." + std::to_string(entry.id) + ".pass_seconds");
-    }
 
     // Snapshot: restored when its checksum holds; otherwise recovery falls
     // back to replaying the whole WAL from an empty stream (the WAL is
@@ -1142,10 +1061,6 @@ FleetStats FleetServer::stats() const {
   s.passes = impl_->passes.load(std::memory_order_relaxed);
   s.failed_passes = impl_->failed_passes.load(std::memory_order_relaxed);
   s.batched_detects = impl_->batched_detects.load(std::memory_order_relaxed);
-  s.single_core_groups =
-      impl_->single_core_groups.load(std::memory_order_relaxed);
-  s.multi_core_groups =
-      impl_->multi_core_groups.load(std::memory_order_relaxed);
   s.append_errors = impl_->append_errors.load(std::memory_order_relaxed);
   s.wal_records = impl_->wal_records.load(std::memory_order_relaxed);
   s.wal_failures = impl_->wal_failures.load(std::memory_order_relaxed);

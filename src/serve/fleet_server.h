@@ -22,30 +22,6 @@ namespace triad::serve {
 /// timeline bit-identical to the same tenant run standalone — serving is a
 /// scheduling layer, never a behaviour layer (tests/serve_test.cc).
 
-/// \brief How one drained batch of tenant passes is mapped onto the pool
-/// (the tt-metal BcastOpParallelizationStrategy pattern: an explicit
-/// strategy enum chosen per request from the work's shape and the
-/// machine's state, not hard-coded).
-///
-///  * kSingleCoreInline — tenants fan out across pool lanes, one tenant
-///    per lane; each pass's inner ParallelFors collapse inline (nested
-///    RunChunks run serially inside a pool task). Right when many short
-///    buffers are ready: tenant-level parallelism saturates the lanes.
-///  * kMultiCoreSharded — tenants run one after another on the calling
-///    thread; each pass's inner ParallelFors shard across the whole pool.
-///    Right when a few long buffers are ready: intra-pass parallelism is
-///    the only parallelism there is.
-///
-/// Either strategy yields bit-identical per-tenant results (every inner
-/// decomposition is thread-count-invariant, ARCHITECTURE.md §3); the
-/// choice moves only wall-clock time.
-struct ExecutionStrategy {
-  enum Enum { kSingleCoreInline = 0, kMultiCoreSharded = 1 };
-  static const std::vector<Enum>& all();
-};
-
-const char* ToString(ExecutionStrategy::Enum strategy);
-
 /// \brief Admission verdict for one Ingest call (the fleet-level face of
 /// the repair→degrade→reject ladder, ARCHITECTURE.md §5/§9).
 ///
@@ -89,22 +65,17 @@ struct FleetOptions {
   /// back clean can climb down the ladder instead of starving forever.
   int64_t probation_interval = 4;
 
-  /// Strategy rule: a ready group whose buffers are at least this long
-  /// runs kMultiCoreSharded when the group alone cannot fill the pool.
-  int64_t multi_core_min_buffer = 4096;
-
   /// Crash safety (ARCHITECTURE.md §10): set `durability.dir` to persist
   /// every tenant as snapshot + WAL and enable Recover()/Checkpoint().
   DurabilityOptions durability;
 
   /// Wall-clock budget for one tenant's Drain slice, enforced by the
   /// cooperative checkpoints inside Detect (common/deadline.h). 0 = no
-  /// budget. The TRIAD_PASS_DEADLINE environment variable (seconds)
-  /// overrides this at construction. An over-budget pass fails with
-  /// DeadlineExceeded, which counts as a failed pass on the QoS ladder —
-  /// a tenant that keeps blowing its budget degrades, then rejects,
-  /// without ever stalling the drain. A watchdog thread additionally
-  /// cancels passes that stopped reaching time checkpoints.
+  /// budget. An over-budget pass fails with DeadlineExceeded, which counts
+  /// as a failed pass on the QoS ladder — a tenant that keeps blowing its
+  /// budget degrades, then rejects, without ever stalling the drain. A
+  /// watchdog thread additionally cancels passes that stopped reaching
+  /// time checkpoints.
   double pass_deadline_seconds = 0.0;
 
   /// Transient failures (Status::IsTransient — e.g. a WAL write hitting a
@@ -114,26 +85,7 @@ struct FleetOptions {
   int64_t max_transient_retries = 3;
   /// First retry's backoff; doubles per retry, capped at 100ms.
   double retry_backoff_seconds = 0.001;
-
-  /// Registers a `serve.tenant.<id>.pass_seconds` histogram per tenant,
-  /// evicted from the exporters when the tenant is removed. Off by default:
-  /// per-tenant series make export cardinality grow with the tenant count
-  /// (4096 tenants = 4096 histogram series in every ExportText /
-  /// ExportJsonMembers / bench JSON), which is a cost only debugging
-  /// sessions should opt into. The fleet-wide `serve.pass_seconds`
-  /// histogram is always maintained.
-  bool per_tenant_histograms = false;
 };
-
-/// Chooses the execution strategy for one same-shape group of ready
-/// tenant passes: kSingleCoreInline unless the buffers are long
-/// (>= options.multi_core_min_buffer) and the group is too small to fill
-/// the pool's lanes — then intra-pass sharding is the better use of the
-/// machine. A group of one always shards (there is nothing to batch).
-ExecutionStrategy::Enum ChooseExecutionStrategy(int64_t buffer_length,
-                                                int64_t ready_tenants,
-                                                int64_t pool_lanes,
-                                                const FleetOptions& options);
 
 /// \brief Per-tenant options at registration time.
 struct TenantOptions {
@@ -164,9 +116,7 @@ struct FleetStats {
   uint64_t rejected = 0;
   uint64_t passes = 0;         ///< clean inference passes across the fleet
   uint64_t failed_passes = 0;  ///< sanitize-rejected (gap) passes
-  uint64_t batched_detects = 0;  ///< passes run inside a >=2-tenant batch
-  uint64_t single_core_groups = 0;
-  uint64_t multi_core_groups = 0;
+  uint64_t batched_detects = 0;  ///< passes of drains that scored >=2 tenants
   uint64_t append_errors = 0;  ///< Append returned a hard error (bug-class)
 
   // Fault-tolerance counters (ARCHITECTURE.md §10).
@@ -262,10 +212,12 @@ void ClearServeTestHooks();
 ///    only the tenant's pending queue (its own mutex) and fleet-level
 ///    atomics, so a slow tenant cannot stall another tenant's producers.
 ///  * Drain is serialized (concurrent calls queue on an internal mutex).
-///    One drain snapshots every tenant's pending chunks, groups the ready
-///    tenants by buffer shape, picks an ExecutionStrategy per group and
-///    feeds each tenant's chunks — in ingest order — through its
-///    StreamingTriad on the shared DefaultPool().
+///    One drain snapshots every tenant's pending chunks and runs one
+///    ParallelFor over the ready tenants on the shared DefaultPool(), one
+///    tenant per task, feeding each tenant's chunks — in ingest order —
+///    through its StreamingTriad. Inside a task the pass's own
+///    ParallelFors run inline; a drain with one ready tenant runs that
+///    tenant on the calling thread, so its pass spreads across the pool.
 ///  * AddTenant/RemoveTenant may interleave with both; a tenant removed
 ///    mid-drain finishes its in-flight pass and is destroyed afterwards.
 ///  * A durable fleet owns one snapshot writer lane, a thread started
@@ -319,8 +271,8 @@ class FleetServer {
   Result<IngestStatus> Ingest(int64_t id, const std::vector<double>& points);
 
   /// \brief Scores everything pending; returns inference passes executed
-  /// (clean + failed). Same-shape tenant groups fan out per the chosen
-  /// ExecutionStrategy; per-tenant chunks apply in ingest order.
+  /// (clean + failed). Ready tenants fan out across the pool, one task
+  /// each; per-tenant chunks apply in ingest order.
   ///
   /// On a durable fleet, each drained tenant that has run
   /// `durability.snapshot_every_passes` passes since its last snapshot

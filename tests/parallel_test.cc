@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
@@ -223,6 +224,89 @@ TEST(ParallelMapReduceTest, EmptyRangeReturnsInit) {
       int64_t{3}, int64_t{3}, 1, 99, [](int64_t, int64_t) { return 0; },
       [](int a, int b) { return a + b; });
   EXPECT_EQ(v, 99);
+}
+
+// ---------- overlapping external callers ----------
+//
+// Batches from different external threads share one pool: each caller
+// runs and waits for its own batch, so results, chunk coverage and
+// exceptions stay per caller.
+
+TEST(ThreadPoolTest, OverlappingExternalCallersStayExact) {
+  const std::vector<double> x = RandomDoubles(4096, 7);
+  ThreadPool serial(1);
+  const double expected = MapReduceSum(x, 64, &serial);
+  ThreadPool pool(4);
+  constexpr int kRounds = 200;
+  constexpr int64_t kChunks = 16;
+  struct CallerLog {
+    std::vector<std::atomic<int>> hits =
+        std::vector<std::atomic<int>>(kRounds * kChunks);
+    std::vector<double> sums = std::vector<double>(kRounds);
+    std::vector<std::string> caught;
+  };
+  CallerLog logs[2];
+  // Caller 0 also runs a batch whose chunk 3 throws every tenth round.
+  const auto run = [&](int caller) {
+    CallerLog& log = logs[caller];
+    for (int r = 0; r < kRounds; ++r) {
+      try {
+        log.sums[static_cast<size_t>(r)] = MapReduceSum(x, 64, &pool);
+        pool.RunChunks(kChunks, [&](int64_t c) {
+          log.hits[static_cast<size_t>(r * kChunks + c)]++;
+        });
+        if (caller == 0 && r % 10 == 0) {
+          pool.RunChunks(kChunks, [&](int64_t c) {
+            if (c == 3) throw std::runtime_error("caller 0");
+          });
+        }
+      } catch (const std::exception& e) {
+        log.caught.push_back(e.what());
+      }
+    }
+  };
+  std::thread first(run, 0);
+  std::thread second(run, 1);
+  first.join();
+  second.join();
+  for (const CallerLog& log : logs) {
+    for (const auto& h : log.hits) EXPECT_EQ(h.load(), 1);
+    for (double sum : log.sums) EXPECT_EQ(sum, expected);
+  }
+  EXPECT_EQ(logs[0].caught,
+            std::vector<std::string>(kRounds / 10, "caller 0"));
+  EXPECT_TRUE(logs[1].caught.empty());
+}
+
+// A second external caller must not wait for the first caller's batch:
+// a chunk of A's batch waits (10 s at most) for a flag only a chunk of
+// B's batch sets.
+TEST(ThreadPoolTest, SecondCallerRunsWhileFirstBatchIsInFlight) {
+  ThreadPool pool(4);
+  std::atomic<bool> a_waiting{false};
+  std::atomic<bool> b_ran{false};
+  bool a_saw_b = false;
+  std::thread a([&] {
+    pool.RunChunks(2, [&](int64_t c) {
+      if (c != 0) return;
+      a_waiting = true;
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!b_ran && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      a_saw_b = b_ran;
+    });
+  });
+  std::thread b([&] {
+    while (!a_waiting) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    pool.RunChunks(2, [&](int64_t) { b_ran = true; });
+  });
+  a.join();
+  b.join();
+  EXPECT_TRUE(a_saw_b);
 }
 
 // ---------- grain clamping (regression) ----------

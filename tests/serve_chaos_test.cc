@@ -857,7 +857,7 @@ TEST(ServeChaosIsolationTest, ThrowingTenantDoesNotSkipItsBatchedGroup) {
         fleet.Ingest(ids[static_cast<size_t>(t)], feeds[static_cast<size_t>(t)])
             .ok());
   }
-  // All four tenants share one buffer shape, hence one batched group.
+  // All four tenants are ready, so one drain scores them in one batch.
   ASSERT_TRUE(fleet.Drain().ok());
   ClearServeTestHooks();
 

@@ -94,37 +94,6 @@ void ExpectMatchesStandalone(const TenantSnapshot& snap,
   }
 }
 
-TEST(ExecutionStrategyTest, EnumeratesBothStrategies) {
-  ASSERT_EQ(ExecutionStrategy::all().size(), 2u);
-  EXPECT_EQ(ExecutionStrategy::all()[0], ExecutionStrategy::kSingleCoreInline);
-  EXPECT_EQ(ExecutionStrategy::all()[1], ExecutionStrategy::kMultiCoreSharded);
-  EXPECT_STREQ(ToString(ExecutionStrategy::kSingleCoreInline),
-               "single_core_inline");
-  EXPECT_STREQ(ToString(ExecutionStrategy::kMultiCoreSharded),
-               "multi_core_sharded");
-}
-
-TEST(ExecutionStrategyTest, ChooserFollowsShapeAndLoad) {
-  FleetOptions options;  // multi_core_min_buffer = 4096
-  // A group of one always shards: there is no tenant-level parallelism.
-  EXPECT_EQ(ChooseExecutionStrategy(128, 1, 8, options),
-            ExecutionStrategy::kMultiCoreSharded);
-  EXPECT_EQ(ChooseExecutionStrategy(1 << 20, 1, 8, options),
-            ExecutionStrategy::kMultiCoreSharded);
-  // Many short buffers fan out across lanes.
-  EXPECT_EQ(ChooseExecutionStrategy(128, 64, 8, options),
-            ExecutionStrategy::kSingleCoreInline);
-  // Few long buffers shard each pass across the pool.
-  EXPECT_EQ(ChooseExecutionStrategy(8192, 2, 8, options),
-            ExecutionStrategy::kMultiCoreSharded);
-  // Enough long buffers to fill the lanes batch anyway.
-  EXPECT_EQ(ChooseExecutionStrategy(8192, 8, 8, options),
-            ExecutionStrategy::kSingleCoreInline);
-  // Long buffers on a one-lane pool: sharding buys nothing.
-  EXPECT_EQ(ChooseExecutionStrategy(8192, 4, 1, options),
-            ExecutionStrategy::kSingleCoreInline);
-}
-
 TEST(FleetServerTest, AddTenantValidatesItsArguments) {
   FleetServer fleet;
   EXPECT_EQ(fleet.AddTenant(nullptr).status().code(),
@@ -184,19 +153,34 @@ TEST(FleetServerTest, WarmStartFromCheckpointMatchesStandalone) {
   EXPECT_GT(snap->passes, 0);
 }
 
-// The tentpole invariant (ISSUE satellite 1): every tenant in a 64-tenant
-// fleet — interleaved ingest, batched drains — produces the timeline its
-// detector+series would produce standalone, bit-identically, on both SIMD
-// tiers and at 1 vs N pool threads.
+// The fleet contract: every tenant in a 64-tenant fleet — interleaved
+// ingest, batched drains — produces the timeline its detector+series would
+// produce standalone, bit-identically, on both SIMD tiers and at 1 vs N
+// pool threads. Odd tenants run 6-window buffers, so every drain batches
+// two buffer shapes; tenant 0's feed runs three chunks past everyone
+// else's, so the last drains score it alone, on the draining thread, with
+// its pass spread across the pool.
 TEST(FleetServerTest, TenantIsolationBitIdenticalAcrossTiersAndThreads) {
   constexpr int kTenants = 64;
+  constexpr size_t kChunk = 37;
+  constexpr size_t kTrainTail = 200;  // lets 6-window buffers fill too
   auto detector = SharedDetector();
   std::vector<std::vector<double>> feeds;
+  std::vector<core::StreamingOptions> options(kTenants);
   feeds.reserve(kTenants);
   for (int t = 0; t < kTenants; ++t) {
-    feeds.push_back(SmallDataset(100 + static_cast<uint64_t>(t)).test);
+    const data::UcrDataset ds = SmallDataset(100 + static_cast<uint64_t>(t));
+    const size_t tail = kTrainTail + (t == 0 ? 3 * kChunk : 0);
+    std::vector<double> feed(ds.train.end() - static_cast<long>(tail),
+                             ds.train.end());
+    feed.insert(feed.end(), ds.test.begin(), ds.test.end());
+    feeds.push_back(std::move(feed));
+    if (t % 2 == 1) options[t].buffer_length = 6 * detector->window_length();
   }
 
+  metrics::ScopedEnable metrics_on(true);
+  metrics::Counter* pool_batches =
+      metrics::Registry::Global().counter("parallel.batches");
   for (simd::Level level :
        {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
     simd::ScopedForceLevel force(level);
@@ -205,8 +189,7 @@ TEST(FleetServerTest, TenantIsolationBitIdenticalAcrossTiersAndThreads) {
     std::vector<StandaloneRun> refs;
     refs.reserve(kTenants);
     for (int t = 0; t < kTenants; ++t) {
-      refs.push_back(
-          RunStandalone(*detector, feeds[t], core::StreamingOptions()));
+      refs.push_back(RunStandalone(*detector, feeds[t], options[t]));
       ASSERT_GT(refs.back().passes, 0);
     }
 
@@ -216,15 +199,19 @@ TEST(FleetServerTest, TenantIsolationBitIdenticalAcrossTiersAndThreads) {
       FleetServer fleet;
       std::vector<int64_t> ids;
       for (int t = 0; t < kTenants; ++t) {
-        auto id = fleet.AddTenant(detector);
+        TenantOptions tenant_options;
+        tenant_options.streaming = options[t];
+        auto id = fleet.AddTenant(detector, tenant_options);
         ASSERT_TRUE(id.ok());
         ids.push_back(*id);
       }
       // Interleave: round-robin odd-sized chunks with periodic drains so
       // tenants batch together mid-stream rather than one-shot.
-      const size_t kChunk = 37;
       bool remaining = true;
       size_t offset = 0;
+      bool others_ready = false;  // tenants 1.. ingested since a drain
+      uint64_t lone_passes = 0;
+      uint64_t lone_pool_batches = 0;
       while (remaining) {
         remaining = false;
         for (int t = 0; t < kTenants; ++t) {
@@ -238,10 +225,20 @@ TEST(FleetServerTest, TenantIsolationBitIdenticalAcrossTiersAndThreads) {
           ASSERT_TRUE(status.ok());
           ASSERT_EQ(*status, IngestStatus::kAccepted);
           remaining = true;
+          others_ready = others_ready || t > 0;
         }
         offset += kChunk;
         if ((offset / kChunk) % 2 == 0) {
+          const FleetStats before = fleet.stats();
+          const uint64_t batches_before = pool_batches->value();
           ASSERT_TRUE(fleet.Drain().ok());
+          const FleetStats after = fleet.stats();
+          if (!others_ready) {
+            lone_passes += after.passes - before.passes;
+            lone_pool_batches += pool_batches->value() - batches_before;
+            EXPECT_EQ(after.batched_detects, before.batched_detects);
+          }
+          others_ready = false;
         }
       }
       ASSERT_TRUE(fleet.Drain().ok());
@@ -256,9 +253,13 @@ TEST(FleetServerTest, TenantIsolationBitIdenticalAcrossTiersAndThreads) {
                 " threads=" + std::to_string(threads) +
                 " tenant=" + std::to_string(t));
       }
-      // With 64 same-shape tenants the drains must actually have batched.
+      // The drains scored many tenants at once, and then tenant 0 alone.
       EXPECT_GT(fleet.stats().batched_detects, 0u);
-      EXPECT_GT(fleet.stats().single_core_groups, 0u);
+      EXPECT_GT(lone_passes, 0u);
+      // Alone, tenant 0's pass fans its own stages out over the lanes.
+      if (threads > 1) {
+        EXPECT_GT(lone_pool_batches, 0u);
+      }
     }
   }
 }
