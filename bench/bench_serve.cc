@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -220,10 +219,9 @@ int RunJsonMode() {
   }
 
   // ---- crash-recovery phase (ARCHITECTURE.md §10) ----
-  // A durable cohort served with WAL + snapshots, two injected transient
-  // faults (exercising the retry counter), then killed mid-stream with one
-  // tenant's WAL bit-flipped — Recover() must quarantine exactly that
-  // tenant and rebuild every other timeline bit-identically.
+  // A durable cohort served with WAL + snapshots, then killed mid-stream
+  // with one tenant's WAL bit-flipped — Recover() must quarantine exactly
+  // that tenant and rebuild every other timeline bit-identically.
   const int64_t durable_tenants =
       std::min<int64_t>(tenants, GetEnvInt("TRIAD_BENCH_SERVE_DURABLE", 64));
   // Whole chunks, and at least one buffer plus a few hops: the drained
@@ -255,14 +253,6 @@ int RunJsonMode() {
   FleetStats killed_stats;
   {
     FleetServer durable(durable_options);
-    std::atomic<int64_t> injected{0};
-    ServeTestHooks hooks;
-    hooks.before_append = [&injected](int64_t) -> Status {
-      return injected.fetch_add(1) < 2
-                 ? Status::Unavailable("bench-injected transient fault")
-                 : Status::OK();
-    };
-    SetServeTestHooks(hooks);
     for (int64_t t = 0; t < durable_tenants; ++t) {
       auto model = registry.Get("fleet-model");
       TRIAD_CHECK(model.ok());
@@ -290,9 +280,8 @@ int RunJsonMode() {
       }
     }
     // The writer lane may still hold snapshots the drains handed it: wait
-    // for them before the hooks change and before counting them.
+    // for them before counting them.
     TRIAD_CHECK(durable.FlushSnapshots().ok());
-    ClearServeTestHooks();
     killed_stats = durable.stats();
     // Killed here: the fleet object is abandoned with chunks still queued.
   }
@@ -338,14 +327,11 @@ int RunJsonMode() {
       {"verified_tenants", static_cast<double>(tenants)},
       // Crash-recovery phase (ARCHITECTURE.md §10). The registry dump in
       // this record carries the matching instruments (the
-      // serve.recovery_seconds histogram, serve.quarantined_tenants,
-      // serve.transient_retries, ...).
+      // serve.recovery_seconds histogram, serve.quarantined_tenants, ...).
       {"durable_tenants", static_cast<double>(durable_tenants)},
       {"durable_points_per_tenant", static_cast<double>(durable_points)},
       {"wal_records", static_cast<double>(killed_stats.wal_records)},
       {"snapshots", static_cast<double>(killed_stats.snapshots)},
-      {"transient_retries",
-       static_cast<double>(killed_stats.transient_retries)},
       {"recovery_seconds", report->recovery_seconds},
       {"recovered_tenants", static_cast<double>(report->tenants_recovered)},
       {"chunks_replayed", static_cast<double>(report->chunks_replayed)},

@@ -1,43 +1,27 @@
 #include "common/deadline.h"
 
-#include <utility>
-
 namespace triad {
 namespace {
 
-thread_local DeadlinePtr tls_deadline;
+thread_local PassDeadline tls_deadline = kNoPassDeadline;
 
 }  // namespace
 
-DeadlinePtr MakeDeadline(double seconds) {
-  auto state = std::make_shared<DeadlineState>();
-  if (seconds > 0.0) {
-    state->deadline = std::chrono::steady_clock::now() +
-                      std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(seconds));
-  }
-  return state;
-}
-
-const DeadlinePtr& CurrentPassDeadline() { return tls_deadline; }
+PassDeadline CurrentPassDeadline() { return tls_deadline; }
 
 Status CheckPassDeadline() {
-  const DeadlinePtr& d = tls_deadline;
-  if (d == nullptr || !d->Expired()) return Status::OK();
-  return Status::DeadlineExceeded(
-      d->cancelled.load(std::memory_order_acquire)
-          ? "pass cancelled by watchdog"
-          : "pass ran past its deadline budget");
+  if (tls_deadline == kNoPassDeadline ||
+      std::chrono::steady_clock::now() < tls_deadline) {
+    return Status::OK();
+  }
+  return Status::DeadlineExceeded("pass ran past its deadline budget");
 }
 
-ScopedPassDeadline::ScopedPassDeadline(DeadlinePtr deadline)
-    : previous_(std::move(tls_deadline)) {
-  tls_deadline = std::move(deadline);
+ScopedPassDeadline::ScopedPassDeadline(PassDeadline deadline)
+    : previous_(tls_deadline) {
+  tls_deadline = deadline;
 }
 
-ScopedPassDeadline::~ScopedPassDeadline() {
-  tls_deadline = std::move(previous_);
-}
+ScopedPassDeadline::~ScopedPassDeadline() { tls_deadline = previous_; }
 
 }  // namespace triad

@@ -1,9 +1,7 @@
 #ifndef TRIAD_COMMON_DEADLINE_H_
 #define TRIAD_COMMON_DEADLINE_H_
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 
 #include "common/status.h"
 
@@ -14,66 +12,51 @@ namespace triad {
 /// A Detect pass is a long, loop-shaped computation; nothing in it blocks
 /// forever, but a pathological buffer (or an injected fault) can make one
 /// pass eat a whole drain's budget. The deadline layer bounds that
-/// cooperatively: the caller installs a DeadlineState for the duration of
+/// cooperatively: the caller installs a PassDeadline for the duration of
 /// the pass, the pass's loops call CheckPassDeadline() at their natural
-/// checkpoints (stage boundaries, once per MERLIN length), and an expired
-/// or externally cancelled deadline surfaces as Status::DeadlineExceeded —
-/// an ordinary recoverable error, handled exactly like a sanitize
-/// rejection (the span becomes a timeline gap; the QoS ladder sees a
-/// failed pass).
+/// checkpoints (stage boundaries, once per discord length), and a
+/// checkpoint reached at or past the deadline surfaces as
+/// Status::DeadlineExceeded — an ordinary recoverable error, handled
+/// exactly like a sanitize rejection (the span becomes a timeline gap; the
+/// QoS ladder sees a failed pass).
 ///
-/// Two triggers, one mechanism:
-///  * **time** — `deadline` is a steady_clock instant; checkpoints compare
-///    against it, so a self-measuring pass aborts itself.
-///  * **cancellation** — `cancelled` is an atomic any thread may set; the
-///    serve watchdog uses it to cut loose a pass that stopped reaching
-///    time checkpoints (e.g. stuck inside injected chaos), without ever
-///    killing a thread.
+/// A deadline is a steady_clock instant and nothing else: steady_clock is
+/// monotonic, so once a checkpoint sees the deadline passed, every later
+/// checkpoint does too. Nothing stops a pass between checkpoints.
 ///
 /// Propagation: the thread-local current deadline is captured by
 /// ThreadPool::RunChunks when a batch is published and re-installed on
 /// every worker lane for the batch's duration, so checkpoints inside
 /// ParallelFor/ParallelMapReduce bodies observe the submitting pass's
 /// budget (common/parallel.cc).
-struct DeadlineState {
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-  std::atomic<bool> cancelled{false};
+using PassDeadline = std::chrono::steady_clock::time_point;
 
-  bool Expired() const {
-    return cancelled.load(std::memory_order_acquire) ||
-           std::chrono::steady_clock::now() >= deadline;
-  }
-};
+/// The "no deadline" value: a checkpoint never reaches it.
+inline constexpr PassDeadline kNoPassDeadline = PassDeadline::max();
 
-using DeadlinePtr = std::shared_ptr<DeadlineState>;
+/// The deadline governing the calling thread's current pass, or
+/// kNoPassDeadline.
+PassDeadline CurrentPassDeadline();
 
-/// A deadline `seconds` from now (seconds <= 0 means no time bound — the
-/// state is still cancellable).
-DeadlinePtr MakeDeadline(double seconds);
-
-/// The deadline governing the calling thread's current pass, or nullptr.
-const DeadlinePtr& CurrentPassDeadline();
-
-/// OK when no deadline is installed or the installed one has not expired;
-/// Status::DeadlineExceeded otherwise. The cooperative checkpoint —
-/// cheap enough for per-stage / per-length call sites (one atomic load +
-/// one clock read).
+/// OK when no deadline is installed or the installed one lies in the
+/// future; Status::DeadlineExceeded once `now >= deadline`. The
+/// cooperative checkpoint — cheap enough for per-stage / per-length call
+/// sites (one thread-local read, plus one clock read under a deadline).
 Status CheckPassDeadline();
 
 /// \brief RAII installation of a pass deadline on the calling thread.
 /// Scopes nest; each restores the previous deadline on destruction.
-/// Installing nullptr masks any outer deadline for the scope.
+/// Installing kNoPassDeadline masks any outer deadline for the scope.
 class ScopedPassDeadline {
  public:
-  explicit ScopedPassDeadline(DeadlinePtr deadline);
+  explicit ScopedPassDeadline(PassDeadline deadline);
   ~ScopedPassDeadline();
 
   ScopedPassDeadline(const ScopedPassDeadline&) = delete;
   ScopedPassDeadline& operator=(const ScopedPassDeadline&) = delete;
 
  private:
-  DeadlinePtr previous_;
+  PassDeadline previous_;
 };
 
 }  // namespace triad

@@ -56,7 +56,7 @@ struct ThreadPool::Batch {
   // The submitting thread's pass deadline, re-installed on every worker
   // lane for the batch's duration so cooperative checkpoints inside task
   // bodies observe the same budget as the caller (common/deadline.h).
-  DeadlinePtr deadline;
+  PassDeadline deadline = kNoPassDeadline;
 
   std::mutex mu;
   std::condition_variable done_cv;

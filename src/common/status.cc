@@ -31,10 +31,6 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
-bool IsTransient(StatusCode code) {
-  return code == StatusCode::kUnavailable;
-}
-
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeToString(code_);

@@ -27,23 +27,6 @@ enum class StatusCode {
 /// \brief Returns a human-readable name for a status code ("InvalidArgument"...).
 const char* StatusCodeToString(StatusCode code);
 
-/// \brief Transient-vs-permanent error taxonomy (ARCHITECTURE.md §10).
-///
-/// A *transient* failure is one where retrying the identical operation can
-/// legitimately succeed — the failure came from momentary resource state,
-/// not from the operation's inputs. Retry loops (serve::FleetServer's drain)
-/// retry transient failures with capped exponential backoff and treat
-/// everything else as permanent.
-///
-///  * kUnavailable — transient by definition (queue full, allocation
-///    failure, resource momentarily gone).
-///  * kDeadlineExceeded — NOT transient: an immediate retry would burn the
-///    same budget again. Deadline overruns are handled by the QoS ladder
-///    (degrade the tenant), not by retry.
-///  * kDataLoss / kIoError / the argument-shaped codes — permanent: the
-///    bytes or the inputs are wrong and will stay wrong.
-bool IsTransient(StatusCode code);
-
 /// \brief A success-or-error outcome carrying a code and message.
 class Status {
  public:
@@ -82,9 +65,6 @@ class Status {
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
-  /// True when retrying the identical operation may succeed; see
-  /// triad::IsTransient.
-  bool IsTransient() const { return ::triad::IsTransient(code_); }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 

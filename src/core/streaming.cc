@@ -18,10 +18,6 @@ struct StreamingMetrics {
       metrics::Registry::Global().gauge("streaming.buffered_samples");
   metrics::Gauge* gaps =
       metrics::Registry::Global().gauge("streaming.gaps");
-  metrics::Gauge* buffer_mean =
-      metrics::Registry::Global().gauge("streaming.buffer_mean");
-  metrics::Gauge* buffer_stddev =
-      metrics::Registry::Global().gauge("streaming.buffer_stddev");
   metrics::Counter* passes =
       metrics::Registry::Global().counter("streaming.passes");
   metrics::Counter* failed_passes =
@@ -45,58 +41,10 @@ StreamingMetrics& Instruments() {
 
 }  // namespace
 
-RollingStatsRing::RollingStatsRing(int64_t capacity)
-    : capacity_(std::max<int64_t>(1, capacity)) {
-  ring_.reserve(static_cast<size_t>(capacity_));
-}
-
-void RollingStatsRing::Push(double value) {
-  if (static_cast<int64_t>(ring_.size()) == capacity_) {
-    const double old = ring_[static_cast<size_t>(next_)];
-    if (std::isfinite(old)) {
-      sum_ -= old;
-      sum_sq_ -= old * old;
-    } else {
-      --nonfinite_;
-    }
-    ring_[static_cast<size_t>(next_)] = value;
-    next_ = (next_ + 1) % capacity_;
-  } else {
-    ring_.push_back(value);
-  }
-  if (std::isfinite(value)) {
-    sum_ += value;
-    sum_sq_ += value * value;
-  } else {
-    ++nonfinite_;
-  }
-}
-
-double RollingStatsRing::nonfinite_fraction() const {
-  return ring_.empty() ? 0.0
-                       : static_cast<double>(nonfinite_) /
-                             static_cast<double>(ring_.size());
-}
-
-double RollingStatsRing::mean() const {
-  const int64_t finite = size() - nonfinite_;
-  return finite > 0 ? sum_ / static_cast<double>(finite) : 0.0;
-}
-
-double RollingStatsRing::stddev() const {
-  const int64_t finite = size() - nonfinite_;
-  if (finite <= 0) return 0.0;
-  const double mu = sum_ / static_cast<double>(finite);
-  const double var = sum_sq_ / static_cast<double>(finite) - mu * mu;
-  return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
 StreamingTriad::StreamingTriad(const TriadDetector* detector,
                                StreamingOptions options)
     : detector_(detector),
       incremental_(options.incremental),
-      // Ring capacity set below once buffer_length_ is known.
-      ring_(1),
       stream_uid_(NextStreamUid()) {
   TRIAD_CHECK(detector != nullptr);  // null detector stays a programming error
   // Claim the memo for this stream up front: its global keys are only
@@ -111,7 +59,6 @@ StreamingTriad::StreamingTriad(const TriadDetector* detector,
   hop_ = options.hop > 0 ? options.hop
                          : std::max<int64_t>(1, detector->stride());
   buffer_.reserve(static_cast<size_t>(buffer_length_));
-  ring_ = RollingStatsRing(buffer_length_);
 }
 
 Result<std::vector<AlarmEvent>> StreamingTriad::Append(
@@ -120,11 +67,12 @@ Result<std::vector<AlarmEvent>> StreamingTriad::Append(
   for (double value : points) {
     // Slide the buffer.
     if (static_cast<int64_t>(buffer_.size()) == buffer_length_) {
+      if (!std::isfinite(buffer_.front())) --buffer_nonfinite_;
       buffer_.erase(buffer_.begin());
       ++buffer_global_start_;
     }
     buffer_.push_back(value);
-    ring_.Push(value);
+    if (!std::isfinite(value)) ++buffer_nonfinite_;
     ++total_points_;
     ++since_last_pass_;
     alarms_.push_back(0);
@@ -153,11 +101,12 @@ Result<std::vector<AlarmEvent>> StreamingTriad::Append(
     // non-finite fraction alone already exceeds max_damage_fraction, the
     // sanitizer must reject (its damage fraction is at least the
     // non-finite fraction), so the pass outcome is known without running
-    // Detect. The ring count is integer-exact, so this never skips a pass
-    // that could have scored. Guarded on a fitted detector so an unfitted
-    // one still surfaces FailedPrecondition below.
+    // Detect. The count is integer-exact, so this never skips a pass that
+    // could have scored. Guarded on a fitted detector so an unfitted one
+    // still surfaces FailedPrecondition below.
     if (incremental_ && detector_->window_length() > 0 &&
-        ring_.nonfinite_fraction() >
+        static_cast<double>(buffer_nonfinite_) /
+                static_cast<double>(buffer_.size()) >
             detector_->config().sanitize.max_damage_fraction) {
       Instruments().short_circuit_passes->Increment();
       record_gap();
@@ -220,8 +169,6 @@ Result<std::vector<AlarmEvent>> StreamingTriad::Append(
   }
 
   Instruments().buffered_samples->Set(static_cast<double>(buffer_.size()));
-  Instruments().buffer_mean->Set(ring_.mean());
-  Instruments().buffer_stddev->Set(ring_.stddev());
 
   // Merge adjacent/overlapping spans reported across passes.
   std::sort(new_events.begin(), new_events.end(),
@@ -285,11 +232,8 @@ Status StreamingTriad::RestoreState(const StreamingState& state) {
   buffer_ = state.buffer;
   alarms_ = state.alarms;
   gaps_ = state.gaps;
-  // The ring always mirrors the buffer exactly, so rebuilding it from the
-  // restored buffer reproduces the integer-exact non-finite count (the only
-  // ring output that feeds a control decision).
-  ring_ = RollingStatsRing(buffer_length_);
-  for (double value : buffer_) ring_.Push(value);
+  buffer_nonfinite_ = std::count_if(buffer_.begin(), buffer_.end(),
+                                    [](double v) { return !std::isfinite(v); });
   // The memo is a cache, not state: drop it and claim a fresh identity so
   // stale global keys from the pre-restore life cannot alias.
   memo_ = DetectMemo();

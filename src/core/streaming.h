@@ -59,46 +59,6 @@ struct StreamingOptions {
   bool incremental = true;
 };
 
-/// \brief O(1)-per-point rolling statistics over the last `capacity` stream
-/// samples (the streaming buffer's ring-buffer twin, ARCHITECTURE.md §8).
-///
-/// Maintains a running sum / sum-of-squares / non-finite count so buffer
-/// mean, standard deviation and damage fraction cost O(1) per appended
-/// point instead of an O(buffer) rescan per pass.
-///
-/// Exactness contract: `nonfinite_count()` is integer arithmetic and exact
-/// — it is the only output allowed to feed a control decision (the
-/// guaranteed-rejection short-circuit in StreamingTriad::Append).
-/// `mean()`/`stddev()` accumulate by running add/subtract, so they can
-/// drift a few ULPs from a fresh rescan over long streams; they feed
-/// observability gauges only, never computation (same discipline as the
-/// metrics layer, ARCHITECTURE.md §6). Non-finite samples contribute zero
-/// to the moment sums so one NaN cannot poison the gauges.
-class RollingStatsRing {
- public:
-  explicit RollingStatsRing(int64_t capacity);
-
-  /// Appends one sample, evicting the oldest once full.
-  void Push(double value);
-
-  int64_t size() const { return static_cast<int64_t>(ring_.size()); }
-  int64_t nonfinite_count() const { return nonfinite_; }
-  /// Fraction of current samples that are non-finite (0 when empty).
-  double nonfinite_fraction() const;
-  /// Mean / population stddev over the finite samples currently held
-  /// (0 when none). Observability-grade; see the exactness contract above.
-  double mean() const;
-  double stddev() const;
-
- private:
-  int64_t capacity_;
-  std::vector<double> ring_;  ///< grows to capacity_, then circular
-  int64_t next_ = 0;          ///< eviction slot once full
-  int64_t nonfinite_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-};
-
 /// \brief Online wrapper around a fitted TriadDetector for the real-time
 /// IIoT deployments the paper's related work targets (e.g. TinyAD).
 ///
@@ -143,9 +103,9 @@ class StreamingTriad {
   ///    recovers on its own as soon as a buffer scores clean again, with
   ///    no reset or flush required (gap recovery). In incremental mode a
   ///    pass whose buffer is *guaranteed* to reject (non-finite fraction
-  ///    alone already above SanitizeOptions::max_damage_fraction, tracked
-  ///    O(1) by a RollingStatsRing) records the gap without paying for the
-  ///    doomed Detect; the outcome is identical.
+  ///    alone already above SanitizeOptions::max_damage_fraction, counted
+  ///    O(1) per point) records the gap without paying for the doomed
+  ///    Detect; the outcome is identical.
   ///  * **Repaired-but-accepted pass**: scores normally; the repair count
   ///    feeds the streaming.sanitize_repairs counter. Such passes bypass
   ///    the memo (repaired content no longer equals raw stream content —
@@ -192,11 +152,11 @@ class StreamingTriad {
   /// (InvalidArgument on a state that could not have been produced by
   /// ExportState against this detector's geometry): the timeline must cover
   /// exactly `total_points`, the buffer must be the stream's tail and fit
-  /// `buffer_length()`, counters must be non-negative. The rolling stats
-  /// ring is rebuilt from the buffer (exact — ring contents are always
-  /// identical to buffer contents) and the memo is cleared and bound to a
-  /// fresh stream uid, so subsequent passes are bit-identical to an
-  /// uninterrupted stream's, at worst one warm-up pass slower.
+  /// `buffer_length()`, counters must be non-negative. The buffer's
+  /// non-finite count is recounted from the restored buffer and the memo
+  /// is cleared and bound to a fresh stream uid, so subsequent passes are
+  /// bit-identical to an uninterrupted stream's, at worst one warm-up pass
+  /// slower.
   Status RestoreState(const StreamingState& state);
 
  private:
@@ -212,9 +172,9 @@ class StreamingTriad {
   int64_t failed_passes_ = 0;
   std::vector<int> alarms_;
   std::vector<TimelineGap> gaps_;
-  RollingStatsRing ring_;  ///< O(1) buffer stats (incremental mode)
-  DetectMemo memo_;        ///< cross-pass caches (incremental mode)
-  uint64_t stream_uid_;    ///< from NextStreamUid(); memo_ is bound to it
+  int64_t buffer_nonfinite_ = 0;  ///< non-finite samples in buffer_
+  DetectMemo memo_;      ///< cross-pass caches (incremental mode)
+  uint64_t stream_uid_;  ///< from NextStreamUid(); memo_ is bound to it
 };
 
 }  // namespace triad::core

@@ -243,12 +243,6 @@ Var Relu(const Var& a) {
   });
 }
 
-Var LeakyRelu(const Var& a, float slope) {
-  return UnaryOp(
-      a, [slope](float x) { return x > 0 ? x : slope * x; },
-      [slope](float x, float) { return x > 0 ? 1.0f : slope; });
-}
-
 Var Sigmoid(const Var& a) {
   return UnaryOp(
       a,
@@ -764,19 +758,6 @@ Var L2NormalizeLastDim(const Var& a, float eps) {
 
 Var MseLoss(const Var& pred, const Var& target) {
   return MeanAll(Square(Sub(pred, target)));
-}
-
-Var LayerNormLastDim(const Var& a, const Var& gain, const Var& bias,
-                     float eps) {
-  const int axis = a.value().ndim() - 1;
-  const int64_t n = a.shape().back();
-  Var mu = Mean(a, axis, /*keepdim=*/true);
-  Var centered = Sub(a, ExpandLastDim(mu, n));
-  Var var = Mean(Square(centered), axis, /*keepdim=*/true);
-  Var normed = Div(centered, ExpandLastDim(Sqrt(AddScalar(var, eps)), n));
-  if (!gain.empty()) normed = Mul(normed, gain);
-  if (!bias.empty()) normed = Add(normed, bias);
-  return normed;
 }
 
 }  // namespace triad::nn

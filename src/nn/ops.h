@@ -36,7 +36,6 @@ Var MulScalar(const Var& a, float c);
 // ---------- elementwise unary ----------
 Var Neg(const Var& a);
 Var Relu(const Var& a);
-Var LeakyRelu(const Var& a, float slope = 0.01f);
 Var Sigmoid(const Var& a);
 Var Tanh(const Var& a);
 Var Exp(const Var& a);
@@ -44,8 +43,8 @@ Var Exp(const Var& a);
 Var Log(const Var& a, float eps = 1e-12f);
 Var Sqrt(const Var& a, float eps = 1e-12f);
 Var Square(const Var& a);
-/// Gaussian error linear unit (tanh approximation), used by the
-/// transformer-style baselines.
+/// Gaussian error linear unit (tanh approximation). No model uses it; the
+/// autograd and op stress tests exercise it.
 Var Gelu(const Var& a);
 
 // ---------- matrix ----------
@@ -100,10 +99,6 @@ Var AddRelu(const Var& a, const Var& b);
 Var L2NormalizeLastDim(const Var& a, float eps = 1e-8f);
 /// Mean of squared differences -> scalar.
 Var MseLoss(const Var& pred, const Var& target);
-/// Layer normalization over the last axis with learnable gain/bias
-/// (pass empty Vars to skip the affine part).
-Var LayerNormLastDim(const Var& a, const Var& gain, const Var& bias,
-                     float eps = 1e-5f);
 
 /// Wraps a constant tensor (no gradient tracking) for masks etc.
 Var Constant(Tensor value);

@@ -42,12 +42,12 @@ namespace triad::serve {
 ///
 /// Fidelity caveat: "bit-identical" is a statement about the *alarm
 /// timeline*. The QoS window is rebuilt at replay from pass outcomes
-/// alone — chunk-level error outcomes the live fleet fed into it
-/// (deadline expiries, retry exhaustion) are not persisted in the WAL —
-/// so a tenant recovered via full-WAL replay can land on a different
-/// rung/probation position than the pre-crash fleet held. A snapshot
-/// restores the exact ladder position as of its watermark; only the
-/// replayed tail is subject to the caveat.
+/// alone — chunk-level error outcomes the live fleet fed into it (append
+/// errors) are not persisted in the WAL — so a tenant recovered via
+/// full-WAL replay can land on a different rung/probation position than
+/// the pre-crash fleet held. A snapshot restores the exact ladder
+/// position as of its watermark; only the replayed tail is subject to the
+/// caveat.
 
 /// \brief Durability knobs, embedded in FleetOptions.
 struct DurabilityOptions {
@@ -151,9 +151,8 @@ class WalWriter {
   uint64_t tail_offset() const { return tail_; }
 
   /// Appends one framed chunk record. Unavailable on a write/fsync failure
-  /// (transient by the Status taxonomy — the log was repaired back to its
-  /// previous boundary, so the caller may retry with the same seq);
-  /// Internal (permanent) once the writer is broken.
+  /// (the log was repaired back to its previous boundary, so the caller
+  /// may retry with the same seq); Internal once the writer is broken.
   Status Append(uint64_t seq, const double* points, size_t count);
 
   /// Rolls the log back so it ends exactly at `offset` (a boundary

@@ -52,12 +52,8 @@ struct FleetMetrics {
       metrics::Registry::Global().counter("serve.snapshots");
   metrics::Histogram* snapshot_seconds =
       metrics::Registry::Global().histogram("serve.snapshot_seconds");
-  metrics::Counter* transient_retries =
-      metrics::Registry::Global().counter("serve.transient_retries");
   metrics::Counter* deadline_expired =
       metrics::Registry::Global().counter("serve.deadline_expired_passes");
-  metrics::Counter* watchdog_cancels =
-      metrics::Registry::Global().counter("serve.watchdog_cancels");
   metrics::Counter* admission_alloc_failures =
       metrics::Registry::Global().counter("serve.admission_alloc_failures");
   metrics::Counter* quarantined =
@@ -69,12 +65,6 @@ struct FleetMetrics {
 FleetMetrics& Instruments() {
   static FleetMetrics m;
   return m;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
 }
 
 ServeTestHooks g_test_hooks;
@@ -219,20 +209,8 @@ struct FleetServer::Impl {
   std::atomic<uint64_t> wal_records{0};
   std::atomic<uint64_t> wal_failures{0};
   std::atomic<uint64_t> snapshots{0};
-  std::atomic<uint64_t> transient_retries{0};
   std::atomic<uint64_t> deadline_expired{0};
-  std::atomic<uint64_t> watchdog_cancels{0};
   std::atomic<uint64_t> admission_alloc_failures{0};
-
-  // Watchdog (runs only when a pass budget is set): Drain registers each
-  // in-flight slice's DeadlineState here; the thread cancels any that blew
-  // past their budget without reaching a checkpoint, so even a pass stuck
-  // in code that only polls the cancellation flag gets cut loose.
-  std::mutex watchdog_mu;
-  std::map<int64_t, DeadlinePtr> active_passes;  // tenant id -> deadline
-  std::condition_variable watchdog_cv;
-  bool watchdog_stop = false;
-  std::thread watchdog;
 
   // Snapshot writer lane (durable fleets only): the one thread that writes
   // tenant snapshots. `snapshot_queue` lists the tenants whose
@@ -343,25 +321,6 @@ FleetServer::FleetServer(FleetOptions options)
   options_.qos_window = std::clamp<int64_t>(options_.qos_window, 1, 64);
   options_.qos_min_passes =
       std::clamp<int64_t>(options_.qos_min_passes, 1, options_.qos_window);
-  if (options_.pass_deadline_seconds > 0.0) {
-    impl_->watchdog = std::thread([this] {
-      const auto poll = std::chrono::duration<double>(
-          std::max(options_.pass_deadline_seconds / 4.0, 0.001));
-      std::unique_lock<std::mutex> lock(impl_->watchdog_mu);
-      while (!impl_->watchdog_stop) {
-        impl_->watchdog_cv.wait_for(lock, poll);
-        for (auto& [id, deadline] : impl_->active_passes) {
-          if (std::chrono::steady_clock::now() < deadline->deadline) continue;
-          if (deadline->cancelled.exchange(true,
-                                           std::memory_order_acq_rel)) {
-            continue;  // already cancelled (or self-expired and noticed)
-          }
-          impl_->watchdog_cancels.fetch_add(1, std::memory_order_relaxed);
-          Instruments().watchdog_cancels->Increment();
-        }
-      }
-    });
-  }
   if (!options_.durability.dir.empty()) {
     impl_->snapshot_lane = std::thread(
         [this] { impl_->RunSnapshotLane(options_.durability.dir); });
@@ -378,14 +337,6 @@ FleetServer::~FleetServer() {
     }
     impl_->snapshot_cv.notify_all();
     impl_->snapshot_lane.join();
-  }
-  if (impl_->watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(impl_->watchdog_mu);
-      impl_->watchdog_stop = true;
-    }
-    impl_->watchdog_cv.notify_all();
-    impl_->watchdog.join();
   }
   delete impl_;
 }
@@ -688,57 +639,34 @@ Result<int64_t> FleetServer::Drain() {
   // Scoring one tenant's claimed chunks; runs with state_mu held. Updates
   // the QoS window from the pass-outcome deltas and recomputes the rung.
   // Fault boundary: everything that can go wrong in here — a pass blowing
-  // its deadline, a transient error (retried with backoff), a hard Append
-  // error, even a thrown exception — is absorbed per tenant, so one bad
-  // tenant can never skip the rest of the drain.
+  // its deadline, a hard Append error, even a thrown exception — is
+  // absorbed per tenant, so one bad tenant can never skip the rest of the
+  // drain.
   auto run_tenant = [&](DrainItem& item) {
     TenantState& t = *item.tenant;
     std::lock_guard<std::mutex> lock(t.state_mu);
-    // One budget for the whole slice, visible to the watchdog and (via the
-    // thread-local + pool propagation) to every checkpoint inside Detect.
-    DeadlinePtr budget = MakeDeadline(options_.pass_deadline_seconds);
-    ScopedPassDeadline scope(
-        options_.pass_deadline_seconds > 0.0 ? budget : nullptr);
-    if (options_.pass_deadline_seconds > 0.0) {
-      std::lock_guard<std::mutex> wlock(impl_->watchdog_mu);
-      impl_->active_passes[t.id] = budget;
-    }
     const int64_t passes_before = t.stream.passes();
     const int64_t failed_before = t.stream.failed_passes();
-    // Chunk-level errors that are not pass outcomes (an injected fault, a
-    // cancelled hang) still count against the QoS window as failures.
+    // Chunk-level errors that are not pass outcomes (an injected fault)
+    // still count against the QoS window as failures.
     int64_t error_outcomes = 0;
     const auto start = std::chrono::steady_clock::now();
+    // One budget for the whole slice, visible (via the thread-local + pool
+    // propagation) to every checkpoint inside Detect.
+    const PassDeadline deadline =
+        options_.pass_deadline_seconds > 0.0
+            ? start + std::chrono::duration_cast<
+                          std::chrono::steady_clock::duration>(
+                          std::chrono::duration<double>(
+                              options_.pass_deadline_seconds))
+            : kNoPassDeadline;
+    ScopedPassDeadline scope(deadline);
     try {
       for (auto& chunk : item.chunks) {
-        Status outcome = Status::OK();
-        for (int64_t attempt = 0;; ++attempt) {
-          outcome = g_test_hooks.before_append != nullptr
-                        ? g_test_hooks.before_append(t.id)
-                        : Status::OK();
-          if (outcome.ok()) {
-            auto events = t.stream.Append(chunk);
-            outcome = events.status();
-          }
-          // Retry only transient failures, only within budget, with capped
-          // exponential backoff. DeadlineExceeded is deliberately NOT
-          // transient: retrying would re-spend the same blown budget.
-          if (outcome.ok() || !outcome.IsTransient() ||
-              attempt >= options_.max_transient_retries ||
-              !CheckPassDeadline().ok()) {
-            break;
-          }
-          impl_->transient_retries.fetch_add(1, std::memory_order_relaxed);
-          Instruments().transient_retries->Increment();
-          const double backoff =
-              std::min(options_.retry_backoff_seconds *
-                           static_cast<double>(int64_t{1}
-                                               << std::min<int64_t>(attempt,
-                                                                    20)),
-                       0.1);
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(backoff));
-        }
+        Status outcome = g_test_hooks.before_append != nullptr
+                             ? g_test_hooks.before_append(t.id)
+                             : Status::OK();
+        if (outcome.ok()) outcome = t.stream.Append(chunk).status();
         if (!outcome.ok()) {
           ++error_outcomes;
           t.last_error = outcome;
@@ -759,20 +687,17 @@ Result<int64_t> FleetServer::Drain() {
       impl_->append_errors.fetch_add(1, std::memory_order_relaxed);
       Instruments().append_errors->Increment();
     }
-    if (options_.pass_deadline_seconds > 0.0) {
-      std::lock_guard<std::mutex> wlock(impl_->watchdog_mu);
-      impl_->active_passes.erase(t.id);
-      if (budget->Expired()) {
-        impl_->deadline_expired.fetch_add(1, std::memory_order_relaxed);
-        Instruments().deadline_expired->Increment();
-      }
+    const auto end = std::chrono::steady_clock::now();
+    if (end >= deadline) {
+      impl_->deadline_expired.fetch_add(1, std::memory_order_relaxed);
+      Instruments().deadline_expired->Increment();
     }
     // The claimed chunks are consumed even when some were dropped after a
     // hard error: advancing the watermark keeps recovery aligned with what
     // this fleet actually served (a replay must not resurrect chunks the
     // live fleet already gave up on).
     t.chunks_applied_seq = std::max(t.chunks_applied_seq, item.claimed_seq);
-    const double elapsed = SecondsSince(start);
+    const double elapsed = std::chrono::duration<double>(end - start).count();
     const int64_t clean = t.stream.passes() - passes_before;
     const int64_t failed = t.stream.failed_passes() - failed_before;
     item.passes_run = clean + failed;
@@ -1065,12 +990,8 @@ FleetStats FleetServer::stats() const {
   s.wal_records = impl_->wal_records.load(std::memory_order_relaxed);
   s.wal_failures = impl_->wal_failures.load(std::memory_order_relaxed);
   s.snapshots = impl_->snapshots.load(std::memory_order_relaxed);
-  s.transient_retries =
-      impl_->transient_retries.load(std::memory_order_relaxed);
   s.deadline_expired_passes =
       impl_->deadline_expired.load(std::memory_order_relaxed);
-  s.watchdog_cancels =
-      impl_->watchdog_cancels.load(std::memory_order_relaxed);
   s.admission_alloc_failures =
       impl_->admission_alloc_failures.load(std::memory_order_relaxed);
   return s;

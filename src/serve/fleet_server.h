@@ -71,20 +71,11 @@ struct FleetOptions {
 
   /// Wall-clock budget for one tenant's Drain slice, enforced by the
   /// cooperative checkpoints inside Detect (common/deadline.h). 0 = no
-  /// budget. An over-budget pass fails with DeadlineExceeded, which counts
-  /// as a failed pass on the QoS ladder — a tenant that keeps blowing its
-  /// budget degrades, then rejects, without ever stalling the drain. A
-  /// watchdog thread additionally cancels passes that stopped reaching
-  /// time checkpoints.
+  /// budget. A pass that reaches a checkpoint at or past the deadline
+  /// becomes a gap, which counts as a failed pass on the QoS ladder — a
+  /// tenant that keeps blowing its budget degrades, then rejects. Nothing
+  /// interrupts a pass between checkpoints.
   double pass_deadline_seconds = 0.0;
-
-  /// Transient failures (Status::IsTransient — e.g. a WAL write hitting a
-  /// momentary I/O error, or an injected fault) retry the same chunk up to
-  /// this many times with capped exponential backoff before counting as a
-  /// hard append error. Permanent failures never retry.
-  int64_t max_transient_retries = 3;
-  /// First retry's backoff; doubles per retry, capped at 100ms.
-  double retry_backoff_seconds = 0.001;
 };
 
 /// \brief Per-tenant options at registration time.
@@ -128,9 +119,7 @@ struct FleetStats {
   /// replaced by a newer one, or whose write failed does not count; call
   /// FlushSnapshots() first for an exact count.
   uint64_t snapshots = 0;
-  uint64_t transient_retries = 0;  ///< chunk retries after transient errors
   uint64_t deadline_expired_passes = 0;  ///< drain slices over budget
-  uint64_t watchdog_cancels = 0;   ///< passes cut loose by the watchdog
   uint64_t admission_alloc_failures = 0;  ///< enqueue allocation failures
 };
 
@@ -179,10 +168,9 @@ struct RecoveryReport {
 /// these — every hook defaults to absent and costs one null check.
 struct ServeTestHooks {
   /// Runs before each chunk's Append during a drain slice; a non-OK return
-  /// is treated as that chunk's outcome (transient statuses go through the
-  /// retry loop, so this is how the harness exercises backoff and the
-  /// watchdog: a hook that blocks until the pass deadline is cancelled
-  /// models a hang).
+  /// replaces the Append and is that chunk's outcome, a hard error like a
+  /// failed Append. A hook that polls CheckPassDeadline() until it fails
+  /// models a pass that hangs until its deadline.
   std::function<Status(int64_t tenant_id)> before_append;
   /// Runs at admission just before the enqueue; returning true simulates
   /// the enqueue allocation throwing std::bad_alloc.
@@ -220,8 +208,8 @@ void ClearServeTestHooks();
 ///    tenant on the calling thread, so its pass spreads across the pool.
 ///  * AddTenant/RemoveTenant may interleave with both; a tenant removed
 ///    mid-drain finishes its in-flight pass and is destroyed afterwards.
-///  * A durable fleet owns one snapshot writer lane, a thread started
-///    beside the watchdog. It is the only writer of tenant snapshots:
+///  * A durable fleet owns one snapshot writer lane, the only thread a
+///    fleet starts. It is the only writer of tenant snapshots:
 ///    Drain and Checkpoint hand it exported states (at most one pending
 ///    per tenant; a newer state replaces an unwritten one), so no verdict
 ///    waits on snapshot I/O. The destructor finishes pending writes, then

@@ -186,30 +186,6 @@ std::vector<double> InjectFault(const std::vector<double>& series,
   return out;
 }
 
-const char* ServeFaultToString(ServeFault f) {
-  switch (f) {
-    case ServeFault::kKillBetweenWalRecords:
-      return "kill-between-wal-records";
-    case ServeFault::kTornWalTail:
-      return "torn-wal-tail";
-    case ServeFault::kWalBitFlip:
-      return "wal-bit-flip";
-    case ServeFault::kTornSnapshot:
-      return "torn-snapshot";
-    case ServeFault::kSnapshotBitFlip:
-      return "snapshot-bit-flip";
-    case ServeFault::kCheckpointBitFlip:
-      return "checkpoint-bit-flip";
-    case ServeFault::kPassHang:
-      return "pass-hang";
-    case ServeFault::kTransientAppend:
-      return "transient-append";
-    case ServeFault::kAdmissionAllocFail:
-      return "admission-alloc-fail";
-  }
-  return "unknown";
-}
-
 bool FlipBitInFile(const std::string& path, uint64_t seed,
                    int64_t min_offset) {
   std::fstream file(path,

@@ -62,34 +62,7 @@ std::vector<double> InjectFault(const std::vector<double>& series,
 /// "nan-gap/mild" — label for test diagnostics.
 std::string FaultCellName(FaultClass c, FaultSeverity s);
 
-// ---- serve-layer process faults (ARCHITECTURE.md §10) ----
-
-/// \brief Process-level fault taxonomy for the serve chaos harness
-/// (tests/serve_chaos_test.cc). Where FaultClass corrupts the *data* a
-/// detector sees, ServeFault corrupts the *process* around it: on-disk
-/// durable state, the admission path, or a pass's liveness. Each has a
-/// single documented expected outcome the harness asserts per SIMD tier.
-enum class ServeFault {
-  kKillBetweenWalRecords = 0,  ///< crash at a record boundary → full replay
-  kTornWalTail,       ///< crash mid-append → partial record dropped
-  kWalBitFlip,        ///< interior bit rot → tenant quarantined
-  kTornSnapshot,      ///< truncated snapshot → full-WAL fallback
-  kSnapshotBitFlip,   ///< snapshot bit rot → full-WAL fallback
-  kCheckpointBitFlip, ///< model checkpoint bit rot → registry quarantine
-  kPassHang,          ///< pass stops reaching checkpoints → watchdog cancel
-  kTransientAppend,   ///< transient error → retried with backoff, no gap
-  kAdmissionAllocFail,///< enqueue allocation fails → chunk rejected, ledger exact
-};
-
-constexpr ServeFault kAllServeFaults[] = {
-    ServeFault::kKillBetweenWalRecords, ServeFault::kTornWalTail,
-    ServeFault::kWalBitFlip,            ServeFault::kTornSnapshot,
-    ServeFault::kSnapshotBitFlip,       ServeFault::kCheckpointBitFlip,
-    ServeFault::kPassHang,              ServeFault::kTransientAppend,
-    ServeFault::kAdmissionAllocFail,
-};
-
-const char* ServeFaultToString(ServeFault f);
+// ---- file faults for the serve chaos harness (ARCHITECTURE.md §10) ----
 
 /// \brief Flips one bit of the file, chosen deterministically from `seed`
 /// within `[min_offset, file_size)`. Returns false when the file cannot be

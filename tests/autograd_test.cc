@@ -108,11 +108,6 @@ std::vector<OpCase> MakeElementwiseCases() {
   unary("square", [](const Var& v) { return Square(v); });
   unary("gelu", [](const Var& v) { return Gelu(v); });
   unary("neg", [](const Var& v) { return Neg(v); });
-  cases.push_back({"leaky_relu",
-                   [](const std::vector<Var>& l) {
-                     return WeightedSum(LeakyRelu(l[0], 0.1f));
-                   },
-                   {Leaf({3, 4}, 7)}});
   // log/sqrt need positive inputs.
   auto positive_leaf = [](std::vector<int64_t> shape, uint64_t seed) {
     Rng rng(seed);
@@ -285,12 +280,6 @@ std::vector<OpCase> MakeShapeAndReduceCases() {
                      return MseLoss(l[0], l[1]);
                    },
                    {Leaf({2, 5}, 64), Leaf({2, 5}, 65)}});
-  cases.push_back({"layernorm",
-                   [](const std::vector<Var>& l) {
-                     return WeightedSum(
-                         LayerNormLastDim(l[0], l[1], l[2]));
-                   },
-                   {Leaf({2, 6}, 66), Leaf({6}, 67), Leaf({6}, 68)}});
   return cases;
 }
 

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/rng.h"
 #include "core/config.h"
 #include "core/detector.h"
@@ -307,6 +308,39 @@ TEST(ThreadPoolTest, SecondCallerRunsWhileFirstBatchIsInFlight) {
   a.join();
   b.join();
   EXPECT_TRUE(a_saw_b);
+}
+
+// ---------- pass deadline propagation ----------
+//
+// A published batch carries the caller's pass deadline, and every worker
+// lane re-installs it while it runs the batch's chunks, so a checkpoint in
+// any chunk sees the caller's budget.
+
+TEST(ThreadPoolTest, LanesSeeTheCallersPassDeadline) {
+  ThreadPool pool(4);
+  constexpr int64_t kChunks = 64;
+  std::vector<StatusCode> codes(kChunks);
+  std::vector<std::thread::id> lanes(kChunks);
+  const auto run = [&] {
+    pool.RunChunks(kChunks, [&](int64_t c) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      codes[static_cast<size_t>(c)] = CheckPassDeadline().code();
+      lanes[static_cast<size_t>(c)] = std::this_thread::get_id();
+    });
+  };
+  {
+    // Expired from the start: every checkpoint is at or past it.
+    ScopedPassDeadline expired(std::chrono::steady_clock::now());
+    run();
+  }
+  EXPECT_EQ(std::count(codes.begin(), codes.end(),
+                       StatusCode::kDeadlineExceeded),
+            kChunks);
+  EXPECT_GT(std::set<std::thread::id>(lanes.begin(), lanes.end()).size(),
+            1u);
+  // Outside the scope no lane sees a deadline.
+  run();
+  EXPECT_EQ(std::count(codes.begin(), codes.end(), StatusCode::kOk), kChunks);
 }
 
 // ---------- grain clamping (regression) ----------

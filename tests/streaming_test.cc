@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/streaming.h"
@@ -221,25 +221,6 @@ TEST(StreamingTest, TimelineInvariantUnderArbitraryChunking) {
   }
 }
 
-TEST(StreamingTest, RollingStatsRingTracksWindowExactly) {
-  RollingStatsRing ring(4);
-  // Fill, then slide past capacity with a NaN in the mix.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (double v : {1.0, 2.0, 3.0, 4.0, nan, 6.0}) ring.Push(v);
-  // Window is now {3, 4, NaN, 6}.
-  EXPECT_EQ(ring.size(), 4);
-  EXPECT_EQ(ring.nonfinite_count(), 1);
-  EXPECT_DOUBLE_EQ(ring.nonfinite_fraction(), 0.25);
-  EXPECT_NEAR(ring.mean(), (3.0 + 4.0 + 6.0) / 3.0, 1e-9);
-  const double mu = (3.0 + 4.0 + 6.0) / 3.0;
-  const double var = (9.0 + 16.0 + 36.0) / 3.0 - mu * mu;
-  EXPECT_NEAR(ring.stddev(), std::sqrt(var), 1e-9);
-  // Slide until the NaN leaves the window: {6, 7, 8, 9}.
-  for (double v : {7.0, 8.0, 9.0}) ring.Push(v);
-  EXPECT_EQ(ring.nonfinite_count(), 0);
-  EXPECT_NEAR(ring.mean(), 7.5, 1e-9);
-}
-
 TEST(StreamingTest, IncrementalAccessorReflectsOptions) {
   const data::UcrDataset ds = SmallDataset(68);
   TriadDetector detector(TinyConfig());
@@ -260,6 +241,9 @@ TEST(StreamingTest, IncrementalAccessorReflectsOptions) {
 // guaranteed-rejection short-circuit) and recovery. Checked on both SIMD
 // tiers, since the memo caches kernel outputs.
 TEST(StreamingTest, IncrementalMatchesFullRecomputeBitwise) {
+  metrics::ScopedEnable metrics_on(true);
+  const metrics::Counter* short_circuits =
+      metrics::Registry::Global().counter("streaming.short_circuit_passes");
   const data::UcrDataset ds = SmallDataset(69);
   TriadDetector detector(TinyConfig());
   ASSERT_TRUE(detector.Fit(ds.train).ok());
@@ -294,7 +278,11 @@ TEST(StreamingTest, IncrementalMatchesFullRecomputeBitwise) {
     ASSERT_GT(full.passes(), 0);
     ASSERT_GT(full.failed_passes(), 0);
     for (int64_t chunk : {int64_t{1}, int64_t{23}, int64_t{256}}) {
+      const uint64_t short_circuits_before = short_circuits->value();
       const StreamingTriad inc = run(/*incremental=*/true, chunk);
+      // The burst is taken by the short-circuit, not only by Detect.
+      EXPECT_GT(short_circuits->value(), short_circuits_before)
+          << "chunk=" << chunk;
       EXPECT_EQ(inc.alarms(), full.alarms()) << "chunk=" << chunk;
       EXPECT_EQ(inc.passes(), full.passes()) << "chunk=" << chunk;
       EXPECT_EQ(inc.failed_passes(), full.failed_passes())
@@ -305,6 +293,64 @@ TEST(StreamingTest, IncrementalMatchesFullRecomputeBitwise) {
         EXPECT_EQ(inc.gaps()[i].end, full.gaps()[i].end);
       }
     }
+  }
+}
+
+// Crash-recovery property (ARCHITECTURE.md §10): a stream exported in the
+// middle of a NaN burst and restored into a fresh stream finishes the feed
+// exactly as an uninterrupted stream does — alarms, passes, failed passes,
+// gaps and guaranteed-rejection short-circuits. The short-circuits after
+// the cut read the non-finite count RestoreState recounts from the
+// restored buffer.
+TEST(StreamingTest, RestoredMidBurstMatchesUninterrupted) {
+  metrics::ScopedEnable metrics_on(true);
+  const metrics::Counter* short_circuits =
+      metrics::Registry::Global().counter("streaming.short_circuit_passes");
+  const data::UcrDataset ds = SmallDataset(69);
+  TriadDetector detector(TinyConfig());
+  ASSERT_TRUE(detector.Fit(ds.train).ok());
+
+  std::vector<double> feed = ds.test;
+  for (int64_t i = 70; i < 110; ++i) {
+    feed[static_cast<size_t>(i)] = std::numeric_limits<double>::quiet_NaN();
+  }
+  constexpr long kCut = 90;  // inside the burst
+  StreamingOptions options;
+  options.buffer_length = 2 * detector.window_length();
+
+  const uint64_t start = short_circuits->value();
+  StreamingTriad uninterrupted(&detector, options);
+  ASSERT_TRUE(uninterrupted.Append(feed).ok());
+  const uint64_t uninterrupted_short_circuits =
+      short_circuits->value() - start;
+  ASSERT_GT(uninterrupted_short_circuits, 0u);
+
+  const uint64_t before_cut = short_circuits->value();
+  StreamingState state;
+  {
+    StreamingTriad first(&detector, options);
+    ASSERT_TRUE(
+        first.Append(std::vector<double>(feed.begin(), feed.begin() + kCut))
+            .ok());
+    state = first.ExportState();
+  }
+  const uint64_t at_cut = short_circuits->value();
+  StreamingTriad restored(&detector, options);
+  ASSERT_TRUE(restored.RestoreState(state).ok());
+  ASSERT_TRUE(
+      restored.Append(std::vector<double>(feed.begin() + kCut, feed.end()))
+          .ok());
+  // The restored leg meets the burst too, or the cut tests nothing.
+  EXPECT_GT(short_circuits->value(), at_cut);
+  EXPECT_EQ(short_circuits->value() - before_cut,
+            uninterrupted_short_circuits);
+  EXPECT_EQ(restored.alarms(), uninterrupted.alarms());
+  EXPECT_EQ(restored.passes(), uninterrupted.passes());
+  EXPECT_EQ(restored.failed_passes(), uninterrupted.failed_passes());
+  ASSERT_EQ(restored.gaps().size(), uninterrupted.gaps().size());
+  for (size_t i = 0; i < restored.gaps().size(); ++i) {
+    EXPECT_EQ(restored.gaps()[i].begin, uninterrupted.gaps()[i].begin);
+    EXPECT_EQ(restored.gaps()[i].end, uninterrupted.gaps()[i].end);
   }
 }
 
