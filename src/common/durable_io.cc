@@ -8,6 +8,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/bytes.h"
+
 namespace triad::io {
 namespace {
 
@@ -26,18 +28,6 @@ const uint32_t* Crc32Table() {
     return t;
   }();
   return table;
-}
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPodAt(std::string_view bytes, size_t offset, T* value) {
-  if (offset + sizeof(T) > bytes.size()) return false;
-  std::memcpy(value, bytes.data() + offset, sizeof(T));
-  return true;
 }
 
 // fsync the directory containing `path` so a rename into it is durable.
@@ -114,9 +104,10 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 }
 
 void AppendRecord(std::string* out, std::string_view payload) {
-  AppendPod(out, static_cast<uint32_t>(payload.size()));
-  AppendPod(out, Crc32(payload.data(), payload.size()));
-  out->append(payload.data(), payload.size());
+  ByteWriter w(out);
+  w.Put(static_cast<uint32_t>(payload.size()));
+  w.Put(Crc32(payload.data(), payload.size()));
+  w.PutBytes(payload);
 }
 
 const char* ToString(RecordScanOutcome outcome) {
@@ -133,26 +124,24 @@ const char* ToString(RecordScanOutcome outcome) {
 
 RecordScan ScanRecords(std::string_view bytes) {
   RecordScan scan;
-  size_t offset = 0;
-  while (offset < bytes.size()) {
-    uint32_t len = 0, crc = 0;
-    if (!ReadPodAt(bytes, offset, &len) ||
-        !ReadPodAt(bytes, offset + sizeof(uint32_t), &crc) ||
-        offset + 2 * sizeof(uint32_t) + len > bytes.size()) {
+  ByteReader r(bytes);
+  while (r.remaining() > 0) {
+    const auto len = r.Get<uint32_t>();
+    const auto crc = r.Get<uint32_t>();
+    const std::string_view payload = r.GetBytes(len);
+    if (!r.ok()) {
       // Fewer bytes than the header promises: the append was cut short.
       scan.outcome = RecordScanOutcome::kTornTail;
       return scan;
     }
-    const char* payload = bytes.data() + offset + 2 * sizeof(uint32_t);
-    if (Crc32(payload, len) != crc) {
+    if (Crc32(payload.data(), payload.size()) != crc) {
       // The record is fully present but its bytes changed after the write:
       // that is corruption, not a crash artifact.
       scan.outcome = RecordScanOutcome::kCorrupt;
       return scan;
     }
-    scan.records.emplace_back(payload, len);
-    offset += 2 * sizeof(uint32_t) + len;
-    scan.valid_bytes = static_cast<int64_t>(offset);
+    scan.records.emplace_back(payload);
+    scan.valid_bytes = static_cast<int64_t>(r.position());
   }
   scan.outcome = RecordScanOutcome::kClean;
   return scan;
@@ -162,11 +151,12 @@ Status WriteChecksummedFile(const std::string& path, const char magic[4],
                             uint32_t version, std::string_view payload) {
   std::string bytes;
   bytes.reserve(payload.size() + 20);
-  bytes.append(magic, 4);
-  AppendPod(&bytes, version);
-  AppendPod(&bytes, Crc32(payload.data(), payload.size()));
-  AppendPod(&bytes, static_cast<uint64_t>(payload.size()));
-  bytes.append(payload.data(), payload.size());
+  ByteWriter w(&bytes);
+  w.PutBytes(std::string_view(magic, 4));
+  w.Put(version);
+  w.Put(Crc32(payload.data(), payload.size()));
+  w.Put(static_cast<uint64_t>(payload.size()));
+  w.PutBytes(payload);
   return AtomicWriteFile(path, bytes);
 }
 
@@ -174,23 +164,25 @@ Result<std::string> ReadChecksummedFile(const std::string& path,
                                         const char magic[4],
                                         uint32_t* version_out) {
   TRIAD_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  constexpr size_t kHeader = 4 + sizeof(uint32_t) * 2 + sizeof(uint64_t);
-  if (bytes.size() < kHeader || std::memcmp(bytes.data(), magic, 4) != 0) {
+  // The reader would fail a short header too; testing the size first also
+  // keeps g++ 12 from a false -Wmaybe-uninitialized on a short string.
+  constexpr size_t kHeader = 4 + 2 * sizeof(uint32_t) + sizeof(uint64_t);
+  ByteReader r(bytes);
+  if (bytes.size() < kHeader || r.GetBytes(4) != std::string_view(magic, 4)) {
     return Status::DataLoss("bad header in " + path);
   }
-  uint32_t version = 0, crc = 0;
-  uint64_t len = 0;
-  ReadPodAt(bytes, 4, &version);
-  ReadPodAt(bytes, 4 + sizeof(uint32_t), &crc);
-  ReadPodAt(bytes, 4 + 2 * sizeof(uint32_t), &len);
-  if (bytes.size() != kHeader + len) {
+  const auto version = r.Get<uint32_t>();
+  const auto crc = r.Get<uint32_t>();
+  const auto len = r.Get<uint64_t>();
+  const std::string_view payload = r.GetBytes(len);
+  if (!r.ok() || r.remaining() != 0) {
     return Status::DataLoss("truncated payload in " + path);
   }
-  if (Crc32(bytes.data() + kHeader, static_cast<size_t>(len)) != crc) {
+  if (Crc32(payload.data(), payload.size()) != crc) {
     return Status::DataLoss("checksum mismatch in " + path);
   }
   if (version_out != nullptr) *version_out = version;
-  return bytes.substr(kHeader);
+  return std::string(payload);
 }
 
 }  // namespace triad::io

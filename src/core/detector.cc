@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <numeric>
 #include <set>
-#include <sstream>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/durable_io.h"
@@ -601,116 +599,89 @@ constexpr char kCheckpointMagic[4] = {'T', 'R', 'D', 'T'};
 // (ARCHITECTURE.md §10). v1/v2 checkpoints still load unverified.
 constexpr uint32_t kCheckpointVersion = 3;
 
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-// Bytes between the read position and the end of the stream (0 when the
-// stream cannot seek); the read position is left where it was.
-uint64_t RemainingBytes(std::istream& in) {
-  const std::istream::pos_type here = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(here);
-  if (here < 0 || end < here) return 0;
-  return static_cast<uint64_t>(end - here);
-}
-
-void WriteConfig(std::ostream& out, const TriadConfig& c) {
-  WritePod(out, c.periods_per_window);
-  WritePod(out, c.stride_divisor);
-  WritePod(out, c.depth);
-  WritePod(out, c.hidden_dim);
-  WritePod(out, c.kernel_size);
-  WritePod(out, c.alpha);
-  WritePod(out, c.temperature);
-  WritePod(out, c.batch_size);
-  WritePod(out, c.learning_rate);
-  WritePod(out, c.epochs);
-  WritePod(out, c.validation_fraction);
-  WritePod(out, c.seed);
-  WritePod(out, static_cast<uint8_t>(c.use_temporal));
-  WritePod(out, static_cast<uint8_t>(c.use_frequency));
-  WritePod(out, static_cast<uint8_t>(c.use_residual));
-  WritePod(out, static_cast<uint8_t>(c.use_intra_loss));
-  WritePod(out, static_cast<uint8_t>(c.use_inter_loss));
+void WriteConfig(io::ByteWriter& out, const TriadConfig& c) {
+  out.Put(c.periods_per_window);
+  out.Put(c.stride_divisor);
+  out.Put(c.depth);
+  out.Put(c.hidden_dim);
+  out.Put(c.kernel_size);
+  out.Put(c.alpha);
+  out.Put(c.temperature);
+  out.Put(c.batch_size);
+  out.Put(c.learning_rate);
+  out.Put(c.epochs);
+  out.Put(c.validation_fraction);
+  out.Put(c.seed);
+  out.Put(static_cast<uint8_t>(c.use_temporal));
+  out.Put(static_cast<uint8_t>(c.use_frequency));
+  out.Put(static_cast<uint8_t>(c.use_residual));
+  out.Put(static_cast<uint8_t>(c.use_intra_loss));
+  out.Put(static_cast<uint8_t>(c.use_inter_loss));
   // Slot of a per-domain nominee count that no version of the detector
   // read; always 1, kept so the checkpoint layout stays the same.
-  WritePod(out, int64_t{1});
-  WritePod(out, c.merlin_padding_windows);
-  WritePod(out, c.merlin_min_length);
-  WritePod(out, c.merlin_max_length_windows);
-  WritePod(out, c.merlin_length_step);
-  WritePod(out, static_cast<uint8_t>(c.voting.weighting));
-  WritePod(out, static_cast<uint8_t>(c.voting.threshold_rule));
-  WritePod(out, c.voting.threshold_quantile);
-  WritePod(out, static_cast<uint8_t>(c.use_welch_period_estimator));
+  out.Put(int64_t{1});
+  out.Put(c.merlin_padding_windows);
+  out.Put(c.merlin_min_length);
+  out.Put(c.merlin_max_length_windows);
+  out.Put(c.merlin_length_step);
+  out.Put(static_cast<uint8_t>(c.voting.weighting));
+  out.Put(static_cast<uint8_t>(c.voting.threshold_rule));
+  out.Put(c.voting.threshold_quantile);
+  out.Put(static_cast<uint8_t>(c.use_welch_period_estimator));
   // version >= 2
-  WritePod(out, c.sanitize.min_length);
-  WritePod(out, c.sanitize.max_interpolate_gap);
-  WritePod(out, c.sanitize.stuck_run_length);
-  WritePod(out, c.sanitize.max_stuck_fraction);
-  WritePod(out, c.sanitize.glitch_sigmas);
-  WritePod(out, c.sanitize.max_damage_fraction);
-  WritePod(out, static_cast<uint8_t>(c.sanitize.repair));
-  WritePod(out, c.fallback_period);
-  WritePod(out, c.min_period_confidence);
+  out.Put(c.sanitize.min_length);
+  out.Put(c.sanitize.max_interpolate_gap);
+  out.Put(c.sanitize.stuck_run_length);
+  out.Put(c.sanitize.max_stuck_fraction);
+  out.Put(c.sanitize.glitch_sigmas);
+  out.Put(c.sanitize.max_damage_fraction);
+  out.Put(static_cast<uint8_t>(c.sanitize.repair));
+  out.Put(c.fallback_period);
+  out.Put(c.min_period_confidence);
 }
 
-bool ReadConfig(std::istream& in, uint32_t version, TriadConfig* c) {
-  uint8_t b1, b2, b3, b4, b5;
-  int64_t unused_nominee_count = 0;
-  const bool ok =
-      ReadPod(in, &c->periods_per_window) && ReadPod(in, &c->stride_divisor) &&
-      ReadPod(in, &c->depth) && ReadPod(in, &c->hidden_dim) &&
-      ReadPod(in, &c->kernel_size) && ReadPod(in, &c->alpha) &&
-      ReadPod(in, &c->temperature) && ReadPod(in, &c->batch_size) &&
-      ReadPod(in, &c->learning_rate) && ReadPod(in, &c->epochs) &&
-      ReadPod(in, &c->validation_fraction) && ReadPod(in, &c->seed) &&
-      ReadPod(in, &b1) && ReadPod(in, &b2) && ReadPod(in, &b3) &&
-      ReadPod(in, &b4) && ReadPod(in, &b5) &&
-      ReadPod(in, &unused_nominee_count) &&
-      ReadPod(in, &c->merlin_padding_windows) &&
-      ReadPod(in, &c->merlin_min_length) &&
-      ReadPod(in, &c->merlin_max_length_windows) &&
-      ReadPod(in, &c->merlin_length_step);
-  if (!ok) return false;
-  c->use_temporal = b1 != 0;
-  c->use_frequency = b2 != 0;
-  c->use_residual = b3 != 0;
-  c->use_intra_loss = b4 != 0;
-  c->use_inter_loss = b5 != 0;
-  uint8_t weighting, rule, welch;
-  if (!ReadPod(in, &weighting) || weighting > 2 || !ReadPod(in, &rule) ||
-      rule > 1 || !ReadPod(in, &c->voting.threshold_quantile) ||
-      !ReadPod(in, &welch)) {
-    return false;
-  }
+bool ReadConfig(io::ByteReader& in, uint32_t version, TriadConfig* c) {
+  in.Get(&c->periods_per_window);
+  in.Get(&c->stride_divisor);
+  in.Get(&c->depth);
+  in.Get(&c->hidden_dim);
+  in.Get(&c->kernel_size);
+  in.Get(&c->alpha);
+  in.Get(&c->temperature);
+  in.Get(&c->batch_size);
+  in.Get(&c->learning_rate);
+  in.Get(&c->epochs);
+  in.Get(&c->validation_fraction);
+  in.Get(&c->seed);
+  c->use_temporal = in.Get<uint8_t>() != 0;
+  c->use_frequency = in.Get<uint8_t>() != 0;
+  c->use_residual = in.Get<uint8_t>() != 0;
+  c->use_intra_loss = in.Get<uint8_t>() != 0;
+  c->use_inter_loss = in.Get<uint8_t>() != 0;
+  in.Get<int64_t>();  // the unused nominee-count slot
+  in.Get(&c->merlin_padding_windows);
+  in.Get(&c->merlin_min_length);
+  in.Get(&c->merlin_max_length_windows);
+  in.Get(&c->merlin_length_step);
+  const auto weighting = in.Get<uint8_t>();
+  const auto rule = in.Get<uint8_t>();
+  in.Get(&c->voting.threshold_quantile);
+  c->use_welch_period_estimator = in.Get<uint8_t>() != 0;
+  if (weighting > 2 || rule > 1) return false;
   c->voting.weighting = static_cast<VoteWeighting>(weighting);
   c->voting.threshold_rule = static_cast<ThresholdRule>(rule);
-  c->use_welch_period_estimator = welch != 0;
   if (version >= 2) {
-    uint8_t repair;
-    if (!ReadPod(in, &c->sanitize.min_length) ||
-        !ReadPod(in, &c->sanitize.max_interpolate_gap) ||
-        !ReadPod(in, &c->sanitize.stuck_run_length) ||
-        !ReadPod(in, &c->sanitize.max_stuck_fraction) ||
-        !ReadPod(in, &c->sanitize.glitch_sigmas) ||
-        !ReadPod(in, &c->sanitize.max_damage_fraction) ||
-        !ReadPod(in, &repair) || !ReadPod(in, &c->fallback_period) ||
-        !ReadPod(in, &c->min_period_confidence)) {
-      return false;
-    }
-    c->sanitize.repair = repair != 0;
+    in.Get(&c->sanitize.min_length);
+    in.Get(&c->sanitize.max_interpolate_gap);
+    in.Get(&c->sanitize.stuck_run_length);
+    in.Get(&c->sanitize.max_stuck_fraction);
+    in.Get(&c->sanitize.glitch_sigmas);
+    in.Get(&c->sanitize.max_damage_fraction);
+    c->sanitize.repair = in.Get<uint8_t>() != 0;
+    in.Get(&c->fallback_period);
+    in.Get(&c->min_period_confidence);
   }
-  return true;
+  return in.ok();
 }
 
 }  // namespace
@@ -719,24 +690,22 @@ Status TriadDetector::Save(const std::string& path) const {
   if (model_ == nullptr) {
     return Status::FailedPrecondition("Save called before Fit");
   }
-  std::ostringstream body(std::ios::binary);
-  WriteConfig(body, config_);
-  WritePod(body, period_);
-  WritePod(body, window_length_);
-  WritePod(body, stride_);
-  WritePod(body, period_confidence_);
-  WritePod(body, static_cast<uint8_t>(period_fallback_));
-  WritePod(body, static_cast<uint8_t>(residual_disabled_));
-  WritePod(body, static_cast<uint64_t>(train_series_.size()));
-  body.write(reinterpret_cast<const char*>(train_series_.data()),
-             static_cast<std::streamsize>(train_series_.size() *
-                                          sizeof(double)));
+  std::string body;
+  io::ByteWriter out(&body);
+  WriteConfig(out, config_);
+  out.Put(period_);
+  out.Put(window_length_);
+  out.Put(stride_);
+  out.Put(period_confidence_);
+  out.Put(static_cast<uint8_t>(period_fallback_));
+  out.Put(static_cast<uint8_t>(residual_disabled_));
+  out.Put(static_cast<uint64_t>(train_series_.size()));
+  out.PutArray(train_series_.data(), train_series_.size());
   std::vector<nn::Tensor> weights;
   for (const nn::Var& p : model_->Parameters()) weights.push_back(p.value());
-  TRIAD_RETURN_NOT_OK(nn::WriteTensors(body, weights));
-  if (!body) return Status::IoError("checkpoint serialization failed");
+  nn::WriteTensors(out, weights);
   return io::WriteChecksummedFile(path, kCheckpointMagic, kCheckpointVersion,
-                                  body.str());
+                                  body);
 }
 
 Result<TriadDetector> TriadDetector::Load(const std::string& path) {
@@ -745,9 +714,10 @@ Result<TriadDetector> TriadDetector::Load(const std::string& path) {
   // io::ReadChecksummedFile verifies the CRC before a single body byte is
   // decoded, so torn or bit-flipped checkpoints surface as DataLoss (which
   // ModelRegistry treats as quarantine-worthy) instead of misparsing.
-  // v1/v2 files stream-decode unverified, as they always have.
-  const auto parse_body = [&path](std::istream& in,
-                                  uint32_t version) -> Result<TriadDetector> {
+  // A v1/v2 body is the bytes after the magic and version, unverified, as
+  // it always was.
+  const auto decode = [](io::ByteReader& in,
+                         uint32_t version) -> Result<TriadDetector> {
     TriadConfig config;
     if (!ReadConfig(in, version, &config)) {
       return Status::InvalidArgument("corrupt checkpoint config");
@@ -759,33 +729,22 @@ Result<TriadDetector> TriadDetector::Load(const std::string& path) {
       return Status::InvalidArgument("checkpoint config: " + valid.message());
     }
     TriadDetector detector(config);
-    uint64_t train_size = 0;
-    if (!ReadPod(in, &detector.period_) ||
-        !ReadPod(in, &detector.window_length_) ||
-        !ReadPod(in, &detector.stride_)) {
-      return Status::InvalidArgument("corrupt checkpoint header");
-    }
+    in.Get(&detector.period_);
+    in.Get(&detector.window_length_);
+    in.Get(&detector.stride_);
     if (version >= 2) {
-      uint8_t fallback, residual_off;
-      if (!ReadPod(in, &detector.period_confidence_) ||
-          !ReadPod(in, &fallback) || !ReadPod(in, &residual_off)) {
-        return Status::InvalidArgument("corrupt checkpoint header");
-      }
-      detector.period_fallback_ = fallback != 0;
-      detector.residual_disabled_ = residual_off != 0;
+      in.Get(&detector.period_confidence_);
+      detector.period_fallback_ = in.Get<uint8_t>() != 0;
+      detector.residual_disabled_ = in.Get<uint8_t>() != 0;
     }
-    if (!ReadPod(in, &train_size)) {
-      return Status::InvalidArgument("corrupt checkpoint header");
+    if (!in.GetArray(in.Get<uint64_t>(), &detector.train_series_)) {
+      return Status::InvalidArgument("checkpoint truncated");
     }
     // The header is untrusted even under a valid CRC: check the window
-    // geometry Detect relies on, and the sample count against the bytes
-    // actually present, before allocating or indexing anything.
-    if (train_size > RemainingBytes(in) / sizeof(double)) {
-      return Status::InvalidArgument(
-          "checkpoint training series exceeds its body");
-    }
+    // geometry Detect relies on before indexing anything.
     if (detector.window_length_ < kMinWindowLength ||
-        detector.window_length_ > static_cast<int64_t>(train_size)) {
+        detector.window_length_ >
+            static_cast<int64_t>(detector.train_series_.size())) {
       return Status::InvalidArgument(
           "checkpoint window length out of range");
     }
@@ -793,10 +752,6 @@ Result<TriadDetector> TriadDetector::Load(const std::string& path) {
       return Status::InvalidArgument(
           "checkpoint stride outside [1, window length]");
     }
-    detector.train_series_.resize(static_cast<size_t>(train_size));
-    in.read(reinterpret_cast<char*>(detector.train_series_.data()),
-            static_cast<std::streamsize>(train_size * sizeof(double)));
-    if (!in) return Status::IoError("checkpoint truncated: " + path);
     detector.train_index_ = discord::NearestWindowIndex(
         detector.train_series_, detector.window_length_);
 
@@ -809,28 +764,26 @@ Result<TriadDetector> TriadDetector::Load(const std::string& path) {
     return detector;
   };
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kCheckpointMagic, sizeof(magic)) != 0) {
+  TRIAD_ASSIGN_OR_RETURN(const std::string bytes, io::ReadFileBytes(path));
+  io::ByteReader in(bytes);
+  if (in.GetBytes(sizeof(kCheckpointMagic)) !=
+      std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic))) {
     return Status::InvalidArgument("not a TriAD checkpoint: " + path);
   }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version) || version < 1) {
+  const auto version = in.Get<uint32_t>();
+  if (version < 1) {
     return Status::InvalidArgument("unsupported checkpoint version");
   }
-  if (version <= 2) return parse_body(in, version);
-  in.close();
+  if (version <= 2) return decode(in, version);
   uint32_t stored_version = 0;
   TRIAD_ASSIGN_OR_RETURN(
-      std::string payload,
+      const std::string payload,
       io::ReadChecksummedFile(path, kCheckpointMagic, &stored_version));
   if (stored_version > kCheckpointVersion) {
     return Status::InvalidArgument("unsupported checkpoint version");
   }
-  std::istringstream body(payload, std::ios::binary);
-  return parse_body(body, stored_version);
+  io::ByteReader body(payload);
+  return decode(body, stored_version);
 }
 
 }  // namespace triad::core

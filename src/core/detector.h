@@ -209,10 +209,18 @@ class TriadDetector {
                                        int64_t max_events) const;
 
   /// Writes a fitted detector (config, segmentation state, training series
-  /// and model weights) to a binary checkpoint.
+  /// and model weights) to a version-3 `TRDT` checkpoint: one CRC-checked
+  /// body, written atomically (ARCHITECTURE.md §10). FailedPrecondition
+  /// before Fit; IoError when the file cannot be written.
   Status Save(const std::string& path) const;
 
-  /// Restores a detector saved by Save(); ready to Detect() immediately.
+  /// Restores a detector saved by Save(), or a version-1/2 checkpoint
+  /// (unchecksummed); ready to Detect() immediately. IoError when the file
+  /// cannot be read; DataLoss when a v3 body fails its frame or CRC check;
+  /// InvalidArgument for anything else that is not a checkpoint this code
+  /// wrote: wrong magic or version, or a body too short for its fields or
+  /// holding a config, window geometry or tensor shapes Fit could not have
+  /// produced.
   static Result<TriadDetector> Load(const std::string& path);
 
   int64_t period() const { return period_; }

@@ -1,7 +1,5 @@
 #include "nn/serialize.h"
 
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 namespace triad::nn {
@@ -10,87 +8,54 @@ namespace {
 constexpr char kMagic[4] = {'T', 'R', 'T', 'N'};
 constexpr uint32_t kVersion = 1;
 
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
 }  // namespace
 
-Status WriteTensors(std::ostream& out, const std::vector<Tensor>& tensors) {
-  out.write(kMagic, sizeof(kMagic));
-  WritePod(out, kVersion);
-  WritePod(out, static_cast<uint64_t>(tensors.size()));
+void WriteTensors(io::ByteWriter& out, const std::vector<Tensor>& tensors) {
+  out.PutBytes(std::string_view(kMagic, sizeof(kMagic)));
+  out.Put(kVersion);
+  out.Put(static_cast<uint64_t>(tensors.size()));
   for (const Tensor& t : tensors) {
-    WritePod(out, static_cast<uint32_t>(t.ndim()));
-    for (int i = 0; i < t.ndim(); ++i) WritePod(out, t.dim(i));
-    out.write(reinterpret_cast<const char*>(t.data()),
-              static_cast<std::streamsize>(t.size() * sizeof(float)));
+    out.Put(static_cast<uint32_t>(t.ndim()));
+    for (int i = 0; i < t.ndim(); ++i) out.Put(t.dim(i));
+    out.PutArray(t.data(), static_cast<size_t>(t.size()));
   }
-  if (!out) return Status::IoError("tensor stream write failed");
-  return Status::OK();
 }
 
-Result<std::vector<Tensor>> ReadTensors(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+Result<std::vector<Tensor>> ReadTensors(io::ByteReader& in) {
+  if (in.GetBytes(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
     return Status::InvalidArgument("not a TriAD tensor stream (bad magic)");
   }
-  uint32_t version = 0;
-  uint64_t count = 0;
-  if (!ReadPod(in, &version) || version != kVersion) {
+  if (in.Get<uint32_t>() != kVersion) {
     return Status::InvalidArgument("unsupported tensor stream version");
   }
-  if (!ReadPod(in, &count) || count > (1u << 20)) {
-    return Status::InvalidArgument("implausible tensor count");
-  }
+  const auto count = in.Get<uint64_t>();
+  if (!in.ok()) return Status::InvalidArgument("tensor stream truncated");
+  // Tensors are appended as they decode, so a hostile count stops at the
+  // first short read instead of sizing the list.
   std::vector<Tensor> tensors;
-  tensors.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    uint32_t ndim = 0;
-    if (!ReadPod(in, &ndim) || ndim > 8) {
+    const auto ndim = in.Get<uint32_t>();
+    std::vector<int64_t> shape;
+    if (ndim > 8 || !in.GetArray(ndim, &shape)) {
       return Status::InvalidArgument("corrupt tensor header");
     }
-    std::vector<int64_t> shape(ndim);
     constexpr int64_t kMaxElements = 1ll << 30;
     int64_t size = 1;
-    for (auto& d : shape) {
-      if (!ReadPod(in, &d) || d < 0) {
-        return Status::InvalidArgument("corrupt tensor shape");
-      }
+    for (int64_t d : shape) {
+      if (d < 0) return Status::InvalidArgument("corrupt tensor shape");
       // Checked before multiplying, so a hostile shape cannot overflow.
       if (d > 0 && size > kMaxElements / d) {
         return Status::InvalidArgument("implausible tensor size");
       }
       size *= d;
     }
-    std::vector<float> data(static_cast<size_t>(size));
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-    if (!in) return Status::IoError("tensor stream truncated");
+    std::vector<float> data;
+    if (!in.GetArray(static_cast<uint64_t>(size), &data)) {
+      return Status::InvalidArgument("tensor stream truncated");
+    }
     tensors.emplace_back(std::move(shape), std::move(data));
   }
   return tensors;
-}
-
-Status SaveTensors(const std::string& path,
-                   const std::vector<Tensor>& tensors) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  return WriteTensors(out, tensors);
-}
-
-Result<std::vector<Tensor>> LoadTensors(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  return ReadTensors(in);
 }
 
 Status AssignParameters(const std::vector<Tensor>& values,

@@ -1,10 +1,9 @@
 #ifndef TRIAD_NN_SERIALIZE_H_
 #define TRIAD_NN_SERIALIZE_H_
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "nn/tensor.h"
 #include "nn/variable.h"
@@ -15,20 +14,15 @@ namespace triad::nn {
 ///
 /// Format (little-endian): magic "TRTN", u32 version, u64 tensor count;
 /// per tensor: u32 ndim, i64 dims..., f32 data. Used for model checkpoints
-/// (see core::TriadDetector::Save) and standalone tensor dumps.
+/// (see core::TriadDetector::Save).
 
-/// Writes tensors to a stream.
-Status WriteTensors(std::ostream& out, const std::vector<Tensor>& tensors);
+/// Appends a tensor stream holding `tensors`.
+void WriteTensors(io::ByteWriter& out, const std::vector<Tensor>& tensors);
 
-/// Reads tensors written by WriteTensors.
-Result<std::vector<Tensor>> ReadTensors(std::istream& in);
-
-/// Writes tensors to a file.
-Status SaveTensors(const std::string& path,
-                   const std::vector<Tensor>& tensors);
-
-/// Reads tensors from a file.
-Result<std::vector<Tensor>> LoadTensors(const std::string& path);
+/// Reads a tensor stream written by WriteTensors. InvalidArgument when the
+/// bytes are not one (bad magic or version, an implausible shape, or fewer
+/// bytes than the shapes need).
+Result<std::vector<Tensor>> ReadTensors(io::ByteReader& in);
 
 /// Copies loaded values into an existing parameter set (e.g. a freshly
 /// constructed model); counts and shapes must match exactly.

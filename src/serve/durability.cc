@@ -8,6 +8,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
+
 namespace triad::serve {
 namespace {
 
@@ -15,50 +17,8 @@ constexpr char kManifestMagic[4] = {'T', 'R', 'M', 'F'};
 constexpr uint32_t kManifestVersion = 1;
 constexpr char kSnapshotMagic[4] = {'T', 'R', 'S', 'N'};
 constexpr uint32_t kSnapshotVersion = 1;
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-// Sequential POD reader over a decoded payload; `ok` latches false on the
-// first short read so decoders can chain reads and test once.
-struct PayloadReader {
-  std::string_view bytes;
-  size_t offset = 0;
-  bool ok = true;
-
-  template <typename T>
-  T Read() {
-    T value{};
-    if (!ok || offset + sizeof(T) > bytes.size()) {
-      ok = false;
-      return value;
-    }
-    std::memcpy(&value, bytes.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return value;
-  }
-
-  bool ReadRaw(void* dst, size_t len) {
-    if (!ok || offset + len > bytes.size()) return ok = false;
-    std::memcpy(dst, bytes.data() + offset, len);
-    offset += len;
-    return true;
-  }
-};
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendPod(out, static_cast<uint64_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadString(PayloadReader* r, std::string* s) {
-  const auto len = r->Read<uint64_t>();
-  if (!r->ok || len > (1ull << 20)) return r->ok = false;
-  s->resize(static_cast<size_t>(len));
-  return r->ReadRaw(s->data(), static_cast<size_t>(len));
-}
+// Gaps are stored as their raw (begin, end) pairs.
+static_assert(sizeof(core::TimelineGap) == 2 * sizeof(int64_t));
 
 }  // namespace
 
@@ -73,14 +33,16 @@ Status EnsureDir(const std::string& dir) {
 
 Status WriteManifest(const std::string& root, const FleetManifest& manifest) {
   std::string payload;
-  AppendPod(&payload, manifest.next_id);
-  AppendPod(&payload, static_cast<uint64_t>(manifest.tenants.size()));
+  io::ByteWriter w(&payload);
+  w.Put(manifest.next_id);
+  w.Put(static_cast<uint64_t>(manifest.tenants.size()));
   for (const TenantManifestEntry& t : manifest.tenants) {
-    AppendPod(&payload, t.id);
-    AppendString(&payload, t.model_key);
-    AppendPod(&payload, t.buffer_length);
-    AppendPod(&payload, t.hop);
-    AppendPod(&payload, static_cast<uint8_t>(t.incremental));
+    w.Put(t.id);
+    w.Put(static_cast<uint64_t>(t.model_key.size()));
+    w.PutBytes(t.model_key);
+    w.Put(t.buffer_length);
+    w.Put(t.hop);
+    w.Put(static_cast<uint8_t>(t.incremental));
   }
   return io::WriteChecksummedFile(root + "/manifest", kManifestMagic,
                                   kManifestVersion, payload);
@@ -94,27 +56,24 @@ Result<FleetManifest> ReadManifest(const std::string& root) {
   if (version != kManifestVersion) {
     return Status::InvalidArgument("unsupported manifest version");
   }
-  PayloadReader r{payload};
-  FleetManifest manifest;
-  manifest.next_id = r.Read<int64_t>();
-  const auto count = r.Read<uint64_t>();
   // The CRC already vouched for the bytes; a decode inconsistency past it
   // means the writer was broken, which is still data loss to the reader.
-  // Bounding counts by the bytes actually remaining (each entry is at
-  // least 33 bytes) keeps a CRC-valid-but-inconsistent length from
-  // triggering a huge resize (std::bad_alloc would escape the caller).
-  if (!r.ok || count > (payload.size() - r.offset) / 33) {
-    return Status::DataLoss("manifest decodes inconsistently");
+  io::ByteReader r(payload);
+  FleetManifest manifest;
+  manifest.next_id = r.Get<int64_t>();
+  const auto count = r.Get<uint64_t>();
+  // Entries are appended as they decode, so a hostile count stops at the
+  // first short read instead of sizing the roster.
+  for (uint64_t i = 0; i < count && r.ok(); ++i) {
+    TenantManifestEntry t;
+    t.id = r.Get<int64_t>();
+    t.model_key = r.GetBytes(r.Get<uint64_t>());
+    t.buffer_length = r.Get<int64_t>();
+    t.hop = r.Get<int64_t>();
+    t.incremental = r.Get<uint8_t>() != 0;
+    manifest.tenants.push_back(std::move(t));
   }
-  manifest.tenants.resize(static_cast<size_t>(count));
-  for (TenantManifestEntry& t : manifest.tenants) {
-    t.id = r.Read<int64_t>();
-    if (!ReadString(&r, &t.model_key)) break;
-    t.buffer_length = r.Read<int64_t>();
-    t.hop = r.Read<int64_t>();
-    t.incremental = r.Read<uint8_t>() != 0;
-  }
-  if (!r.ok || r.offset != payload.size()) {
+  if (!r.ok() || r.remaining() != 0) {
     return Status::DataLoss("manifest decodes inconsistently");
   }
   return manifest;
@@ -125,30 +84,26 @@ Status WriteTenantSnapshot(const std::string& root, int64_t id,
   const core::StreamingState& s = state.stream;
   std::string payload;
   payload.reserve(128 + s.buffer.size() * sizeof(double) + s.alarms.size());
-  AppendPod(&payload, state.chunks_applied_seq);
-  AppendPod(&payload, state.rung);
-  AppendPod(&payload, state.qos_next);
-  AppendPod(&payload, state.qos_count);
-  AppendPod(&payload, state.probation_counter);
-  payload.append(reinterpret_cast<const char*>(state.qos_outcomes.data()),
-                 state.qos_outcomes.size());
-  AppendPod(&payload, s.total_points);
-  AppendPod(&payload, s.passes);
-  AppendPod(&payload, s.failed_passes);
-  AppendPod(&payload, s.since_last_pass);
-  AppendPod(&payload, s.buffer_global_start);
-  AppendPod(&payload, static_cast<uint64_t>(s.buffer.size()));
-  payload.append(reinterpret_cast<const char*>(s.buffer.data()),
-                 s.buffer.size() * sizeof(double));
+  io::ByteWriter w(&payload);
+  w.Put(state.chunks_applied_seq);
+  w.Put(state.rung);
+  w.Put(state.qos_next);
+  w.Put(state.qos_count);
+  w.Put(state.probation_counter);
+  w.Put(state.qos_outcomes);
+  w.Put(s.total_points);
+  w.Put(s.passes);
+  w.Put(s.failed_passes);
+  w.Put(s.since_last_pass);
+  w.Put(s.buffer_global_start);
+  w.Put(static_cast<uint64_t>(s.buffer.size()));
+  w.PutArray(s.buffer.data(), s.buffer.size());
   // The timeline is 0/1; one byte per point keeps snapshots 4x smaller
   // than the in-memory std::vector<int>.
-  AppendPod(&payload, static_cast<uint64_t>(s.alarms.size()));
-  for (int a : s.alarms) payload.push_back(a != 0 ? 1 : 0);
-  AppendPod(&payload, static_cast<uint64_t>(s.gaps.size()));
-  for (const core::TimelineGap& gap : s.gaps) {
-    AppendPod(&payload, gap.begin);
-    AppendPod(&payload, gap.end);
-  }
+  w.Put(static_cast<uint64_t>(s.alarms.size()));
+  for (int a : s.alarms) w.Put(static_cast<uint8_t>(a != 0 ? 1 : 0));
+  w.Put(static_cast<uint64_t>(s.gaps.size()));
+  w.PutArray(s.gaps.data(), s.gaps.size());
   return io::WriteChecksummedFile(TenantDir(root, id) + "/snapshot",
                                   kSnapshotMagic, kSnapshotVersion, payload);
 }
@@ -163,46 +118,30 @@ Result<TenantDurableState> ReadTenantSnapshot(const std::string& root,
   if (version != kSnapshotVersion) {
     return Status::InvalidArgument("unsupported snapshot version");
   }
-  PayloadReader r{payload};
+  // A CRC-valid but inconsistent count must come back DataLoss like any
+  // other decode failure, not throw std::bad_alloc out of Recover (which
+  // quarantines per tenant, not per process): the reader checks every count
+  // against the bytes left before anything is sized from it.
+  io::ByteReader r(payload);
   TenantDurableState state;
-  state.chunks_applied_seq = r.Read<uint64_t>();
-  state.rung = r.Read<uint8_t>();
-  state.qos_next = r.Read<int64_t>();
-  state.qos_count = r.Read<int64_t>();
-  state.probation_counter = r.Read<int64_t>();
-  r.ReadRaw(state.qos_outcomes.data(), state.qos_outcomes.size());
+  state.chunks_applied_seq = r.Get<uint64_t>();
+  state.rung = r.Get<uint8_t>();
+  state.qos_next = r.Get<int64_t>();
+  state.qos_count = r.Get<int64_t>();
+  state.probation_counter = r.Get<int64_t>();
+  r.Get(&state.qos_outcomes);
   core::StreamingState& s = state.stream;
-  s.total_points = r.Read<int64_t>();
-  s.passes = r.Read<int64_t>();
-  s.failed_passes = r.Read<int64_t>();
-  s.since_last_pass = r.Read<int64_t>();
-  s.buffer_global_start = r.Read<int64_t>();
-  // Every count below is validated against the bytes actually remaining
-  // before the resize: a CRC-valid-but-inconsistent length field must come
-  // back DataLoss like any other decode failure, not throw std::bad_alloc
-  // out of Recover (which quarantines per tenant, not per process).
-  const auto buffer_n = r.Read<uint64_t>();
-  if (!r.ok || buffer_n > (payload.size() - r.offset) / sizeof(double)) {
-    return Status::DataLoss("snapshot decodes inconsistently");
-  }
-  s.buffer.resize(static_cast<size_t>(buffer_n));
-  r.ReadRaw(s.buffer.data(), s.buffer.size() * sizeof(double));
-  const auto alarms_n = r.Read<uint64_t>();
-  if (!r.ok || alarms_n > payload.size() - r.offset) {
-    return Status::DataLoss("snapshot decodes inconsistently");
-  }
-  s.alarms.resize(static_cast<size_t>(alarms_n));
-  for (int& a : s.alarms) a = r.Read<uint8_t>() != 0 ? 1 : 0;
-  const auto gaps_n = r.Read<uint64_t>();
-  if (!r.ok || gaps_n > (payload.size() - r.offset) / (2 * sizeof(int64_t))) {
-    return Status::DataLoss("snapshot decodes inconsistently");
-  }
-  s.gaps.resize(static_cast<size_t>(gaps_n));
-  for (core::TimelineGap& gap : s.gaps) {
-    gap.begin = r.Read<int64_t>();
-    gap.end = r.Read<int64_t>();
-  }
-  if (!r.ok || r.offset != payload.size()) {
+  s.total_points = r.Get<int64_t>();
+  s.passes = r.Get<int64_t>();
+  s.failed_passes = r.Get<int64_t>();
+  s.since_last_pass = r.Get<int64_t>();
+  s.buffer_global_start = r.Get<int64_t>();
+  r.GetArray(r.Get<uint64_t>(), &s.buffer);
+  const std::string_view alarms = r.GetBytes(r.Get<uint64_t>());
+  s.alarms.reserve(alarms.size());
+  for (char a : alarms) s.alarms.push_back(a != 0 ? 1 : 0);
+  r.GetArray(r.Get<uint64_t>(), &s.gaps);
+  if (!r.ok() || r.remaining() != 0) {
     return Status::DataLoss("snapshot decodes inconsistently");
   }
   return state;
@@ -283,10 +222,10 @@ Status WalWriter::Append(uint64_t seq, const double* points, size_t count) {
   }
   std::string payload;
   payload.reserve(2 * sizeof(uint64_t) + count * sizeof(double));
-  AppendPod(&payload, seq);
-  AppendPod(&payload, static_cast<uint64_t>(count));
-  payload.append(reinterpret_cast<const char*>(points),
-                 count * sizeof(double));
+  io::ByteWriter w(&payload);
+  w.Put(seq);
+  w.Put(static_cast<uint64_t>(count));
+  w.PutArray(points, count);
   std::string record;
   io::AppendRecord(&record, payload);
   const uint64_t start = tail_;
@@ -339,21 +278,17 @@ Result<WalReplay> ReadWal(const std::string& path) {
   replay.valid_bytes = scan.valid_bytes;
   uint64_t last_seq = 0;
   for (const std::string& record : scan.records) {
-    PayloadReader r{record};
+    io::ByteReader r(record);
     WalChunk chunk;
-    chunk.seq = r.Read<uint64_t>();
-    const auto count = r.Read<uint64_t>();
-    if (!r.ok || count > (1ull << 32) ||
-        record.size() != 2 * sizeof(uint64_t) + count * sizeof(double) ||
-        chunk.seq <= last_seq) {
+    chunk.seq = r.Get<uint64_t>();
+    r.GetArray(r.Get<uint64_t>(), &chunk.points);
+    if (!r.ok() || r.remaining() != 0 || chunk.seq <= last_seq) {
       // Framed and checksummed yet nonsensical: the writer (or the disk,
       // in a way CRC missed) lied. Treat like interior corruption.
       replay.outcome = io::RecordScanOutcome::kCorrupt;
       return replay;
     }
     last_seq = chunk.seq;
-    chunk.points.resize(static_cast<size_t>(count));
-    r.ReadRaw(chunk.points.data(), chunk.points.size() * sizeof(double));
     replay.chunks.push_back(std::move(chunk));
   }
   return replay;

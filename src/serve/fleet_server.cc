@@ -194,6 +194,11 @@ struct FleetServer::Impl {
 
   std::mutex drain_mu;  // serializes Drain calls
 
+  // FleetOptions::pass_deadline_seconds as a clock duration; max() when
+  // the fleet has no deadline.
+  std::chrono::steady_clock::duration pass_budget =
+      std::chrono::steady_clock::duration::max();
+
   // Authoritative fleet accounting (metrics are export-only mirrors and
   // vanish when TRIAD_METRICS is off; these never do).
   std::atomic<int64_t> queue_chunks{0};
@@ -321,6 +326,17 @@ FleetServer::FleetServer(FleetOptions options)
   options_.qos_window = std::clamp<int64_t>(options_.qos_window, 1, 64);
   options_.qos_min_passes =
       std::clamp<int64_t>(options_.qos_min_passes, 1, options_.qos_window);
+  // A budget the clock cannot represent means no deadline: converting it
+  // would overflow (NaN and +inf fail one of the comparisons too).
+  constexpr double kMaxBudgetSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::duration::max())
+          .count();
+  if (options_.pass_deadline_seconds > 0.0 &&
+      options_.pass_deadline_seconds < kMaxBudgetSeconds) {
+    impl_->pass_budget =
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(options_.pass_deadline_seconds));
+  }
   if (!options_.durability.dir.empty()) {
     impl_->snapshot_lane = std::thread(
         [this] { impl_->RunSnapshotLane(options_.durability.dir); });
@@ -652,13 +668,11 @@ Result<int64_t> FleetServer::Drain() {
     int64_t error_outcomes = 0;
     const auto start = std::chrono::steady_clock::now();
     // One budget for the whole slice, visible (via the thread-local + pool
-    // propagation) to every checkpoint inside Detect.
+    // propagation) to every checkpoint inside Detect. A deadline past the
+    // clock's range is none.
     const PassDeadline deadline =
-        options_.pass_deadline_seconds > 0.0
-            ? start + std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(
-                              options_.pass_deadline_seconds))
+        start < kNoPassDeadline - impl_->pass_budget
+            ? start + impl_->pass_budget
             : kNoPassDeadline;
     ScopedPassDeadline scope(deadline);
     try {

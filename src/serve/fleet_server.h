@@ -70,11 +70,13 @@ struct FleetOptions {
   DurabilityOptions durability;
 
   /// Wall-clock budget for one tenant's Drain slice, enforced by the
-  /// cooperative checkpoints inside Detect (common/deadline.h). 0 = no
-  /// budget. A pass that reaches a checkpoint at or past the deadline
-  /// becomes a gap, which counts as a failed pass on the QoS ladder — a
-  /// tenant that keeps blowing its budget degrades, then rejects. Nothing
-  /// interrupts a pass between checkpoints.
+  /// cooperative checkpoints inside Detect (common/deadline.h). A value
+  /// that is not > 0, or too large for the steady clock to represent from
+  /// the start of a slice, means no budget. A pass that reaches a
+  /// checkpoint at or past the deadline becomes a gap, which counts as a
+  /// failed pass on the QoS ladder — a tenant that keeps blowing its
+  /// budget degrades, then rejects. Nothing interrupts a pass between
+  /// checkpoints.
   double pass_deadline_seconds = 0.0;
 };
 

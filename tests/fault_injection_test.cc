@@ -11,7 +11,9 @@
 //   * repairable mild corruption does not change the verdict — the
 //     detector still localizes the planted anomaly;
 //   * a CRC-valid checkpoint with a hostile config, geometry or tensor
-//     shapes fails Load with InvalidArgument (ARCHITECTURE.md §10).
+//     shapes fails Load with InvalidArgument (ARCHITECTURE.md §10);
+//   * the same body framed as a version-2 checkpoint loads to the same
+//     Detect output.
 
 #include <gtest/gtest.h>
 
@@ -352,18 +354,61 @@ TEST(CheckpointGeometryTest, RejectsTrainCountBeyondBody) {
   }
 }
 
-TEST(CheckpointGeometryTest, RejectsOverflowingTensorShape) {
+// The body with its first weight tensor's shape set to dim x dim. The
+// weights follow the training series as a TRTN tensor stream: magic, u32
+// version, u64 count, then the first tensor's u32 rank and int64 dims.
+std::string WithSquareFirstTensor(int64_t dim) {
   std::string body = Saved().body;
-  // The weights follow the training series as a TRTN tensor stream:
-  // magic, u32 version, u64 count, then the first tensor's u32 rank and
-  // int64 dims. 2^40 x 2^40 elements overflows int64.
   const size_t tensors_at = TrainCountAt() + 8 + Saved().train_count * 8;
-  ASSERT_EQ(body.compare(tensors_at, 4, "TRTN"), 0);
+  EXPECT_EQ(body.compare(tensors_at, 4, "TRTN"), 0);
   const size_t rank_at = tensors_at + 4 + 4 + 8;
   Poke<uint32_t>(&body, rank_at, 2);
-  Poke<int64_t>(&body, rank_at + 4, int64_t{1} << 40);
-  Poke<int64_t>(&body, rank_at + 12, int64_t{1} << 40);
-  ExpectRejected(body);
+  Poke<int64_t>(&body, rank_at + 4, dim);
+  Poke<int64_t>(&body, rank_at + 12, dim);
+  return body;
+}
+
+// 2^40 x 2^40 elements overflows int64.
+TEST(CheckpointGeometryTest, RejectsOverflowingTensorShape) {
+  ExpectRejected(WithSquareFirstTensor(int64_t{1} << 40));
+}
+
+// 2^15 x 2^15 floats (4 GiB) is within the element cap, but the body does
+// not hold them: Load rejects it without sizing anything from the shape.
+TEST(CheckpointGeometryTest, RejectsTensorShapeTheBodyDoesNotHold) {
+  ExpectRejected(WithSquareFirstTensor(int64_t{1} << 15));
+}
+
+// A v1/v2 checkpoint is the magic, the version and an unchecksummed body
+// laid out as v3's. The v3 body framed as v2 loads to the same detector.
+TEST(CheckpointVersionTest, V2FramedBodyLoadsLikeV3) {
+  ASSERT_FALSE(Saved().body.empty());
+  const std::string path = ::testing::TempDir() + "triad_v2.ckpt";
+  {
+    std::string bytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+    const uint32_t version = 2;
+    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    bytes += Saved().body;
+    ASSERT_TRUE(io::AtomicWriteFile(path, bytes).ok());
+  }
+  Result<core::TriadDetector> v2 = core::TriadDetector::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  Result<core::TriadDetector> v3 = LoadBody(Saved().body);
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+
+  auto a = v2->Detect(Saved().test);
+  auto b = v3->Detect(Saved().test);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->predictions, b->predictions);
+  EXPECT_EQ(a->votes, b->votes);
+  EXPECT_EQ(a->selected_window, b->selected_window);
+  ASSERT_EQ(a->discords.size(), b->discords.size());
+  for (size_t i = 0; i < a->discords.size(); ++i) {
+    EXPECT_EQ(a->discords[i].position, b->discords[i].position) << i;
+    EXPECT_EQ(a->discords[i].length, b->discords[i].length) << i;
+    EXPECT_EQ(a->discords[i].distance, b->discords[i].distance) << i;
+  }
 }
 
 // ---------- hostile checkpoints: CRC-valid bodies with a bad config ----------

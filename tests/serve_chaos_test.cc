@@ -12,7 +12,11 @@
 //   * WAL interior bit rot — that tenant quarantined, everyone else serves;
 //   * checkpoint bit rot — ModelRegistry quarantine, tenant quarantined;
 //   * injected pass hang — it fails at its deadline, the tenant degrades
-//     on the ordinary QoS ladder, no other tenant stalls;
+//     on the ordinary QoS ladder, no other tenant stalls; a budget the
+//     clock cannot represent is no deadline at all;
+//   * hostile counts — a CRC-valid snapshot, manifest or WAL record whose
+//     count field exceeds its payload is DataLoss (kCorrupt for the WAL),
+//     and nothing is sized from the count;
 //   * a failing append — a hard error: the chunk is dropped, the drain
 //     moves on;
 //   * admission allocation failure — chunk rejected with an exact ledger
@@ -33,14 +37,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/deadline.h"
+#include "common/durable_io.h"
 #include "common/simd.h"
 #include "core/streaming.h"
 #include "data/ucr_generator.h"
@@ -648,6 +656,31 @@ TEST(ServeChaosDeadlineTest, HungPassFailsAtItsDeadlineWithoutStallingOthers) {
   EXPECT_GT(after->total_points, 0);
 }
 
+// A budget the clock cannot represent from now is no deadline: every pass
+// runs as in a fleet without one, and none counts as expired.
+TEST(ServeChaosDeadlineTest, BudgetBeyondTheClockMeansNoDeadline) {
+  auto detector = SharedDetector();
+  const std::vector<double> feed = SmallDataset(255).test;
+  const auto drain_once = [&](double budget) {
+    FleetOptions options;
+    options.pass_deadline_seconds = budget;
+    FleetServer fleet(options);
+    auto id = fleet.AddTenant(detector);
+    TRIAD_CHECK(id.ok());
+    TRIAD_CHECK(fleet.Ingest(*id, feed).ok());
+    TRIAD_CHECK(fleet.Drain().ok());
+    return fleet.stats();
+  };
+  const FleetStats reference = drain_once(0.0);
+  ASSERT_GT(reference.passes, 0u);
+  for (double budget : {1e10, 1e12, std::numeric_limits<double>::infinity()}) {
+    const FleetStats stats = drain_once(budget);
+    EXPECT_EQ(stats.passes, reference.passes) << budget;
+    EXPECT_EQ(stats.failed_passes, reference.failed_passes) << budget;
+    EXPECT_EQ(stats.deadline_expired_passes, 0u) << budget;
+  }
+}
+
 // Append fault: a chunk whose outcome is an error is a hard error — the
 // error surfaces, the chunk and the rest of the slice are dropped, and the
 // drain moves on without wedging.
@@ -770,6 +803,127 @@ TEST(ServeChaosWalWriterTest, TruncateToRestoresRecordBoundaryDurably) {
   EXPECT_EQ(replay->chunks[0].points, a);
   EXPECT_EQ(replay->chunks[1].seq, 2u);
   EXPECT_EQ(replay->chunks[1].points, c);
+}
+
+// ---------- CRC-valid payloads with hostile count fields ----------
+//
+// A checksum proves the bytes are the ones written, not that the counts in
+// them are honest. Each case rewrites one count of a valid payload,
+// re-checksums it, and expects the decoder to reject it as corrupt without
+// sizing anything from the count.
+
+std::vector<uint64_t> HostileCounts(uint64_t honest) {
+  return {honest + 1, honest + (uint64_t{1} << 32), uint64_t{1} << 62,
+          ~uint64_t{0}};
+}
+
+std::string WithCount(std::string payload, size_t at, uint64_t count) {
+  TRIAD_CHECK(at + sizeof(count) <= payload.size());
+  std::memcpy(payload.data() + at, &count, sizeof(count));
+  return payload;
+}
+
+uint64_t CountAt(const std::string& payload, size_t at) {
+  uint64_t count = 0;
+  if (at + sizeof(count) <= payload.size()) {
+    std::memcpy(&count, payload.data() + at, sizeof(count));
+  }
+  return count;
+}
+
+TEST(ServeChaosDecodeTest, SnapshotCountBeyondPayloadIsDataLoss) {
+  const std::string dir = ChaosDir("hostile_snapshot");
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  ASSERT_TRUE(EnsureDir(TenantDir(dir, 1)).ok());
+  TenantDurableState state;
+  state.stream.buffer = {1.5, 2.5, 3.5};
+  state.stream.alarms = {0, 1, 1, 0, 1};
+  state.stream.gaps = {{1, 3}, {7, 9}};
+  ASSERT_TRUE(WriteTenantSnapshot(dir, 1, state).ok());
+  ASSERT_TRUE(ReadTenantSnapshot(dir, 1).ok());
+  const std::string path = TenantDir(dir, 1) + "/snapshot";
+  const char magic[4] = {'T', 'R', 'S', 'N'};
+  uint32_t version = 0;
+  auto payload = io::ReadChecksummedFile(path, magic, &version);
+  ASSERT_TRUE(payload.ok());
+  // Payload layout: seq u64, rung u8, three i64 QoS fields, 64 outcome
+  // bytes, five i64 stream fields, then each counted array.
+  constexpr size_t kBufferCountAt = 8 + 1 + 3 * 8 + 64 + 5 * 8;
+  constexpr size_t kAlarmCountAt = kBufferCountAt + 8 + 3 * 8;
+  constexpr size_t kGapCountAt = kAlarmCountAt + 8 + 5;
+  for (const auto& [at, honest] :
+       {std::pair<size_t, uint64_t>{kBufferCountAt, 3},
+        std::pair<size_t, uint64_t>{kAlarmCountAt, 5},
+        std::pair<size_t, uint64_t>{kGapCountAt, 2}}) {
+    ASSERT_EQ(CountAt(*payload, at), honest) << at;
+    for (uint64_t count : HostileCounts(honest)) {
+      ASSERT_TRUE(io::WriteChecksummedFile(path, magic, version,
+                                           WithCount(*payload, at, count))
+                      .ok());
+      EXPECT_EQ(ReadTenantSnapshot(dir, 1).status().code(),
+                StatusCode::kDataLoss)
+          << "count at " << at << " = " << count;
+    }
+  }
+}
+
+TEST(ServeChaosDecodeTest, ManifestCountBeyondPayloadIsDataLoss) {
+  const std::string dir = ChaosDir("hostile_manifest");
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  FleetManifest manifest;
+  manifest.next_id = 3;
+  manifest.tenants = {{1, "model_a", 128, 16, true},
+                      {2, "key_b", 256, 32, false}};
+  ASSERT_TRUE(WriteManifest(dir, manifest).ok());
+  ASSERT_TRUE(ReadManifest(dir).ok());
+  const std::string path = dir + "/manifest";
+  const char magic[4] = {'T', 'R', 'M', 'F'};
+  uint32_t version = 0;
+  auto payload = io::ReadChecksummedFile(path, magic, &version);
+  ASSERT_TRUE(payload.ok());
+  // next_id i64, the tenant count, then the first entry's i64 id and its
+  // key's length.
+  constexpr size_t kTenantCountAt = 8;
+  constexpr size_t kFirstKeyLengthAt = 24;
+  for (const auto& [at, honest] :
+       {std::pair<size_t, uint64_t>{kTenantCountAt, 2},
+        std::pair<size_t, uint64_t>{kFirstKeyLengthAt, 7}}) {
+    ASSERT_EQ(CountAt(*payload, at), honest) << at;
+    for (uint64_t count : HostileCounts(honest)) {
+      ASSERT_TRUE(io::WriteChecksummedFile(path, magic, version,
+                                           WithCount(*payload, at, count))
+                      .ok());
+      EXPECT_EQ(ReadManifest(dir).status().code(), StatusCode::kDataLoss)
+          << "count at " << at << " = " << count;
+    }
+  }
+}
+
+TEST(ServeChaosDecodeTest, WalPointCountBeyondRecordIsCorrupt) {
+  const std::string dir = ChaosDir("hostile_wal");
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  const std::string path = dir + "/wal";
+  const std::vector<double> points = {1.0, 2.0, 3.0};
+  {
+    auto writer = WalWriter::Open(path, /*fsync_each=*/false);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->Append(1, points.data(), points.size()).ok());
+  }
+  ASSERT_EQ(ReadWal(path)->chunks.size(), 1u);
+  // The record's payload: seq u64, the point count, the points.
+  std::string payload(2 * sizeof(uint64_t), '\0');
+  payload = WithCount(WithCount(payload, 0, 1), 8, points.size());
+  payload.append(reinterpret_cast<const char*>(points.data()),
+                 points.size() * sizeof(double));
+  for (uint64_t count : HostileCounts(points.size())) {
+    std::string record;
+    io::AppendRecord(&record, WithCount(payload, 8, count));
+    ASSERT_TRUE(io::AtomicWriteFile(path, record).ok());
+    auto replay = ReadWal(path);
+    ASSERT_TRUE(replay.ok());
+    EXPECT_EQ(replay->outcome, io::RecordScanOutcome::kCorrupt) << count;
+    EXPECT_TRUE(replay->chunks.empty()) << count;
+  }
 }
 
 // A manifest write failure unwinds AddTenant completely: no live tenant
