@@ -17,7 +17,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "common/trace.h"
 #include "discord/discord.h"
 #include "discord/mass.h"
 #include "discord/stomp.h"
@@ -210,12 +209,11 @@ BENCHMARK(BM_MerlinNoisySweep)->Unit(benchmark::kMillisecond);
 // ExactDiscords alone at step 1) and the selection-stage comparison (MASS
 // profile vs nearest-window scan) as a machine-readable record, with the
 // FFT plan and spectrum cache counters, in BENCH_discord.json (schema
-// triad-observability-v1; see bench/README.md). Fixed iteration counts
+// triad-observability-v2; see bench/README.md). Fixed iteration counts
 // keep the record cheap and the workload identical across runs.
 int RunJsonMode() {
   metrics::ScopedEnable enable(true);
   metrics::Registry::Global().ResetAll();
-  trace::TraceBuffer::Global().Clear();
   Timer wall;
 
   // Region sweep, Merlin vs ExactDiscords (the BM_Region* pair above):

@@ -343,7 +343,6 @@ BENCHMARK(BM_TrainDetectEndToEnd)
 int RunJsonMode() {
   metrics::ScopedEnable enable(true);
   metrics::Registry::Global().ResetAll();
-  trace::TraceBuffer::Global().Clear();
   Timer wall;
 
   {

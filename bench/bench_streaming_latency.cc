@@ -1,6 +1,6 @@
 // Streaming hot-path latency (ARCHITECTURE.md §8): ms per appended chunk
 // with the incremental memo on versus full recompute. The --json mode emits
-// BENCH_streaming.json (schema triad-observability-v1; see bench/README.md).
+// BENCH_streaming.json (schema triad-observability-v2; see bench/README.md).
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "common/trace.h"
 #include "core/streaming.h"
 
 namespace triad::core {
@@ -140,7 +139,6 @@ LegTiming RunStreamLeg(const TriadDetector& detector,
 int RunJsonMode() {
   metrics::ScopedEnable enable(true);
   metrics::Registry::Global().ResetAll();
-  trace::TraceBuffer::Global().Clear();
   Timer wall;
 
   const TriadDetector detector = MakeDetector(5);

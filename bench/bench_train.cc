@@ -20,7 +20,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "common/trace.h"
 #include "core/config.h"
 #include "core/model.h"
 #include "core/trainer.h"
@@ -85,14 +84,11 @@ BENCHMARK(BM_TrainEpoch)->Unit(benchmark::kMillisecond);
 
 // ---- --json mode: the 1-lane vs default-pool record ----
 
-// Sums the durations of every retained span named `name` — the per-phase
-// breakdown each leg reports (the buffer is cleared before each leg).
+// The summed duration of every span named `name` so far: a span records
+// into the registry histogram of its name. A leg's phase time is the
+// difference across the leg.
 double SpanTotal(const std::string& name) {
-  double total = 0.0;
-  for (const auto& span : trace::TraceBuffer::Global().Snapshot()) {
-    if (span.name == name) total += span.duration_seconds;
-  }
-  return total;
+  return metrics::Registry::Global().histogram(name)->sum();
 }
 
 struct Leg {
@@ -107,16 +103,20 @@ Leg TimedFit(const TriadConfig& config,
              const std::vector<std::vector<double>>& windows,
              const std::string& name,
              std::vector<std::pair<std::string, double>>* extras) {
-  trace::TraceBuffer::Global().Clear();
+  const std::vector<std::string> phases = {"forward", "backward", "features",
+                                           "augment", "step"};
+  std::vector<double> before;
+  for (const std::string& phase : phases) {
+    before.push_back(SpanTotal("trainer." + phase));
+  }
   Leg leg;
   Timer timer;
   leg.stats = FitOnce(config, windows);
   leg.seconds = timer.ElapsedSeconds();
   extras->emplace_back(name + "_seconds", leg.seconds);
-  for (const std::string phase :
-       {"forward", "backward", "features", "augment", "step"}) {
-    extras->emplace_back(name + "_" + phase + "_seconds",
-                         SpanTotal("trainer." + phase));
+  for (size_t i = 0; i < phases.size(); ++i) {
+    extras->emplace_back(name + "_" + phases[i] + "_seconds",
+                         SpanTotal("trainer." + phases[i]) - before[i]);
   }
   return leg;
 }

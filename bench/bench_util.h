@@ -73,12 +73,12 @@ core::DetectionResult RunTriad(const core::TriadConfig& config,
                                const data::UcrDataset& ds);
 
 /// \brief Writes the machine-readable bench record `BENCH_<name>.json`
-/// (schema `triad-observability-v1`, documented in bench/README.md): wall
-/// time, the per-span breakdown aggregated from the global trace buffer,
-/// the active SIMD tier, the default pool's thread count, every registry
-/// instrument, and the caller's `extra` scalars. The output directory
-/// comes from TRIAD_BENCH_JSON_DIR (default "."). Returns the path
-/// written; aborts if the file cannot be created.
+/// (schema `triad-observability-v2`, documented in bench/README.md): wall
+/// time, the active SIMD tier, the default pool's thread count, every
+/// registry instrument (each span name is a histogram), and the caller's
+/// `extra` scalars. The output directory comes from TRIAD_BENCH_JSON_DIR
+/// (default "."). Returns the path written; aborts if the file cannot be
+/// created.
 std::string WriteBenchJson(
     const std::string& name, double wall_seconds,
     const std::vector<std::pair<std::string, double>>& extra = {});

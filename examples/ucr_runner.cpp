@@ -5,9 +5,10 @@
 //
 // Optional flags (after the path): --epochs N --depth N --hidden N
 //   --save ckpt.bin (write the fitted detector)
-//   --metrics-json out.json (write the observability report: per-stage
-//   spans, registry instruments, SIMD tier, thread count — the same
-//   triad-observability-v1 schema as the BENCH_*.json records)
+//   --metrics-json out.json (write the observability report: registry
+//   instruments, each per-stage span a histogram, SIMD tier, thread
+//   count — the same triad-observability-v2 schema as the BENCH_*.json
+//   records)
 //
 // Prints the detection spans, all rigorous metrics, and the per-stage
 // interpretability artifacts.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -28,9 +29,9 @@ std::atomic<int> g_override{-1};
 uint64_t ToBits(double v) { return std::bit_cast<uint64_t>(v); }
 double FromBits(uint64_t b) { return std::bit_cast<double>(b); }
 
-// Escapes a metric name for inclusion in a JSON string literal. Names are
-// ASCII identifiers by convention; this keeps the exporter safe anyway.
-std::string JsonEscape(const std::string& s) {
+}  // namespace
+
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -38,7 +39,7 @@ std::string JsonEscape(const std::string& s) {
       out.push_back('\\');
       out.push_back(c);
     } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += "\\u0020";  // control chars have no business in metric names
+      out += "\\u0020";  // control chars have no business in names
     } else {
       out.push_back(c);
     }
@@ -46,8 +47,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-// JSON has no NaN/Inf literals; a non-finite value exports as 0 (metric
-// values are advisory, and a parse failure would cost the whole document).
 void AppendJsonNumber(std::ostream& os, double v) {
   if (!std::isfinite(v)) {
     os << 0;
@@ -58,8 +57,6 @@ void AppendJsonNumber(std::ostream& os, double v) {
   tmp << v;
   os << tmp.str();
 }
-
-}  // namespace
 
 bool Enabled() {
   static const bool from_env = EnabledFromEnv();
@@ -130,13 +127,32 @@ void Histogram::Reset() {
 }
 
 // std::map keeps exporter output sorted; unique_ptr keeps instrument
-// addresses stable across rehash-free inserts.
+// addresses stable across rehash-free inserts. The transparent comparator
+// lets a lookup by string_view find a registered name without building a
+// std::string.
+template <typename T>
+using InstrumentMap = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
 struct Registry::Impl {
   mutable std::mutex mu;
-  std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms;
+  InstrumentMap<Counter> counters;
+  InstrumentMap<Gauge> gauges;
+  InstrumentMap<Histogram> histograms;
 };
+
+namespace {
+
+// Finds `name`, registering it on first use. Caller holds the registry mutex.
+template <typename T>
+T* FindOrAdd(InstrumentMap<T>& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), std::make_unique<T>()).first;
+  }
+  return it->second.get();
+}
+
+}  // namespace
 
 Registry::Registry() : impl_(new Impl) {}
 Registry::~Registry() { delete impl_; }
@@ -149,23 +165,17 @@ Registry& Registry::Global() {
 
 Counter* Registry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  auto& slot = impl_->counters[std::string(name)];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+  return FindOrAdd(impl_->counters, name);
 }
 
 Gauge* Registry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  auto& slot = impl_->gauges[std::string(name)];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
+  return FindOrAdd(impl_->gauges, name);
 }
 
 Histogram* Registry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  auto& slot = impl_->histograms[std::string(name)];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
+  return FindOrAdd(impl_->histograms, name);
 }
 
 std::string Registry::ExportText() const {

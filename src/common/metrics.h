@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -27,7 +28,8 @@ namespace triad::metrics {
 /// (`off` / `0` / `false` / `no` disable it; anything else — including
 /// unset — enables it). When disabled every record call is a single
 /// predictable branch and nothing is ever written: the registry stays
-/// empty-valued and the trace ring buffer (common/trace.h) stays empty.
+/// empty-valued, and trace spans (common/trace.h) still measure but record
+/// nothing.
 /// Observability never feeds back into computation — results are
 /// bit-identical with metrics on and off (enforced by
 /// tests/detector_golden_test.cc).
@@ -113,10 +115,12 @@ class Histogram {
 
 /// \brief The process-global instrument registry.
 ///
-/// Lookup (counter/gauge/histogram) takes a mutex and is meant for
-/// call-site initialization, not per-event use; returned pointers are
-/// stable for the process lifetime. Exporters snapshot under the same
-/// mutex, so names appear atomically; values are relaxed reads.
+/// Lookup (counter/gauge/histogram) takes a mutex and allocates only the
+/// first time a name is seen; returned pointers are stable for the process
+/// lifetime. Call sites cache the pointer, except trace::TraceSpan, which
+/// looks its histogram up by name once per recorded span. Exporters
+/// snapshot under the same mutex, so names appear atomically; values are
+/// relaxed reads.
 class Registry {
  public:
   static Registry& Global();
@@ -148,6 +152,16 @@ class Registry {
   struct Impl;
   Impl* impl_;
 };
+
+/// Escapes `s` for a JSON string literal: quotes and backslashes get a
+/// backslash, control characters become `\u0020`. Shared by every JSON
+/// exporter.
+std::string JsonEscape(std::string_view s);
+
+/// Writes `v` as a JSON number with 17 significant digits. JSON has no
+/// NaN/Inf literals, so a non-finite value is written as 0 (metric values
+/// are advisory, and a parse failure would cost the whole document).
+void AppendJsonNumber(std::ostream& os, double v);
 
 }  // namespace triad::metrics
 

@@ -1,127 +1,12 @@
 #include "common/trace.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <map>
-#include <mutex>
 #include <ostream>
-#include <sstream>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/simd.h"
 
 namespace triad::trace {
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-// All span start times are reported relative to one process epoch so they
-// compose into a single timeline regardless of which thread recorded them.
-Clock::time_point ProcessEpoch() {
-  static const Clock::time_point epoch = Clock::now();
-  return epoch;
-}
-
-double SecondsSinceEpoch(Clock::time_point t) {
-  return std::chrono::duration<double>(t - ProcessEpoch()).count();
-}
-
-void AppendJsonNumber(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << 0;
-    return;
-  }
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << v;
-  os << tmp.str();
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-struct TraceBuffer::Impl {
-  mutable std::mutex mu;
-  std::vector<SpanRecord> ring;
-  int64_t capacity = 0;
-  int64_t head = 0;   // next write slot
-  int64_t count = 0;  // retained (<= capacity)
-  uint64_t next_sequence = 0;
-};
-
-TraceBuffer::TraceBuffer(int64_t capacity) : impl_(new Impl) {
-  impl_->capacity = std::max<int64_t>(1, capacity);
-  impl_->ring.resize(static_cast<size_t>(impl_->capacity));
-}
-
-TraceBuffer::~TraceBuffer() { delete impl_; }
-
-TraceBuffer& TraceBuffer::Global() {
-  // Leaked like Registry::Global(): spans may be recorded from pool worker
-  // threads during static destruction of other objects.
-  static TraceBuffer* buffer = new TraceBuffer;
-  return *buffer;
-}
-
-void TraceBuffer::Record(const char* name, double start_seconds,
-                         double duration_seconds) {
-  if (!metrics::Enabled()) return;
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  SpanRecord& slot = impl_->ring[static_cast<size_t>(impl_->head)];
-  std::strncpy(slot.name, name == nullptr ? "" : name, kMaxSpanNameLength);
-  slot.name[kMaxSpanNameLength] = '\0';
-  slot.start_seconds = start_seconds;
-  slot.duration_seconds = duration_seconds;
-  slot.sequence = impl_->next_sequence++;
-  impl_->head = (impl_->head + 1) % impl_->capacity;
-  impl_->count = std::min(impl_->count + 1, impl_->capacity);
-}
-
-std::vector<SpanRecord> TraceBuffer::Snapshot() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  std::vector<SpanRecord> out;
-  out.reserve(static_cast<size_t>(impl_->count));
-  // Oldest retained span sits `count` slots behind the write head.
-  int64_t index =
-      ((impl_->head - impl_->count) % impl_->capacity + impl_->capacity) %
-      impl_->capacity;
-  for (int64_t i = 0; i < impl_->count; ++i) {
-    out.push_back(impl_->ring[static_cast<size_t>(index)]);
-    index = (index + 1) % impl_->capacity;
-  }
-  return out;
-}
-
-void TraceBuffer::Clear() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->head = 0;
-  impl_->count = 0;
-  impl_->next_sequence = 0;
-}
-
-int64_t TraceBuffer::capacity() const { return impl_->capacity; }
-
-uint64_t TraceBuffer::total_recorded() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->next_sequence;
-}
 
 TraceSpan::TraceSpan(const char* name)
     : name_(name), start_(Clock::now()), active_(true) {}
@@ -131,86 +16,29 @@ TraceSpan::~TraceSpan() {
 }
 
 double TraceSpan::Stop() {
-  const Clock::time_point end = Clock::now();
-  const double duration = std::chrono::duration<double>(end - start_).count();
+  const double duration =
+      std::chrono::duration<double>(Clock::now() - start_).count();
   if (!active_) return duration;
   active_ = false;
-  TraceBuffer::Global().Record(name_, SecondsSinceEpoch(start_), duration);
+  if (metrics::Enabled()) {
+    metrics::Registry::Global().histogram(name_)->Observe(duration);
+  }
   return duration;
-}
-
-double TraceSpan::ElapsedSeconds() const {
-  return std::chrono::duration<double>(Clock::now() - start_).count();
-}
-
-std::vector<SpanStats> AggregateSpans(const std::vector<SpanRecord>& spans) {
-  std::map<std::string, SpanStats> by_name;
-  for (const SpanRecord& span : spans) {
-    auto [it, inserted] = by_name.try_emplace(span.name);
-    SpanStats& stats = it->second;
-    if (inserted) {
-      stats.name = span.name;
-      stats.min_seconds = span.duration_seconds;
-      stats.max_seconds = span.duration_seconds;
-    }
-    stats.count += 1;
-    stats.total_seconds += span.duration_seconds;
-    stats.min_seconds = std::min(stats.min_seconds, span.duration_seconds);
-    stats.max_seconds = std::max(stats.max_seconds, span.duration_seconds);
-  }
-  std::vector<SpanStats> out;
-  out.reserve(by_name.size());
-  for (auto& [name, stats] : by_name) out.push_back(std::move(stats));
-  return out;
-}
-
-std::string ExportSpansText(const std::vector<SpanStats>& stats) {
-  std::ostringstream os;
-  os.precision(17);
-  for (const SpanStats& s : stats) {
-    os << "span " << s.name << " count " << s.count << " total "
-       << s.total_seconds << " min " << s.min_seconds << " max "
-       << s.max_seconds << "\n";
-  }
-  return os.str();
-}
-
-std::string ExportSpansJson(const std::vector<SpanStats>& stats) {
-  std::ostringstream os;
-  os << "[";
-  bool first = true;
-  for (const SpanStats& s : stats) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"name\": \"" << JsonEscape(s.name) << "\", \"count\": " << s.count
-       << ", \"total_seconds\": ";
-    AppendJsonNumber(os, s.total_seconds);
-    os << ", \"min_seconds\": ";
-    AppendJsonNumber(os, s.min_seconds);
-    os << ", \"max_seconds\": ";
-    AppendJsonNumber(os, s.max_seconds);
-    os << "}";
-  }
-  os << "]";
-  return os.str();
 }
 
 void WriteObservabilityJson(
     std::ostream& os, const std::string& name, double wall_seconds,
     const std::vector<std::pair<std::string, double>>& extra) {
   os << "{\n";
-  os << "  \"schema\": \"triad-observability-v1\",\n";
-  os << "  \"name\": \"" << JsonEscape(name) << "\",\n";
+  os << "  \"schema\": \"triad-observability-v2\",\n";
+  os << "  \"name\": \"" << metrics::JsonEscape(name) << "\",\n";
   os << "  \"wall_seconds\": ";
-  AppendJsonNumber(os, wall_seconds);
+  metrics::AppendJsonNumber(os, wall_seconds);
   os << ",\n";
   os << "  \"simd_tier\": \"" << simd::LevelName(simd::ActiveLevel())
      << "\",\n";
   os << "  \"threads\": " << DefaultPool()->num_threads() << ",\n";
   os << "  \"metrics_enabled\": " << (metrics::Enabled() ? "true" : "false")
-     << ",\n";
-  os << "  \"spans\": "
-     << ExportSpansJson(AggregateSpans(TraceBuffer::Global().Snapshot()))
      << ",\n";
   os << "  " << metrics::Registry::Global().ExportJsonMembers() << ",\n";
   os << "  \"extra\": {";
@@ -218,8 +46,8 @@ void WriteObservabilityJson(
   for (const auto& [key, value] : extra) {
     if (!first) os << ", ";
     first = false;
-    os << "\"" << JsonEscape(key) << "\": ";
-    AppendJsonNumber(os, value);
+    os << "\"" << metrics::JsonEscape(key) << "\": ";
+    metrics::AppendJsonNumber(os, value);
   }
   os << "}\n";
   os << "}\n";

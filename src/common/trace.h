@@ -2,7 +2,6 @@
 #define TRIAD_COMMON_TRACE_H_
 
 #include <chrono>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -10,69 +9,16 @@
 
 namespace triad::trace {
 
-/// \brief Lightweight RAII trace spans recorded into a bounded ring buffer
-/// (see ARCHITECTURE.md §6).
+/// \brief RAII trace span: times `[construction, Stop()-or-destruction)`
+/// into the registry histogram named after the span (see ARCHITECTURE.md
+/// §6).
 ///
-/// A `TraceSpan` measures one named region of wall-clock time. Spans
-/// always *measure* (two steady-clock reads — that is what feeds the
-/// `DetectionResult` stage-seconds compatibility fields), but they only
-/// *record* into the global ring buffer when metrics::Enabled() is true,
-/// so `TRIAD_METRICS=off` leaves the buffer untouched and pays no
-/// synchronization. The buffer is bounded: when full, the oldest spans are
-/// overwritten — the newest spans are never lost.
-
-/// Span names longer than this are truncated on record (names are
-/// compile-time literals by convention; keep them short).
-constexpr int64_t kMaxSpanNameLength = 47;
-
-/// \brief One completed span.
-struct SpanRecord {
-  char name[kMaxSpanNameLength + 1] = {0};
-  double start_seconds = 0.0;     ///< since the process trace epoch
-  double duration_seconds = 0.0;
-  uint64_t sequence = 0;          ///< global record order, starts at 0
-};
-
-/// \brief Bounded MPMC ring buffer of completed spans.
-///
-/// The global instance backs every TraceSpan; independent instances are
-/// constructible for tests. Recording takes a short mutex — spans in this
-/// codebase are coarse (pipeline stages, per-length discord searches), so
-/// the lock is uncontended in practice and never sits inside an inner
-/// loop.
-class TraceBuffer {
- public:
-  explicit TraceBuffer(int64_t capacity = 4096);
-  ~TraceBuffer();
-
-  TraceBuffer(const TraceBuffer&) = delete;
-  TraceBuffer& operator=(const TraceBuffer&) = delete;
-
-  /// The process-global buffer (intentionally leaked, like DefaultPool()).
-  static TraceBuffer& Global();
-
-  /// Appends a completed span, evicting the oldest if full. No-op when
-  /// metrics::Enabled() is false.
-  void Record(const char* name, double start_seconds,
-              double duration_seconds);
-
-  /// The retained spans, oldest to newest.
-  std::vector<SpanRecord> Snapshot() const;
-
-  /// Drops every retained span and resets the sequence counter.
-  void Clear();
-
-  int64_t capacity() const;
-  /// Total spans ever recorded (>= retained count; detects eviction).
-  uint64_t total_recorded() const;
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
-
-/// \brief RAII span: records `[construction, Stop()-or-destruction)` into
-/// TraceBuffer::Global() under `name`.
+/// A span always *measures* (two steady-clock reads — that is what feeds the
+/// `DetectionResult` stage-seconds compatibility fields), but it only
+/// *records* when metrics::Enabled() is true, so `TRIAD_METRICS=off`
+/// records nothing. A recorded span is one histogram observation: the
+/// registry counts every span from every thread exactly, with its sum and
+/// log-spaced buckets, and nothing is sampled or evicted.
 ///
 /// `name` must outlive the span (string literals by convention).
 class TraceSpan {
@@ -89,9 +35,6 @@ class TraceSpan {
   /// compatibility timing fields.
   double Stop();
 
-  /// Seconds elapsed so far without ending the span.
-  double ElapsedSeconds() const;
-
  private:
   using Clock = std::chrono::steady_clock;
   const char* name_;
@@ -99,38 +42,17 @@ class TraceSpan {
   bool active_;
 };
 
-/// \brief Per-name aggregate of a span snapshot (the unit of the JSON
-/// exporters and the bench BENCH_*.json per-span breakdown).
-struct SpanStats {
-  std::string name;
-  int64_t count = 0;
-  double total_seconds = 0.0;
-  double min_seconds = 0.0;
-  double max_seconds = 0.0;
-};
-
-/// Groups spans by name; result sorted by name.
-std::vector<SpanStats> AggregateSpans(const std::vector<SpanRecord>& spans);
-
-/// One line per aggregate: `span <name> count <n> total <s> min <s> max <s>`.
-std::string ExportSpansText(const std::vector<SpanStats>& stats);
-
-/// JSON array of {"name", "count", "total_seconds", "min_seconds",
-/// "max_seconds"} objects.
-std::string ExportSpansJson(const std::vector<SpanStats>& stats);
-
 /// \brief Writes the full observability report as one JSON document:
 ///
 /// ```json
 /// {
-///   "schema": "triad-observability-v1",
+///   "schema": "triad-observability-v2",
 ///   "name": "<name>",
 ///   "wall_seconds": <w>,
 ///   "simd_tier": "scalar" | "avx2",
 ///   "threads": <default pool lanes>,
 ///   "metrics_enabled": true | false,
-///   "spans": [...aggregated global trace buffer...],
-///   "counters": {...}, "gauges": {...}, "histograms": [...],
+///   "counters": {...}, "gauges": {...}, "histograms": [...spans too...],
 ///   "extra": {"<key>": <value>, ...}
 /// }
 /// ```

@@ -755,10 +755,28 @@ Result<TriadDetector> TriadDetector::Load(const std::string& path) {
     detector.train_index_ = discord::NearestWindowIndex(
         detector.train_series_, detector.window_length_);
 
-    Rng rng(config.seed);
-    detector.model_ = std::make_unique<TriadModel>(config, &rng);
+    // The model is sized from the config, so the stored tensors (bounded by
+    // the body) must be the ones the config implies before it is built.
+    // The count goes first, so a hostile depth lists no shape, and the
+    // shapes compare dimension by dimension, so no product can overflow.
     TRIAD_ASSIGN_OR_RETURN(std::vector<nn::Tensor> weights,
                            nn::ReadTensors(in));
+    if (TriadModel::ParameterTensorCount(config) !=
+        static_cast<int64_t>(weights.size())) {
+      return Status::InvalidArgument(
+          "checkpoint tensor count does not match its config");
+    }
+    const std::vector<std::vector<int64_t>> shapes =
+        TriadModel::ParameterShapes(config);
+    for (size_t i = 0; i < weights.size(); ++i) {
+      if (weights[i].shape() != shapes[i]) {
+        return Status::InvalidArgument("checkpoint tensor " +
+                                       std::to_string(i) +
+                                       " shape does not match its config");
+      }
+    }
+    Rng rng(config.seed);
+    detector.model_ = std::make_unique<TriadModel>(config, &rng);
     TRIAD_RETURN_NOT_OK(
         nn::AssignParameters(weights, detector.model_->Parameters()));
     return detector;

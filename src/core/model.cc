@@ -1,10 +1,25 @@
 #include "core/model.h"
 
+#include <limits>
+
 #include "common/check.h"
 
 namespace triad::core {
 
 using nn::Var;
+
+namespace {
+
+// The enabled domains in encoder order, which is Parameters() order.
+std::vector<Domain> DomainsOf(const TriadConfig& config) {
+  std::vector<Domain> out;
+  if (config.use_temporal) out.push_back(Domain::kTemporal);
+  if (config.use_frequency) out.push_back(Domain::kFrequency);
+  if (config.use_residual) out.push_back(Domain::kResidual);
+  return out;
+}
+
+}  // namespace
 
 DomainEncoder::DomainEncoder(int64_t in_channels, const TriadConfig& config,
                              Rng* rng) {
@@ -93,10 +108,38 @@ std::vector<Var> TriadModel::Parameters() const {
 }
 
 std::vector<Domain> TriadModel::EnabledDomains() const {
-  std::vector<Domain> out;
-  if (config_.use_temporal) out.push_back(Domain::kTemporal);
-  if (config_.use_frequency) out.push_back(Domain::kFrequency);
-  if (config_.use_residual) out.push_back(Domain::kResidual);
+  return DomainsOf(config_);
+}
+
+int64_t TriadModel::ParameterTensorCount(const TriadConfig& config) {
+  // Each block holds two convs of a weight and a bias each, plus a
+  // projection's two when its input width differs from hidden_dim; the
+  // shared heads hold four. At most 3 * (4 * depth + 2) + 4 below the cap.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  if (config.depth > kMax / 16) return kMax;
+  int64_t count = 4;
+  for (Domain d : DomainsOf(config)) {
+    count += 4 * config.depth +
+             (DomainChannels(d) != config.hidden_dim ? 2 : 0);
+  }
+  return count;
+}
+
+std::vector<std::vector<int64_t>> TriadModel::ParameterShapes(
+    const TriadConfig& config) {
+  const int64_t h = config.hidden_dim;
+  const int64_t k = config.kernel_size;
+  std::vector<std::vector<int64_t>> out;
+  for (Domain d : DomainsOf(config)) {
+    int64_t in = DomainChannels(d);
+    for (int64_t b = 0; b < config.depth; ++b, in = h) {
+      // conv1, conv2 and, when the width changes, the projection: a weight
+      // and a bias each, as DilatedResidualBlock lists them.
+      out.insert(out.end(), {{h, in, k}, {h}, {h, h, k}, {h}});
+      if (in != h) out.insert(out.end(), {{h, in, 1}, {h}});
+    }
+  }
+  out.insert(out.end(), {{h, h}, {h}, {h, 1}, {1}});  // the shared heads
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef TRIAD_CORE_MODEL_H_
 #define TRIAD_CORE_MODEL_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -41,6 +42,17 @@ class TriadModel : public nn::Module {
 
   std::vector<nn::Var> Parameters() const override;
   const TriadConfig& config() const { return config_; }
+
+  /// The number of tensors Parameters() returns for a model built from
+  /// `config`, computed without building it. Saturates at INT64_MAX, so a
+  /// hostile depth cannot overflow it.
+  static int64_t ParameterTensorCount(const TriadConfig& config);
+
+  /// The shapes of those tensors, in Parameters() order, computed without
+  /// building the model. Lists ParameterTensorCount(config) shapes, so a
+  /// caller holding an untrusted config compares the count first.
+  static std::vector<std::vector<int64_t>> ParameterShapes(
+      const TriadConfig& config);
 
   // ----- contrastive losses (Section III-C) -----
 

@@ -105,8 +105,6 @@ Result<TrainStats> TriadTrainer::Fit(
       metrics::Registry::Global().gauge("trainer.last_train_loss");
   static metrics::Gauge* val_loss_gauge =
       metrics::Registry::Global().gauge("trainer.last_val_loss");
-  static metrics::Histogram* epoch_seconds_hist =
-      metrics::Registry::Global().histogram("trainer.epoch_seconds");
 
   for (int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     trace::TraceSpan epoch_span("trainer.epoch");
@@ -161,7 +159,6 @@ Result<TrainStats> TriadTrainer::Fit(
     if (num_batches > 0) {
       train_loss_gauge->Set(stats.epoch_train_loss.back());
     }
-    epoch_seconds_hist->Observe(epoch_span.Stop());
   }
   return stats;
 }

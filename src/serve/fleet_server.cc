@@ -50,8 +50,6 @@ struct FleetMetrics {
       metrics::Registry::Global().counter("serve.wal_failures");
   metrics::Counter* snapshots =
       metrics::Registry::Global().counter("serve.snapshots");
-  metrics::Histogram* snapshot_seconds =
-      metrics::Registry::Global().histogram("serve.snapshot_seconds");
   metrics::Counter* deadline_expired =
       metrics::Registry::Global().counter("serve.deadline_expired_passes");
   metrics::Counter* admission_alloc_failures =
@@ -292,7 +290,6 @@ void FleetServer::Impl::RunSnapshotLane(const std::string& dir) {
       if (written.ok()) {
         trace::TraceSpan span("serve.snapshot");
         written = WriteTenantSnapshot(dir, tenant->id, state);
-        Instruments().snapshot_seconds->Observe(span.Stop());
       }
     } catch (const std::exception& e) {
       written = Status::Internal(std::string("snapshot write threw: ") +

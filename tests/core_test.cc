@@ -213,6 +213,56 @@ TEST(ModelTest, AblationDisablesDomains) {
   EXPECT_EQ(config.EnabledDomains(), 2);
 }
 
+// Load checks a checkpoint's tensors against ParameterShapes before it
+// builds a model, so the listing must be exactly what a built model holds,
+// including the projections that a width of 1 or 3 (a domain's own channel
+// count) leaves out.
+TEST(ModelTest, ParameterShapesMatchABuiltModel) {
+  std::vector<TriadConfig> configs;
+  for (int64_t hidden : {1, 3, 8}) {
+    for (int64_t depth : {1, 3}) {
+      TriadConfig config = TinyConfig();
+      config.hidden_dim = hidden;
+      config.depth = depth;
+      config.kernel_size = depth == 1 ? 1 : 5;
+      configs.push_back(config);
+    }
+  }
+  TriadConfig frequency_only = TinyConfig();
+  frequency_only.use_temporal = false;
+  frequency_only.use_residual = false;
+  configs.push_back(frequency_only);
+  TriadConfig no_residual = TinyConfig();
+  no_residual.use_residual = false;
+  configs.push_back(no_residual);
+
+  for (const TriadConfig& config : configs) {
+    SCOPED_TRACE("hidden " + std::to_string(config.hidden_dim) + " depth " +
+                 std::to_string(config.depth) + " domains " +
+                 std::to_string(config.EnabledDomains()));
+    Rng rng(3);
+    const TriadModel model(config, &rng);
+    const std::vector<nn::Var> params = model.Parameters();
+    const std::vector<std::vector<int64_t>> shapes =
+        TriadModel::ParameterShapes(config);
+    EXPECT_EQ(TriadModel::ParameterTensorCount(config),
+              static_cast<int64_t>(params.size()));
+    ASSERT_EQ(shapes.size(), params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      EXPECT_EQ(shapes[i], params[i].value().shape()) << "tensor " << i;
+    }
+  }
+}
+
+TEST(ModelTest, ParameterTensorCountSaturatesOnAHostileDepth) {
+  TriadConfig config = TinyConfig();
+  config.depth = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(TriadModel::ParameterTensorCount(config),
+            std::numeric_limits<int64_t>::max());
+  config.depth = int64_t{1} << 40;
+  EXPECT_GT(TriadModel::ParameterTensorCount(config), config.depth);
+}
+
 TEST(ModelDeathTest, EncodingDisabledDomainAborts) {
   TriadConfig config = TinyConfig();
   config.use_residual = false;

@@ -421,6 +421,7 @@ TEST(CheckpointVersionTest, V2FramedBodyLoadsLikeV3) {
 
 constexpr size_t kDepthAt = 16;
 constexpr size_t kHiddenDimAt = 24;
+constexpr size_t kKernelSizeAt = 32;
 constexpr size_t kDomainFlagsAt = 96;
 
 int64_t PeekInt64(const std::string& body, size_t at) {
@@ -450,6 +451,32 @@ TEST(CheckpointConfigTest, RejectsZeroHiddenDim) {
   ASSERT_EQ(PeekInt64(body, kHiddenDimAt), FixtureConfig().hidden_dim);
   Poke<int64_t>(&body, kHiddenDimAt, 0);
   ExpectRejected(body);
+}
+
+// A valid config whose model the stored tensors do not describe. Load
+// compares the shapes the config implies before it builds anything, so a
+// width, kernel or depth that would ask for gigabytes (or millions of
+// blocks) costs nothing.
+void ExpectRejectedWith(size_t at, int64_t original, int64_t value) {
+  std::string body = Saved().body;
+  ASSERT_EQ(PeekInt64(body, at), original);
+  Poke<int64_t>(&body, at, value);
+  ExpectRejected(body);
+}
+
+TEST(CheckpointConfigTest, RejectsHiddenDimTheTensorsDoNotHold) {
+  ExpectRejectedWith(kHiddenDimAt, FixtureConfig().hidden_dim, 65536);
+  ExpectRejectedWith(kHiddenDimAt, FixtureConfig().hidden_dim,
+                     int64_t{1} << 20);
+}
+
+TEST(CheckpointConfigTest, RejectsKernelSizeTheTensorsDoNotHold) {
+  ExpectRejectedWith(kKernelSizeAt, FixtureConfig().kernel_size,
+                     int64_t{1} << 24);
+}
+
+TEST(CheckpointConfigTest, RejectsDepthTheTensorsDoNotHold) {
+  ExpectRejectedWith(kDepthAt, FixtureConfig().depth, int64_t{1} << 20);
 }
 
 }  // namespace

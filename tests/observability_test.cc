@@ -1,8 +1,8 @@
 // Unit tests for the observability layer (src/common/metrics.{h,cc},
 // src/common/trace.{h,cc}; ARCHITECTURE.md §6): exactness of concurrent
-// counter updates, the TRIAD_METRICS off-gate contract (nothing is ever
-// recorded), ring-buffer eviction keeping the newest spans, and the
-// text/JSON exporters. Also the TSan target for the record paths.
+// counter, histogram and span updates, the TRIAD_METRICS off-gate contract
+// (nothing is ever recorded), and the text/JSON exporters. Also the TSan
+// target for the record paths.
 
 #include <gtest/gtest.h>
 
@@ -21,11 +21,13 @@
 namespace triad {
 namespace {
 
-// Every test manipulates the process-global registry/trace buffer, so each
-// starts from a clean slate under an explicit enable override.
-void ResetObservability() {
-  metrics::Registry::Global().ResetAll();
-  trace::TraceBuffer::Global().Clear();
+// Every test manipulates the process-global registry, so each starts from a
+// clean slate under an explicit enable override.
+void ResetObservability() { metrics::Registry::Global().ResetAll(); }
+
+// The histogram a span named `name` records into.
+const metrics::Histogram& SpanHistogram(const char* name) {
+  return *metrics::Registry::Global().histogram(name);
 }
 
 TEST(MetricsTest, CounterIncrementsAndResets) {
@@ -130,10 +132,9 @@ TEST(MetricsTest, DisabledModeRecordsNothing) {
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.sum(), 0.0);
 
-  trace::TraceBuffer buffer(8);
-  buffer.Record("span", 0.0, 1.0);
-  EXPECT_EQ(buffer.total_recorded(), 0u);
-  EXPECT_TRUE(buffer.Snapshot().empty());
+  ResetObservability();
+  trace::TraceSpan("test.disabled_span").Stop();
+  EXPECT_EQ(SpanHistogram("test.disabled_span").count(), 0u);
 }
 
 TEST(MetricsTest, ScopedEnableNestsAndRestores) {
@@ -205,113 +206,66 @@ TEST(MetricsTest, NonFiniteGaugeExportsAsZeroInJson) {
   EXPECT_EQ(doc.find("nan"), std::string::npos) << doc;  // no bare nan token
 }
 
-TEST(TraceTest, SpanRecordsIntoGlobalBuffer) {
+TEST(TraceTest, SpanIsObservedByTheHistogramOfItsName) {
   metrics::ScopedEnable enable(true);
   ResetObservability();
   {
     trace::TraceSpan span("test.span");
   }
-  const auto spans = trace::TraceBuffer::Global().Snapshot();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_STREQ(spans[0].name, "test.span");
-  EXPECT_GE(spans[0].duration_seconds, 0.0);
+  const metrics::Histogram& hist = SpanHistogram("test.span");
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_GE(hist.sum(), 0.0);
 }
 
 TEST(TraceTest, StopRecordsOnceAndReturnsDuration) {
   metrics::ScopedEnable enable(true);
   ResetObservability();
-  trace::TraceSpan span("test.stop");
-  const double d1 = span.Stop();
-  const double d2 = span.Stop();  // no-op, still returns elapsed
-  EXPECT_GE(d1, 0.0);
-  EXPECT_GE(d2, d1);
-  EXPECT_EQ(trace::TraceBuffer::Global().total_recorded(), 1u);
+  double d1 = 0.0;
+  {
+    trace::TraceSpan span("test.stop");
+    d1 = span.Stop();
+    const double d2 = span.Stop();  // no-op, still returns elapsed
+    EXPECT_GE(d1, 0.0);
+    EXPECT_GE(d2, d1);
+  }  // the destructor records nothing either
+  EXPECT_EQ(SpanHistogram("test.stop").count(), 1u);
+  EXPECT_EQ(SpanHistogram("test.stop").sum(), d1);
 }
 
 TEST(TraceTest, StopAlwaysMeasuresEvenWhenDisabled) {
   // The compatibility contract: DetectionResult stage-seconds fields are
   // fed by Stop(), so the measurement must survive TRIAD_METRICS=off.
   metrics::ScopedEnable disable(false);
+  ResetObservability();
   trace::TraceSpan span("test.measure");
   EXPECT_GE(span.Stop(), 0.0);
-  EXPECT_GE(span.ElapsedSeconds(), 0.0);
+  EXPECT_EQ(SpanHistogram("test.measure").count(), 0u);
 }
 
-TEST(TraceTest, RingBufferEvictsOldestKeepsNewest) {
+// 20,480 spans from four lanes over two names: the registry counts every
+// one, so nothing is sampled or evicted however many spans a run records.
+TEST(TraceTest, ConcurrentSpansAreCountedExactly) {
   metrics::ScopedEnable enable(true);
-  trace::TraceBuffer buffer(4);
-  for (int i = 0; i < 10; ++i) {
-    const std::string name = "span" + std::to_string(i);
-    buffer.Record(name.c_str(), static_cast<double>(i), 1.0);
-  }
-  EXPECT_EQ(buffer.total_recorded(), 10u);
-  const auto spans = buffer.Snapshot();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest-to-newest order, and strictly the newest four survive.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_STREQ(spans[static_cast<size_t>(i)].name,
-                 ("span" + std::to_string(6 + i)).c_str());
-    EXPECT_EQ(spans[static_cast<size_t>(i)].sequence,
-              static_cast<uint64_t>(6 + i));
-  }
-}
-
-TEST(TraceTest, ClearResetsRetainedAndSequence) {
-  metrics::ScopedEnable enable(true);
-  trace::TraceBuffer buffer(4);
-  buffer.Record("a", 0.0, 1.0);
-  buffer.Clear();
-  EXPECT_EQ(buffer.total_recorded(), 0u);
-  EXPECT_TRUE(buffer.Snapshot().empty());
-  buffer.Record("b", 0.0, 1.0);
-  EXPECT_EQ(buffer.Snapshot()[0].sequence, 0u);
-}
-
-TEST(TraceTest, LongSpanNamesAreTruncatedNotOverflowed) {
-  metrics::ScopedEnable enable(true);
-  trace::TraceBuffer buffer(2);
-  const std::string longname(200, 'x');
-  buffer.Record(longname.c_str(), 0.0, 1.0);
-  const auto spans = buffer.Snapshot();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(std::string(spans[0].name),
-            std::string(static_cast<size_t>(trace::kMaxSpanNameLength), 'x'));
-}
-
-TEST(TraceTest, ConcurrentRecordsLoseNothing) {
-  metrics::ScopedEnable enable(true);
-  trace::TraceBuffer buffer(100000);
+  ResetObservability();
   ThreadPool pool(4);
-  constexpr int64_t kSpans = 20000;
+  constexpr int64_t kSpans = 20480;
   ParallelFor(
       0, kSpans, /*grain=*/64,
       [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) buffer.Record("t", 0.0, 1.0);
+        for (int64_t i = begin; i < end; ++i) {
+          trace::TraceSpan span(i % 2 == 0 ? "test.even" : "test.odd");
+        }
       },
       &pool);
-  EXPECT_EQ(buffer.total_recorded(), static_cast<uint64_t>(kSpans));
-  EXPECT_EQ(buffer.Snapshot().size(), static_cast<size_t>(kSpans));
-}
-
-TEST(TraceTest, AggregateSpansGroupsByNameSorted) {
-  std::vector<trace::SpanRecord> spans(4);
-  const auto fill = [](trace::SpanRecord* s, const char* name, double d) {
-    std::snprintf(s->name, sizeof(s->name), "%s", name);
-    s->duration_seconds = d;
-  };
-  fill(&spans[0], "b", 1.0);
-  fill(&spans[1], "a", 2.0);
-  fill(&spans[2], "b", 3.0);
-  fill(&spans[3], "a", 4.0);
-  const auto stats = trace::AggregateSpans(spans);
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].name, "a");
-  EXPECT_EQ(stats[0].count, 2);
-  EXPECT_DOUBLE_EQ(stats[0].total_seconds, 6.0);
-  EXPECT_DOUBLE_EQ(stats[0].min_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(stats[0].max_seconds, 4.0);
-  EXPECT_EQ(stats[1].name, "b");
-  EXPECT_DOUBLE_EQ(stats[1].total_seconds, 4.0);
+  for (const char* name : {"test.even", "test.odd"}) {
+    const metrics::Histogram& hist = SpanHistogram(name);
+    EXPECT_EQ(hist.count(), static_cast<uint64_t>(kSpans / 2)) << name;
+    uint64_t bucketed = 0;
+    for (int i = 0; i < metrics::Histogram::kNumBuckets; ++i) {
+      bucketed += hist.bucket_count(i);
+    }
+    EXPECT_EQ(bucketed, hist.count()) << name;
+  }
 }
 
 TEST(TraceTest, WriteObservabilityJsonIsStructurallyBalanced) {
@@ -339,12 +293,16 @@ TEST(TraceTest, WriteObservabilityJsonIsStructurallyBalanced) {
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
-  EXPECT_NE(doc.find("\"schema\": \"triad-observability-v1\""),
+  EXPECT_NE(doc.find("\"schema\": \"triad-observability-v2\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"wall_seconds\": 1.25"), std::string::npos);
   EXPECT_NE(doc.find("\"simd_tier\": \""), std::string::npos);
   EXPECT_NE(doc.find("\"threads\": "), std::string::npos);
-  EXPECT_NE(doc.find("\"test.doc_span\""), std::string::npos);
+  // The span is a histogram; there is no separate span list.
+  EXPECT_NE(doc.find("{\"name\": \"test.doc_span\", \"count\": 1"),
+            std::string::npos)
+      << doc;
+  EXPECT_EQ(doc.find("\"spans\""), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"extra_key\": 2.5"), std::string::npos);
   EXPECT_NE(doc.find("\\\"quoted\\\""), std::string::npos);
 }
