@@ -1,9 +1,11 @@
 // Streaming hot-path latency (ARCHITECTURE.md §8): ms per appended chunk
-// with the incremental memo on versus full recompute. The --json mode emits
-// BENCH_streaming.json (schema triad-observability-v2; see bench/README.md).
+// of the memoized stream versus a plain Detect on every buffer it scores.
+// The --json mode emits BENCH_streaming.json (schema
+// triad-observability-v2; see bench/README.md).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -62,13 +64,10 @@ TriadDetector MakeDetector(uint64_t seed) {
 
 void BM_StreamingAppend(benchmark::State& state) {
   static TriadDetector* detector = new TriadDetector(MakeDetector(5));
-  const bool incremental = state.range(0) != 0;
-  const int64_t chunk = state.range(1);
+  const int64_t chunk = state.range(0);
   const std::vector<double> feed = StreamWorkload(16384, 64.0, 9);
   for (auto _ : state) {
-    StreamingOptions options;
-    options.incremental = incremental;
-    StreamingTriad stream(detector, options);
+    StreamingTriad stream(detector);
     for (size_t off = 0; off < feed.size();
          off += static_cast<size_t>(chunk)) {
       const size_t hi =
@@ -81,15 +80,12 @@ void BM_StreamingAppend(benchmark::State& state) {
     }
   }
 }
-// {incremental, chunk}: the A/B pair at a small and a large chunk.
-BENCHMARK(BM_StreamingAppend)
-    ->Args({0, 256})
-    ->Args({1, 256})
-    ->Args({0, 1024})
-    ->Args({1, 1024})
-    ->Unit(benchmark::kMillisecond);
+// A small and a large chunk; the --json mode records the A/B against a
+// plain Detect per buffer.
+BENCHMARK(BM_StreamingAppend)->Arg(256)->Arg(1024)->Unit(
+    benchmark::kMillisecond);
 
-// ---- --json mode: the incremental-vs-recompute A/B record ----
+// ---- --json mode: the memoized-stream-vs-recompute A/B record ----
 
 struct LegTiming {
   double seconds = 0.0;
@@ -102,18 +98,16 @@ struct LegTiming {
 // most window positions are interior (their padded MERLIN regions are not
 // clipped by the buffer edge and keep a stable global span — the cacheable
 // case; see ARCHITECTURE.md §8).
-StreamingOptions BenchStreamOptions(const TriadDetector& detector,
-                                    bool incremental) {
+StreamingOptions BenchStreamOptions(const TriadDetector& detector) {
   StreamingOptions options;
   options.buffer_length = 8 * detector.window_length();
-  options.incremental = incremental;
   return options;
 }
 
 LegTiming RunStreamLeg(const TriadDetector& detector,
-                       const std::vector<double>& feed, bool incremental,
-                       int64_t chunk) {
-  StreamingTriad stream(&detector, BenchStreamOptions(detector, incremental));
+                       const std::vector<double>& feed,
+                       const StreamingOptions& options, int64_t chunk) {
+  StreamingTriad stream(&detector, options);
   LegTiming leg;
   Timer timer;
   for (size_t off = 0; off < feed.size(); off += static_cast<size_t>(chunk)) {
@@ -130,12 +124,40 @@ LegTiming RunStreamLeg(const TriadDetector& detector,
   return leg;
 }
 
+// The memo-less reference: a plain Detect on every buffer a stream of this
+// geometry scores (the last `buffer_length` points, every `hop` points once
+// the buffer is full), flags OR-ed into a timeline. Its work depends only
+// on the hop, not on how the feed is chunked.
+LegTiming RunRecomputeLeg(const TriadDetector& detector,
+                          const std::vector<double>& feed,
+                          int64_t buffer_length, int64_t hop) {
+  LegTiming leg;
+  std::vector<int> alarms(feed.size(), 0);
+  Timer timer;
+  const int64_t n = static_cast<int64_t>(feed.size());
+  for (int64_t end = std::max(buffer_length, hop); end <= n; end += hop) {
+    const int64_t begin = end - buffer_length;
+    auto pass = detector.Detect(
+        std::vector<double>(feed.begin() + begin, feed.begin() + end));
+    TRIAD_CHECK(pass.ok());
+    ++leg.passes;
+    for (size_t i = 0; i < pass->predictions.size(); ++i) {
+      if (pass->predictions[i] != 0) {
+        alarms[static_cast<size_t>(begin) + i] = 1;
+      }
+    }
+  }
+  leg.seconds = timer.ElapsedSeconds();
+  for (int v : alarms) leg.alarm_points += v;
+  return leg;
+}
+
 // One steady-state monitoring record: a TRIAD_BENCH_STREAM_POINTS-point
 // stream (default 100k, the acceptance workload) appended at three chunk
-// sizes with the memo on, against one full-recompute reference leg. The
-// recompute path's total work depends only on the hop, not the chunking,
-// so a single reference leg prices every chunk size (its ms/chunk column
-// just divides by the chunk count).
+// sizes, against one plain-Detect reference leg over the same buffers. The
+// reference's work depends only on the hop, not the chunking, so a single
+// leg prices every chunk size (its ms/chunk column just divides by the
+// chunk count).
 int RunJsonMode() {
   metrics::ScopedEnable enable(true);
   metrics::Registry::Global().ResetAll();
@@ -147,38 +169,28 @@ int RunJsonMode() {
   // locked on an anomalous region that is cached after its first pass.
   const std::vector<double> feed = StreamWorkload(
       static_cast<size_t>(points), 64.0, 9, /*burst_every_periods=*/12.0);
+  const StreamingOptions options = BenchStreamOptions(detector);
   // For hop/buffer readout only — same options as the measured legs.
-  StreamingTriad probe(&detector, BenchStreamOptions(detector, true));
+  const StreamingTriad probe(&detector, options);
   const int64_t hop = probe.hop();
   const std::vector<int64_t> chunks = {hop, 4 * hop, 16 * hop};
 
+  const LegTiming full =
+      RunRecomputeLeg(detector, feed, probe.buffer_length(), hop);
+  std::vector<LegTiming> inc;
+  for (int64_t chunk : chunks) {
+    inc.push_back(RunStreamLeg(detector, feed, options, chunk));
+    TRIAD_CHECK_MSG(inc.back().alarm_points == full.alarm_points &&
+                        inc.back().passes == full.passes,
+                    "memoized stream and plain Detect replay diverged");
+  }
+
+  // The memo counters cover the stream legs only: the reference leg runs
+  // without a memo and touches none of them.
   const auto counter = [](const char* name) {
     return static_cast<double>(
         metrics::Registry::Global().counter(name)->value());
   };
-
-  // Reference leg: full recompute (chunk size does not change its work).
-  const LegTiming full =
-      RunStreamLeg(detector, feed, /*incremental=*/false, chunks[0]);
-
-  // Incremental legs, with the memo/spectrum counter deltas captured
-  // across all three so the hit rates describe the steady-state workload.
-  const double spectrum_hits_before = counter("mass.spectrum_hits");
-  const double spectrum_misses_before = counter("mass.spectrum_misses");
-  std::vector<LegTiming> inc;
-  for (int64_t chunk : chunks) {
-    inc.push_back(RunStreamLeg(detector, feed, /*incremental=*/true, chunk));
-    TRIAD_CHECK_MSG(inc.back().alarm_points == full.alarm_points,
-                    "incremental and recompute alarms diverged");
-  }
-  const double spectrum_hits =
-      counter("mass.spectrum_hits") - spectrum_hits_before;
-  const double spectrum_misses =
-      counter("mass.spectrum_misses") - spectrum_misses_before;
-  const double spectrum_rate =
-      spectrum_hits + spectrum_misses > 0
-          ? spectrum_hits / (spectrum_hits + spectrum_misses)
-          : 0.0;
   const double encode_hits = counter("streaming.encode_hits");
   const double encode_misses = counter("streaming.encode_misses");
   const double merlin_hits = counter("streaming.merlin_hits");
@@ -191,7 +203,6 @@ int RunJsonMode() {
       {"passes_per_leg", static_cast<double>(full.passes)},
       {"alarm_points", static_cast<double>(full.alarm_points)},
       {"recompute_total_seconds", full.seconds},
-      {"spectrum_hit_rate", spectrum_rate},
       {"encode_hit_rate", encode_hits + encode_misses > 0
                               ? encode_hits / (encode_hits + encode_misses)
                               : 0.0},

@@ -63,9 +63,9 @@ struct TriadConfig {
   /// `min_period_confidence`. 0 = auto: train_length / 20, clamped to
   /// [2, train_length / 3].
   int64_t fallback_period = 0;
-  /// Minimum ACF confidence (see signal::PeriodEstimate) for trusting the
-  /// estimated period; below it the detector degrades to `fallback_period`
-  /// and flags DetectionResult::period_fallback.
+  /// Minimum ACF confidence (see signal::PeriodAcfConfidence) for trusting
+  /// the estimated period; below it the detector degrades to
+  /// `fallback_period` and flags DetectionResult::period_fallback.
   double min_period_confidence = 0.1;
 
   /// Number of enabled domains.

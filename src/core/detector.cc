@@ -174,8 +174,8 @@ struct DiscordRegion {
   // unchanged since that pass, so the stored result IS this search's result.
   // Any content change misses and re-runs the full sweep (bit-identity
   // forbids partial floating-point reuse across shifted origins; see
-  // ARCHITECTURE.md §8). A miss stores its result, evicting the least
-  // recently used entry once the memo holds kMerlinEntries.
+  // ARCHITECTURE.md §8). A miss appends its result; DetectMemo::EvictBefore
+  // drops it once the buffer slides past its begin.
   Result<discord::MerlinResult> Search(const std::vector<double>& series,
                                        const TriadConfig& config,
                                        DetectMemo* memo,
@@ -183,9 +183,8 @@ struct DiscordRegion {
     const int64_t global_begin = global_start + begin;
     const int64_t global_end = global_start + end;
     if (memo != nullptr) {
-      for (DetectMemo::MerlinEntry& entry : memo->merlin) {
+      for (const DetectMemo::MerlinEntry& entry : memo->merlin) {
         if (entry.begin == global_begin && entry.end == global_end) {
-          entry.last_used = ++memo->tick;
           MemoInstruments().merlin_hits->Increment();
           return entry.result;
         }
@@ -199,15 +198,7 @@ struct DiscordRegion {
         discord::ExactDiscords(region, config.merlin_min_length, max_len,
                                config.merlin_length_step));
     if (memo != nullptr) {
-      if (memo->merlin.size() >= DetectMemo::kMerlinEntries) {
-        memo->merlin.erase(std::min_element(
-            memo->merlin.begin(), memo->merlin.end(),
-            [](const DetectMemo::MerlinEntry& a,
-               const DetectMemo::MerlinEntry& b) {
-              return a.last_used < b.last_used;
-            }));
-      }
-      memo->merlin.push_back({global_begin, global_end, found, ++memo->tick});
+      memo->merlin.push_back({global_begin, global_end, found});
     }
     return found;
   }

@@ -71,8 +71,7 @@ struct DetectionResult {
   }
 };
 
-/// \brief Cross-pass memo for the streaming incremental hot path
-/// (ARCHITECTURE.md §8).
+/// \brief Cross-pass memo for the streaming hot path (ARCHITECTURE.md §8).
 ///
 /// A StreamingTriad scores a sliding buffer whose content overlaps the
 /// previous pass almost entirely, and stream data is append-only: the bytes
@@ -81,8 +80,8 @@ struct DetectionResult {
 /// and every cached value is the stored result of the identical computation
 /// the from-scratch pass would run — so a memoized pass is bit-identical to
 /// a full recompute by construction (core_test's MemoizedDetectEqualsDetect
-/// and the golden/chunking tests in tests/streaming_test.cc enforce it on
-/// both SIMD tiers).
+/// and the plain-Detect replay oracle in tests/streaming_test.cc enforce it
+/// on both SIMD tiers).
 ///
 /// Three stages consult it: encode (per-window encodings), selection
 /// (per-window deviations) and the discord search (per-region results).
@@ -97,9 +96,14 @@ struct DetectionResult {
 /// must not be looked up by (or inserted under) global keys. Dirty passes
 /// run without it and leave it untouched.
 ///
-/// Memory stays bounded by the buffer: Detect evicts every key that slid
-/// out of the active window and caps the MERLIN region cache at
-/// kMerlinEntries. Not thread-safe — one memo belongs to one stream.
+/// Memory stays bounded by the buffer: Detect evicts every entry whose
+/// begin slid out of the active window, so every encode and deviation key
+/// is a window start inside the buffer. A memo pass searches one region
+/// and stores at most one, whose begin is at or after that pass's buffer
+/// start; the start advances by the hop, so a stream holds at most
+/// ceil(buffer_length / hop) regions (streaming_test's
+/// RegionCacheIsBoundedByTheBuffer). Not thread-safe — one memo belongs to
+/// one stream.
 ///
 /// **One memo, one stream.** The global keys identify content only within a
 /// single stream: two streams with identical prefixes but divergent
@@ -110,12 +114,6 @@ struct DetectionResult {
 /// the first bind stamps the owning stream's uid and every later bind to a
 /// different uid is a checked programming error (tests/serve_test.cc).
 struct DetectMemo {
-  /// MERLIN region cache entries kept (LRU); regions are small and results
-  /// are a handful of discords, so this is a few KB. Sized above the number
-  /// of interior windows of a large (8-12 window) streaming buffer so every
-  /// selected window's region survives its whole residence in the buffer.
-  static constexpr size_t kMerlinEntries = 64;
-
   /// Per-domain window encodings keyed by global window start
   /// (slot index = static_cast<int>(Domain)).
   std::array<std::unordered_map<int64_t, std::vector<float>>, 3> encodings;
@@ -130,10 +128,8 @@ struct DetectMemo {
     int64_t begin = 0;  ///< global, inclusive
     int64_t end = 0;    ///< global, exclusive
     discord::MerlinResult result;
-    uint64_t last_used = 0;
   };
   std::vector<MerlinEntry> merlin;
-  uint64_t tick = 0;  ///< LRU clock for the MERLIN entries
 
   /// The uid of the stream whose content this memo caches; 0 = not yet
   /// bound. Stamped by the first BindStream and immutable afterwards.

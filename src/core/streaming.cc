@@ -10,14 +10,9 @@
 namespace triad::core {
 namespace {
 
-// Streaming health instruments (ARCHITECTURE.md §6). Gauges reflect the
-// state of the most recently active StreamingTriad — good enough for the
-// single-monitor deployments this class targets.
+// Streaming health instruments (ARCHITECTURE.md §6), summed over every
+// stream in the process.
 struct StreamingMetrics {
-  metrics::Gauge* buffered_samples =
-      metrics::Registry::Global().gauge("streaming.buffered_samples");
-  metrics::Gauge* gaps =
-      metrics::Registry::Global().gauge("streaming.gaps");
   metrics::Counter* passes =
       metrics::Registry::Global().counter("streaming.passes");
   metrics::Counter* failed_passes =
@@ -26,8 +21,6 @@ struct StreamingMetrics {
       metrics::Registry::Global().counter("streaming.sanitize_repairs");
   metrics::Counter* incremental_passes =
       metrics::Registry::Global().counter("streaming.incremental_passes");
-  metrics::Counter* full_passes =
-      metrics::Registry::Global().counter("streaming.full_passes");
   metrics::Counter* short_circuit_passes =
       metrics::Registry::Global().counter("streaming.short_circuit_passes");
   metrics::Histogram* pass_seconds =
@@ -43,9 +36,7 @@ StreamingMetrics& Instruments() {
 
 StreamingTriad::StreamingTriad(const TriadDetector* detector,
                                StreamingOptions options)
-    : detector_(detector),
-      incremental_(options.incremental),
-      stream_uid_(NextStreamUid()) {
+    : detector_(detector), stream_uid_(NextStreamUid()) {
   TRIAD_CHECK(detector != nullptr);  // null detector stays a programming error
   // Claim the memo for this stream up front: its global keys are only
   // meaningful against this stream's content (DetectMemo::BindStream).
@@ -94,17 +85,16 @@ Result<std::vector<AlarmEvent>> StreamingTriad::Append(
       } else {
         gaps_.push_back({buffer_global_start_, gap_end});
       }
-      Instruments().gaps->Set(static_cast<double>(gaps_.size()));
     };
 
-    // Guaranteed-rejection short-circuit (incremental mode): when the
-    // non-finite fraction alone already exceeds max_damage_fraction, the
-    // sanitizer must reject (its damage fraction is at least the
-    // non-finite fraction), so the pass outcome is known without running
-    // Detect. The count is integer-exact, so this never skips a pass that
-    // could have scored. Guarded on a fitted detector so an unfitted one
-    // still surfaces FailedPrecondition below.
-    if (incremental_ && detector_->window_length() > 0 &&
+    // Guaranteed-rejection short-circuit: when the non-finite fraction
+    // alone already exceeds max_damage_fraction, the sanitizer must reject
+    // (its damage fraction is at least the non-finite fraction), so the
+    // pass outcome is known without running Detect. The count is
+    // integer-exact, so this never skips a pass that could have scored.
+    // Guarded on a fitted detector so an unfitted one still surfaces
+    // FailedPrecondition below.
+    if (detector_->window_length() > 0 &&
         static_cast<double>(buffer_nonfinite_) /
                 static_cast<double>(buffer_.size()) >
             detector_->config().sanitize.max_damage_fraction) {
@@ -115,18 +105,12 @@ Result<std::vector<AlarmEvent>> StreamingTriad::Append(
 
     // Re-assert memo ownership every pass: a memo that migrated to another
     // stream would serve stale content under aliasing global keys.
-    if (incremental_) memo_.BindStream(stream_uid_);
+    memo_.BindStream(stream_uid_);
     Timer pass_timer;
     Result<DetectionResult> pass =
-        incremental_
-            ? detector_->Detect(buffer_, &memo_, buffer_global_start_)
-            : detector_->Detect(buffer_);
+        detector_->Detect(buffer_, &memo_, buffer_global_start_);
     Instruments().pass_seconds->Observe(pass_timer.ElapsedSeconds());
-    if (incremental_) {
-      Instruments().incremental_passes->Increment();
-    } else {
-      Instruments().full_passes->Increment();
-    }
+    Instruments().incremental_passes->Increment();
     if (!pass.ok()) {
       // Unusable buffer (sanitize rejection): record the unscored span and
       // keep ingesting — the monitor must survive a burst of bad telemetry.
@@ -167,8 +151,6 @@ Result<std::vector<AlarmEvent>> StreamingTriad::Append(
                static_cast<int64_t>(result.predictions.size())});
     }
   }
-
-  Instruments().buffered_samples->Set(static_cast<double>(buffer_.size()));
 
   // Merge adjacent/overlapping spans reported across passes.
   std::sort(new_events.begin(), new_events.end(),

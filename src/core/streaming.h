@@ -51,12 +51,6 @@ struct StreamingOptions {
   int64_t buffer_length = 0;
   /// New points between passes; 0 = one detector stride.
   int64_t hop = 0;
-  /// Cross-pass memoization (the ARCHITECTURE.md §8 hot path). On by
-  /// default; false runs every pass without a memo (full recompute).
-  /// Alarms, passes and gaps are bit-identical either way — the memo only
-  /// substitutes stored results of the identical computations (enforced by
-  /// tests/streaming_test.cc on both SIMD tiers).
-  bool incremental = true;
 };
 
 /// \brief Online wrapper around a fitted TriadDetector for the real-time
@@ -65,17 +59,17 @@ struct StreamingOptions {
 /// Points are appended as they arrive; every `hop` new points the detector
 /// scores the most recent `buffer_length` points and merges the flagged
 /// points into a global alarm timeline. Memory is bounded by the buffer:
-/// the wrapper never retains more than `buffer_length` raw samples (plus
-/// the bounded DetectMemo when incremental mode is on).
+/// the wrapper never retains more than `buffer_length` raw samples plus
+/// its DetectMemo, which holds only entries inside the buffer.
 ///
 /// Incrementality (ARCHITECTURE.md §8): consecutive passes score buffers
 /// that overlap almost entirely, and stream content at a global index never
-/// changes once ingested. With `StreamingOptions::incremental` on (the
-/// default), the wrapper threads a DetectMemo through
-/// TriadDetector::Detect so window encodings, candidate deviations and
-/// discord region results are computed once per stream position instead of
-/// once per pass. Results are bit-identical to full recompute by
-/// construction; `StreamingOptions::incremental = false` selects it.
+/// changes once ingested. Every pass threads the stream's DetectMemo
+/// through TriadDetector::Detect, so window encodings, candidate deviations
+/// and discord region results are computed once per stream position
+/// instead of once per pass. Results are bit-identical to a plain
+/// Detect on each buffer by construction (tests/streaming_test.cc replays
+/// the stream that way as its oracle).
 class StreamingTriad {
  public:
   /// `detector` must outlive this object and already be fitted.
@@ -101,11 +95,11 @@ class StreamingTriad {
   ///    a burst of bad telemetry must not wedge a long-lived monitor.
   ///    Passes keep running at every hop during a burst; the stream
   ///    recovers on its own as soon as a buffer scores clean again, with
-  ///    no reset or flush required (gap recovery). In incremental mode a
-  ///    pass whose buffer is *guaranteed* to reject (non-finite fraction
-  ///    alone already above SanitizeOptions::max_damage_fraction, counted
-  ///    O(1) per point) records the gap without paying for the doomed
-  ///    Detect; the outcome is identical.
+  ///    no reset or flush required (gap recovery). A pass whose buffer is
+  ///    *guaranteed* to reject (non-finite fraction alone already above
+  ///    SanitizeOptions::max_damage_fraction, counted O(1) per point)
+  ///    records the gap without paying for the doomed Detect; the outcome
+  ///    is identical.
   ///  * **Repaired-but-accepted pass**: scores normally; the repair count
   ///    feeds the streaming.sanitize_repairs counter. Such passes bypass
   ///    the memo (repaired content no longer equals raw stream content —
@@ -136,8 +130,6 @@ class StreamingTriad {
 
   int64_t buffer_length() const { return buffer_length_; }
   int64_t hop() const { return hop_; }
-  /// True when cross-pass memoization is active (StreamingOptions).
-  bool incremental() const { return incremental_; }
   /// Process-unique id of this stream; the DetectMemo is bound to it so a
   /// memo can never be (mis)used for another stream whose global keys
   /// alias this one's (see DetectMemo::BindStream, ARCHITECTURE.md §9).
@@ -163,7 +155,6 @@ class StreamingTriad {
   const TriadDetector* detector_;
   int64_t buffer_length_;
   int64_t hop_;
-  bool incremental_;
   std::vector<double> buffer_;      ///< most recent <= buffer_length_ points
   int64_t buffer_global_start_ = 0; ///< global index of buffer_[0]
   int64_t since_last_pass_ = 0;
@@ -173,7 +164,7 @@ class StreamingTriad {
   std::vector<int> alarms_;
   std::vector<TimelineGap> gaps_;
   int64_t buffer_nonfinite_ = 0;  ///< non-finite samples in buffer_
-  DetectMemo memo_;      ///< cross-pass caches (incremental mode)
+  DetectMemo memo_;      ///< cross-pass caches
   uint64_t stream_uid_;  ///< from NextStreamUid(); memo_ is bound to it
 };
 

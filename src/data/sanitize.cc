@@ -183,20 +183,6 @@ Status Analyze(const std::vector<double>& series,
 
 }  // namespace
 
-const char* DefectTypeToString(DefectType type) {
-  switch (type) {
-    case DefectType::kNonFinite:
-      return "non-finite";
-    case DefectType::kStuckRun:
-      return "stuck-run";
-    case DefectType::kGlitch:
-      return "glitch";
-    case DefectType::kTooShort:
-      return "too-short";
-  }
-  return "unknown";
-}
-
 std::string SanitizeReport::Summary() const {
   std::ostringstream os;
   os << length << " samples, " << defects.size() << " defect spans";

@@ -23,9 +23,6 @@ enum class DefectType {
   kTooShort,   ///< whole series shorter than min_length
 };
 
-/// Human-readable defect name ("non-finite", "stuck-run", ...).
-const char* DefectTypeToString(DefectType type);
-
 /// \brief One contiguous span of defective samples, half-open [begin, end).
 struct DefectSpan {
   DefectType type = DefectType::kNonFinite;

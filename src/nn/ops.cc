@@ -290,22 +290,6 @@ Var Square(const Var& a) {
       [](float x, float) { return 2.0f * x; });
 }
 
-Var Gelu(const Var& a) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  return UnaryOp(
-      a,
-      [](float x) {
-        const float t = std::tanh(kC * (x + 0.044715f * x * x * x));
-        return 0.5f * x * (1.0f + t);
-      },
-      [](float x, float) {
-        const float u = kC * (x + 0.044715f * x * x * x);
-        const float t = std::tanh(u);
-        const float du = kC * (1.0f + 3.0f * 0.044715f * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-      });
-}
-
 // The GEMM kernels (row-parallel over runtime-dispatched axpy/dot rows)
 // live in nn/kernels.cc.
 using kernels::Gemm;

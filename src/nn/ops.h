@@ -43,9 +43,6 @@ Var Exp(const Var& a);
 Var Log(const Var& a, float eps = 1e-12f);
 Var Sqrt(const Var& a, float eps = 1e-12f);
 Var Square(const Var& a);
-/// Gaussian error linear unit (tanh approximation). No model uses it; the
-/// autograd and op stress tests exercise it.
-Var Gelu(const Var& a);
 
 // ---------- matrix ----------
 /// Matrix product. Supported shapes:

@@ -42,7 +42,8 @@ Status WriteManifest(const std::string& root, const FleetManifest& manifest) {
     w.PutBytes(t.model_key);
     w.Put(t.buffer_length);
     w.Put(t.hop);
-    w.Put(static_cast<uint8_t>(t.incremental));
+    // The retired memo-switch slot; always 1 (see TenantManifestEntry).
+    w.Put(uint8_t{1});
   }
   return io::WriteChecksummedFile(root + "/manifest", kManifestMagic,
                                   kManifestVersion, payload);
@@ -70,7 +71,7 @@ Result<FleetManifest> ReadManifest(const std::string& root) {
     t.model_key = r.GetBytes(r.Get<uint64_t>());
     t.buffer_length = r.Get<int64_t>();
     t.hop = r.Get<int64_t>();
-    t.incremental = r.Get<uint8_t>() != 0;
+    r.Get<uint8_t>();  // the retired memo-switch slot
     manifest.tenants.push_back(std::move(t));
   }
   if (!r.ok() || r.remaining() != 0) {

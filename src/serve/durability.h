@@ -82,6 +82,11 @@ struct TenantDurableState {
 
 /// \brief One tenant's row in the fleet manifest — enough to rebuild the
 /// TenantState shell before its snapshot/WAL are consulted.
+///
+/// On disk a row is `[i64 id][u64 key length][key][i64 buffer_length]
+/// [i64 hop][u8 retired]`. The last byte once selected a memo-less stream;
+/// every stream now runs the memoized pass, so it is written as 1 and
+/// ignored on read, and manifests written before and after keep one layout.
 struct TenantManifestEntry {
   int64_t id = 0;
   /// ModelRegistry key (a checkpoint path for warm-started tenants).
@@ -89,7 +94,6 @@ struct TenantManifestEntry {
   /// Resolved streaming geometry (not the 0-means-default spellings).
   int64_t buffer_length = 0;
   int64_t hop = 0;
-  bool incremental = true;
 };
 
 struct FleetManifest {

@@ -42,8 +42,6 @@ struct FleetMetrics {
       metrics::Registry::Global().counter("serve.batched_detects");
   metrics::Counter* append_errors =
       metrics::Registry::Global().counter("serve.append_errors");
-  metrics::Histogram* pass_seconds =
-      metrics::Registry::Global().histogram("serve.pass_seconds");
   metrics::Counter* wal_records =
       metrics::Registry::Global().counter("serve.wal_records");
   metrics::Counter* wal_failures =
@@ -368,7 +366,6 @@ FleetManifest ComposeManifest(
     entry.model_key = tenant->model_key;
     entry.buffer_length = tenant->stream.buffer_length();
     entry.hop = tenant->stream.hop();
-    entry.incremental = tenant->stream.incremental();
     manifest.tenants.push_back(std::move(entry));
   }
   return manifest;
@@ -698,8 +695,7 @@ Result<int64_t> FleetServer::Drain() {
       impl_->append_errors.fetch_add(1, std::memory_order_relaxed);
       Instruments().append_errors->Increment();
     }
-    const auto end = std::chrono::steady_clock::now();
-    if (end >= deadline) {
+    if (std::chrono::steady_clock::now() >= deadline) {
       impl_->deadline_expired.fetch_add(1, std::memory_order_relaxed);
       Instruments().deadline_expired->Increment();
     }
@@ -708,7 +704,6 @@ Result<int64_t> FleetServer::Drain() {
     // this fleet actually served (a replay must not resurrect chunks the
     // live fleet already gave up on).
     t.chunks_applied_seq = std::max(t.chunks_applied_seq, item.claimed_seq);
-    const double elapsed = std::chrono::duration<double>(end - start).count();
     const int64_t clean = t.stream.passes() - passes_before;
     const int64_t failed = t.stream.failed_passes() - failed_before;
     item.passes_run = clean + failed;
@@ -716,11 +711,6 @@ Result<int64_t> FleetServer::Drain() {
                             std::memory_order_relaxed);
     impl_->failed_passes.fetch_add(static_cast<uint64_t>(failed),
                                    std::memory_order_relaxed);
-    if (item.passes_run > 0) {
-      // One observation of the mean per-pass latency for this slice.
-      const double per_pass = elapsed / static_cast<double>(item.passes_run);
-      Instruments().pass_seconds->Observe(per_pass);
-    }
     // Slide the QoS window by the outcomes this drain produced — failed
     // passes plus chunk-level errors — then move the rung. This is how an
     // over-budget or hung tenant degrades: DeadlineExceeded feeds the same
@@ -838,7 +828,6 @@ Result<RecoveryReport> FleetServer::Recover(ModelRegistry* registry) {
     core::StreamingOptions streaming;
     streaming.buffer_length = entry.buffer_length;
     streaming.hop = entry.hop;
-    streaming.incremental = entry.incremental;
     auto tenant = std::make_shared<TenantState>(std::move(model).value(),
                                                 streaming, options_);
     tenant->id = entry.id;

@@ -142,10 +142,6 @@ Decomposition DecomposeWithPeriod(const std::vector<double>& x,
   return d;
 }
 
-Decomposition Decompose(const std::vector<double>& x) {
-  return DecomposeWithPeriod(x, EstimatePeriod(x));
-}
-
 std::vector<double> ResidualComponent(const std::vector<double>& x,
                                       int64_t period) {
   return DecomposeWithPeriod(x, period).residual;

@@ -39,9 +39,6 @@ std::vector<double> MovingAverage(const std::vector<double>& x,
 Decomposition DecomposeWithPeriod(const std::vector<double>& x,
                                   int64_t period);
 
-/// Convenience: estimates the period, then decomposes.
-Decomposition Decompose(const std::vector<double>& x);
-
 /// The residual channel TriAD feeds its third encoder:
 /// x minus its periodic (trend + seasonal) structure.
 std::vector<double> ResidualComponent(const std::vector<double>& x,

@@ -42,11 +42,4 @@ std::vector<Complex> RealFft(const std::vector<double>& input) {
   return Fft(data);
 }
 
-std::vector<double> InverseRealFft(const std::vector<Complex>& spectrum) {
-  std::vector<Complex> time = InverseFft(spectrum);
-  std::vector<double> out(time.size());
-  for (size_t i = 0; i < time.size(); ++i) out[i] = time[i].real();
-  return out;
-}
-
 }  // namespace triad::signal

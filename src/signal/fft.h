@@ -20,9 +20,6 @@ std::vector<Complex> InverseFft(const std::vector<Complex>& input);
 /// DFT of a real sequence; returns all N bins (conjugate-symmetric).
 std::vector<Complex> RealFft(const std::vector<double>& input);
 
-/// Real part of the inverse DFT (for spectra of real signals).
-std::vector<double> InverseRealFft(const std::vector<Complex>& spectrum);
-
 /// Smallest power of two >= n (n >= 1).
 size_t NextPowerOfTwo(size_t n);
 

@@ -122,15 +122,4 @@ double PeriodAcfConfidence(const std::vector<double>& x, int64_t period) {
   return std::clamp(value, 0.0, 1.0);
 }
 
-PeriodEstimate EstimatePeriodWelchWithConfidence(const std::vector<double>& x,
-                                                 int64_t min_period,
-                                                 int64_t max_period) {
-  PeriodEstimate estimate;
-  estimate.period = std::max<int64_t>(min_period, 2);
-  if (static_cast<int64_t>(x.size()) < 32) return estimate;  // confidence 0
-  estimate.period = EstimatePeriodWelch(x, min_period, max_period);
-  estimate.confidence = PeriodAcfConfidence(x, estimate.period);
-  return estimate;
-}
-
 }  // namespace triad::signal

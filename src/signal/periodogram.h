@@ -25,30 +25,17 @@ double SpectralEntropy(const std::vector<double>& x);
 int64_t EstimatePeriodWelch(const std::vector<double>& x,
                             int64_t min_period = 2, int64_t max_period = -1);
 
-/// \brief A period estimate together with how much the data supports it.
+/// \brief How much the data supports `period` as the periodicity of `x`.
 ///
-/// `confidence` is the normalized autocorrelation of the series at the
-/// estimated lag, clamped to [0, 1]: near 1 for a truly periodic series,
-/// near 0 for white noise, constants, or any input too short/degenerate to
-/// estimate from. The detector's graceful-degradation ladder
-/// (ARCHITECTURE.md §5) falls back to a configured default period when the
-/// confidence is below TriadConfig::min_period_confidence instead of
-/// segmenting on a nonsense estimate.
-struct PeriodEstimate {
-  int64_t period = 2;
-  double confidence = 0.0;
-};
-
-/// \brief Confidence of `period` as the periodicity of `x` (see
-/// PeriodEstimate). Never crashes: degenerate inputs (period < 2, series
-/// shorter than two cycles, zero-variance series, non-finite ACF) return 0.
+/// The normalized autocorrelation of the series at lag `period`, clamped to
+/// [0, 1]: near 1 for a truly periodic series, near 0 for white noise,
+/// constants, or any input too short/degenerate to estimate from. The
+/// detector's graceful-degradation ladder (ARCHITECTURE.md §5) falls back
+/// to a configured default period when the confidence is below
+/// TriadConfig::min_period_confidence instead of segmenting on a nonsense
+/// estimate. Never crashes: degenerate inputs (period < 2, series shorter
+/// than two cycles, zero-variance series, non-finite ACF) return 0.
 double PeriodAcfConfidence(const std::vector<double>& x, int64_t period);
-
-/// Welch estimate + ACF confidence. Inputs too short for a Welch PSD
-/// (n < 32) return {min_period, 0.0} instead of crashing.
-PeriodEstimate EstimatePeriodWelchWithConfidence(const std::vector<double>& x,
-                                                 int64_t min_period = 2,
-                                                 int64_t max_period = -1);
 
 }  // namespace triad::signal
 

@@ -106,7 +106,6 @@ std::vector<OpCase> MakeElementwiseCases() {
   unary("tanh", [](const Var& v) { return Tanh(v); });
   unary("exp", [](const Var& v) { return Exp(v); }, 0.5f);
   unary("square", [](const Var& v) { return Square(v); });
-  unary("gelu", [](const Var& v) { return Gelu(v); });
   unary("neg", [](const Var& v) { return Neg(v); });
   // log/sqrt need positive inputs.
   auto positive_leaf = [](std::vector<int64_t> shape, uint64_t seed) {

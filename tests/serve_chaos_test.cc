@@ -872,8 +872,7 @@ TEST(ServeChaosDecodeTest, ManifestCountBeyondPayloadIsDataLoss) {
   ASSERT_TRUE(EnsureDir(dir).ok());
   FleetManifest manifest;
   manifest.next_id = 3;
-  manifest.tenants = {{1, "model_a", 128, 16, true},
-                      {2, "key_b", 256, 32, false}};
+  manifest.tenants = {{1, "model_a", 128, 16}, {2, "key_b", 256, 32}};
   ASSERT_TRUE(WriteManifest(dir, manifest).ok());
   ASSERT_TRUE(ReadManifest(dir).ok());
   const std::string path = dir + "/manifest";
@@ -897,6 +896,83 @@ TEST(ServeChaosDecodeTest, ManifestCountBeyondPayloadIsDataLoss) {
           << "count at " << at << " = " << count;
     }
   }
+}
+
+// Each manifest row ends in a retired byte that once selected a memo-less
+// stream: written as 1, read and ignored. The first row's slot follows
+// next_id, the tenant count, its id, its key length, its key, buffer_length
+// and hop.
+size_t FirstRetiredSlotAt(const std::string& payload) {
+  return 8 + 8 + 8 + 8 + CountAt(payload, 24) + 8 + 8;
+}
+
+// Rewrites the first manifest row's retired slot to 0 (what a memo-less
+// tenant's row held) and re-checksums the file.
+void ZeroFirstRetiredSlot(const std::string& dir) {
+  const std::string path = dir + "/manifest";
+  const char magic[4] = {'T', 'R', 'M', 'F'};
+  uint32_t version = 0;
+  auto payload = io::ReadChecksummedFile(path, magic, &version);
+  ASSERT_TRUE(payload.ok());
+  const size_t at = FirstRetiredSlotAt(*payload);
+  ASSERT_LT(at, payload->size());
+  ASSERT_EQ((*payload)[at], 1);
+  (*payload)[at] = 0;
+  ASSERT_TRUE(io::WriteChecksummedFile(path, magic, version, *payload).ok());
+}
+
+TEST(ServeChaosDecodeTest, ManifestRetiredSlotHoldingZeroReads) {
+  const std::string dir = ChaosDir("retired_slot");
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  FleetManifest manifest;
+  manifest.next_id = 3;
+  manifest.tenants = {{1, "model_a", 128, 16}, {2, "key_b", 256, 32}};
+  ASSERT_TRUE(WriteManifest(dir, manifest).ok());
+  ZeroFirstRetiredSlot(dir);
+  auto read = ReadManifest(dir);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->next_id, 3);
+  ASSERT_EQ(read->tenants.size(), 2u);
+  EXPECT_EQ(read->tenants[0].id, 1);
+  EXPECT_EQ(read->tenants[0].model_key, "model_a");
+  EXPECT_EQ(read->tenants[0].buffer_length, 128);
+  EXPECT_EQ(read->tenants[0].hop, 16);
+  EXPECT_EQ(read->tenants[1].model_key, "key_b");
+}
+
+// A durable fleet whose manifest row holds 0 in the retired slot (a tenant
+// written while it ran without the memo) recovers that tenant to the
+// timeline of a standalone replay of its WAL.
+TEST(ServeChaosManifestTest, RetiredSlotHoldingZeroRecoversBitIdentically) {
+  const std::string dir = ChaosDir("retired_slot_fleet");
+  constexpr size_t kChunk = 64;
+  FleetOptions options;
+  options.durability.dir = dir;
+  const std::vector<double> feed = SmallDataset(230).test;
+  int64_t id = 0;
+  {
+    ModelRegistry registry;
+    FleetServer fleet(options);
+    auto added = fleet.AddTenantFromCheckpoint(&registry,
+                                               SharedCheckpointPath());
+    ASSERT_TRUE(added.ok());
+    id = *added;
+    IngestInChunks(&fleet, id, feed, kChunk);
+    // Killed here: no Drain, so recovery rebuilds the stream from the
+    // manifest row and replays the whole WAL.
+  }
+  ZeroFirstRetiredSlot(dir);
+  ModelRegistry registry;
+  FleetServer recovered(options);
+  auto report = recovered.Recover(&registry);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->tenants_recovered, 1);
+  EXPECT_TRUE(report->quarantined.empty());
+  auto snap = recovered.Tenant(id);
+  ASSERT_TRUE(snap.ok());
+  const StandaloneRun ref = RunStandalone(*SharedDetector(), feed);
+  ASSERT_GT(ref.passes, 0);
+  ExpectMatchesStandalone(*snap, ref, "retired slot 0");
 }
 
 TEST(ServeChaosDecodeTest, WalPointCountBeyondRecordIsCorrupt) {

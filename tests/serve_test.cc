@@ -552,7 +552,7 @@ TEST(FleetServerPropertyTest, AdmissionLedgerBalancesForArbitraryArrivals) {
   EXPECT_EQ(final_stats.queue_points, 0);
   // The export-only gauge agrees with the authoritative atomic.
   EXPECT_EQ(registry.gauge("serve.queue_depth")->value(), 0.0);
-  EXPECT_GT(registry.histogram("serve.pass_seconds")->count(), 0u);
+  EXPECT_GT(registry.histogram("streaming.pass_seconds")->count(), 0u);
 }
 
 }  // namespace

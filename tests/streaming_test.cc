@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -221,26 +223,54 @@ TEST(StreamingTest, TimelineInvariantUnderArbitraryChunking) {
   }
 }
 
-TEST(StreamingTest, IncrementalAccessorReflectsOptions) {
-  const data::UcrDataset ds = SmallDataset(68);
-  TriadDetector detector(TinyConfig());
-  ASSERT_TRUE(detector.Fit(ds.train).ok());
-  // On by default; the option alone turns it off.
-  StreamingTriad on(&detector);
-  EXPECT_TRUE(on.incremental());
-  StreamingOptions off_options;
-  off_options.incremental = false;
-  StreamingTriad off(&detector, off_options);
-  EXPECT_FALSE(off.incremental());
+// The memo-less stream, kept as the oracle: a plain Detect on every buffer
+// the stream scores — the last `buffer_length` points, first once both the
+// buffer is full and `hop` points have arrived, then every `hop` points —
+// with flagged points OR-ed into the timeline and rejected buffers merged
+// into gaps. It shares no code with StreamingTriad beyond Detect.
+struct PlainReplay {
+  std::vector<int> alarms;
+  std::vector<TimelineGap> gaps;
+  int64_t passes = 0;
+  int64_t failed_passes = 0;
+};
+
+PlainReplay ReplayWithPlainDetect(const TriadDetector& detector,
+                                  const std::vector<double>& feed,
+                                  int64_t buffer_length, int64_t hop) {
+  PlainReplay out;
+  out.alarms.assign(feed.size(), 0);
+  const int64_t n = static_cast<int64_t>(feed.size());
+  for (int64_t end = std::max(buffer_length, hop); end <= n; end += hop) {
+    const int64_t begin = end - buffer_length;
+    const Result<DetectionResult> pass = detector.Detect(
+        std::vector<double>(feed.begin() + begin, feed.begin() + end));
+    if (!pass.ok()) {
+      ++out.failed_passes;
+      if (!out.gaps.empty() && begin <= out.gaps.back().end) {
+        out.gaps.back().end = end;
+      } else {
+        out.gaps.push_back({begin, end});
+      }
+      continue;
+    }
+    ++out.passes;
+    for (size_t i = 0; i < pass->predictions.size(); ++i) {
+      if (pass->predictions[i] != 0) {
+        out.alarms[static_cast<size_t>(begin) + i] = 1;
+      }
+    }
+  }
+  return out;
 }
 
-// Tentpole golden property (ARCHITECTURE.md §8): the memoized incremental
-// path and the full-recompute path produce bit-identical streaming
-// outcomes — alarms, pass counts, failed passes and gaps — on a feed that
-// exercises clean passes, a sanitize-rejected burst (memo bypass plus the
-// guaranteed-rejection short-circuit) and recovery. Checked on both SIMD
-// tiers, since the memo caches kernel outputs.
-TEST(StreamingTest, IncrementalMatchesFullRecomputeBitwise) {
+// Golden property (ARCHITECTURE.md §8): the memoized stream and the plain
+// replay produce bit-identical outcomes — alarms, pass counts, failed
+// passes and gaps — on a feed that exercises clean passes, a
+// sanitize-rejected burst (memo bypass plus the guaranteed-rejection
+// short-circuit) and recovery. Checked on both SIMD tiers, since the memo
+// caches kernel outputs.
+TEST(StreamingTest, MemoizedStreamMatchesPlainReplayBitwise) {
   metrics::ScopedEnable metrics_on(true);
   const metrics::Counter* short_circuits =
       metrics::Registry::Global().counter("streaming.short_circuit_passes");
@@ -253,11 +283,9 @@ TEST(StreamingTest, IncrementalMatchesFullRecomputeBitwise) {
     feed[static_cast<size_t>(i)] = std::numeric_limits<double>::quiet_NaN();
   }
 
-  StreamingOptions base;
-  base.buffer_length = 2 * detector.window_length();
-  const auto run = [&](bool incremental, int64_t chunk) {
-    StreamingOptions options = base;
-    options.incremental = incremental;
+  StreamingOptions options;
+  options.buffer_length = 2 * detector.window_length();
+  const auto run = [&](int64_t chunk) {
     StreamingTriad stream(&detector, options);
     for (size_t off = 0; off < feed.size();
          off += static_cast<size_t>(chunk)) {
@@ -273,27 +301,73 @@ TEST(StreamingTest, IncrementalMatchesFullRecomputeBitwise) {
   for (simd::Level level :
        {simd::Level::kScalar, simd::HighestSupportedLevel()}) {
     simd::ScopedForceLevel force(level);
-    const StreamingTriad full = run(/*incremental=*/false, /*chunk=*/23);
+    const StreamingTriad probe(&detector, options);
+    const PlainReplay oracle = ReplayWithPlainDetect(
+        detector, feed, probe.buffer_length(), probe.hop());
     // The fixture must exercise both rungs or the property is weak.
-    ASSERT_GT(full.passes(), 0);
-    ASSERT_GT(full.failed_passes(), 0);
+    ASSERT_GT(oracle.passes, 0);
+    ASSERT_GT(oracle.failed_passes, 0);
     for (int64_t chunk : {int64_t{1}, int64_t{23}, int64_t{256}}) {
       const uint64_t short_circuits_before = short_circuits->value();
-      const StreamingTriad inc = run(/*incremental=*/true, chunk);
+      const StreamingTriad stream = run(chunk);
       // The burst is taken by the short-circuit, not only by Detect.
       EXPECT_GT(short_circuits->value(), short_circuits_before)
           << "chunk=" << chunk;
-      EXPECT_EQ(inc.alarms(), full.alarms()) << "chunk=" << chunk;
-      EXPECT_EQ(inc.passes(), full.passes()) << "chunk=" << chunk;
-      EXPECT_EQ(inc.failed_passes(), full.failed_passes())
+      EXPECT_EQ(stream.alarms(), oracle.alarms) << "chunk=" << chunk;
+      EXPECT_EQ(stream.passes(), oracle.passes) << "chunk=" << chunk;
+      EXPECT_EQ(stream.failed_passes(), oracle.failed_passes)
           << "chunk=" << chunk;
-      ASSERT_EQ(inc.gaps().size(), full.gaps().size()) << "chunk=" << chunk;
-      for (size_t i = 0; i < inc.gaps().size(); ++i) {
-        EXPECT_EQ(inc.gaps()[i].begin, full.gaps()[i].begin);
-        EXPECT_EQ(inc.gaps()[i].end, full.gaps()[i].end);
+      ASSERT_EQ(stream.gaps().size(), oracle.gaps.size()) << "chunk=" << chunk;
+      for (size_t i = 0; i < oracle.gaps.size(); ++i) {
+        EXPECT_EQ(stream.gaps()[i].begin, oracle.gaps[i].begin);
+        EXPECT_EQ(stream.gaps()[i].end, oracle.gaps[i].end);
       }
     }
   }
+}
+
+// The region cache needs no cap of its own (DetectMemo): a memo pass
+// stores at most one region, at or after its buffer start, and eviction
+// drops it once the start passes it, so a stream holds at most
+// ceil(buffer_length / hop) regions. A 6-window buffer at hop 1 is far
+// denser than any serving geometry and must still stay inside that bound,
+// while holding more regions than a 64-entry cap would have kept.
+TEST(StreamingTest, RegionCacheIsBoundedByTheBuffer) {
+  data::UcrGeneratorOptions gen;
+  gen.count = 1;
+  gen.seed = 70;
+  gen.min_period = 32;
+  gen.max_period = 32;
+  gen.min_train_periods = 14;
+  gen.max_train_periods = 14;
+  gen.min_test_periods = 40;
+  gen.max_test_periods = 40;
+  const data::UcrDataset ds = data::MakeUcrArchive(gen)[0];
+  TriadDetector detector(TinyConfig());
+  ASSERT_TRUE(detector.Fit(ds.train).ok());
+
+  const int64_t buffer_length = 6 * detector.window_length();
+  constexpr int64_t kHop = 1;
+  constexpr int64_t kPasses = 400;
+  ASSERT_LE(buffer_length + kPasses * kHop,
+            static_cast<int64_t>(ds.test.size()));
+  const size_t bound =
+      static_cast<size_t>((buffer_length + kHop - 1) / kHop);
+  DetectMemo memo;
+  memo.BindStream(NextStreamUid());
+  size_t peak = 0;
+  for (int64_t pass = 0; pass < kPasses; ++pass) {
+    const int64_t start = pass * kHop;
+    const std::vector<double> buffer(ds.test.begin() + start,
+                                     ds.test.begin() + start + buffer_length);
+    ASSERT_TRUE(detector.Detect(buffer, &memo, start).ok()) << pass;
+    ASSERT_LE(memo.merlin.size(), bound) << "pass " << pass;
+    for (const DetectMemo::MerlinEntry& entry : memo.merlin) {
+      ASSERT_GE(entry.begin, start) << "pass " << pass;
+    }
+    peak = std::max(peak, memo.merlin.size());
+  }
+  EXPECT_GT(peak, 64u);
 }
 
 // Crash-recovery property (ARCHITECTURE.md §10): a stream exported in the
