@@ -209,7 +209,7 @@ BENCHMARK(BM_MerlinNoisySweep)->Unit(benchmark::kMillisecond);
 // ExactDiscords alone at step 1) and the selection-stage comparison (MASS
 // profile vs nearest-window scan) as a machine-readable record, with the
 // FFT plan and spectrum cache counters, in BENCH_discord.json (schema
-// triad-observability-v2; see bench/README.md). Fixed iteration counts
+// triad-observability-v3; see bench/README.md). Fixed iteration counts
 // keep the record cheap and the workload identical across runs.
 int RunJsonMode() {
   metrics::ScopedEnable enable(true);

@@ -5,7 +5,7 @@
 // dirty cohort included so the QoS ladder and its rejection counters are
 // exercised), verifies every tenant's alarm timeline bit-identical against
 // a standalone replay of its accepted chunks, and emits BENCH_serve.json
-// (schema triad-observability-v2; see bench/README.md).
+// (schema triad-observability-v3; see bench/README.md).
 
 #include <benchmark/benchmark.h>
 

@@ -1,7 +1,7 @@
 // Streaming hot-path latency (ARCHITECTURE.md §8): ms per appended chunk
 // of the memoized stream versus a plain Detect on every buffer it scores.
 // The --json mode emits BENCH_streaming.json (schema
-// triad-observability-v2; see bench/README.md).
+// triad-observability-v3; see bench/README.md).
 
 #include <benchmark/benchmark.h>
 

@@ -73,7 +73,7 @@ core::DetectionResult RunTriad(const core::TriadConfig& config,
                                const data::UcrDataset& ds);
 
 /// \brief Writes the machine-readable bench record `BENCH_<name>.json`
-/// (schema `triad-observability-v2`, documented in bench/README.md): wall
+/// (schema `triad-observability-v3`, documented in bench/README.md): wall
 /// time, the active SIMD tier, the default pool's thread count, every
 /// registry instrument (each span name is a histogram), and the caller's
 /// `extra` scalars. The output directory comes from TRIAD_BENCH_JSON_DIR

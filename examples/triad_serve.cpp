@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     ids.push_back(*id);
   }
   std::printf("fleet: %lld tenants, %lld model(s) resident\n",
-              static_cast<long long>(fleet.tenant_count()),
+              static_cast<long long>(fleet.stats().tenants),
               static_cast<long long>(registry.size()));
 
   // Distinct synthetic stream per tenant; the last tenant's telemetry is

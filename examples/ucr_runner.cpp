@@ -7,7 +7,7 @@
 //   --save ckpt.bin (write the fitted detector)
 //   --metrics-json out.json (write the observability report: registry
 //   instruments, each per-stage span a histogram, SIMD tier, thread
-//   count — the same triad-observability-v2 schema as the BENCH_*.json
+//   count — the same triad-observability-v3 schema as the BENCH_*.json
 //   records)
 //
 // Prints the detection spans, all rigorous metrics, and the per-stage

@@ -73,25 +73,6 @@ ScopedEnable::~ScopedEnable() {
   g_override.store(previous_, std::memory_order_relaxed);
 }
 
-void Gauge::Set(double v) {
-  if (!Enabled()) return;
-  bits_.store(ToBits(v), std::memory_order_relaxed);
-}
-
-void Gauge::Add(double delta) {
-  if (!Enabled()) return;
-  uint64_t old = bits_.load(std::memory_order_relaxed);
-  while (!bits_.compare_exchange_weak(old, ToBits(FromBits(old) + delta),
-                                      std::memory_order_relaxed)) {
-  }
-}
-
-double Gauge::value() const {
-  return FromBits(bits_.load(std::memory_order_relaxed));
-}
-
-void Gauge::Reset() { bits_.store(ToBits(0.0), std::memory_order_relaxed); }
-
 double Histogram::BucketUpperBound(int i) {
   if (i >= kNumBuckets - 1) return std::numeric_limits<double>::infinity();
   return 1e-6 * static_cast<double>(uint64_t{1} << i);
@@ -136,7 +117,6 @@ using InstrumentMap = std::map<std::string, std::unique_ptr<T>, std::less<>>;
 struct Registry::Impl {
   mutable std::mutex mu;
   InstrumentMap<Counter> counters;
-  InstrumentMap<Gauge> gauges;
   InstrumentMap<Histogram> histograms;
 };
 
@@ -168,11 +148,6 @@ Counter* Registry::counter(std::string_view name) {
   return FindOrAdd(impl_->counters, name);
 }
 
-Gauge* Registry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return FindOrAdd(impl_->gauges, name);
-}
-
 Histogram* Registry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return FindOrAdd(impl_->histograms, name);
@@ -184,9 +159,6 @@ std::string Registry::ExportText() const {
   os.precision(17);
   for (const auto& [name, c] : impl_->counters) {
     os << "counter " << name << " " << c->value() << "\n";
-  }
-  for (const auto& [name, g] : impl_->gauges) {
-    os << "gauge " << name << " " << g->value() << "\n";
   }
   for (const auto& [name, h] : impl_->histograms) {
     os << "histogram " << name << " count " << h->count() << " sum "
@@ -204,14 +176,6 @@ std::string Registry::ExportJsonMembers() const {
     if (!first) os << ", ";
     first = false;
     os << "\"" << JsonEscape(name) << "\": " << c->value();
-  }
-  os << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : impl_->gauges) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\": ";
-    AppendJsonNumber(os, g->value());
   }
   os << "}, \"histograms\": [";
   first = true;
@@ -246,7 +210,6 @@ std::string Registry::ExportJsonMembers() const {
 void Registry::ResetAll() {
   std::lock_guard<std::mutex> lock(impl_->mu);
   for (auto& [name, c] : impl_->counters) c->Reset();
-  for (auto& [name, g] : impl_->gauges) g->Reset();
   for (auto& [name, h] : impl_->histograms) h->Reset();
 }
 

@@ -12,11 +12,16 @@ namespace triad::metrics {
 /// \brief Process-global, thread-safe runtime metrics
 /// (see ARCHITECTURE.md §6).
 ///
-/// Three instrument kinds, all lock-free on the record path:
+/// Two instrument kinds, both lock-free on the record path and both
+/// accumulating: updates from any number of threads or fleets add up, and
+/// none is lost.
 ///
 ///   * **Counter**   — monotonically increasing uint64 (events, rows, bytes).
-///   * **Gauge**     — a last-write-wins double (queue depth, buffer fill).
 ///   * **Histogram** — fixed log-spaced buckets for latency-shaped values.
+///
+/// A level (queue depth, tenant count, last loss, pool lanes) is not an
+/// instrument: it is read from the object that owns it (FleetStats,
+/// TrainStats, DefaultPool()), exact and per owner.
 ///
 /// Instruments live in the global Registry, keyed by a dot-separated
 /// lowercase name (`<module>.<noun>`, e.g. `stomp.rows`,
@@ -68,23 +73,6 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// \brief Last-write-wins double gauge (stored as bits so the store is a
-/// single atomic word write).
-class Gauge {
- public:
-  void Set(double v);
-  /// Atomically adds `delta` (CAS loop) — for level-style gauges maintained
-  /// by concurrent increments/decrements (e.g. serve.queue_depth, where
-  /// last-write-wins Set from racing ingest threads would lose updates).
-  /// Exact for integer-valued deltas within the double mantissa.
-  void Add(double delta);
-  double value() const;
-  void Reset();
-
- private:
-  std::atomic<uint64_t> bits_{0};  // bit pattern of 0.0
-};
-
 /// \brief Histogram over fixed log-spaced buckets.
 ///
 /// Bucket i counts observations with value <= BucketUpperBound(i); the
@@ -115,7 +103,7 @@ class Histogram {
 
 /// \brief The process-global instrument registry.
 ///
-/// Lookup (counter/gauge/histogram) takes a mutex and allocates only the
+/// Lookup (counter/histogram) takes a mutex and allocates only the
 /// first time a name is seen; returned pointers are stable for the process
 /// lifetime. Call sites cache the pointer, except trace::TraceSpan, which
 /// looks its histogram up by name once per recorded span. Exporters
@@ -126,16 +114,15 @@ class Registry {
   static Registry& Global();
 
   Counter* counter(std::string_view name);
-  Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
 
-  /// One instrument per line: `counter <name> <value>` / `gauge <name>
-  /// <value>` / `histogram <name> count <n> sum <s>`, sorted by name.
+  /// One instrument per line: `counter <name> <value>` / `histogram <name>
+  /// count <n> sum <s>`, sorted by name.
   std::string ExportText() const;
 
-  /// JSON fragment `"counters": {...}, "gauges": {...}, "histograms":
-  /// [...]` — object *members* (no surrounding braces), composed into full
-  /// documents by trace::WriteObservabilityJson and the bench harness.
+  /// JSON fragment `"counters": {...}, "histograms": [...]` — object
+  /// *members* (no surrounding braces), composed into full documents by
+  /// trace::WriteObservabilityJson and the bench harness.
   std::string ExportJsonMembers() const;
 
   /// Zeroes every registered instrument (tests and the bench JSON mode;

@@ -22,9 +22,7 @@ thread_local const ThreadPool* tls_executing_pool = nullptr;
 ThreadPool* g_default_override = nullptr;
 
 // Pool telemetry (ARCHITECTURE.md §6), updated at batch granularity so the
-// chunk-dispatch hot path stays untouched. `queue_depth` is the chunk count
-// of the most recently published batch; `utilization` is that batch's
-// chunks-per-lane ratio (>= 1 means every lane had work).
+// chunk-dispatch hot path stays untouched.
 struct PoolMetrics {
   metrics::Counter* batches =
       metrics::Registry::Global().counter("parallel.batches");
@@ -32,11 +30,6 @@ struct PoolMetrics {
       metrics::Registry::Global().counter("parallel.inline_batches");
   metrics::Counter* chunks =
       metrics::Registry::Global().counter("parallel.chunks");
-  metrics::Gauge* queue_depth =
-      metrics::Registry::Global().gauge("parallel.queue_depth");
-  metrics::Gauge* utilization =
-      metrics::Registry::Global().gauge("parallel.utilization");
-  metrics::Gauge* lanes = metrics::Registry::Global().gauge("parallel.lanes");
 };
 
 PoolMetrics& Instruments() {
@@ -162,10 +155,6 @@ void ThreadPool::RunChunks(int64_t num_chunks,
 
   Instruments().batches->Increment();
   Instruments().chunks->Increment(static_cast<uint64_t>(num_chunks));
-  Instruments().queue_depth->Set(static_cast<double>(num_chunks));
-  Instruments().utilization->Set(static_cast<double>(num_chunks) /
-                                 static_cast<double>(num_threads_));
-  Instruments().lanes->Set(static_cast<double>(num_threads_));
 
   auto batch = std::make_shared<Batch>();
   batch->fn = &fn;

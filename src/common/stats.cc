@@ -14,23 +14,12 @@ double Mean(const std::vector<double>& v) {
   return sum / static_cast<double>(v.size());
 }
 
-namespace {
-double VarianceSum(const std::vector<double>& v, double mean) {
-  double ss = 0.0;
-  for (double x : v) ss += (x - mean) * (x - mean);
-  return ss;
-}
-}  // namespace
-
 double StdDev(const std::vector<double>& v) {
   if (v.size() < 2) return 0.0;
-  return std::sqrt(VarianceSum(v, Mean(v)) / static_cast<double>(v.size()));
-}
-
-double SampleStdDev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  return std::sqrt(VarianceSum(v, Mean(v)) /
-                   static_cast<double>(v.size() - 1));
+  const double mean = Mean(v);
+  double ss = 0.0;
+  for (double x : v) ss += (x - mean) * (x - mean);
+  return std::sqrt(ss / static_cast<double>(v.size()));
 }
 
 double Min(const std::vector<double>& v) {

@@ -17,9 +17,6 @@ double Mean(const std::vector<double>& v);
 /// Population standard deviation; returns 0 for fewer than two elements.
 double StdDev(const std::vector<double>& v);
 
-/// Sample standard deviation (n-1 denominator); 0 for fewer than two elements.
-double SampleStdDev(const std::vector<double>& v);
-
 /// Minimum / maximum; input must be non-empty.
 double Min(const std::vector<double>& v);
 double Max(const std::vector<double>& v);

@@ -30,7 +30,7 @@ void WriteObservabilityJson(
     std::ostream& os, const std::string& name, double wall_seconds,
     const std::vector<std::pair<std::string, double>>& extra) {
   os << "{\n";
-  os << "  \"schema\": \"triad-observability-v2\",\n";
+  os << "  \"schema\": \"triad-observability-v3\",\n";
   os << "  \"name\": \"" << metrics::JsonEscape(name) << "\",\n";
   os << "  \"wall_seconds\": ";
   metrics::AppendJsonNumber(os, wall_seconds);

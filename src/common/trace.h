@@ -46,13 +46,13 @@ class TraceSpan {
 ///
 /// ```json
 /// {
-///   "schema": "triad-observability-v2",
+///   "schema": "triad-observability-v3",
 ///   "name": "<name>",
 ///   "wall_seconds": <w>,
 ///   "simd_tier": "scalar" | "avx2",
 ///   "threads": <default pool lanes>,
 ///   "metrics_enabled": true | false,
-///   "counters": {...}, "gauges": {...}, "histograms": [...spans too...],
+///   "counters": {...}, "histograms": [...spans too...],
 ///   "extra": {"<key>": <value>, ...}
 /// }
 /// ```

@@ -95,16 +95,13 @@ Result<TrainStats> TriadTrainer::Fit(
   std::vector<int64_t> order(train_windows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
 
-  // Observability: per-epoch spans and running loss instruments
-  // (ARCHITECTURE.md §6). Pure telemetry — nothing below reads them back.
+  // Observability: per-epoch spans and epoch/batch counters
+  // (ARCHITECTURE.md §6). Pure telemetry — nothing below reads them back;
+  // the losses themselves are returned in TrainStats.
   static metrics::Counter* epochs_counter =
       metrics::Registry::Global().counter("trainer.epochs");
   static metrics::Counter* batches_counter =
       metrics::Registry::Global().counter("trainer.batches");
-  static metrics::Gauge* train_loss_gauge =
-      metrics::Registry::Global().gauge("trainer.last_train_loss");
-  static metrics::Gauge* val_loss_gauge =
-      metrics::Registry::Global().gauge("trainer.last_val_loss");
 
   for (int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     trace::TraceSpan epoch_span("trainer.epoch");
@@ -151,14 +148,9 @@ Result<TrainStats> TriadTrainer::Fit(
       Rng val_rng(ValidationSeed(config_.seed, epoch));
       Var val_loss = BatchLoss(*model, val_windows, period, &val_rng);
       stats.epoch_val_loss.push_back(val_loss.value()[0]);
-      val_loss_gauge->Set(stats.epoch_val_loss.back());
     }
     epochs_counter->Increment();
     batches_counter->Increment(static_cast<uint64_t>(num_batches));
-    // A zero-batch epoch records NaN; gauges keep their last real value.
-    if (num_batches > 0) {
-      train_loss_gauge->Set(stats.epoch_train_loss.back());
-    }
   }
   return stats;
 }

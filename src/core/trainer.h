@@ -19,8 +19,7 @@ struct TrainStats {
 };
 
 /// Mean training loss of one epoch. A zero-batch epoch returns NaN — it
-/// must be distinguishable from a genuinely perfect (0.0) loss, and
-/// callers skip gauge updates for it.
+/// must be distinguishable from a genuinely perfect (0.0) loss.
 double EpochAverageLoss(double loss_sum, int64_t num_batches);
 
 /// Seed for the per-epoch validation RNG stream: derived from the run seed

@@ -208,37 +208,6 @@ bool EventDetected(const std::vector<int>& pred,
   return true;
 }
 
-std::vector<int> ThresholdScores(const std::vector<double>& scores,
-                                 double threshold) {
-  std::vector<int> out(scores.size(), 0);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    out[i] = scores[i] > threshold ? 1 : 0;
-  }
-  return out;
-}
-
-std::pair<double, double> BestF1Threshold(const std::vector<double>& scores,
-                                          const std::vector<int>& labels,
-                                          int num_thresholds) {
-  TRIAD_CHECK_EQ(scores.size(), labels.size());
-  TRIAD_CHECK_GE(num_thresholds, 2);
-  const double lo = Min(scores);
-  const double hi = Max(scores);
-  double best_threshold = lo;
-  double best_f1 = 0.0;
-  for (int t = 0; t < num_thresholds; ++t) {
-    const double threshold =
-        lo + (hi - lo) * static_cast<double>(t) / (num_thresholds - 1);
-    const double f1 =
-        ComputeConfusion(ThresholdScores(scores, threshold), labels).F1();
-    if (f1 > best_f1) {
-      best_f1 = f1;
-      best_threshold = threshold;
-    }
-  }
-  return {best_threshold, best_f1};
-}
-
 std::vector<int> OneLinerDetector(const std::vector<double>& series,
                                   double z) {
   const double mu = Mean(series);

@@ -2,7 +2,6 @@
 #define TRIAD_EVAL_METRICS_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace triad::eval {
@@ -85,16 +84,6 @@ AffiliationScore ComputeAffiliation(const std::vector<int>& pred,
 /// predicted point lies within `margin` points of the ground-truth event.
 bool EventDetected(const std::vector<int>& pred,
                    const std::vector<int>& labels, int64_t margin = 100);
-
-/// Thresholds real-valued scores into 0/1 predictions.
-std::vector<int> ThresholdScores(const std::vector<double>& scores,
-                                 double threshold);
-
-/// \brief Best point-wise F1 over a sweep of score thresholds (the standard
-/// protocol for reconstruction-error detectors). Returns {threshold, f1}.
-std::pair<double, double> BestF1Threshold(const std::vector<double>& scores,
-                                          const std::vector<int>& labels,
-                                          int num_thresholds = 100);
 
 /// \brief The "one-liner" detector of the paper's Fig. 3 discussion:
 /// flags points whose global z-score magnitude exceeds `z`.

@@ -70,32 +70,4 @@ float Adam::ClipGradNorm(float max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Var> params, float lr, float momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) {
-    TRIAD_CHECK(p.requires_grad());
-    velocity_.emplace_back(Tensor::Zeros(p.shape()));
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    if (!params_[i].has_grad()) continue;
-    auto node = params_[i].node();
-    float* pw = node->value.data();
-    const float* pg = node->grad.data();
-    float* pv = velocity_[i].data();
-    const int64_t n = node->grad.size();
-    for (int64_t j = 0; j < n; ++j) {
-      pv[j] = momentum_ * pv[j] - lr_ * pg[j];
-      pw[j] += pv[j];
-    }
-  }
-}
-
-void Sgd::ZeroGrad() {
-  for (const auto& p : params_) p.ZeroGrad();
-}
-
 }  // namespace triad::nn

@@ -29,9 +29,6 @@ class Adam {
   /// Returns the pre-clip norm.
   float ClipGradNorm(float max_norm);
 
-  float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr) { lr_ = lr; }
-
  private:
   std::vector<Var> params_;
   std::vector<Tensor> m_;
@@ -41,22 +38,6 @@ class Adam {
   float beta1_;
   float beta2_;
   float eps_;
-};
-
-/// \brief Plain SGD with optional momentum (used by ablations).
-class Sgd {
- public:
-  explicit Sgd(std::vector<Var> params, float lr = 1e-2f,
-               float momentum = 0.0f);
-
-  void Step();
-  void ZeroGrad();
-
- private:
-  std::vector<Var> params_;
-  std::vector<Tensor> velocity_;
-  float lr_;
-  float momentum_;
 };
 
 }  // namespace triad::nn

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -17,6 +18,7 @@ constexpr char kManifestMagic[4] = {'T', 'R', 'M', 'F'};
 constexpr uint32_t kManifestVersion = 1;
 constexpr char kSnapshotMagic[4] = {'T', 'R', 'S', 'N'};
 constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint8_t kMaxRung = 2;  // QosRung::kRejecting
 // Gaps are stored as their raw (begin, end) pairs.
 static_assert(sizeof(core::TimelineGap) == 2 * sizeof(int64_t));
 
@@ -142,7 +144,16 @@ Result<TenantDurableState> ReadTenantSnapshot(const std::string& root,
   s.alarms.reserve(alarms.size());
   for (char a : alarms) s.alarms.push_back(a != 0 ? 1 : 0);
   r.GetArray(r.Get<uint64_t>(), &s.gaps);
-  if (!r.ok() || r.remaining() != 0) {
+  // The QoS fields index the tenant's outcome window, so out-of-range
+  // values are as corrupt as a short payload.
+  const auto slots = static_cast<int64_t>(state.qos_outcomes.size());
+  const bool qos_ok =
+      state.rung <= kMaxRung && state.qos_next >= 0 &&
+      state.qos_next < slots && state.qos_count >= 0 &&
+      state.qos_count <= slots && state.probation_counter >= 0 &&
+      std::all_of(state.qos_outcomes.begin(), state.qos_outcomes.end(),
+                  [](uint8_t outcome) { return outcome <= 1; });
+  if (!r.ok() || r.remaining() != 0 || !qos_ok) {
     return Status::DataLoss("snapshot decodes inconsistently");
   }
   return state;

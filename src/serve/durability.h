@@ -115,7 +115,10 @@ Result<FleetManifest> ReadManifest(const std::string& root);
 Status WriteTenantSnapshot(const std::string& root, int64_t id,
                            const TenantDurableState& state);
 /// IoError when the tenant has no snapshot yet (recover from WAL alone);
-/// DataLoss when the snapshot is torn or bit-flipped.
+/// DataLoss when the snapshot is torn or bit-flipped, or when a QoS field
+/// is out of range (rung past kRejecting, a window index or count outside
+/// the 64 outcome slots, an outcome other than 0/1, a negative probation
+/// counter).
 Result<TenantDurableState> ReadTenantSnapshot(const std::string& root,
                                               int64_t id);
 

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <new>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -25,43 +26,25 @@
 namespace triad::serve {
 namespace {
 
-struct FleetMetrics {
-  metrics::Gauge* tenants =
-      metrics::Registry::Global().gauge("serve.tenants");
-  metrics::Gauge* queue_depth =
-      metrics::Registry::Global().gauge("serve.queue_depth");
-  metrics::Counter* submitted =
-      metrics::Registry::Global().counter("serve.submitted");
-  metrics::Counter* accepted =
-      metrics::Registry::Global().counter("serve.accepted");
-  metrics::Counter* degraded =
-      metrics::Registry::Global().counter("serve.degraded");
-  metrics::Counter* rejected =
-      metrics::Registry::Global().counter("serve.rejected");
-  metrics::Counter* batched_detects =
-      metrics::Registry::Global().counter("serve.batched_detects");
-  metrics::Counter* append_errors =
-      metrics::Registry::Global().counter("serve.append_errors");
-  metrics::Counter* wal_records =
-      metrics::Registry::Global().counter("serve.wal_records");
-  metrics::Counter* wal_failures =
-      metrics::Registry::Global().counter("serve.wal_failures");
-  metrics::Counter* snapshots =
-      metrics::Registry::Global().counter("serve.snapshots");
-  metrics::Counter* deadline_expired =
-      metrics::Registry::Global().counter("serve.deadline_expired_passes");
-  metrics::Counter* admission_alloc_failures =
-      metrics::Registry::Global().counter("serve.admission_alloc_failures");
-  metrics::Counter* quarantined =
-      metrics::Registry::Global().counter("serve.quarantined_tenants");
-  metrics::Histogram* recovery_seconds =
-      metrics::Registry::Global().histogram("serve.recovery_seconds");
-};
+// One fleet event count: the fleet's own exact tally, which stats() reads
+// whatever TRIAD_METRICS says, and the process-wide `serve.*` registry
+// counter of the same name, which sums every fleet. One Add bumps both, so
+// the two ledgers cannot drift apart.
+class EventCount {
+ public:
+  explicit EventCount(std::string_view name)
+      : exported_(metrics::Registry::Global().counter(name)) {}
 
-FleetMetrics& Instruments() {
-  static FleetMetrics m;
-  return m;
-}
+  void Add(uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    exported_->Increment(n);
+  }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+  metrics::Counter* exported_;
+};
 
 ServeTestHooks g_test_hooks;
 
@@ -195,23 +178,24 @@ struct FleetServer::Impl {
   std::chrono::steady_clock::duration pass_budget =
       std::chrono::steady_clock::duration::max();
 
-  // Authoritative fleet accounting (metrics are export-only mirrors and
-  // vanish when TRIAD_METRICS is off; these never do).
+  // Fleet accounting, exact whether or not TRIAD_METRICS is on. The queue
+  // levels and pass totals are this fleet's alone; each event count also
+  // feeds its `serve.*` registry counter.
   std::atomic<int64_t> queue_chunks{0};
   std::atomic<int64_t> queue_points{0};
-  std::atomic<uint64_t> submitted{0};
-  std::atomic<uint64_t> accepted{0};
-  std::atomic<uint64_t> degraded{0};
-  std::atomic<uint64_t> rejected{0};
   std::atomic<uint64_t> passes{0};
   std::atomic<uint64_t> failed_passes{0};
-  std::atomic<uint64_t> batched_detects{0};
-  std::atomic<uint64_t> append_errors{0};
-  std::atomic<uint64_t> wal_records{0};
-  std::atomic<uint64_t> wal_failures{0};
-  std::atomic<uint64_t> snapshots{0};
-  std::atomic<uint64_t> deadline_expired{0};
-  std::atomic<uint64_t> admission_alloc_failures{0};
+  EventCount submitted{"serve.submitted"};
+  EventCount accepted{"serve.accepted"};
+  EventCount degraded{"serve.degraded"};
+  EventCount rejected{"serve.rejected"};
+  EventCount batched_detects{"serve.batched_detects"};
+  EventCount append_errors{"serve.append_errors"};
+  EventCount wal_records{"serve.wal_records"};
+  EventCount wal_failures{"serve.wal_failures"};
+  EventCount snapshots{"serve.snapshots"};
+  EventCount deadline_expired{"serve.deadline_expired_passes"};
+  EventCount admission_alloc_failures{"serve.admission_alloc_failures"};
 
   // Snapshot writer lane (durable fleets only): the one thread that writes
   // tenant snapshots. `snapshot_queue` lists the tenants whose
@@ -294,8 +278,7 @@ void FleetServer::Impl::RunSnapshotLane(const std::string& dir) {
                                  e.what());
     }
     if (written.ok()) {
-      snapshots.fetch_add(1, std::memory_order_relaxed);
-      Instruments().snapshots->Increment();
+      snapshots.Add();
     } else {
       std::lock_guard<std::mutex> state_lock(tenant->state_mu);
       tenant->last_error = written;
@@ -424,7 +407,6 @@ Result<int64_t> FleetServer::AddTenant(
       return manifest;
     }
   }
-  Instruments().tenants->Set(static_cast<double>(impl_->tenants.size()));
   return id;
 }
 
@@ -458,7 +440,6 @@ Status FleetServer::RemoveTenant(int64_t id) {
           options_.durability.dir,
           ComposeManifest(impl_->next_id, impl_->tenants)));
     }
-    Instruments().tenants->Set(static_cast<double>(impl_->tenants.size()));
   }
   // Return the tenant's undrained chunks to the fleet budget. A drain
   // holding a shared_ptr may still be scoring chunks it already claimed;
@@ -468,8 +449,6 @@ Status FleetServer::RemoveTenant(int64_t id) {
                                 std::memory_order_relaxed);
   impl_->queue_points.fetch_sub(tenant->pending_points,
                                 std::memory_order_relaxed);
-  Instruments().queue_depth->Add(
-      -static_cast<double>(tenant->pending.size()));
   tenant->pending.clear();
   tenant->pending_points = 0;
   return Status::OK();
@@ -486,8 +465,7 @@ Result<IngestStatus> FleetServer::Ingest(int64_t id,
     }
     tenant = it->second;
   }
-  impl_->submitted.fetch_add(1, std::memory_order_relaxed);
-  Instruments().submitted->Increment();
+  impl_->submitted.Add();
 
   const auto rung = static_cast<QosRung>(
       tenant->rung.load(std::memory_order_acquire));
@@ -496,20 +474,17 @@ Result<IngestStatus> FleetServer::Ingest(int64_t id,
   if (rung == QosRung::kRejecting) {
     const int64_t tick = tenant->probation_counter++;
     if (tick % options_.probation_interval != 0) {
-      impl_->rejected.fetch_add(1, std::memory_order_relaxed);
-      Instruments().rejected->Increment();
+      impl_->rejected.Add();
       return IngestStatus::kRejected;
     }
   }
   if (points.empty()) {
     // No-op, but the verdict still reflects the tenant's rung.
     if (rung == QosRung::kHealthy) {
-      impl_->accepted.fetch_add(1, std::memory_order_relaxed);
-      Instruments().accepted->Increment();
+      impl_->accepted.Add();
       return IngestStatus::kAccepted;
     }
-    impl_->degraded.fetch_add(1, std::memory_order_relaxed);
-    Instruments().degraded->Increment();
+    impl_->degraded.Add();
     return IngestStatus::kDegraded;
   }
   // Reserve the fleet queue slot atomically (check-then-add from racing
@@ -518,15 +493,13 @@ Result<IngestStatus> FleetServer::Ingest(int64_t id,
       impl_->queue_chunks.fetch_add(1, std::memory_order_relaxed) + 1;
   if (depth > options_.max_queue_chunks) {
     impl_->queue_chunks.fetch_sub(1, std::memory_order_relaxed);
-    impl_->rejected.fetch_add(1, std::memory_order_relaxed);
-    Instruments().rejected->Increment();
+    impl_->rejected.Add();
     return IngestStatus::kRejected;
   }
   if (tenant->pending_points + static_cast<int64_t>(points.size()) >
       tenant->max_pending_points) {
     impl_->queue_chunks.fetch_sub(1, std::memory_order_relaxed);
-    impl_->rejected.fetch_add(1, std::memory_order_relaxed);
-    Instruments().rejected->Increment();
+    impl_->rejected.Add();
     return IngestStatus::kRejected;
   }
   // Write-ahead: an admitted chunk hits the tenant's WAL (fsync'd) before
@@ -545,10 +518,8 @@ Result<IngestStatus> FleetServer::Ingest(int64_t id,
       // fail-closed); either way `seq` is unclaimed and the chunk is
       // simply not durable — reject it.
       impl_->queue_chunks.fetch_sub(1, std::memory_order_relaxed);
-      impl_->wal_failures.fetch_add(1, std::memory_order_relaxed);
-      Instruments().wal_failures->Increment();
-      impl_->rejected.fetch_add(1, std::memory_order_relaxed);
-      Instruments().rejected->Increment();
+      impl_->wal_failures.Add();
+      impl_->rejected.Add();
       return IngestStatus::kRejected;
     }
     tenant->wal_next_seq = seq;
@@ -576,29 +547,23 @@ Result<IngestStatus> FleetServer::Ingest(int64_t id,
     // be served at most once (by a recovery) while the caller's retries
     // keep failing, never twice.
     impl_->queue_chunks.fetch_sub(1, std::memory_order_relaxed);
-    impl_->admission_alloc_failures.fetch_add(1, std::memory_order_relaxed);
-    Instruments().admission_alloc_failures->Increment();
-    impl_->rejected.fetch_add(1, std::memory_order_relaxed);
-    Instruments().rejected->Increment();
+    impl_->admission_alloc_failures.Add();
+    impl_->rejected.Add();
     return IngestStatus::kRejected;
   }
   if (logged_to_wal) {
     // Counted only once the enqueue holds too: a rolled-back record was
     // never durable, and the wal_records == admitted-chunk ledger is what
     // the chaos suite audits.
-    impl_->wal_records.fetch_add(1, std::memory_order_relaxed);
-    Instruments().wal_records->Increment();
+    impl_->wal_records.Add();
   }
   impl_->queue_points.fetch_add(static_cast<int64_t>(points.size()),
                                 std::memory_order_relaxed);
-  Instruments().queue_depth->Add(1.0);
   if (rung == QosRung::kHealthy) {
-    impl_->accepted.fetch_add(1, std::memory_order_relaxed);
-    Instruments().accepted->Increment();
+    impl_->accepted.Add();
     return IngestStatus::kAccepted;
   }
-  impl_->degraded.fetch_add(1, std::memory_order_relaxed);
-  Instruments().degraded->Increment();
+  impl_->degraded.Add();
   return IngestStatus::kDegraded;
 }
 
@@ -678,8 +643,7 @@ Result<int64_t> FleetServer::Drain() {
         if (!outcome.ok()) {
           ++error_outcomes;
           t.last_error = outcome;
-          impl_->append_errors.fetch_add(1, std::memory_order_relaxed);
-          Instruments().append_errors->Increment();
+          impl_->append_errors.Add();
           break;
         }
       }
@@ -687,17 +651,14 @@ Result<int64_t> FleetServer::Drain() {
       ++error_outcomes;
       t.last_error = Status::Internal(std::string("tenant pass threw: ") +
                                       e.what());
-      impl_->append_errors.fetch_add(1, std::memory_order_relaxed);
-      Instruments().append_errors->Increment();
+      impl_->append_errors.Add();
     } catch (...) {
       ++error_outcomes;
       t.last_error = Status::Internal("tenant pass threw a non-exception");
-      impl_->append_errors.fetch_add(1, std::memory_order_relaxed);
-      Instruments().append_errors->Increment();
+      impl_->append_errors.Add();
     }
     if (std::chrono::steady_clock::now() >= deadline) {
-      impl_->deadline_expired.fetch_add(1, std::memory_order_relaxed);
-      Instruments().deadline_expired->Increment();
+      impl_->deadline_expired.Add();
     }
     // The claimed chunks are consumed even when some were dropped after a
     // hard error: advancing the watermark keeps recovery aligned with what
@@ -735,14 +696,10 @@ Result<int64_t> FleetServer::Drain() {
     total_points += item.point_count;
   }
   if (claimed.size() >= 2) {
-    impl_->batched_detects.fetch_add(static_cast<uint64_t>(total_passes),
-                                     std::memory_order_relaxed);
-    Instruments().batched_detects->Increment(
-        static_cast<uint64_t>(total_passes));
+    impl_->batched_detects.Add(static_cast<uint64_t>(total_passes));
   }
   impl_->queue_chunks.fetch_sub(total_chunks, std::memory_order_relaxed);
   impl_->queue_points.fetch_sub(total_points, std::memory_order_relaxed);
-  Instruments().queue_depth->Add(-static_cast<double>(total_chunks));
 
   // Snapshot cadence: a drained tenant that has run enough passes since
   // its last hand-off, or whose last write failed, hands its state to the
@@ -807,6 +764,11 @@ Result<RecoveryReport> FleetServer::Recover(ModelRegistry* registry) {
           "Recover: must run on a fresh fleet (tenants already registered)");
     }
   }
+  // Registry-only instruments: recovery outcomes have no FleetStats field.
+  static metrics::Counter* quarantined =
+      metrics::Registry::Global().counter("serve.quarantined_tenants");
+  static metrics::Histogram* recovery_seconds =
+      metrics::Registry::Global().histogram("serve.recovery_seconds");
   Timer timer;
   const std::string& root = options_.durability.dir;
   TRIAD_ASSIGN_OR_RETURN(FleetManifest manifest, ReadManifest(root));
@@ -853,7 +815,10 @@ Result<RecoveryReport> FleetServer::Recover(ModelRegistry* registry) {
       tenant->qos_outcomes = durable.qos_outcomes;
       tenant->qos_next = durable.qos_next;
       tenant->qos_count = durable.qos_count;
-      tenant->probation_counter = durable.probation_counter;
+      // Only the counter's phase is ever read (Ingest), so a stored value
+      // near INT64_MAX cannot overflow the next increment.
+      tenant->probation_counter =
+          durable.probation_counter % options_.probation_interval;
       tenant->chunks_applied_seq = durable.chunks_applied_seq;
     } else if (snap.status().code() != StatusCode::kIoError) {
       ++report.snapshot_fallbacks;
@@ -924,7 +889,7 @@ Result<RecoveryReport> FleetServer::Recover(ModelRegistry* registry) {
     std::shared_ptr<TenantState> tenant = recover_tenant(entry, &why);
     if (tenant == nullptr) {
       report.quarantined.push_back({entry.id, why});
-      Instruments().quarantined->Increment();
+      quarantined->Increment();
       continue;
     }
     ++report.tenants_recovered;
@@ -934,10 +899,9 @@ Result<RecoveryReport> FleetServer::Recover(ModelRegistry* registry) {
   {
     std::lock_guard<std::mutex> lock(impl_->registry_mu);
     impl_->next_id = std::max(impl_->next_id, manifest.next_id);
-    Instruments().tenants->Set(static_cast<double>(impl_->tenants.size()));
   }
   report.recovery_seconds = timer.ElapsedSeconds();
-  Instruments().recovery_seconds->Observe(report.recovery_seconds);
+  recovery_seconds->Observe(report.recovery_seconds);
   return report;
 }
 
@@ -979,27 +943,20 @@ FleetStats FleetServer::stats() const {
   }
   s.queue_chunks = impl_->queue_chunks.load(std::memory_order_relaxed);
   s.queue_points = impl_->queue_points.load(std::memory_order_relaxed);
-  s.submitted = impl_->submitted.load(std::memory_order_relaxed);
-  s.accepted = impl_->accepted.load(std::memory_order_relaxed);
-  s.degraded = impl_->degraded.load(std::memory_order_relaxed);
-  s.rejected = impl_->rejected.load(std::memory_order_relaxed);
   s.passes = impl_->passes.load(std::memory_order_relaxed);
   s.failed_passes = impl_->failed_passes.load(std::memory_order_relaxed);
-  s.batched_detects = impl_->batched_detects.load(std::memory_order_relaxed);
-  s.append_errors = impl_->append_errors.load(std::memory_order_relaxed);
-  s.wal_records = impl_->wal_records.load(std::memory_order_relaxed);
-  s.wal_failures = impl_->wal_failures.load(std::memory_order_relaxed);
-  s.snapshots = impl_->snapshots.load(std::memory_order_relaxed);
-  s.deadline_expired_passes =
-      impl_->deadline_expired.load(std::memory_order_relaxed);
-  s.admission_alloc_failures =
-      impl_->admission_alloc_failures.load(std::memory_order_relaxed);
+  s.submitted = impl_->submitted.value();
+  s.accepted = impl_->accepted.value();
+  s.degraded = impl_->degraded.value();
+  s.rejected = impl_->rejected.value();
+  s.batched_detects = impl_->batched_detects.value();
+  s.append_errors = impl_->append_errors.value();
+  s.wal_records = impl_->wal_records.value();
+  s.wal_failures = impl_->wal_failures.value();
+  s.snapshots = impl_->snapshots.value();
+  s.deadline_expired_passes = impl_->deadline_expired.value();
+  s.admission_alloc_failures = impl_->admission_alloc_failures.value();
   return s;
-}
-
-int64_t FleetServer::tenant_count() const {
-  std::lock_guard<std::mutex> lock(impl_->registry_mu);
-  return static_cast<int64_t>(impl_->tenants.size());
 }
 
 }  // namespace triad::serve

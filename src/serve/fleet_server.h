@@ -98,7 +98,10 @@ const char* ToString(QosRung rung);
 /// \brief Point-in-time fleet counters. `submitted == accepted + degraded
 /// + rejected` holds exactly at every quiescent point (no Ingest call in
 /// flight) — the admission-control invariant tests/serve_test.cc checks
-/// property-style.
+/// property-style. Every field from `submitted` on, except the two pass
+/// totals, counts events; each event also bumps the registry counter
+/// `serve.<field>`, which sums every fleet in the process while metrics
+/// are enabled. The levels (`tenants`, `queue_*`) have no registry twin.
 struct FleetStats {
   int64_t tenants = 0;
   int64_t queue_chunks = 0;  ///< pending, fleet-wide
@@ -314,7 +317,6 @@ class FleetServer {
   /// Fleet-wide counters (exact at quiescent points; see FleetStats).
   FleetStats stats() const;
 
-  int64_t tenant_count() const;
   const FleetOptions& options() const { return options_; }
 
  private:

@@ -47,22 +47,6 @@ std::vector<double> ZNormalized(const std::vector<double>& x, double eps) {
   return out;
 }
 
-std::vector<double> MinMaxScaled(const std::vector<double>& x) {
-  if (x.empty()) return {};
-  double lo = x[0], hi = x[0];
-  for (double v : x) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  std::vector<double> out(x.size());
-  if (hi - lo < 1e-12) {
-    for (auto& v : out) v = 0.5;
-    return out;
-  }
-  for (size_t i = 0; i < x.size(); ++i) out[i] = (x[i] - lo) / (hi - lo);
-  return out;
-}
-
 double EuclideanDistance(const std::vector<double>& a,
                          const std::vector<double>& b) {
   TRIAD_CHECK_EQ(a.size(), b.size());

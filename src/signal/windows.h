@@ -24,9 +24,6 @@ void ZNormalizeInPlace(std::vector<double>* x, double eps = 1e-8);
 std::vector<double> ZNormalized(const std::vector<double>& x,
                                 double eps = 1e-8);
 
-/// Min-max scales to [0, 1]; constant series map to all 0.5.
-std::vector<double> MinMaxScaled(const std::vector<double>& x);
-
 /// Euclidean distance between equal-length vectors.
 double EuclideanDistance(const std::vector<double>& a,
                          const std::vector<double>& b);

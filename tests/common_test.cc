@@ -137,13 +137,11 @@ TEST(StatsTest, MeanAndStdDev) {
   std::vector<double> v = {2, 4, 4, 4, 5, 5, 7, 9};
   EXPECT_DOUBLE_EQ(Mean(v), 5.0);
   EXPECT_DOUBLE_EQ(StdDev(v), 2.0);
-  EXPECT_NEAR(SampleStdDev(v), 2.138, 1e-3);
 }
 
 TEST(StatsTest, EmptyAndSingleInputs) {
   EXPECT_EQ(Mean({}), 0.0);
   EXPECT_EQ(StdDev({1.0}), 0.0);
-  EXPECT_EQ(SampleStdDev({1.0}), 0.0);
 }
 
 TEST(StatsTest, Quantile) {

@@ -180,23 +180,6 @@ TEST(EventDetectedTest, NoEventsNeverDetected) {
   EXPECT_FALSE(EventDetected({1, 1}, {0, 0}, 10));
 }
 
-// ---------- thresholds ----------
-
-TEST(ThresholdTest, ThresholdScores) {
-  const std::vector<int> pred = ThresholdScores({0.1, 0.9, 0.5}, 0.5);
-  EXPECT_EQ(pred, (std::vector<int>{0, 1, 0}));
-}
-
-TEST(ThresholdTest, BestF1FindsSeparator) {
-  // Scores perfectly separate the classes.
-  const std::vector<double> scores = {0.1, 0.2, 0.15, 0.9, 0.95};
-  const std::vector<int> labels = {0, 0, 0, 1, 1};
-  const auto [threshold, f1] = BestF1Threshold(scores, labels);
-  EXPECT_DOUBLE_EQ(f1, 1.0);
-  EXPECT_GT(threshold, 0.2);
-  EXPECT_LT(threshold, 0.9);
-}
-
 TEST(OneLinerTest, CatchesExtremeSpikesOnly) {
   Rng rng(5);
   std::vector<double> x(1000);

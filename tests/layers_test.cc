@@ -147,17 +147,6 @@ TEST(AdamTest, ClipGradNormScalesDown) {
   EXPECT_NEAR(clipped, 1.0f, 1e-4);
 }
 
-TEST(SgdTest, MomentumDescendsQuadratic) {
-  Var x(Tensor::Scalar(4.0f), true);
-  Sgd opt({x}, 0.05f, 0.9f);
-  for (int step = 0; step < 200; ++step) {
-    opt.ZeroGrad();
-    Square(x).Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(x.value()[0], 0.0f, 0.05f);
-}
-
 TEST(ModuleTest, ZeroGradClearsAllParameters) {
   Rng rng(10);
   Linear layer(3, 3, &rng);

@@ -57,18 +57,6 @@ TEST(MetricsTest, ConcurrentCounterIncrementsFromParallelForSumExactly) {
   EXPECT_EQ(counter.value(), static_cast<uint64_t>(kItems));
 }
 
-TEST(MetricsTest, GaugeStoresDoublesExactly) {
-  metrics::ScopedEnable enable(true);
-  metrics::Gauge gauge;
-  EXPECT_EQ(gauge.value(), 0.0);
-  gauge.Set(3.25);
-  EXPECT_EQ(gauge.value(), 3.25);
-  gauge.Set(-1e300);
-  EXPECT_EQ(gauge.value(), -1e300);
-  gauge.Reset();
-  EXPECT_EQ(gauge.value(), 0.0);
-}
-
 TEST(MetricsTest, HistogramBucketBoundsAreLogSpaced) {
   EXPECT_DOUBLE_EQ(metrics::Histogram::BucketUpperBound(0), 1e-6);
   EXPECT_DOUBLE_EQ(metrics::Histogram::BucketUpperBound(1), 2e-6);
@@ -122,13 +110,10 @@ TEST(MetricsTest, DisabledModeRecordsNothing) {
   metrics::ScopedEnable disable(false);
   EXPECT_FALSE(metrics::Enabled());
   metrics::Counter counter;
-  metrics::Gauge gauge;
   metrics::Histogram hist;
   counter.Increment(7);
-  gauge.Set(1.5);
   hist.Observe(0.1);
   EXPECT_EQ(counter.value(), 0u);
-  EXPECT_EQ(gauge.value(), 0.0);
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.sum(), 0.0);
 
@@ -159,27 +144,35 @@ TEST(MetricsTest, RegistryReturnsStablePointersPerName) {
 TEST(MetricsTest, ExportTextIsSortedAndComplete) {
   metrics::ScopedEnable enable(true);
   ResetObservability();
-  metrics::Registry::Global().counter("test.a")->Increment(3);
-  metrics::Registry::Global().gauge("test.b")->Set(1.5);
+  metrics::Registry::Global().counter("test.b")->Increment(3);
+  metrics::Registry::Global().counter("test.a")->Increment(4);
   metrics::Registry::Global().histogram("test.c")->Observe(2.0);
   const std::string text = metrics::Registry::Global().ExportText();
-  EXPECT_NE(text.find("counter test.a 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("gauge test.b 1.5"), std::string::npos) << text;
+  const size_t a = text.find("counter test.a 4\n");
+  const size_t b = text.find("counter test.b 3\n");
+  EXPECT_NE(a, std::string::npos) << text;
+  EXPECT_NE(b, std::string::npos) << text;
+  EXPECT_LT(a, b) << text;
   EXPECT_NE(text.find("histogram test.c count 1 sum 2"), std::string::npos)
       << text;
+  // Counters and histograms are the only instrument kinds.
+  std::istringstream lines(text);
+  std::string kind, rest;
+  while (lines >> kind && std::getline(lines, rest)) {
+    EXPECT_TRUE(kind == "counter" || kind == "histogram") << kind << rest;
+  }
 }
 
 TEST(MetricsTest, ExportJsonMembersFormsAValidDocumentBody) {
   metrics::ScopedEnable enable(true);
   ResetObservability();
   metrics::Registry::Global().counter("test.j")->Increment();
-  metrics::Registry::Global().gauge("test.g")->Set(0.25);
   metrics::Registry::Global().histogram("test.h")->Observe(1e-5);
   std::string doc = "{";
   doc += metrics::Registry::Global().ExportJsonMembers();
   doc += "}";
   // Structural sanity without a JSON parser: balanced braces/brackets and
-  // the three member keys present.
+  // exactly the two member keys.
   int64_t braces = 0, brackets = 0;
   for (char c : doc) {
     braces += c == '{' ? 1 : (c == '}' ? -1 : 0);
@@ -190,19 +183,26 @@ TEST(MetricsTest, ExportJsonMembersFormsAValidDocumentBody) {
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
-  EXPECT_NE(doc.find("\"gauges\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"gauges\""), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"histograms\""), std::string::npos);
   EXPECT_NE(doc.find("\"test.j\": 1"), std::string::npos) << doc;
 }
 
-TEST(MetricsTest, NonFiniteGaugeExportsAsZeroInJson) {
+// JSON has no NaN/Inf literals: a non-finite wall time or extra value
+// exports as 0 rather than as a token that would break the document.
+TEST(TraceTest, NonFiniteNumbersExportAsZeroInJson) {
   metrics::ScopedEnable enable(true);
   ResetObservability();
-  metrics::Registry::Global()
-      .gauge("test.nonfinite")
-      ->Set(std::numeric_limits<double>::quiet_NaN());
-  const std::string doc = metrics::Registry::Global().ExportJsonMembers();
-  EXPECT_NE(doc.find("\"test.nonfinite\": 0"), std::string::npos) << doc;
+  std::ostringstream os;
+  trace::WriteObservabilityJson(
+      os, "nonfinite", std::numeric_limits<double>::quiet_NaN(),
+      {{"test.x", std::numeric_limits<double>::infinity()},
+       {"test.y", -std::numeric_limits<double>::quiet_NaN()}});
+  const std::string doc = os.str();
+  EXPECT_NE(doc.find("\"wall_seconds\": 0,"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"extra\": {\"test.x\": 0, \"test.y\": 0}"),
+            std::string::npos)
+      << doc;
   EXPECT_EQ(doc.find("nan"), std::string::npos) << doc;  // no bare nan token
 }
 
@@ -293,8 +293,9 @@ TEST(TraceTest, WriteObservabilityJsonIsStructurallyBalanced) {
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
-  EXPECT_NE(doc.find("\"schema\": \"triad-observability-v2\""),
+  EXPECT_NE(doc.find("\"schema\": \"triad-observability-v3\""),
             std::string::npos);
+  EXPECT_EQ(doc.find("\"gauges\""), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"wall_seconds\": 1.25"), std::string::npos);
   EXPECT_NE(doc.find("\"simd_tier\": \""), std::string::npos);
   EXPECT_NE(doc.find("\"threads\": "), std::string::npos);

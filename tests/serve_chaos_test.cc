@@ -17,6 +17,9 @@
 //   * hostile counts — a CRC-valid snapshot, manifest or WAL record whose
 //     count field exceeds its payload is DataLoss (kCorrupt for the WAL),
 //     and nothing is sized from the count;
+//   * hostile QoS fields — a CRC-valid snapshot whose rung, window index,
+//     window count, outcome bytes or probation counter are out of range is
+//     DataLoss, and recovery falls back to a full-WAL replay;
 //   * a failing append — a hard error: the chunk is dropped, the drain
 //     moves on;
 //   * admission allocation failure — chunk rejected with an exact ledger
@@ -24,6 +27,8 @@
 //     caller's retry never double-applies across a crash + Recover();
 //   * one tenant throwing out of a drain — absorbed per tenant, the rest
 //     of the drain scores normally;
+//   * the one ledger — over a run that hits every counted fleet event,
+//     each serve.* registry counter moves exactly as its FleetStats field;
 //   * a failing or stalled snapshot writer lane — verdicts never change or
 //     wait, a failed write is retried at the next drain, a stalled lane
 //     writes only the newest state, and Checkpoint waits for pending
@@ -38,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -49,6 +55,7 @@
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/durable_io.h"
+#include "common/metrics.h"
 #include "common/simd.h"
 #include "core/streaming.h"
 #include "data/ucr_generator.h"
@@ -487,6 +494,275 @@ TEST_P(ServeChaosTest, CorruptSnapshotFallsBackToFullWalReplay) {
     ASSERT_TRUE(snap.ok());
     ExpectMatchesStandalone(*snap, RunStandalone(detector, feeds[t]),
                             "snapshot-fallback tenant " + std::to_string(t));
+  }
+}
+
+// A durable one-tenant fleet over a feed of a full buffer plus eight hops,
+// killed with two WAL records past its checkpoint: a single point that
+// completes no pass, then the rest of the feed, which completes two. At
+// recovery the first record reads the restored QoS window (its failure
+// sum) and the second writes into it (its outcome slots). Returns the
+// tenant id; `feed` receives the whole feed.
+int64_t CheckpointWithWalTail(const FleetOptions& options, uint64_t seed,
+                              std::vector<double>* feed) {
+  const Geometry geometry = StreamGeometry();
+  TRIAD_CHECK(geometry.hop >= 4);
+  *feed = TestSeries(seed, geometry.buffer + 8 * geometry.hop);
+  // Half a hop past the sixth post-buffer pass.
+  const size_t head = geometry.buffer + 6 * geometry.hop + geometry.hop / 2;
+  ModelRegistry registry;
+  FleetServer fleet(options);
+  auto id = fleet.AddTenantFromCheckpoint(&registry, SharedCheckpointPath());
+  TRIAD_CHECK(id.ok());
+  for (size_t off = 0; off < head; off += 64) {
+    TRIAD_CHECK(
+        fleet.Ingest(*id, Slice(*feed, off, std::min(head, off + 64))).ok());
+  }
+  TRIAD_CHECK(fleet.Drain().ok());
+  TRIAD_CHECK(fleet.Checkpoint().ok());
+  TRIAD_CHECK(fleet.Ingest(*id, Slice(*feed, head, head + 1)).ok());
+  TRIAD_CHECK(fleet.Ingest(*id, Slice(*feed, head + 1, feed->size())).ok());
+  return *id;
+}
+
+// Rewrites the tenant's snapshot through WriteTenantSnapshot, which
+// checksums what it is given: the result is CRC-valid whatever `mutate`
+// put in it.
+void RewriteSnapshot(const std::string& dir, int64_t id,
+                     void (*mutate)(TenantDurableState*)) {
+  auto durable = ReadTenantSnapshot(dir, id);
+  TRIAD_CHECK(durable.ok());
+  mutate(&durable.value());
+  TRIAD_CHECK(WriteTenantSnapshot(dir, id, durable.value()).ok());
+}
+
+// One out-of-range QoS field of an otherwise honest snapshot.
+struct HostileQos {
+  const char* field;
+  void (*mutate)(TenantDurableState*);
+};
+
+class ServeChaosHostileQosTest : public ::testing::TestWithParam<HostileQos> {
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ServeChaosHostileQosTest,
+    ::testing::Values(
+        HostileQos{"rung", [](TenantDurableState* s) { s->rung = 3; }},
+        HostileQos{"qos_next_negative",
+                   [](TenantDurableState* s) { s->qos_next = -1; }},
+        HostileQos{"qos_next_past_window",
+                   [](TenantDurableState* s) { s->qos_next = 64; }},
+        HostileQos{"qos_count_negative",
+                   [](TenantDurableState* s) { s->qos_count = -1; }},
+        HostileQos{"qos_count_huge",
+                   [](TenantDurableState* s) {
+                     s->qos_count = int64_t{1} << 40;
+                   }},
+        HostileQos{"qos_outcome",
+                   [](TenantDurableState* s) { s->qos_outcomes[63] = 2; }},
+        HostileQos{"probation_counter",
+                   [](TenantDurableState* s) {
+                     s->probation_counter = -1;
+                   }}),
+    [](const ::testing::TestParamInfo<HostileQos>& info) {
+      return std::string(info.param.field);
+    });
+
+// Hostile QoS fields: the QoS fields index the tenant's 64-slot outcome
+// window, so a CRC-valid snapshot holding an out-of-range one decodes as
+// DataLoss and recovery takes the full-WAL fallback, bit-identically.
+// (Restored as-is, a huge qos_count made the window sum read far past the
+// array, and a negative qos_next wrote a byte before it.)
+TEST_P(ServeChaosHostileQosTest, OutOfRangeFieldFallsBackToFullWalReplay) {
+  const std::string dir =
+      ChaosDir(std::string("hostile_qos_") + GetParam().field);
+  FleetOptions options;
+  options.durability.dir = dir;
+  std::vector<double> feed;
+  const int64_t id = CheckpointWithWalTail(options, 225, &feed);
+  RewriteSnapshot(dir, id, GetParam().mutate);
+  EXPECT_EQ(ReadTenantSnapshot(dir, id).status().code(),
+            StatusCode::kDataLoss);
+
+  ModelRegistry registry;
+  FleetServer recovered(options);
+  auto report = recovered.Recover(&registry);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tenants_recovered, 1);
+  EXPECT_EQ(report->snapshot_fallbacks, 1);
+  EXPECT_TRUE(report->quarantined.empty());
+  auto snap = recovered.Tenant(id);
+  ASSERT_TRUE(snap.ok());
+  ExpectMatchesStandalone(*snap, RunStandalone(*SharedDetector(), feed),
+                          std::string("hostile ") + GetParam().field);
+}
+
+// Only the probation counter's phase is ever read, so recovery keeps it
+// modulo probation_interval: a stored INT64_MAX resumes at the same phase,
+// and the next increment cannot overflow.
+TEST(ServeChaosSnapshotQosTest, HugeProbationCounterKeepsItsPhase) {
+  const std::string dir = ChaosDir("probation_phase");
+  FleetOptions options;
+  options.durability.dir = dir;
+  std::vector<double> feed;
+  const int64_t id = CheckpointWithWalTail(options, 226, &feed);
+  // Rejecting, with an empty window so the two passes of the replayed
+  // tail cannot move the rung.
+  RewriteSnapshot(dir, id, [](TenantDurableState* s) {
+    s->rung = static_cast<uint8_t>(QosRung::kRejecting);
+    s->qos_count = 0;
+    s->probation_counter = std::numeric_limits<int64_t>::max();
+  });
+
+  ModelRegistry registry;
+  FleetServer recovered(options);
+  auto report = recovered.Recover(&registry);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->snapshot_fallbacks, 0);
+  const int64_t interval = options.probation_interval;
+  const int64_t phase = std::numeric_limits<int64_t>::max() % interval;
+  for (int64_t k = 0; k < 2 * interval; ++k) {
+    auto status = recovered.Ingest(id, {1.0});
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(*status, (phase + k) % interval == 0 ? IngestStatus::kDegraded
+                                                   : IngestStatus::kRejected)
+        << "chunk " << k;
+  }
+}
+
+// The one ledger: each fleet event bumps its FleetStats field and its
+// serve.* registry counter in one call. One durable fleet goes through
+// every counted event — accepted, degraded and rejected chunks from a
+// dirty tenant on the ladder and from a full fleet queue, an admission
+// allocation failure, a failing append, a pass hung past its deadline,
+// multi-tenant drains and snapshot writes — and every registry delta must
+// equal its FleetStats field.
+struct LedgerEntry {
+  const char* counter;
+  uint64_t FleetStats::*field;
+};
+
+constexpr LedgerEntry kLedger[] = {
+    {"serve.submitted", &FleetStats::submitted},
+    {"serve.accepted", &FleetStats::accepted},
+    {"serve.degraded", &FleetStats::degraded},
+    {"serve.rejected", &FleetStats::rejected},
+    {"serve.batched_detects", &FleetStats::batched_detects},
+    {"serve.append_errors", &FleetStats::append_errors},
+    {"serve.wal_records", &FleetStats::wal_records},
+    {"serve.wal_failures", &FleetStats::wal_failures},
+    {"serve.snapshots", &FleetStats::snapshots},
+    {"serve.deadline_expired_passes", &FleetStats::deadline_expired_passes},
+    {"serve.admission_alloc_failures", &FleetStats::admission_alloc_failures},
+};
+
+TEST_P(ServeChaosTest, EveryEventCountMatchesItsRegistryCounter) {
+  simd::ScopedForceLevel force(GetParam());
+  metrics::ScopedEnable metrics_on(true);
+  metrics::Registry& exported = metrics::Registry::Global();
+  std::vector<uint64_t> before;
+  for (const LedgerEntry& entry : kLedger) {
+    before.push_back(exported.counter(entry.counter)->value());
+  }
+
+  FleetOptions options;
+  options.durability.dir =
+      ChaosDir(std::string("ledger_") + simd::LevelName(GetParam()));
+  options.durability.snapshot_every_passes = 1;
+  options.max_queue_chunks = 4;
+  options.qos_window = 4;
+  options.qos_min_passes = 2;
+  options.probation_interval = 2;
+  options.pass_deadline_seconds = 0.25;
+  ModelRegistry models;
+  FleetServer fleet(options);
+  auto clean = fleet.AddTenantFromCheckpoint(&models, SharedCheckpointPath());
+  auto dirty = fleet.AddTenantFromCheckpoint(&models, SharedCheckpointPath());
+  auto faulty = fleet.AddTenantFromCheckpoint(&models, SharedCheckpointPath());
+  ASSERT_TRUE(clean.ok() && dirty.ok() && faulty.ok());
+
+  const Geometry geometry = StreamGeometry();
+  const std::vector<double> feed = TestSeries(280, 2 * geometry.buffer);
+  const auto clean_chunk = [&](size_t i) {
+    const size_t off = (i * geometry.hop) % (feed.size() - geometry.hop);
+    return Slice(feed, off, off + geometry.hop);
+  };
+  const std::vector<double> nan_chunk(
+      geometry.hop, std::numeric_limits<double>::quiet_NaN());
+
+  // The ladder: a NaN-fed tenant fails its passes until it rejects, while
+  // the clean tenant shares its drains.
+  ASSERT_TRUE(fleet
+                  .Ingest(*dirty, std::vector<double>(
+                                      geometry.buffer,
+                                      std::numeric_limits<double>::quiet_NaN()))
+                  .ok());
+  ASSERT_TRUE(fleet.Ingest(*clean, Prefix(feed, geometry.buffer)).ok());
+  ASSERT_TRUE(fleet.Drain().ok());
+  bool ladder_rejected = false;
+  for (size_t i = 0; i < 32 && !ladder_rejected; ++i) {
+    auto status = fleet.Ingest(*dirty, nan_chunk);
+    ASSERT_TRUE(status.ok());
+    ladder_rejected = *status == IngestStatus::kRejected;
+    ASSERT_TRUE(fleet.Ingest(*clean, clean_chunk(i)).ok());
+    ASSERT_TRUE(fleet.Drain().ok());
+  }
+  ASSERT_TRUE(ladder_rejected);
+
+  // A full fleet queue rejects the chunk past max_queue_chunks.
+  for (int64_t i = 0; i < options.max_queue_chunks; ++i) {
+    ASSERT_NE(*fleet.Ingest(*clean, clean_chunk(static_cast<size_t>(i))),
+              IngestStatus::kRejected);
+  }
+  ASSERT_EQ(*fleet.Ingest(*clean, clean_chunk(0)), IngestStatus::kRejected);
+  ASSERT_TRUE(fleet.Drain().ok());
+
+  // Faults on the third tenant: its first enqueue fails to allocate, its
+  // first drained chunk fails, and its second hangs until the deadline.
+  ASSERT_TRUE(fleet.FlushSnapshots().ok());
+  const int64_t faulty_id = *faulty;
+  std::atomic<int64_t> enqueues{0};
+  std::atomic<int64_t> appends{0};
+  ServeTestHooks hooks;
+  hooks.admission_alloc_fail = [&enqueues, faulty_id](int64_t tenant_id) {
+    return tenant_id == faulty_id && enqueues.fetch_add(1) == 0;
+  };
+  hooks.before_append = [&appends, faulty_id](int64_t tenant_id) -> Status {
+    if (tenant_id != faulty_id) return Status::OK();
+    const int64_t call = appends.fetch_add(1);
+    if (call == 0) return Status::Unavailable("injected append fault");
+    while (call == 1) {
+      Status deadline = CheckPassDeadline();
+      if (!deadline.ok()) return deadline;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::OK();
+  };
+  SetServeTestHooks(hooks);
+  ASSERT_EQ(*fleet.Ingest(faulty_id, clean_chunk(0)), IngestStatus::kRejected);
+  for (size_t drain = 0; drain < 2; ++drain) {
+    auto status = fleet.Ingest(faulty_id, clean_chunk(drain));
+    ASSERT_TRUE(status.ok());
+    ASSERT_NE(*status, IngestStatus::kRejected);
+    ASSERT_TRUE(fleet.Ingest(*clean, clean_chunk(drain + 1)).ok());
+    ASSERT_TRUE(fleet.Drain().ok());
+  }
+  ASSERT_TRUE(fleet.FlushSnapshots().ok());
+  ClearServeTestHooks();
+  EXPECT_EQ(appends.load(), 2);
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.submitted, stats.accepted + stats.degraded + stats.rejected);
+  for (size_t i = 0; i < std::size(kLedger); ++i) {
+    const char* name = kLedger[i].counter;
+    const uint64_t delta = exported.counter(name)->value() - before[i];
+    EXPECT_EQ(delta, stats.*kLedger[i].field) << name;
+    if (kLedger[i].field == &FleetStats::wal_failures) {
+      EXPECT_EQ(delta, 0u) << name;
+    } else {
+      EXPECT_GT(delta, 0u) << name << " never happened";
+    }
   }
 }
 
@@ -1017,13 +1293,13 @@ TEST(ServeChaosAddTenantTest, ManifestWriteFailureRollsBackRegistration) {
   FleetServer fleet(options);
   EXPECT_FALSE(
       fleet.AddTenantFromCheckpoint(&registry, SharedCheckpointPath()).ok());
-  EXPECT_EQ(fleet.tenant_count(), 0);
+  EXPECT_EQ(fleet.stats().tenants, 0);
   // Fault cleared: the retry registers one tenant under the first id.
   TRIAD_CHECK(std::system(("rmdir " + dir + "/manifest").c_str()) == 0);
   auto id = fleet.AddTenantFromCheckpoint(&registry, SharedCheckpointPath());
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(*id, 1);
-  EXPECT_EQ(fleet.tenant_count(), 1);
+  EXPECT_EQ(fleet.stats().tenants, 1);
 }
 
 // One tenant throwing out of a drain is absorbed at the per-tenant fault

@@ -114,7 +114,7 @@ TEST(FleetServerTest, FleetFullIsOutOfRange) {
   ASSERT_TRUE(fleet.AddTenant(SharedDetector()).ok());
   EXPECT_EQ(fleet.AddTenant(SharedDetector()).status().code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(fleet.tenant_count(), 2);
+  EXPECT_EQ(fleet.stats().tenants, 2);
 }
 
 TEST(ModelRegistryTest, CheckpointLoadsOnceThenShares) {
@@ -458,7 +458,7 @@ TEST(FleetServerTest, RemoveTenantReturnsItsQueueBudget) {
   ASSERT_TRUE(fleet.RemoveTenant(*id).ok());
   EXPECT_EQ(fleet.stats().queue_chunks, 0);
   EXPECT_EQ(fleet.stats().queue_points, 0);
-  EXPECT_EQ(fleet.tenant_count(), 0);
+  EXPECT_EQ(fleet.stats().tenants, 0);
 }
 
 // ISSUE satellite 3, property-style: for an arbitrary seeded arrival
@@ -550,8 +550,6 @@ TEST(FleetServerPropertyTest, AdmissionLedgerBalancesForArbitraryArrivals) {
   const FleetStats final_stats = fleet.stats();
   EXPECT_EQ(final_stats.queue_chunks, 0);
   EXPECT_EQ(final_stats.queue_points, 0);
-  // The export-only gauge agrees with the authoritative atomic.
-  EXPECT_EQ(registry.gauge("serve.queue_depth")->value(), 0.0);
   EXPECT_GT(registry.histogram("streaming.pass_seconds")->count(), 0u);
 }
 

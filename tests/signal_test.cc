@@ -221,14 +221,6 @@ TEST(WindowsTest, ZNormalizeFlatSeriesBecomesZeros) {
   for (double v : flat) EXPECT_EQ(v, 0.0);
 }
 
-TEST(WindowsTest, MinMaxScaled) {
-  const std::vector<double> s = MinMaxScaled({2.0, 4.0, 6.0});
-  EXPECT_DOUBLE_EQ(s[0], 0.0);
-  EXPECT_DOUBLE_EQ(s[1], 0.5);
-  EXPECT_DOUBLE_EQ(s[2], 1.0);
-  for (double v : MinMaxScaled({3.0, 3.0})) EXPECT_DOUBLE_EQ(v, 0.5);
-}
-
 TEST(WindowsTest, EuclideanDistance) {
   EXPECT_DOUBLE_EQ(EuclideanDistance({0, 0}, {3, 4}), 5.0);
   EXPECT_DOUBLE_EQ(EuclideanDistance({1, 1}, {1, 1}), 0.0);
